@@ -180,14 +180,15 @@ func (c *Certificate) Equal(o *Certificate) bool {
 }
 
 // SignatureVerifiedBy reports whether parent's key verifies c's signature.
-// This is criterion (1) of the paper's issuance test.
+// This is criterion (1) of the paper's issuance test. Real certificates go
+// through the process-wide signature memo (sigmemo.go); the synthetic back
+// end is a key-identity compare and never touches it.
 func (c *Certificate) SignatureVerifiedBy(parent *Certificate) bool {
 	if c == nil || parent == nil {
 		return false
 	}
 	if c.X509 != nil && parent.X509 != nil {
-		err := parent.X509.CheckSignature(c.X509.SignatureAlgorithm, c.X509.RawTBSCertificate, c.X509.Signature)
-		return err == nil
+		return verifyX509(c, parent)
 	}
 	if c.X509 == nil && parent.X509 == nil {
 		return len(c.SignedByKeyID) > 0 && bytes.Equal(c.SignedByKeyID, parent.PublicKeyID)

@@ -19,7 +19,10 @@ type IssuanceEvidence struct {
 	KIDMatch      bool
 }
 
-// CheckIssuance gathers the evidence for "parent issued child".
+// CheckIssuance gathers the evidence for "parent issued child". It always
+// checks the signature, even for pairs no name criterion links, because its
+// callers want every fact; Issued and IssuedStrict decide from the cheap
+// criteria first.
 func CheckIssuance(parent, child *Certificate) IssuanceEvidence {
 	if parent == nil || child == nil {
 		return IssuanceEvidence{}
@@ -40,29 +43,31 @@ func CheckIssuance(parent, child *Certificate) IssuanceEvidence {
 // hold. When a certificate lacks one of the DN/KID fields, meeting the other
 // suffices ("compliance with the validation criteria is considered fulfilled
 // if either the second or third condition is met").
+//
+// The DN/KID criteria are tested first and the signature only for pairs
+// they link, as real clients shortlist issuers before verifying: the truth
+// table is the same, and pairs nothing links cost two compares instead of a
+// public-key verification.
 func Issued(parent, child *Certificate) bool {
-	ev := CheckIssuance(parent, child)
-	if !ev.Signature {
-		return false
-	}
-	if ev.NameMatch {
-		return true
-	}
-	return ev.KIDComparable && ev.KIDMatch
+	return NameIndicatesIssuance(parent, child) && child.SignatureVerifiedBy(parent)
 }
 
 // IssuedStrict is the conservative variant used by the ablation benchmarks:
 // all decidable criteria must hold — the signature, the DN match, and, when
-// both key identifiers are present, the KID match.
+// both key identifiers are present, the KID match. Like Issued, it verifies
+// the signature last.
 func IssuedStrict(parent, child *Certificate) bool {
-	ev := CheckIssuance(parent, child)
-	if !ev.Signature || !ev.NameMatch {
+	if parent == nil || child == nil {
 		return false
 	}
-	if ev.KIDComparable && !ev.KIDMatch {
+	if parent.Subject != child.Issuer || parent.Subject.IsZero() {
 		return false
 	}
-	return true
+	if len(parent.SubjectKeyID) > 0 && len(child.AuthorityKeyID) > 0 &&
+		!bytes.Equal(parent.SubjectKeyID, child.AuthorityKeyID) {
+		return false
+	}
+	return child.SignatureVerifiedBy(parent)
 }
 
 // NameIndicatesIssuance reports whether the non-cryptographic criteria alone

@@ -286,9 +286,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves the registry snapshot; a nil registry serves an
-// empty snapshot so probes need not branch.
+// handleMetrics serves the registry snapshot with the process counters
+// (signature checks, peak RSS) recorded into it first; a nil registry serves
+// an empty snapshot so probes need not branch.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.cfg.Metrics.RecordProcess()
 	data, err := s.cfg.Metrics.Snapshot().JSON()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "snapshot", err.Error())

@@ -495,6 +495,18 @@ func TestEndpointInstrumentation(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s = %d", path, w.Code)
 		}
+		if path != "/metrics" {
+			continue
+		}
+		// The verdict graded real certificates, so the process-wide
+		// signature counters must be published beside the registry's own.
+		var served obs.Snapshot
+		if err := json.Unmarshal(w.Body.Bytes(), &served); err != nil {
+			t.Fatal(err)
+		}
+		if served.Counters["certmodel.sig_verifies"]+served.Counters["certmodel.sig_memo_hits"] == 0 {
+			t.Errorf("/metrics publishes no signature checks: %v", served.Counters)
+		}
 	}
 
 	snap := reg.Snapshot()

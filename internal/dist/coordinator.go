@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"chainchaos/internal/faults"
@@ -178,8 +179,8 @@ type coord struct {
 	gens   []int   // generation of the current instance per slot
 	idle   []bool  // slot is up with no lease assigned
 
-	out     io.Writer
-	sink    string
+	out      io.Writer
+	sink     string
 	counters []map[string]int64 // last counter snapshot per slot
 	rss      []int64
 
@@ -267,8 +268,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	events := make(chan event, 4*cfg.Workers+16)
+	var managers sync.WaitGroup
 	for slot := 0; slot < cfg.Workers; slot++ {
-		go c.manage(runCtx, slot, events)
+		managers.Add(1)
+		go func() {
+			defer managers.Done()
+			c.manage(runCtx, slot, events)
+		}()
 	}
 
 	ticker := time.NewTicker(cfg.Poll)
@@ -284,9 +290,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Teardown: stop respawns first, then release the fleet. A stop message
-	// lets live workers exit cleanly; closing the conn unblocks any manager
-	// still parked in a read.
+	// Teardown: stop respawns first, then release the fleet. Cancelling the
+	// run context also closes every manager's conn, including one whose
+	// hello arrived too late to enter c.procs, so no manager stays parked in
+	// a read and no worker waits for a lease; a closed wire ends a worker's
+	// serve loop as cleanly as the stop message. The run returns only once
+	// every manager has exited.
 	cancel()
 	for _, p := range c.procs {
 		if p != nil {
@@ -294,6 +303,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			p.conn.Close()
 		}
 	}
+	managers.Wait()
 	if c.runErr != nil {
 		return nil, c.runErr
 	}
@@ -305,6 +315,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // manage owns one worker slot's lifecycle: launch, forward messages, and
 // respawn (with Respawn backoff) after death, until the run context ends.
+// The end of the run context closes the current conn, which is what
+// releases a worker the coordinator never granted a lease.
 func (c *coord) manage(ctx context.Context, slot int, events chan<- event) {
 	post := func(ev event) {
 		select {
@@ -330,12 +342,14 @@ func (c *coord) manage(ctx context.Context, slot int, events chan<- event) {
 			continue
 		}
 		failures = 0
+		release := context.AfterFunc(ctx, func() { conn.Close() })
 		p := &proc{conn: conn, wire: newWire(conn, conn), slot: slot, gen: gen}
 		var payload []byte
 		if c.cfg.Payload != nil {
 			payload = c.cfg.Payload(slot, gen)
 		}
 		if err := p.wire.send(&message{T: msgConfig, Payload: payload}); err != nil {
+			release()
 			conn.Close()
 			continue
 		}
@@ -350,6 +364,7 @@ func (c *coord) manage(ctx context.Context, slot int, events chan<- event) {
 			}
 			post(event{kind: evMsg, slot: slot, gen: gen, msg: m})
 		}
+		release()
 		conn.Close()
 		post(event{kind: evDead, slot: slot, gen: gen})
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,6 +136,87 @@ func TestDistributedByteIdentity(t *testing.T) {
 	}
 }
 
+// waitGroupOrFail waits for wg, failing the test instead of hanging when a
+// worker goroutine never exits.
+func waitGroupOrFail(t *testing.T, wg *sync.WaitGroup, what string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s still running 30s after the run returned", what)
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base; the
+// last exits (pipe closers, context AfterFuncs) may trail the run briefly.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the run, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestLateHelloWorkerReleased: a worker whose hello arrives only after the
+// last lease retired never joins the fleet. Run must still close its
+// connection and wait for its manager, so the worker's Serve ends instead
+// of waiting for a lease forever.
+func TestLateHelloWorkerReleased(t *testing.T) {
+	base := runtime.NumGoroutine()
+	late := make(chan struct{})
+	launcher := &pipeLauncher{setup: func(slot, spawn int) Setup {
+		return func(json.RawMessage) (RangeRunner, *obs.Registry, error) {
+			if slot == 3 {
+				<-late
+			}
+			return testRunner(1), nil, nil
+		}
+	}}
+	var out strings.Builder
+	if _, err := Run(context.Background(), Config{
+		Workers: 4, Total: 300, LeaseSize: 37, Out: &out,
+		SinkStage: "test", Launch: launcher,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := expectOutput(0, 300, 1); out.String() != want {
+		t.Fatalf("output differs from serial run (%d vs %d bytes)", out.Len(), len(want))
+	}
+	close(late)
+	waitGroupOrFail(t, &launcher.wg, "late worker")
+	settleGoroutines(t, base)
+}
+
+// TestByteIdentityNoLeak repeats the byte-identity case and checks that
+// every run returns the goroutine count to its baseline: no manager, worker
+// or deadline ticker outlives Run.
+func TestByteIdentityNoLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 25; i++ {
+		launcher := &pipeLauncher{setup: plainSetup(testRunner(1))}
+		var out strings.Builder
+		if _, err := Run(context.Background(), Config{
+			Workers: 4, Total: 1000, LeaseSize: 37, Out: &out,
+			SinkStage: "test", Launch: launcher,
+		}); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if want := expectOutput(0, 1000, 1); out.String() != want {
+			t.Fatalf("run %d: output differs from serial run", i)
+		}
+		waitGroupOrFail(t, &launcher.wg, "workers")
+		settleGoroutines(t, base)
+	}
+}
+
 // TestWorkerDeathReassignsLease: a worker that dies mid-lease (simulated
 // kill -9: its wire closes without a done) loses only wall time — the lease
 // is reassigned, no rank is lost or duplicated, and the output is still
@@ -259,8 +341,8 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	launcher := &pipeLauncher{setup: plainSetup(testRunner(1))}
 	_, err = Run(context.Background(), Config{
 		Workers: 3, Total: total, LeaseSize: 40,
-		Out:       &failingWriter{w: f, failAfter: 123},
-		Journal:   j, SinkStage: "test", Launch: launcher,
+		Out:     &failingWriter{w: f, failAfter: 123},
+		Journal: j, SinkStage: "test", Launch: launcher,
 	})
 	if err == nil {
 		t.Fatal("expected the first run to fail at the broken sink")

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"chainchaos/internal/certmodel"
+	"chainchaos/internal/clients"
 	"chainchaos/internal/difftest"
+	"chainchaos/internal/obs"
 	"chainchaos/internal/population"
 )
 
@@ -42,6 +44,26 @@ func TestRunFindsKnownAndNovel(t *testing.T) {
 		if !d.Novel && len(d.Causes) == 0 {
 			t.Fatalf("divergence %s neither novel nor attributed", d.Digest[:12])
 		}
+	}
+}
+
+// TestBuildCountersFlushed: every verdict-cache miss costs one build per
+// client model, so the published pathbuild.builds must reach 8 × misses —
+// which it does only if each evaluate worker's builders and the sink-side
+// oracle flush their last partial metric batch when they retire.
+func TestBuildCountersFlushed(t *testing.T) {
+	cfg := smallCfg(2)
+	cfg.Metrics = obs.NewRegistry()
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	c := cfg.Metrics.Snapshot().Counters
+	builds, misses := c["pathbuild.builds"], c["divfuzz.vcache.misses"]
+	if misses == 0 {
+		t.Fatal("campaign saw no verdict-cache misses")
+	}
+	if profiles := int64(len(clients.All())); builds < profiles*misses {
+		t.Errorf("pathbuild.builds = %d, want >= %d (%d profiles x %d cache misses)", builds, profiles*misses, profiles, misses)
 	}
 }
 

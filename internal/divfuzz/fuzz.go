@@ -157,6 +157,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cDivergent:  cfg.Metrics.Counter("divfuzz.divergent"),
 		cNovel:      cfg.Metrics.Counter("divfuzz.novel"),
 	}
+	// The sink-side oracle builds for generation zero, minimization and
+	// attribution; publish its builders' last partial metric batches when
+	// Run returns.
+	defer f.oracle.FlushMetrics()
 	for _, d := range pop.Domains {
 		f.bases = append(f.bases, d.List)
 		f.names = append(f.names, d.Name)
@@ -210,8 +214,9 @@ func (f *fuzzer) generation(ctx context.Context, gen int) error {
 		Name:    "evaluate",
 		Workers: workers,
 		OnWorker: func(worker int) func() {
-			oracles[worker] = NewOracle(f.pop, f.warm, f.vcache, f.cfg.Metrics)
-			return nil
+			o := NewOracle(f.pop, f.warm, f.vcache, f.cfg.Metrics)
+			oracles[worker] = o
+			return o.FlushMetrics
 		},
 		Fn: func(_ context.Context, worker, _ int, rank int) (evaluated, error) {
 			g := breed(snapshot, f.cfg, gen, rank)

@@ -66,6 +66,15 @@ func NewOracle(pop *population.Population, warm *rootstore.Store, cache *verdict
 	}
 }
 
+// FlushMetrics publishes the builders' batched pathbuild counters. Call it
+// when the oracle retires: a builder flushes on its own only every few
+// dozen builds, so its last partial batch is otherwise lost.
+func (o *Oracle) FlushMetrics() {
+	for _, b := range o.builders {
+		b.FlushMetrics()
+	}
+}
+
 // Evaluate returns the list's verdict vector, consulting the shared dedup
 // cache first. Cache hit counters race across workers; the vector itself is
 // a pure function of the list, so cached and fresh results are identical.

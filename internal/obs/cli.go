@@ -177,12 +177,13 @@ func (c *CLI) Start() {
 
 // Finish exports the metrics snapshot when -metrics was given. The snapshot
 // includes the run's peak RSS (proc.max_rss_kb), so the JSON doubles as the
-// memory record for benchmark scripts.
+// memory record for benchmark scripts, and the published process counters
+// (RecordProcess).
 func (c *CLI) Finish() {
 	if c.metricsFile == "" {
 		return
 	}
-	c.Metrics.RecordMaxRSS()
+	c.Metrics.RecordProcess()
 	if err := WriteJSON(c.Metrics, c.metricsFile); err != nil {
 		c.Fatal(err)
 	}
