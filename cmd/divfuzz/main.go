@@ -14,19 +14,16 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
 	"chainchaos/internal/divfuzz"
-	"chainchaos/internal/ledger"
 	"chainchaos/internal/obs"
-	"chainchaos/internal/pipeline"
+	"chainchaos/internal/run"
 )
 
 func main() {
@@ -39,14 +36,22 @@ func main() {
 	dedup := flag.Bool("dedup", true, "share graded verdict vectors across identical list digests")
 	manifest := flag.String("manifest", "", "write the deterministic run manifest (JSON) here")
 	scenarios := flag.String("scenarios", "", "write novel divergences as an injectable scenario file here")
-	records := flag.String("records", "", "write one JSONL line per confirmed divergence here, in discovery order")
-	recJournal := flag.String("records-journal", "", "anchor the -records lines' Merkle batch roots into this journal so cmd/ledgerverify -stage divergence can audit them")
+	// The divergence records are batch output, not a resumable stream: the
+	// fuzzer is deterministic, so the file and its anchored roots are a pure
+	// function of the seed, and the journal exists only as tamper evidence.
+	rec := run.Records{Stage: "divergence"}
+	rec.Bind("records", "write one JSONL line per confirmed divergence here, in discovery order",
+		"records-journal", "anchor the -records lines' Merkle batch roots into this journal so cmd/ledgerverify -stage divergence can audit them")
 	cli.BindWorkers("parallel evaluation workers (0 = GOMAXPROCS)")
 	cli.BindLedger()
 	cli.BindObs()
 	flag.Parse()
 	cli.Start()
 	defer cli.Finish()
+	out, err := run.Open(cli, rec)
+	if err != nil {
+		cli.Fatal(err)
+	}
 
 	res, err := divfuzz.Run(context.Background(), divfuzz.Config{
 		Seed:        *seed,
@@ -98,66 +103,19 @@ func main() {
 			cli.Fatal(err)
 		}
 	}
-	if *records != "" {
-		if err := writeRecords(cli, res, *records, *recJournal); err != nil {
-			cli.Fatal(err)
-		}
-	}
-}
-
-// writeRecords emits the divergence JSONL — one compact ManifestEntry per
-// confirmed divergence, in discovery order — and, when a journal path is
-// given, anchors the lines' Merkle batch roots into it under the
-// "divergence" stage. The fuzzer is batch-deterministic, so the file (and
-// therefore the anchored roots) is a pure function of the seed; the journal
-// exists purely as tamper evidence, not for resume.
-func writeRecords(cli *obs.CLI, res *divfuzz.Result, path, journalPath string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	var b *ledger.Batcher
-	var j *pipeline.Journal
-	if journalPath != "" && cli.LedgerBatch > 0 {
-		if j, err = pipeline.OpenJournal(journalPath); err != nil {
-			return err
-		}
-		defer j.Close()
-		var sw io.Writer
-		if cli.LedgerSidecar != "" {
-			side, err := os.Create(cli.LedgerSidecar)
-			if err != nil {
-				return err
+	if rec.Out != "" {
+		// One compact ManifestEntry per confirmed divergence.
+		for i, e := range res.Manifest().Divergences {
+			line, err := json.Marshal(e)
+			if err == nil {
+				err = out.Emit(i, line)
 			}
-			defer side.Close()
-			sw = side
-		}
-		b = ledger.JournalBatcher(j, "divergence", cli.LedgerBatch, 0, nil, sw)
-	}
-
-	w := bufio.NewWriter(f)
-	m := res.Manifest()
-	for _, e := range m.Divergences {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
-		}
-		if err := b.Append(line); err != nil {
-			return err
+			if err != nil {
+				cli.Fatal(err)
+			}
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return err
+	if err := out.Close(); err != nil {
+		cli.Fatal(err)
 	}
-	if b != nil {
-		if _, _, err := ledger.Seal(b, j, "divergence"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -21,7 +21,9 @@
 // -distribute N runs d1 as a coordinator leasing contiguous rank ranges to
 // N worker processes (copies of this binary run with -worker); verdict
 // lines merge in rank order, byte-identical to a single-process -stream
-// run, resumable through the same -checkpoint. See cmd/experiments/dist.go.
+// run, resumable through the same -checkpoint. Both modes send the verdict
+// JSONL only to -out: it is sparse, one line per non-compliant chain, and
+// stdout carries the tables.
 package main
 
 import (
@@ -29,63 +31,111 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"chainchaos/internal/experiments"
-	"chainchaos/internal/ledger"
 	"chainchaos/internal/obs"
-	"chainchaos/internal/pipeline"
+	"chainchaos/internal/run"
 )
+
+// job is the streamed differential evaluation as its flags describe it. It
+// is also the config every distributed worker receives: the population
+// source is rank-deterministic in (Size, Seed), which is what makes leased
+// sub-ranges byte-identical to the full run.
+type job struct {
+	Size    int     `json:"size"`
+	Seed    int64   `json:"seed"`
+	Workers int     `json:"workers"`
+	Reuse   float64 `json:"reuse,omitempty"`
+	Pool    int     `json:"pool,omitempty"`
+	Dedup   bool    `json:"dedup,omitempty"`
+}
+
+// verdicts runs ranks [s.Lo, s.Hi) of the differential evaluation: the
+// whole run in one process, one lease in a worker.
+func verdicts(ctx context.Context, j job, s run.Span) (map[string]int64, error) {
+	sum, err := experiments.DifferentialStreamSummary(ctx, experiments.StreamConfig{
+		Size: j.Size, Seed: j.Seed, Workers: j.Workers, Metrics: s.Metrics,
+		Reuse: j.Reuse, Pool: j.Pool, Dedup: j.Dedup,
+		Journal: s.Journal, Resume: s.Lo, Limit: s.Hi, Record: s.Emit,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sum.Tallies(), nil
+}
+
+// verdictRank extracts the zero-based pipeline rank from one line of the
+// verdict JSONL (difftest.RecordLine carries the domain's 1-based rank).
+func verdictRank(line []byte) (int, bool) {
+	var rec struct {
+		Rank int `json:"rank"`
+	}
+	if json.Unmarshal(line, &rec) != nil || rec.Rank < 1 {
+		return 0, false
+	}
+	return rec.Rank - 1, true
+}
 
 func main() {
 	cli := obs.NewCLI("experiments")
-	size := flag.Int("size", 100000, "population size (906336 = paper scale)")
-	seed := flag.Int64("seed", 1, "population seed")
-	run := flag.String("run", "", "comma-separated experiment ids (default all)")
+	var j job
+	flag.IntVar(&j.Size, "size", 100000, "population size (906336 = paper scale)")
+	flag.Int64Var(&j.Seed, "seed", 1, "population seed")
+	runIDs := flag.String("run", "", "comma-separated experiment ids (default all)")
 	stream := flag.Bool("stream", false, "run the differential evaluation (d1) over the streaming source with bounded memory")
-	outFile := flag.String("out", "", "with -stream: write per-chain verdict JSONL here")
-	checkpoint := flag.String("checkpoint", "", "with -stream: journal progress to this file and resume from it")
-	reuse := flag.Float64("reuse", 0, "with -stream: fraction of domains presenting a pooled (duplicate) chain")
-	pool := flag.Int("pool", 0, "with -stream: distinct-chain pool size under -reuse (0 = default 3000)")
-	dedup := flag.Bool("dedup", false, "with -stream: memoize verdicts per distinct chain (bit-identical output, duplicate chains cost a lookup)")
+	rec := run.Records{Stage: "verdict", Rank: verdictRank}
+	rec.Bind("out", "with -stream: write per-chain verdict JSONL here",
+		"checkpoint", "with -stream: journal progress to this file and resume from it")
+	flag.Float64Var(&j.Reuse, "reuse", 0, "with -stream: fraction of domains presenting a pooled (duplicate) chain")
+	flag.IntVar(&j.Pool, "pool", 0, "with -stream: distinct-chain pool size under -reuse (0 = default 3000)")
+	flag.BoolVar(&j.Dedup, "dedup", false, "with -stream: memoize verdicts per distinct chain (bit-identical output, duplicate chains cost a lookup)")
 	killAfter := flag.Int("dist-kill-after", 0, "chaos: the first worker SIGKILLs itself after processing this many ranks (distributed runs only)")
 	cli.BindWorkers("parallel workers for generation/analysis/difftest (0 = GOMAXPROCS)")
 	cli.BindDistribute()
 	cli.BindLedger()
 	cli.BindObs()
 	flag.Parse()
+	ctx := context.Background()
 	if cli.Worker {
-		// The worker path returns before Start, so validate here too.
-		if err := cli.Validate(); err != nil {
-			cli.Fatal(err)
-		}
-		if err := runWorker(cli); err != nil {
+		if err := run.Serve(ctx, cli, verdicts); err != nil {
 			cli.Fatal(err)
 		}
 		return
 	}
 	cli.Start()
+	j.Workers = cli.Workers
 
-	if cli.Distribute > 0 {
-		if *run != "" && strings.TrimSpace(strings.ToLower(*run)) != "d1" {
-			cli.Fatal(fmt.Errorf("-distribute runs the differential evaluation only; drop -run or pass -run d1"))
+	if cli.Distribute > 0 || *stream || rec.Out != "" || rec.Checkpoint != "" {
+		mode, how := "-stream", "streaming"
+		if cli.Distribute > 0 {
+			mode, how = "-distribute", fmt.Sprintf("distributed over %d workers", cli.Distribute)
 		}
-		if err := runDistributed(cli, *size, *seed, *outFile, *checkpoint, *reuse, *pool, *dedup, *killAfter); err != nil {
+		if *runIDs != "" && strings.TrimSpace(strings.ToLower(*runIDs)) != "d1" {
+			cli.Fatal(fmt.Errorf("%s runs the differential evaluation only; drop -run or pass -run d1", mode))
+		}
+		out, err := run.Open(cli, rec)
+		if err != nil {
 			cli.Fatal(err)
 		}
-		cli.Finish()
-		return
-	}
-	if *stream || *outFile != "" || *checkpoint != "" {
-		runStreaming(cli, *size, *seed, *run, *outFile, *checkpoint, *reuse, *pool, *dedup)
+		fmt.Printf("population: %d domains, seed %d (%s)\n\n", j.Size, j.Seed, how)
+		start := time.Now()
+		tallies, err := run.Ranks(ctx, cli, out, j.Size, run.Job[job]{Config: j, KillAfter: *killAfter}, verdicts)
+		if err == nil {
+			err = out.Close()
+		}
+		if err != nil {
+			cli.Fatal(err)
+		}
+		fmt.Println(experiments.DifferentialTableFromTallies(tallies))
+		fmt.Printf("[d1 took %v]\n\n", time.Since(start).Round(time.Millisecond))
 		cli.Finish()
 		return
 	}
 
-	env := experiments.NewEnv(*size, *seed)
+	env := experiments.NewEnv(j.Size, j.Seed)
 	env.Workers = cli.Workers
 	env.Metrics = cli.Metrics
 	type exp struct {
@@ -116,13 +166,13 @@ func main() {
 	}
 
 	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
+	if *runIDs != "" {
+		for _, id := range strings.Split(*runIDs, ",") {
 			want[strings.TrimSpace(strings.ToLower(id))] = true
 		}
 	}
 
-	fmt.Printf("population: %d domains, seed %d\n\n", *size, *seed)
+	fmt.Printf("population: %d domains, seed %d\n\n", j.Size, j.Seed)
 	for _, e := range all {
 		if len(want) > 0 && !want[e.id] {
 			continue
@@ -137,93 +187,4 @@ func main() {
 		fmt.Printf("[%s took %v]\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
 	cli.Finish()
-}
-
-// runStreaming is the -stream path: the §5.2 differential evaluation over
-// the streaming population source, with optional per-chain JSONL output and
-// checkpoint/resume.
-func runStreaming(cli *obs.CLI, size int, seed int64, run, outFile, checkpoint string, reuse float64, pool int, dedup bool) {
-	if run != "" && strings.TrimSpace(strings.ToLower(run)) != "d1" {
-		cli.Fatal(fmt.Errorf("-stream runs the differential evaluation only; drop -run or pass -run d1"))
-	}
-	cfg := experiments.StreamConfig{
-		Size: size, Seed: seed, Workers: cli.Workers, Metrics: cli.Metrics,
-		Reuse: reuse, Pool: pool, Dedup: dedup,
-	}
-	var j *pipeline.Journal
-	if checkpoint != "" {
-		var resume int
-		var err error
-		j, resume, err = pipeline.Checkpoint(checkpoint, "verdict")
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer j.Close()
-		if outFile != "" {
-			// The verdict JSONL is sparse — only non-compliant chains emit a
-			// line — so each line's 1-based rank field locates it.
-			resume, err = pipeline.RecoverOutput(outFile, 0, j, "verdict", verdictRank)
-			if err != nil {
-				cli.Fatal(err)
-			}
-		}
-		cfg.Journal, cfg.Resume = j, resume
-		if resume > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: resuming from rank %d (summary covers the remaining chains only)\n", resume+1)
-		}
-	}
-	if outFile != "" {
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if checkpoint != "" {
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(outFile, mode, 0o644)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer f.Close()
-		cfg.Out = f
-	}
-	// Ledger the sparse verdict stream: leaf index is the line's position
-	// in the file, so the resume replay feeds every recovered line (-1).
-	if j != nil && outFile != "" && cli.LedgerBatch > 0 {
-		var sw io.Writer
-		if cli.LedgerSidecar != "" {
-			side, err := os.Create(cli.LedgerSidecar)
-			if err != nil {
-				cli.Fatal(err)
-			}
-			defer side.Close()
-			sw = side
-		}
-		cfg.Ledger = ledger.JournalBatcher(j, "verdict", cli.LedgerBatch, cli.LedgerLatency, nil, sw)
-		if err := ledger.Replay(cfg.Ledger, outFile, 0, -1); err != nil {
-			cli.Fatal(err)
-		}
-	}
-	fmt.Printf("population: %d domains, seed %d (streaming)\n\n", size, seed)
-	start := time.Now()
-	t, err := experiments.DifferentialStream(context.Background(), cfg)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	if cfg.Ledger != nil {
-		if _, _, err := ledger.Seal(cfg.Ledger, j, "verdict"); err != nil {
-			cli.Fatal(err)
-		}
-	}
-	fmt.Println(t)
-	fmt.Printf("[d1 took %v]\n\n", time.Since(start).Round(time.Millisecond))
-}
-
-// verdictRank extracts the zero-based pipeline rank from one line of the
-// verdict JSONL (difftest.RecordLine carries the domain's 1-based rank).
-func verdictRank(line []byte) (int, bool) {
-	var rec struct {
-		Rank int `json:"rank"`
-	}
-	if json.Unmarshal(line, &rec) != nil || rec.Rank < 1 {
-		return 0, false
-	}
-	return rec.Rank - 1, true
 }

@@ -15,32 +15,33 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"os"
 
 	"chainchaos/internal/certmodel"
-	"chainchaos/internal/ledger"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
+	"chainchaos/internal/run"
 )
+
+const header = "rank\tdomain\tca\tserver\tcerts\tdup\tirrelevant\tmultipath\treversed\tincomplete\tleaf_mismatch\tshared"
 
 func main() {
 	cli := obs.NewCLI("genpop")
-	size := flag.Int("size", 10000, "number of domains")
-	seed := flag.Int64("seed", 1, "generator seed")
+	var cfg population.Config
+	flag.IntVar(&cfg.Size, "size", 10000, "number of domains")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "generator seed")
 	summary := flag.Bool("summary", false, "print aggregate statistics instead of the TSV")
-	reuse := flag.Float64("reuse", 0, "fraction of domains presenting a pooled (duplicate) chain — the paper's hosting-provider skew")
-	pool := flag.Int("pool", 0, "distinct-chain pool size under -reuse (0 = default 3000)")
+	flag.Float64Var(&cfg.ChainReuse, "reuse", 0, "fraction of domains presenting a pooled (duplicate) chain — the paper's hosting-provider skew")
+	flag.IntVar(&cfg.ChainPool, "pool", 0, "distinct-chain pool size under -reuse (0 = default 3000)")
 	stream := flag.Bool("stream", false, "emit rows as domains are generated instead of materializing the population")
-	outFile := flag.String("out", "", "write the TSV here (default stdout; implies -stream)")
-	checkpoint := flag.String("checkpoint", "", "journal progress to this file and resume an interrupted run from it (implies -stream)")
+	rec := run.Records{Stage: "generate", Header: []string{header}}
+	rec.Bind("out", "write the TSV here (default stdout; implies -stream)",
+		"checkpoint", "journal progress to this file and resume an interrupted run from it (implies -stream)")
 	scenarioFile := flag.String("scenario-file", "", "inject fuzzer-discovered chain topologies from this scenario file (cmd/divfuzz -scenarios)")
-	scenarioRate := flag.Float64("scenario-rate", 0.01, "fraction of domains presenting an injected scenario under -scenario-file")
+	flag.Float64Var(&cfg.ScenarioRate, "scenario-rate", 0.01, "fraction of domains presenting an injected scenario under -scenario-file")
 	cli.BindWorkers("parallel workers for generation (0 = GOMAXPROCS)")
 	cli.BindLedger()
 	cli.BindObs()
@@ -48,133 +49,60 @@ func main() {
 	cli.Start()
 	defer cli.Finish()
 
-	cfg := population.Config{Size: *size, Seed: *seed, Workers: cli.Workers, ChainReuse: *reuse, ChainPool: *pool}
+	cfg.Workers = cli.Workers
 	if *scenarioFile != "" {
 		scs, err := population.LoadScenarios(*scenarioFile)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		cfg.Scenarios, cfg.ScenarioRate = scs, *scenarioRate
+		cfg.Scenarios = scs
 	}
-	if !(*stream || *outFile != "" || *checkpoint != "") {
-		pop := population.Generate(cfg)
-		if *summary {
-			printSummary(pop)
-			return
-		}
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
-		writeHeader(w)
-		for _, d := range pop.Domains {
-			writeRow(w, d)
-		}
-		return
-	}
-
-	src := population.NewSource(cfg)
-	opts := pipeline.Options{Name: "genpop", Metrics: cli.Metrics}
-	if *checkpoint != "" {
-		j, resume, err := pipeline.Checkpoint(*checkpoint, "generate")
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer j.Close()
-		if *outFile != "" && !*summary {
-			// Reconcile the TSV with the watermark: one header line, then
-			// one row per rank.
-			resume, err = pipeline.RecoverOutput(*outFile, 1, j, "generate", nil)
-			if err != nil {
-				cli.Fatal(err)
-			}
-		}
-		opts.Journal, opts.Resume = j, resume
-		if resume > 0 {
-			fmt.Fprintf(os.Stderr, "genpop: resuming from rank %d\n", resume+1)
-		}
-	}
-
+	streaming := *stream || rec.Out != "" || rec.Checkpoint != ""
 	if *summary {
-		pop := src.Population()
-		st := &stats{byCA: map[string]int{}, byServer: map[string]int{}}
-		err := src.Each(context.Background(), opts, func(d *population.Domain) error {
-			st.add(d)
-			return nil
-		})
-		if err != nil {
-			cli.Fatal(err)
-		}
-		st.print(pop)
-		return
+		// A summary writes no TSV: no header, and -out is left alone.
+		rec.Header, rec.Out = nil, ""
 	}
-
-	var out io.Writer = os.Stdout
-	if *outFile != "" {
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if *checkpoint != "" {
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(*outFile, mode, 0o644)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	// The TSV sink only exposes an io.Writer, so the ledger tees through a
-	// LineWriter: every completed row (header excluded) becomes a leaf, and
-	// row rank == leaf index.
-	var b *ledger.Batcher
-	if opts.Journal != nil && *outFile != "" && cli.LedgerBatch > 0 {
-		var sw io.Writer
-		if cli.LedgerSidecar != "" {
-			side, err := os.Create(cli.LedgerSidecar)
-			if err != nil {
-				cli.Fatal(err)
-			}
-			defer side.Close()
-			sw = side
-		}
-		b = ledger.JournalBatcher(opts.Journal, "generate", cli.LedgerBatch, cli.LedgerLatency, nil, sw)
-		if err := ledger.Replay(b, *outFile, 1, opts.Resume); err != nil {
-			cli.Fatal(err)
-		}
-		skip := 0
-		if opts.Resume == 0 {
-			skip = 1 // this run writes the header; a resumed run appends rows only
-		}
-		out = &ledger.LineWriter{W: out, B: b, Skip: skip}
-	}
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-	if opts.Resume == 0 {
-		writeHeader(w)
-	}
-	err := src.Each(context.Background(), opts, func(d *population.Domain) error {
-		writeRow(w, d)
-		return nil
-	})
+	out, err := run.Open(cli, rec)
 	if err != nil {
 		cli.Fatal(err)
 	}
-	if b != nil {
-		// Flush before sealing: rows still buffered here have not reached
-		// the LineWriter, and the run root must cover every row.
-		if err := w.Flush(); err != nil {
-			cli.Fatal(err)
+	st := &stats{byCA: map[string]int{}, byServer: map[string]int{}}
+	each := func(d *population.Domain) error {
+		if *summary {
+			st.add(d)
+			return nil
 		}
-		if _, _, err := ledger.Seal(b, opts.Journal, "generate"); err != nil {
-			cli.Fatal(err)
+		return out.Emit(d.Rank-1, row(d))
+	}
+	var pop *population.Population
+	if streaming {
+		src := population.NewSource(cfg)
+		pop = src.Population()
+		opts := pipeline.Options{Name: "genpop", Metrics: cli.Metrics, Journal: out.Journal, Resume: out.Resume}
+		err = src.Each(context.Background(), opts, each)
+	} else {
+		pop = population.Generate(cfg)
+		for _, d := range pop.Domains {
+			if err = each(d); err != nil {
+				break
+			}
 		}
+	}
+	if err == nil {
+		err = out.Close()
+	}
+	if err != nil {
+		cli.Fatal(err)
+	}
+	if *summary {
+		st.print(pop)
 	}
 }
 
-func writeHeader(w io.Writer) {
-	fmt.Fprintln(w, "rank\tdomain\tca\tserver\tcerts\tdup\tirrelevant\tmultipath\treversed\tincomplete\tleaf_mismatch\tshared")
-}
-
-func writeRow(w io.Writer, d *population.Domain) {
+// row is one domain's TSV line, without the trailing newline.
+func row(d *population.Domain) []byte {
 	t := d.Truth
-	fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%d\t%v\t%v\t%v\t%v\t%v\t%v\t%v\n",
+	return fmt.Appendf(nil, "%d\t%s\t%s\t%s\t%d\t%v\t%v\t%v\t%v\t%v\t%v\t%v",
 		d.Rank, d.Name, d.CA, d.Server, len(d.List),
 		t.DuplicateLeaf || t.DuplicateIntermediate || t.DuplicateRoot,
 		t.Irrelevant != population.IrrelevantNone,
@@ -256,12 +184,4 @@ func (s *stats) print(pop *population.Population) {
 	for name, c := range s.byServer {
 		fmt.Printf("  %-38s %s\n", name, pct(c))
 	}
-}
-
-func printSummary(pop *population.Population) {
-	st := &stats{byCA: map[string]int{}, byServer: map[string]int{}}
-	for _, d := range pop.Domains {
-		st.add(d)
-	}
-	st.print(pop)
 }

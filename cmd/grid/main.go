@@ -11,7 +11,7 @@
 //	grid -spec scripts/grids/pr7.json -set sites=100000 -set reuse=0.9995
 //	grid -spec scripts/grids/ci_smoke.json -repeats 2 -work grid-work -out smoke.json
 //
-// Spec format (JSON, or a small TOML subset): see internal/grid and the
+// Spec format (JSON): see internal/grid and the
 // committed specs under scripts/grids/. scripts/bench_json.sh is a thin
 // wrapper mapping the historical PR=pr6..pr10 env-var invocations onto
 // these specs.
@@ -41,7 +41,7 @@ func (s setFlags) Set(kv string) error {
 
 func main() {
 	sets := setFlags{}
-	specPath := flag.String("spec", "", "grid spec file (JSON, or .toml subset)")
+	specPath := flag.String("spec", "", "grid spec file (JSON)")
 	out := flag.String("out", "", "summary JSON path (default BENCH_<name>.json)")
 	csvPath := flag.String("csv", "", "per-(cell,repeat,step) CSV path (default <out>.csv next to -out)")
 	work := flag.String("work", "", "work tree for tools and cell outputs (default: a temp dir, removed on success)")

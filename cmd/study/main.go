@@ -22,7 +22,8 @@
 // -distribute N runs the study as a coordinator leasing contiguous site
 // ranges to N worker processes (copies of this binary run with -worker);
 // records merge in rank order, byte-identical to a single-process -stream
-// run, resumable through the same -checkpoint. See cmd/study/dist.go.
+// run, resumable through the same -checkpoint. internal/run owns this
+// wiring for every record-emitting command.
 //
 // With -stream the run holds only in-flight sites in memory and writes one
 // JSON line per site to -out (stdout by default); -checkpoint journals
@@ -40,80 +41,121 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
-	"chainchaos/internal/ledger"
 	"chainchaos/internal/obs"
-	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
+	"chainchaos/internal/run"
 	"chainchaos/internal/study"
 	"chainchaos/internal/tlsserve"
 )
 
+// job is the study as its flags describe it. It is also the config every
+// distributed worker receives, so the same fields reach every process.
+type job struct {
+	Sites    int     `json:"sites"`
+	Seed     int64   `json:"seed"`
+	Vantages int     `json:"vantages"`
+	Workers  int     `json:"workers"`
+	Retries  int     `json:"retries"`
+	Reuse    float64 `json:"reuse,omitempty"`
+	Distinct int     `json:"distinct,omitempty"`
+	Dedup    bool    `json:"dedup,omitempty"`
+	Chaos    bool    `json:"chaos,omitempty"`
+	// Scenarios ship the replayed fuzzer topologies inline: workers may not
+	// share the coordinator's filesystem.
+	Scenarios    []population.Scenario `json:"scenarios,omitempty"`
+	ScenarioRate float64               `json:"scenario_rate,omitempty"`
+}
+
+func (j job) config(metrics *obs.Registry) study.Config {
+	cfg := study.Config{
+		Sites: j.Sites, Seed: j.Seed, Vantages: j.Vantages,
+		Workers: j.Workers, Retries: j.Retries, Metrics: metrics,
+		Reuse: j.Reuse, DistinctChains: j.Distinct, Dedup: j.Dedup,
+		Scenarios: j.Scenarios, ScenarioRate: j.ScenarioRate,
+	}
+	if j.Chaos {
+		cfg.Faults = tlsserve.FaultConfig{FailFirst: 1, SlowWrite: time.Millisecond}
+	}
+	return cfg
+}
+
+// grade runs sites [s.Lo, s.Hi) of the study: the whole run in one process,
+// one lease in a worker.
+func grade(ctx context.Context, j job, s run.Span) (map[string]int64, error) {
+	rep, err := study.RunStream(ctx, j.config(s.Metrics), study.Stream{
+		Journal: s.Journal, Resume: s.Lo, Limit: s.Hi, Record: s.Emit,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Tallies(), nil
+}
+
 func main() {
 	cli := obs.NewCLI("study")
-	sites := flag.Int("sites", 60, "number of loopback TLS sites to deploy")
-	seed := flag.Int64("seed", 1, "defect assignment seed")
-	vantages := flag.Int("vantages", 2, "scan passes to merge")
-	chaos := flag.Bool("chaos", false, "inject faults into every listener (reset first connection, slow writes) to exercise the retry path")
-	reuse := flag.Float64("reuse", 0, "fraction of sites serving a pooled (duplicate) chain")
-	distinct := flag.Int("distinct", 0, "distinct-chain pool size under -reuse (0 = default 3000)")
-	dedup := flag.Bool("dedup", false, "share listeners, scans, and verdicts per distinct chain (bit-identical records, duplicate chains cost a lookup)")
+	var j job
+	flag.IntVar(&j.Sites, "sites", 60, "number of loopback TLS sites to deploy")
+	flag.Int64Var(&j.Seed, "seed", 1, "defect assignment seed")
+	flag.IntVar(&j.Vantages, "vantages", 2, "scan passes to merge")
+	flag.BoolVar(&j.Chaos, "chaos", false, "inject faults into every listener (reset first connection, slow writes) to exercise the retry path")
+	flag.Float64Var(&j.Reuse, "reuse", 0, "fraction of sites serving a pooled (duplicate) chain")
+	flag.IntVar(&j.Distinct, "distinct", 0, "distinct-chain pool size under -reuse (0 = default 3000)")
+	flag.BoolVar(&j.Dedup, "dedup", false, "share listeners, scans, and verdicts per distinct chain (bit-identical records, duplicate chains cost a lookup)")
 	stream := flag.Bool("stream", false, "stream results site by site instead of materializing the run (bounded memory)")
-	outFile := flag.String("out", "", "write per-site JSONL records here (default stdout; implies -stream)")
-	checkpoint := flag.String("checkpoint", "", "journal progress to this file and resume an interrupted run from it (implies -stream)")
+	rec := run.Records{Stage: "grade"}
+	rec.Bind("out", "write per-site JSONL records here (default stdout; implies -stream)",
+		"checkpoint", "journal progress to this file and resume an interrupted run from it (implies -stream)")
 	killAfter := flag.Int("dist-kill-after", 0, "chaos: the first worker SIGKILLs itself after emitting this many records (distributed runs only)")
 	scenarioFile := flag.String("scenario-file", "", "replay fuzzer-discovered chain topologies from this scenario file (cmd/divfuzz -scenarios)")
-	scenarioRate := flag.Float64("scenario-rate", 0.02, "fraction of sites replaying an injected scenario under -scenario-file")
+	flag.Float64Var(&j.ScenarioRate, "scenario-rate", 0.02, "fraction of sites replaying an injected scenario under -scenario-file")
 	cli.BindWorkers("parallel workers for the grading loop (0 = GOMAXPROCS)")
 	cli.BindRetries(2, "extra handshake attempts per transport failure (0 = scan once)")
 	cli.BindDistribute()
 	cli.BindLedger()
 	cli.BindObs()
 	flag.Parse()
+	ctx := context.Background()
 	if cli.Worker {
-		// The worker path returns before Start, so validate here too.
-		if err := cli.Validate(); err != nil {
-			cli.Fatal(err)
-		}
-		if err := runWorker(cli); err != nil {
+		if err := run.Serve(ctx, cli, grade); err != nil {
 			cli.Fatal(err)
 		}
 		return
 	}
 	cli.Start()
 
-	cfg := study.Config{
-		Sites: *sites, Seed: *seed, Vantages: *vantages,
-		Workers: cli.Workers, Retries: cli.Retries,
-		Metrics: cli.Metrics,
-		Reuse:   *reuse, DistinctChains: *distinct, Dedup: *dedup,
-	}
-	if *chaos {
-		cfg.Faults = tlsserve.FaultConfig{FailFirst: 1, SlowWrite: time.Millisecond}
-	}
+	j.Workers, j.Retries = cli.Workers, cli.Retries
 	if *scenarioFile != "" {
 		scs, err := population.LoadScenarios(*scenarioFile)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		cfg.Scenarios, cfg.ScenarioRate = scs, *scenarioRate
+		j.Scenarios = scs
 	}
+	cfg := j.config(cli.Metrics)
 
 	start := time.Now()
 	var rep *study.Report
-	var err error
-	if cli.Distribute > 0 {
-		rep, err = runDistributed(cli, cfg, *chaos, *outFile, *checkpoint, *killAfter)
-	} else if *stream || *outFile != "" || *checkpoint != "" {
-		rep, err = runStreaming(cli, cfg, *outFile, *checkpoint)
+	if cli.Distribute > 0 || *stream || rec.Out != "" || rec.Checkpoint != "" {
+		out, err := run.Open(cli, rec)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		tallies, err := run.Ranks(ctx, cli, out, j.Sites, run.Job[job]{Config: j, KillAfter: *killAfter}, grade)
+		if err == nil {
+			err = out.Close()
+		}
+		if err != nil {
+			cli.Fatal(err)
+		}
+		rep = study.ReportFromTallies(cfg, tallies)
+		rep.Snapshot = cli.Metrics.Snapshot()
 	} else {
-		rep, err = study.Run(cfg)
-	}
-	if err != nil {
-		cli.Fatal(err)
+		var err error
+		if rep, err = study.Run(cfg); err != nil {
+			cli.Fatal(err)
+		}
 	}
 	for _, t := range rep.Tables() {
 		fmt.Println(t)
@@ -130,89 +172,4 @@ func main() {
 				hits, misses, 100*float64(hits)/float64(hits+misses), misses)
 		}
 	}
-}
-
-// runStreaming wires the -stream/-out/-checkpoint trio: per-site JSONL to
-// out (appending under a checkpoint so resumed output continues the file),
-// a journal of retired ranks, and a resume rank picked up from it. When the
-// run both checkpoints and writes a real -out file, the ledger anchors batch
-// roots into the same journal so cmd/ledgerverify can audit the output.
-func runStreaming(cli *obs.CLI, cfg study.Config, outFile, checkpoint string) (*study.Report, error) {
-	st := study.Stream{}
-	var j *pipeline.Journal
-	resume := 0
-	if checkpoint != "" {
-		var err error
-		j, resume, err = pipeline.Checkpoint(checkpoint, "grade")
-		if err != nil {
-			return nil, err
-		}
-		defer j.Close()
-		if outFile != "" {
-			// Reconcile the JSONL with the watermark: one line per site.
-			resume, err = pipeline.RecoverOutput(outFile, 0, j, "grade", nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-		st.Journal, st.Resume = j, resume
-		if resume > 0 {
-			fmt.Fprintf(os.Stderr, "study: resuming from site %d\n", resume)
-		}
-	}
-	var out io.Writer = os.Stdout
-	if outFile != "" {
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if checkpoint != "" {
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(outFile, mode, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		out = f
-	}
-	st.Out = out
-	// The ledger needs both halves of the audit pair — a journal to anchor
-	// into and an on-disk output to verify against — so a stdout run stays
-	// unledgered even with -checkpoint.
-	if j != nil && outFile != "" && cli.LedgerBatch > 0 {
-		side, err := openSidecar(cli.LedgerSidecar)
-		if err != nil {
-			return nil, err
-		}
-		var sw io.Writer
-		if side != nil {
-			defer side.Close()
-			sw = side
-		}
-		b := ledger.JournalBatcher(j, "grade", cli.LedgerBatch, cli.LedgerLatency, nil, sw)
-		// Resume = replay: re-hash the recovered lines so already-journaled
-		// anchors verify (not re-emit) and the sidecar regrows in step.
-		if err := ledger.Replay(b, outFile, 0, resume); err != nil {
-			return nil, err
-		}
-		st.Ledger = b
-	}
-	rep, err := study.RunStream(context.Background(), cfg, st)
-	if err != nil {
-		return nil, err
-	}
-	if st.Ledger != nil {
-		if _, _, err := ledger.Seal(st.Ledger, j, "grade"); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
-}
-
-// openSidecar truncates and opens the leaf-hash sidecar. Truncation is
-// deliberate: on resume the ledger replay regenerates the recovered prefix,
-// keeping the sidecar aligned with the output file line for line.
-func openSidecar(path string) (*os.File, error) {
-	if path == "" {
-		return nil, nil
-	}
-	return os.Create(path)
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -18,14 +19,19 @@ func TestHelperWorker(t *testing.T) {
 	}
 	err := ServeStdio(context.Background(), func(payload json.RawMessage) (RangeRunner, *obs.Registry, error) {
 		var cfg struct {
-			Mod int `json:"mod"`
+			Mod  int `json:"mod"`
+			Slot int `json:"slot"`
 		}
 		if err := json.Unmarshal(payload, &cfg); err != nil {
 			return nil, nil, err
 		}
 		reg := obs.NewRegistry()
-		reg.Counter("helper.leases").Add(1)
-		return testRunner(cfg.Mod), reg, nil
+		leases := reg.Counter(fmt.Sprintf("helper.slot.%d.leases", cfg.Slot))
+		run := testRunner(cfg.Mod)
+		return func(ctx context.Context, lo, hi int, emit func(rank int, line []byte) error) (map[string]int64, error) {
+			leases.Inc()
+			return run(ctx, lo, hi, emit)
+		}, reg, nil
 	})
 	// Exit before the test framework prints its verdict on stdout — stdout
 	// is the wire and must carry protocol lines only.
@@ -37,7 +43,10 @@ func TestHelperWorker(t *testing.T) {
 
 // TestProcLauncher drives real fork/exec'd worker processes (the test binary
 // re-invoked as TestHelperWorker) over stdio and checks byte identity, tally
-// folding, and that worker-side RSS made it over the wire.
+// folding, and that worker-side counters and RSS made it over the wire. A
+// worker whose hello arrives after the other has finished every lease
+// completes none, and Result documents its RSS as 0, so RSS is checked
+// exactly for the slots that completed a lease.
 func TestProcLauncher(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -51,7 +60,7 @@ func TestProcLauncher(t *testing.T) {
 	res, err := Run(context.Background(), Config{
 		Workers: 2, Total: 300, LeaseSize: 50, Out: &out,
 		SinkStage: "test", Launch: launcher, Metrics: reg,
-		Payload: func(slot, spawn int) []byte { return []byte(`{"mod":1}`) },
+		Payload: func(slot, spawn int) []byte { return []byte(fmt.Sprintf(`{"mod":1,"slot":%d}`, slot)) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,18 +71,20 @@ func TestProcLauncher(t *testing.T) {
 	if res.Tallies["ranks"] != 300 {
 		t.Fatalf("ranks tally = %d, want 300", res.Tallies["ranks"])
 	}
-	// Peak RSS of real processes is nonzero and surfaced per worker and
-	// fleet-wide.
+	// Worker counter snapshots fold into the coordinator registry: the
+	// per-slot lease counts cover the 6 leases exactly.
+	sum := int64(0)
 	for slot, rss := range res.WorkerRSSKB {
-		if rss <= 0 {
-			t.Fatalf("worker %d reported max_rss_kb %d, want > 0", slot, rss)
+		leases := reg.Counter(fmt.Sprintf("helper.slot.%d.leases", slot)).Value()
+		sum += leases
+		if (leases > 0) != (rss > 0) {
+			t.Fatalf("worker %d completed %d leases but reported max_rss_kb %d", slot, leases, rss)
 		}
+	}
+	if sum != 6 {
+		t.Fatalf("workers completed %d leases, want 6", sum)
 	}
 	if reg.Gauge("proc.fleet_max_rss_kb").Value() <= 0 {
 		t.Fatal("proc.fleet_max_rss_kb not set")
-	}
-	// Worker counter snapshots folded into the coordinator registry.
-	if reg.Counter("helper.leases").Value() == 0 {
-		t.Fatal("worker counters did not fold into the coordinator registry")
 	}
 }

@@ -20,7 +20,7 @@ import (
 	"chainchaos/internal/report"
 )
 
-// StreamConfig parameterizes DifferentialStream.
+// StreamConfig parameterizes DifferentialStreamSummary.
 type StreamConfig struct {
 	// Size and Seed define the synthetic population, Workers its
 	// parallelism — the same knobs as NewEnv.
@@ -65,21 +65,12 @@ type StreamConfig struct {
 	Ledger *ledger.Batcher
 }
 
-// DifferentialStream runs the §5.2 differential evaluation over a streaming
-// population source and renders the overview table. The summary — and
-// therefore the table — is bit-identical to Env.DifferentialOverview for the
-// same (size, seed) when the run is not resumed partway.
-func DifferentialStream(ctx context.Context, cfg StreamConfig) (*report.Table, error) {
-	sum, err := DifferentialStreamSummary(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return differentialTable(sum), nil
-}
-
-// DifferentialStreamSummary is DifferentialStream stopping at the raw
-// summary — the form distributed workers ship (as Summary.Tallies) so the
-// coordinator can merge leases before rendering one table.
+// DifferentialStreamSummary runs the §5.2 differential evaluation over a
+// streaming population source and returns the raw summary — the form
+// distributed workers ship (as Summary.Tallies) so the coordinator can merge
+// leases before rendering one table (DifferentialTableFromTallies). The
+// summary is bit-identical to Env.DifferentialOverview's for the same
+// (size, seed) when the run is not resumed partway.
 func DifferentialStreamSummary(ctx context.Context, cfg StreamConfig) (*difftest.Summary, error) {
 	if cfg.Size <= 0 {
 		cfg.Size = 100000

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,76 +48,6 @@ func TestSubstitution(t *testing.T) {
 	}
 	if _, err := substString("${unterminated", vars); err == nil {
 		t.Fatal("unterminated reference accepted")
-	}
-}
-
-func TestTOMLSubset(t *testing.T) {
-	src := `
-# a grid
-name = "smoke"
-repeats = 2
-
-[vars]
-sites = 100       # per cell
-reuse = 0.25
-dedup = true
-label = "a#b"     # hash inside a string is not a comment
-
-[[axes]]
-name = "workers"
-values = [1, 2, 4]
-
-[[axes]]
-name = "mode"
-values = [{mode = "auto", lease = 0}, {mode = "coarse", lease = "${sites/workers}"}]
-
-[[steps]]
-id = "run"
-run = ["study", "-sites", "${sites}"]
-`
-	m, err := parseTOML(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Spec
-	if err := json.Unmarshal(b, &s); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Name != "smoke" || s.Repeats != 2 {
-		t.Fatalf("header: %+v", s)
-	}
-	if s.Vars["sites"] != float64(100) || s.Vars["reuse"] != 0.25 || s.Vars["dedup"] != true {
-		t.Fatalf("vars: %+v", s.Vars)
-	}
-	if s.Vars["label"] != "a#b" {
-		t.Fatalf("string with hash: %v", s.Vars["label"])
-	}
-	if len(s.Axes) != 2 || s.Axes[0].Name != "workers" || len(s.Axes[1].Values) != 2 {
-		t.Fatalf("axes: %+v", s.Axes)
-	}
-	obj, ok := s.Axes[1].Values[1].(map[string]any)
-	if !ok || obj["lease"] != "${sites/workers}" {
-		t.Fatalf("tied axis object: %+v", s.Axes[1].Values[1])
-	}
-	cells, err := s.cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 6 {
-		t.Fatalf("%d cells, want 6", len(cells))
-	}
-	if cells[0].name != "workers=1,mode=auto" || cells[5].name != "workers=4,mode=coarse" {
-		t.Fatalf("cell names: %q ... %q", cells[0].name, cells[5].name)
-	}
-	if _, err := parseTOML("x = nonsense"); err == nil {
-		t.Fatal("bad scalar accepted")
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 )
 
-// Spec is a grid description, loaded from JSON or (a subset of) TOML.
+// Spec is a grid description, loaded from JSON.
 type Spec struct {
 	// Name labels the grid; the default output file is BENCH_<name>.json.
 	Name string `json:"name"`
@@ -139,26 +138,13 @@ type Assert struct {
 	Max   float64 `json:"max,omitempty"`
 }
 
-// Load reads a spec from path: TOML when the extension is .toml, JSON
-// otherwise.
+// Load reads a JSON spec from path.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var s Spec
-	if strings.EqualFold(filepath.Ext(path), ".toml") {
-		m, err := parseTOML(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("grid: %s: %w", path, err)
-		}
-		// Round-trip through JSON so both formats share one decoder.
-		b, err := json.Marshal(m)
-		if err != nil {
-			return nil, fmt.Errorf("grid: %s: %w", path, err)
-		}
-		data = b
-	}
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("grid: %s: %w", path, err)
 	}

@@ -9,7 +9,6 @@ package ledger
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -130,46 +129,4 @@ func SealFolder(f *Folder, j *pipeline.Journal, stage string, total int) (Hash, 
 		return root, n, err
 	}
 	return root, n, j.RunRoot(stage, len(f.Roots()), n, HexHash(root))
-}
-
-// LineWriter tees an output stream into a ledger appender, splitting on
-// newlines: sinks that only expose an io.Writer (the population TSV) ledger
-// through it without restructuring. Skip drops leading header lines from
-// the ledger (they are format, not records).
-type LineWriter struct {
-	W    io.Writer
-	B    Appender
-	Skip int
-
-	buf []byte
-}
-
-// Write forwards p to the underlying writer, then feeds every completed
-// line to the appender. Partial lines buffer until their newline arrives.
-func (lw *LineWriter) Write(p []byte) (int, error) {
-	n, err := lw.W.Write(p)
-	if err != nil {
-		return n, err
-	}
-	lw.buf = append(lw.buf, p...)
-	start := 0
-	for {
-		i := bytes.IndexByte(lw.buf[start:], '\n')
-		if i < 0 {
-			break
-		}
-		line := lw.buf[start : start+i]
-		start += i + 1
-		if lw.Skip > 0 {
-			lw.Skip--
-			continue
-		}
-		if lw.B != nil {
-			if err := lw.B.Append(line); err != nil {
-				return n, err
-			}
-		}
-	}
-	lw.buf = append(lw.buf[:0], lw.buf[start:]...)
-	return n, nil
 }

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -260,24 +259,6 @@ func TestFolderRejectsOverlap(t *testing.T) {
 	dup.AppendLeaf(LeafHash([]byte("b")))
 	if err := f.Add(dup.Wire(0)); err == nil {
 		t.Fatal("overlapping segment accepted")
-	}
-}
-
-func TestLineWriterFeedsCompleteLines(t *testing.T) {
-	var out bytes.Buffer
-	var fed []string
-	collect := appendFunc(func(line []byte) error { fed = append(fed, string(line)); return nil })
-	lw := &LineWriter{W: &out, B: collect, Skip: 1}
-	for _, chunk := range []string{"hea", "der\nrow1\nro", "w2\nrow3", "\n"} {
-		if _, err := lw.Write([]byte(chunk)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if out.String() != "header\nrow1\nrow2\nrow3\n" {
-		t.Fatalf("underlying stream corrupted: %q", out.String())
-	}
-	if want := []string{"row1", "row2", "row3"}; len(fed) != 3 || fed[0] != want[0] || fed[1] != want[1] || fed[2] != want[2] {
-		t.Fatalf("fed = %v", fed)
 	}
 }
 
