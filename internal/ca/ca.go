@@ -170,6 +170,9 @@ type Issuer struct {
 	RootCrossSigned *certmodel.Certificate
 
 	aiaBase string
+	// leafAIA is the caIssuers list of every leaf this issuer signs (nil
+	// without AIA), built once: NewSynthetic copies it into each leaf.
+	leafAIA []string
 	serial  int
 }
 
@@ -268,6 +271,7 @@ func NewSyntheticIssuer(cfg IssuerConfig) *Issuer {
 		BasicConstraintsValid: true,
 	})
 
+	iss.leafAIA = iss.aiaURLs("issuing")
 	iss.Root = root
 	iss.Intermediates = []*certmodel.Certificate{top, issuing}
 	iss.CrossSigned = cross
@@ -337,7 +341,7 @@ type LeafOptions struct {
 func (iss *Issuer) IssueLeaf(domain string, notBefore, notAfter time.Time, opts LeafOptions) *certmodel.Certificate {
 	var serial string
 	if opts.Serial != "" {
-		serial = fmt.Sprintf("%s-%s-%s", iss.Profile.Name, iss.Tag, opts.Serial)
+		serial = iss.Profile.Name + "-" + iss.Tag + "-" + opts.Serial
 	} else {
 		iss.serial++
 		serial = fmt.Sprintf("%s-%s-%06d", iss.Profile.Name, iss.Tag, iss.serial)
@@ -347,7 +351,7 @@ func (iss *Issuer) IssueLeaf(domain string, notBefore, notAfter time.Time, opts 
 	case opts.AIAOverride != "":
 		aiaList = []string{opts.AIAOverride}
 	case !opts.OmitAIA:
-		aiaList = iss.aiaURLs("issuing")
+		aiaList = iss.leafAIA
 	}
 	key := certmodel.NewSyntheticKey("leaf:" + domain + ":" + serial)
 	return certmodel.NewSynthetic(certmodel.SyntheticConfig{

@@ -11,3 +11,7 @@ func SigMemoSlot(child, parent *Certificate) uint64 {
 func SigCounts() (verifies, hits int64) {
 	return sigVerifies.Load(), sigMemoHits.Load()
 }
+
+// EncodeSyntheticRef is the fmt reference encoder, for the external fuzz
+// target.
+func EncodeSyntheticRef(c *Certificate) []byte { return encodeSyntheticRef(c) }

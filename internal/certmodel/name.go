@@ -1,9 +1,6 @@
 package certmodel
 
-import (
-	"crypto/x509/pkix"
-	"strings"
-)
+import "crypto/x509/pkix"
 
 // Name is a simplified X.501 distinguished name. It carries the attributes
 // that matter for chain construction and compliance analysis: chain builders
@@ -28,23 +25,32 @@ func (n Name) IsZero() bool {
 // String renders the name in the conventional comma-separated RDN form,
 // omitting empty attributes, e.g. "C=US, O=DigiCert Inc, CN=DigiCert TLS CA".
 func (n Name) String() string {
-	parts := make([]string, 0, 4)
-	if n.Country != "" {
-		parts = append(parts, "C="+n.Country)
+	var buf [128]byte
+	return string(n.appendTo(buf[:0]))
+}
+
+// appendTo appends the String form of n to b.
+func (n Name) appendTo(b []byte) []byte {
+	start := len(b)
+	for _, rdn := range [...]struct{ key, val string }{
+		{"C=", n.Country},
+		{"O=", n.Organization},
+		{"OU=", n.OrganizationalUnit},
+		{"CN=", n.CommonName},
+	} {
+		if rdn.val == "" {
+			continue
+		}
+		if len(b) > start {
+			b = append(b, ", "...)
+		}
+		b = append(b, rdn.key...)
+		b = append(b, rdn.val...)
 	}
-	if n.Organization != "" {
-		parts = append(parts, "O="+n.Organization)
+	if len(b) == start {
+		b = append(b, "<empty>"...)
 	}
-	if n.OrganizationalUnit != "" {
-		parts = append(parts, "OU="+n.OrganizationalUnit)
-	}
-	if n.CommonName != "" {
-		parts = append(parts, "CN="+n.CommonName)
-	}
-	if len(parts) == 0 {
-		return "<empty>"
-	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
 // FromPKIXName converts a pkix.Name from a parsed X.509 certificate into a

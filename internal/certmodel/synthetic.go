@@ -3,9 +3,9 @@ package certmodel
 import (
 	"bytes"
 	"crypto/sha256"
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/hex"
+	"slices"
+	"strconv"
 	"time"
 )
 
@@ -128,33 +128,82 @@ func NewSynthetic(cfg SyntheticConfig) *Certificate {
 }
 
 // encodeSynthetic renders every semantic field into a canonical byte string.
+// It is one append pass into a stack buffer with a single exact-size copy at
+// the end, because every synthetic leaf of a population pays for it; the
+// text is pinned byte for byte to the fmt-based reference encoder in
+// synthetic_test.go.
 func encodeSynthetic(c *Certificate) []byte {
-	var b strings.Builder
-	b.WriteString("synthetic-cert/v1\n")
-	fmt.Fprintf(&b, "subject=%s\n", c.Subject)
-	fmt.Fprintf(&b, "issuer=%s\n", c.Issuer)
-	fmt.Fprintf(&b, "serial=%s\n", c.SerialNumber)
-	fmt.Fprintf(&b, "notBefore=%d\n", c.NotBefore.Unix())
-	fmt.Fprintf(&b, "notAfter=%d\n", c.NotAfter.Unix())
-	fmt.Fprintf(&b, "skid=%x\n", c.SubjectKeyID)
-	fmt.Fprintf(&b, "akid=%x\n", c.AuthorityKeyID)
-	fmt.Fprintf(&b, "keyUsage=%d/%v\n", c.KeyUsage, c.HasKeyUsage)
-	fmt.Fprintf(&b, "ca=%v/%v pathLen=%d\n", c.IsCA, c.BasicConstraintsValid, c.MaxPathLen)
-	fmt.Fprintf(&b, "dns=%s\n", strings.Join(sortedCopy(c.DNSNames), ","))
-	fmt.Fprintf(&b, "ip=%s\n", strings.Join(sortedCopy(c.IPAddresses), ","))
-	fmt.Fprintf(&b, "aia=%s\n", strings.Join(c.AIAIssuerURLs, ","))
-	fmt.Fprintf(&b, "eku=%v\n", c.ExtKeyUsages)
-	fmt.Fprintf(&b, "ncPermit=%s\n", strings.Join(c.PermittedDNSDomains, ","))
-	fmt.Fprintf(&b, "ncExclude=%s\n", strings.Join(c.ExcludedDNSDomains, ","))
-	fmt.Fprintf(&b, "weakSig=%v\n", c.WeakSignature)
-	fmt.Fprintf(&b, "pub=%x\n", c.PublicKeyID)
-	fmt.Fprintf(&b, "sig=%x\n", c.SignedByKeyID)
-	return []byte(b.String())
+	var buf [1024]byte
+	b := append(buf[:0], "synthetic-cert/v1\nsubject="...)
+	b = c.Subject.appendTo(b)
+	b = append(b, "\nissuer="...)
+	b = c.Issuer.appendTo(b)
+	b = append(b, "\nserial="...)
+	b = append(b, c.SerialNumber...)
+	b = append(b, "\nnotBefore="...)
+	b = strconv.AppendInt(b, c.NotBefore.Unix(), 10)
+	b = append(b, "\nnotAfter="...)
+	b = strconv.AppendInt(b, c.NotAfter.Unix(), 10)
+	b = append(b, "\nskid="...)
+	b = hex.AppendEncode(b, c.SubjectKeyID)
+	b = append(b, "\nakid="...)
+	b = hex.AppendEncode(b, c.AuthorityKeyID)
+	b = append(b, "\nkeyUsage="...)
+	b = strconv.AppendUint(b, uint64(c.KeyUsage), 10)
+	b = append(b, '/')
+	b = strconv.AppendBool(b, c.HasKeyUsage)
+	b = append(b, "\nca="...)
+	b = strconv.AppendBool(b, c.IsCA)
+	b = append(b, '/')
+	b = strconv.AppendBool(b, c.BasicConstraintsValid)
+	b = append(b, " pathLen="...)
+	b = strconv.AppendInt(b, int64(c.MaxPathLen), 10)
+	b = append(b, "\ndns="...)
+	b = appendJoin(b, sorted(c.DNSNames))
+	b = append(b, "\nip="...)
+	b = appendJoin(b, sorted(c.IPAddresses))
+	b = append(b, "\naia="...)
+	b = appendJoin(b, c.AIAIssuerURLs)
+	b = append(b, "\neku=["...)
+	for i, e := range c.ExtKeyUsages {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, e.String()...)
+	}
+	b = append(b, "]\nncPermit="...)
+	b = appendJoin(b, c.PermittedDNSDomains)
+	b = append(b, "\nncExclude="...)
+	b = appendJoin(b, c.ExcludedDNSDomains)
+	b = append(b, "\nweakSig="...)
+	b = strconv.AppendBool(b, c.WeakSignature)
+	b = append(b, "\npub="...)
+	b = hex.AppendEncode(b, c.PublicKeyID)
+	b = append(b, "\nsig="...)
+	b = hex.AppendEncode(b, c.SignedByKeyID)
+	b = append(b, '\n')
+	return append([]byte(nil), b...)
 }
 
-func sortedCopy(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
+// appendJoin appends strings.Join(ss, ",") without building the string.
+func appendJoin(b []byte, ss []string) []byte {
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s...)
+	}
+	return b
+}
+
+// sorted returns ss in sorted order, copying only when it is not sorted
+// already (a leaf's single SAN is never copied).
+func sorted(ss []string) []string {
+	if slices.IsSorted(ss) {
+		return ss
+	}
+	out := slices.Clone(ss)
+	slices.Sort(out)
 	return out
 }
 

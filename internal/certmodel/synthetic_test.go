@@ -2,12 +2,60 @@ package certmodel
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
-	"time"
 	"testing/quick"
+	"time"
 )
+
+// encodeSyntheticRef is the fmt-based encoder that encodeSynthetic replaced,
+// kept as the reference the append encoder must reproduce byte for byte.
+func encodeSyntheticRef(c *Certificate) []byte {
+	sortedCopy := func(in []string) []string {
+		out := append([]string(nil), in...)
+		sort.Strings(out)
+		return out
+	}
+	var b strings.Builder
+	b.WriteString("synthetic-cert/v1\n")
+	fmt.Fprintf(&b, "subject=%s\n", c.Subject)
+	fmt.Fprintf(&b, "issuer=%s\n", c.Issuer)
+	fmt.Fprintf(&b, "serial=%s\n", c.SerialNumber)
+	fmt.Fprintf(&b, "notBefore=%d\n", c.NotBefore.Unix())
+	fmt.Fprintf(&b, "notAfter=%d\n", c.NotAfter.Unix())
+	fmt.Fprintf(&b, "skid=%x\n", c.SubjectKeyID)
+	fmt.Fprintf(&b, "akid=%x\n", c.AuthorityKeyID)
+	fmt.Fprintf(&b, "keyUsage=%d/%v\n", c.KeyUsage, c.HasKeyUsage)
+	fmt.Fprintf(&b, "ca=%v/%v pathLen=%d\n", c.IsCA, c.BasicConstraintsValid, c.MaxPathLen)
+	fmt.Fprintf(&b, "dns=%s\n", strings.Join(sortedCopy(c.DNSNames), ","))
+	fmt.Fprintf(&b, "ip=%s\n", strings.Join(sortedCopy(c.IPAddresses), ","))
+	fmt.Fprintf(&b, "aia=%s\n", strings.Join(c.AIAIssuerURLs, ","))
+	fmt.Fprintf(&b, "eku=%v\n", c.ExtKeyUsages)
+	fmt.Fprintf(&b, "ncPermit=%s\n", strings.Join(c.PermittedDNSDomains, ","))
+	fmt.Fprintf(&b, "ncExclude=%s\n", strings.Join(c.ExcludedDNSDomains, ","))
+	fmt.Fprintf(&b, "weakSig=%v\n", c.WeakSignature)
+	fmt.Fprintf(&b, "pub=%x\n", c.PublicKeyID)
+	fmt.Fprintf(&b, "sig=%x\n", c.SignedByKeyID)
+	return []byte(b.String())
+}
+
+// nameRef is the strings.Join rendering Name.String replaced.
+func nameRef(n Name) string {
+	var parts []string
+	for _, p := range [][2]string{{"C=", n.Country}, {"O=", n.Organization}, {"OU=", n.OrganizationalUnit}, {"CN=", n.CommonName}} {
+		if p[1] != "" {
+			parts = append(parts, p[0]+p[1])
+		}
+	}
+	if len(parts) == 0 {
+		return "<empty>"
+	}
+	return strings.Join(parts, ", ")
+}
 
 // randomConfig makes SyntheticConfig a quick.Generator input by building it
 // from primitive random values.
@@ -49,6 +97,48 @@ func TestQuickSyntheticDeterministic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestEncodeSyntheticMatchesReference: the append encoder emits exactly the
+// fmt reference's text, over random configs and the shapes the random configs
+// never draw — empty and full names, unsorted and empty SAN lists, unknown
+// and negative EKUs, empty and overriding AKIDs, negative path lengths,
+// pre-epoch times and bytes that are not UTF-8.
+func TestEncodeSyntheticMatchesReference(t *testing.T) {
+	check := func(cfg SyntheticConfig) {
+		t.Helper()
+		c := NewSynthetic(cfg)
+		if want := encodeSyntheticRef(c); !bytes.Equal(c.Raw, want) {
+			t.Fatalf("encoding differs from the reference:\n got %q\nwant %q", c.Raw, want)
+		}
+		for _, n := range []Name{c.Subject, c.Issuer} {
+			if n.String() != nameRef(n) {
+				t.Fatalf("Name.String() = %q, want %q", n.String(), nameRef(n))
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		check(randomConfig(r))
+	}
+	full := Name{CommonName: "CN", Organization: "O, Inc", OrganizationalUnit: "OU", Country: "TW"}
+	check(SyntheticConfig{})
+	check(SyntheticConfig{
+		Subject: full, Issuer: Name{OrganizationalUnit: "only-ou"},
+		Serial:    "\xff\x00serial\n",
+		NotBefore: time.Unix(-62135596800, 0), NotAfter: time.Unix(1<<40, 0),
+		Key: NewSyntheticKey("k"), SignedBy: NewSyntheticKey("s"),
+		AKIDOverride: []byte{}, KeyUsage: 0xffff, HasKeyUsage: true,
+		IsCA: true, MaxPathLen: -7, HasPathLen: true,
+		DNSNames:            []string{"z.example", "a.example", "", "m.example"},
+		IPAddresses:         []string{"10.0.0.2", "10.0.0.1"},
+		AIAIssuerURLs:       []string{"http://b", "http://a"},
+		ExtKeyUsages:        []ExtKeyUsage{EKUAny, EKUServerAuth, 99, -1, EKUOCSPSigning},
+		PermittedDNSDomains: []string{".b", ".a"},
+		ExcludedDNSDomains:  []string{""},
+		WeakSignature:       true,
+	})
+	check(SyntheticConfig{Subject: Name{Country: "US"}, AKIDOverride: []byte{0, 0xff}, ExtKeyUsages: []ExtKeyUsage{}})
 }
 
 // TestQuickSerialChangesBytes: any serial difference changes the encoding.
@@ -172,9 +262,9 @@ func TestKeyOfLinksBack(t *testing.T) {
 
 func TestSortedCopyDoesNotMutate(t *testing.T) {
 	in := []string{"b", "a", "c"}
-	out := sortedCopy(in)
+	out := sorted(in)
 	if !reflect.DeepEqual(out, []string{"a", "b", "c"}) {
-		t.Errorf("sortedCopy = %v", out)
+		t.Errorf("sorted = %v", out)
 	}
 	if !reflect.DeepEqual(in, []string{"b", "a", "c"}) {
 		t.Errorf("input mutated: %v", in)

@@ -224,4 +224,3 @@ func TestLedgerCrashResumeReanchors(t *testing.T) {
 		t.Fatalf("verify after resume: %+v, %v", rep, err)
 	}
 }
-

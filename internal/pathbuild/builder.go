@@ -114,12 +114,12 @@ type Builder struct {
 // buildMetrics holds the builder's resolved handles plus the builder-local
 // tallies batched between flushes; everything no-ops without a registry.
 type buildMetrics struct {
-	builds     *obs.Counter   // pathbuild.builds
-	ok         *obs.Counter   // pathbuild.builds_ok
-	candidates *obs.Counter   // pathbuild.candidates: sequential-scan candidates considered
-	pathsTried *obs.Counter   // pathbuild.paths_tried
-	aiaFetches *obs.Counter   // pathbuild.aia_fetches
-	chainLen   *obs.Tally     // pathbuild.chain_length: constructed path lengths
+	builds     *obs.Counter // pathbuild.builds
+	ok         *obs.Counter // pathbuild.builds_ok
+	candidates *obs.Counter // pathbuild.candidates: sequential-scan candidates considered
+	pathsTried *obs.Counter // pathbuild.paths_tried
+	aiaFetches *obs.Counter // pathbuild.aia_fetches
+	chainLen   *obs.Tally   // pathbuild.chain_length: constructed path lengths
 
 	nBuilds, nOK, nCandidates, nPathsTried, nAIAFetches int64
 }
@@ -370,11 +370,7 @@ func (s *searcher) finish(path []*certmodel.Certificate) bool {
 			Detail:  fmt.Sprintf("client limit %d", s.builder.Policy.MaxPathLen),
 		}}}
 	}
-	detail := ""
-	if !res.OK && len(res.Findings) > 0 {
-		detail = res.Findings[0].String()
-	}
-	s.recordAttempt(path, res.OK, detail)
+	s.recordAttempt(path, res)
 	if res.OK || !s.builder.Policy.Backtrack || s.out.PathsTried >= s.maxTry {
 		s.out.Path = append([]*certmodel.Certificate(nil), path...)
 		s.out.Validation = res

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"chainchaos/internal/certmodel"
+	"chainchaos/internal/validate"
 )
 
 // Trace records the builder's decisions — which candidates were considered
@@ -156,16 +157,22 @@ func (s *searcher) recordStep(current *certmodel.Certificate, depth int, cands [
 	s.builder.Trace.add(ev)
 }
 
-// recordAttempt logs a path-validation event.
-func (s *searcher) recordAttempt(path []*certmodel.Certificate, accepted bool, detail string) {
+// recordAttempt logs a path-validation event. A rejected path's reason is
+// formatted only here, behind the nil-Trace check: untraced builds reject
+// most candidate paths and never read it.
+func (s *searcher) recordAttempt(path []*certmodel.Certificate, res validate.Result) {
 	if s.builder.Trace == nil {
 		return
+	}
+	detail := ""
+	if !res.OK && len(res.Findings) > 0 {
+		detail = res.Findings[0].String()
 	}
 	s.builder.Trace.add(TraceEvent{
 		Kind:     TraceAttempt,
 		Depth:    len(path),
 		Tip:      path[len(path)-1].Subject,
-		Accepted: accepted,
+		Accepted: res.OK,
 		Detail:   detail,
 	})
 }

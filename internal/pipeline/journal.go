@@ -82,9 +82,9 @@ type Journal struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	last    map[string]int // highest rank journaled per stage
-	since   map[string]int // retirements since the stage's last written line
-	high    map[string]int // highest rank retired (in memory) per stage
+	last    map[string]int            // highest rank journaled per stage
+	since   map[string]int            // retirements since the stage's last written line
+	high    map[string]int            // highest rank retired (in memory) per stage
 	anchors map[string]map[int]string // final anchor root per (stage, batch)
 	werr    error                     // first append error, surfaced by Flush/Close
 }

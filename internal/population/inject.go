@@ -15,11 +15,13 @@ import (
 // serials replace run-global counters so output never depends on which worker
 // generated which domain.
 //
-// Concurrency audit: rng is the only math/rand state in the package and it is
+// Concurrency audit: rng is the only random state in the package and it is
 // strictly per-worker — never the global source, never shared across
 // goroutines — so there is no Rand data race, and the per-rank reseed makes
 // every draw a pure function of (Seed, rank) regardless of worker count or
-// -distribute lease shape.
+// -distribute lease shape. Its source is the lazily seeded replica of
+// rand.NewSource (rng.go), whose package-level tables are read-only after
+// initialization.
 type generator struct {
 	cfg         Config
 	rng         *rand.Rand

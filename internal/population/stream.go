@@ -118,7 +118,7 @@ type Generator struct {
 func (s *Source) Generator() *Generator {
 	return &Generator{gen: &generator{
 		cfg:         s.cfg,
-		rng:         rand.New(rand.NewSource(0)),
+		rng:         rand.New(newLazySource(0)),
 		hierarchies: s.hierarchies,
 		repo:        s.pop.Repo,
 		weightTotal: s.weightTotal,
