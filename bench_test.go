@@ -407,22 +407,18 @@ func BenchmarkDifftestParallelMax(b *testing.B) { benchDifftestParallel(b, runti
 
 // BenchmarkDifftestPrecomputedAnalysis measures the RunAnalyzed path: grading
 // is done once outside the timer, so the loop isolates pure differential
-// testing over precomputed graphs/reports.
+// testing over precomputed reports.
 func BenchmarkDifftestPrecomputedAnalysis(b *testing.B) {
 	pop := population.Generate(population.Config{Size: 2000, Seed: 5})
 	analyzer := &compliance.Analyzer{Completeness: compliance.CompletenessConfig{Roots: pop.Roots(), Fetcher: pop.Repo}}
-	pre := &difftest.Analysis{
-		Graphs:  make([]*topo.Graph, len(pop.Domains)),
-		Reports: make([]compliance.Report, len(pop.Domains)),
-	}
+	reports := make([]compliance.Report, len(pop.Domains))
 	for i, d := range pop.Domains {
-		pre.Graphs[i] = topo.Build(d.List)
-		pre.Reports[i] = analyzer.Analyze(d.Name, pre.Graphs[i])
+		reports[i] = analyzer.Analyze(d.Name, topo.Build(d.List))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		(&difftest.Harness{}).RunAnalyzed(pop, pre)
+		(&difftest.Harness{}).RunAnalyzed(pop, reports)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"chainchaos/internal/aia"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/clients"
+	"chainchaos/internal/core"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/rootstore"
@@ -81,19 +82,11 @@ func main() {
 	if !*all {
 		profiles = []clients.Profile{findProfile(*clientName)}
 	}
+	trust := core.Trust{Roots: roots, Fetcher: fetcher, Now: now, Metrics: cli.Metrics}
 	for _, p := range profiles {
-		var trace *pathbuild.Trace
+		b := trust.Builder(p)
 		if *traceFlag {
-			trace = &pathbuild.Trace{}
-		}
-		b := &pathbuild.Builder{
-			Policy:  p.Policy,
-			Roots:   roots,
-			Fetcher: fetcher,
-			Cache:   rootstore.New("cache"),
-			Now:     now,
-			Trace:   trace,
-			Metrics: cli.Metrics,
+			b.Trace = &pathbuild.Trace{}
 		}
 		out := b.Build(list, *domain)
 		fmt.Printf("=== %s ===\n", p.Name)
@@ -114,9 +107,9 @@ func main() {
 				fmt.Printf("    - %s\n", f)
 			}
 		}
-		if trace != nil {
+		if b.Trace != nil {
 			fmt.Println("  trace:")
-			for _, line := range strings.Split(trace.String(), "\n") {
+			for _, line := range strings.Split(b.Trace.String(), "\n") {
 				fmt.Println("    " + line)
 			}
 		}

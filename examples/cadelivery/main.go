@@ -14,9 +14,8 @@ import (
 
 	"chainchaos/internal/ca"
 	"chainchaos/internal/certmodel"
-	"chainchaos/internal/clients"
+	"chainchaos/internal/core"
 	"chainchaos/internal/httpserver"
-	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/report"
 	"chainchaos/internal/rootstore"
 	"chainchaos/internal/topo"
@@ -94,9 +93,9 @@ func correctBundle(iss *ca.Issuer) []*certmodel.Certificate {
 
 func verdicts(wire []*certmodel.Certificate, domain string, roots *rootstore.Store, now time.Time) {
 	t := report.New("client verdicts on the deployed chain", "Client", "Result")
-	for _, p := range clients.All() {
-		b := &pathbuild.Builder{Policy: p.Policy, Roots: roots, Cache: rootstore.New("c"), Now: now}
-		out := b.Build(wire, domain)
+	trust := core.Trust{Roots: roots, Now: now}
+	for _, p := range core.Profiles {
+		out := trust.Builder(p).Build(wire, domain)
 		res := "PASS"
 		if !out.OK() {
 			res = "FAIL"

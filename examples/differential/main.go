@@ -15,8 +15,7 @@ import (
 	"chainchaos/internal/aia"
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
-	"chainchaos/internal/clients"
-	"chainchaos/internal/pathbuild"
+	"chainchaos/internal/core"
 	"chainchaos/internal/report"
 	"chainchaos/internal/rootstore"
 )
@@ -53,19 +52,9 @@ func main() {
 
 	fmt.Println("deployed: leaf + issuing CA only; CA 2 retrievable via AIA")
 	t := report.New("differential verdicts", "Client", "Kind", "Result", "Path length", "AIA fetches", "Why")
-	for _, p := range clients.All() {
-		cache := rootstore.New("cold")
-		if p.Name == "Firefox" {
-			cache = warmCache
-		}
-		b := &pathbuild.Builder{
-			Policy:  p.Policy,
-			Roots:   roots,
-			Fetcher: repo,
-			Cache:   cache,
-			Now:     certgen.Reference,
-		}
-		out := b.Build(deployed, "differential.example")
+	trust := core.Trust{Roots: roots, Fetcher: repo, Warm: warmCache, Now: certgen.Reference}
+	for _, p := range core.Profiles {
+		out := trust.Builder(p).Build(deployed, "differential.example")
 		why := "-"
 		switch {
 		case out.Err != nil:

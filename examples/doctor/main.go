@@ -17,6 +17,7 @@ import (
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/chainfix"
 	"chainchaos/internal/clients"
+	"chainchaos/internal/core"
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/rootstore"
 )
@@ -61,12 +62,11 @@ func main() {
 	}
 
 	// Diagnose: watch a capable client work through the mess.
+	trust := core.Trust{Roots: roots, Now: certgen.Reference}
 	trace := &pathbuild.Trace{}
 	chrome := clients.Chrome()
-	b := &pathbuild.Builder{
-		Policy: chrome.Policy, Roots: roots, Cache: rootstore.New("cache"),
-		Now: certgen.Reference, Trace: trace,
-	}
+	b := trust.Builder(chrome)
+	b.Trace = trace
 	out := b.Build(sick, "doctor.example")
 	fmt.Printf("\n%s verdict: OK=%v (candidates considered: %d)\n", chrome.Name, out.OK(), out.CandidatesConsidered)
 	fmt.Println("construction trace:")
@@ -89,9 +89,8 @@ func main() {
 
 	// Verify: every client model must now accept it.
 	fmt.Println("\npost-repair verdicts:")
-	for _, p := range clients.All() {
-		cb := &pathbuild.Builder{Policy: p.Policy, Roots: roots, Cache: rootstore.New("c"), Now: certgen.Reference}
-		v := cb.Build(res.List, "doctor.example")
+	for _, p := range core.Profiles {
+		v := trust.Builder(p).Build(res.List, "doctor.example")
 		status := "PASS"
 		if !v.OK() {
 			status = "FAIL"

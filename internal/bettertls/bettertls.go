@@ -18,6 +18,7 @@ import (
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/clients"
+	"chainchaos/internal/core"
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/rootstore"
 )
@@ -157,13 +158,7 @@ func NewSuite() (*Suite, error) {
 func (s *Suite) Run(p clients.Profile) []Result {
 	var out []Result
 	for _, c := range s.Cases {
-		b := &pathbuild.Builder{
-			Policy: p.Policy,
-			Roots:  c.Roots,
-			Cache:  rootstore.New("cache"),
-			Now:    certgen.Reference,
-		}
-		res := b.Build(c.List, c.Domain)
+		res := core.Trust{Roots: c.Roots, Now: certgen.Reference}.Builder(p).Build(c.List, c.Domain)
 		r := Result{Client: p.Name, Kind: c.Kind, Accepted: res.OK()}
 		for _, cert := range res.Path {
 			if cert.Equal(c.Healthy) {

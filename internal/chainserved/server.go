@@ -11,11 +11,11 @@
 //     excess load is shed immediately with 429 + Retry-After instead of
 //     queueing without bound (a verdict request costs eight path-builds, so
 //     an unbounded queue is a memory bomb).
-//   - Responses are memoized in a verdictcache keyed on the chain digest,
-//     the client-profile-set fingerprint, and the leaf-match bit — the
-//     study's dedup soundness model. Only domain-independent outputs are
-//     cached; leaf placement is recomputed per request. The cache is never
-//     Seal()ed: a daemon keeps learning new chains for its whole lifetime.
+//   - Responses are memoized through core.Memo, keyed on the chain digest
+//     and the leaf-match bit — the study's dedup soundness model, one memo
+//     per repair configuration. Only domain-independent outputs are
+//     cached; leaf placement is recomputed per request. The memos are never
+//     sealed: a daemon keeps learning new chains for its whole lifetime.
 //   - Every endpoint carries its own latency histogram, in-flight gauge,
 //     and request counter; the verdict endpoint additionally counts
 //     admitted vs completed requests, the pair a graceful drain compares to
@@ -36,13 +36,11 @@ import (
 	"chainchaos/internal/chainfix"
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
+	"chainchaos/internal/core"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/parallel"
-	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/rootstore"
 	"chainchaos/internal/tlsscan"
-	"chainchaos/internal/topo"
-	"chainchaos/internal/verdictcache"
 )
 
 // Defaults for the zero Config fields.
@@ -87,12 +85,13 @@ type Config struct {
 // Server answers verdict requests. Create with New; the zero value is not
 // usable.
 type Server struct {
-	cfg      Config
-	profiles []clients.Profile
-	scope    certmodel.FP
-	cache    *verdictcache.Cache[*memo]
-	scanner  *tlsscan.Scanner
-	sem      chan struct{}
+	cfg   Config
+	trust core.Trust
+	// memos holds one memo per KeepRoot value: the two repair
+	// configurations are distinct gradings that never share an entry.
+	memos   [2]*core.Memo[verdict]
+	scanner *tlsscan.Scanner
+	sem     chan struct{}
 
 	// Drain accounting: admitted counts requests past admission control,
 	// completed counts responses fully written. After a graceful drain the
@@ -103,17 +102,13 @@ type Server struct {
 	cacheable *obs.Counter
 }
 
-// memo is the cached, domain-independent part of a verdict: the order and
-// completeness analyses, the client matrix, and the repair. Leaf placement
-// depends on the queried hostname and is recomputed per request; the
-// hostname's only influence on everything here is the leaf-match bit, which
-// is part of the cache key.
-type memo struct {
-	Order        compliance.OrderReport
-	Completeness compliance.CompletenessReport
-	Matrix       []ClientVerdict
-	Repair       *Repair
-	RepairErr    string
+// verdict is what the service memoizes beside the order and completeness
+// reports: the client matrix and the repair. The hostname's only influence
+// on either is the leaf-match bit, which is part of the memo key.
+type verdict struct {
+	Matrix    []ClientVerdict
+	Repair    *Repair
+	RepairErr string
 }
 
 // New builds a Server from cfg, applying defaults and registering metrics.
@@ -128,10 +123,14 @@ func New(cfg Config) *Server {
 		cfg.ScanTimeout = DefaultScanTimeout
 	}
 	s := &Server{
-		cfg:      cfg,
-		profiles: clients.All(),
-		cache:    verdictcache.New[*memo]("chainserved.vcache", cfg.Metrics),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
+		cfg: cfg,
+		trust: core.Trust{
+			Roots:    cfg.Roots,
+			Now:      cfg.Now,
+			Hostname: true,
+			Metrics:  cfg.Metrics,
+		},
+		sem: make(chan struct{}, cfg.MaxInFlight),
 		scanner: &tlsscan.Scanner{
 			Timeout: cfg.ScanTimeout,
 			Metrics: cfg.Metrics,
@@ -141,7 +140,9 @@ func New(cfg Config) *Server {
 		shed:      cfg.Metrics.Counter("chainserved.verdict.shed"),
 		cacheable: cfg.Metrics.Counter("chainserved.verdict.cached_responses"),
 	}
-	s.scope = clients.Fingerprint(s.profiles)
+	for i := range s.memos {
+		s.memos[i] = core.NewMemo[verdict]("chainserved.vcache", s.trust)
+	}
 	return s
 }
 
@@ -400,122 +401,87 @@ func scanError(cause tlsscan.ErrorCause) (string, int) {
 	}
 }
 
-// grade runs the full analysis over one acquired chain, consulting the
-// verdict cache first. KeepRoot changes the repair output, so it perturbs
-// the cache scope: the two repair configurations are distinct gradings that
-// must never share an entry.
+// grade runs the full analysis over one acquired chain, through the memo of
+// its repair configuration.
 func (s *Server) grade(ctx context.Context, list []*certmodel.Certificate, domain string, keepRoot bool) *VerdictResponse {
-	scope := s.scope
+	memo := s.memos[0]
 	if keepRoot {
-		scope[0] ^= 0xFF
+		memo = s.memos[1]
 	}
-	key := verdictcache.Key{
-		Digest: certmodel.ListDigest(list),
-		Scope:  scope,
-		Match:  list[0].MatchesDomain(domain),
-	}
-
-	m, hit := s.cache.Get(key)
-	if !hit {
-		m = s.compute(ctx, list, domain, keepRoot)
-		if ctx.Err() == nil {
-			// A cancelled request may have aborted AIA fetches mid-chase;
-			// its partial analysis must not poison the cache.
-			s.cache.Put(key, m)
-		}
-	} else {
+	rep, v, hit := memo.Grade(ctx, list, domain, func() (compliance.Report, verdict) {
+		return s.compute(ctx, list, domain, keepRoot)
+	})
+	if hit {
 		s.cacheable.Inc()
 	}
-
-	leaf := compliance.ClassifyLeafPlacement(list, domain)
-	resp := &VerdictResponse{
+	return &VerdictResponse{
 		Domain:        domain,
-		Digest:        fmt.Sprintf("%x", key.Digest),
+		Digest:        fmt.Sprintf("%x", certmodel.ListDigest(list)),
 		Cached:        hit,
-		Compliant:     leaf.CorrectlyPlaced() && !m.Order.NonCompliant() && m.Completeness.Class != compliance.Incomplete,
-		LeafPlacement: leaf.String(),
+		Compliant:     rep.Compliant(),
+		LeafPlacement: rep.Leaf.String(),
 		Order: OrderJSON{
-			Compliant:     !m.Order.NonCompliant(),
-			Duplicates:    m.Order.HasDuplicates,
-			Irrelevant:    m.Order.HasIrrelevant,
-			MultiplePaths: m.Order.MultiplePaths,
-			Reversed:      m.Order.ReversedAny,
+			Compliant:     !rep.Order.NonCompliant(),
+			Duplicates:    rep.Order.HasDuplicates,
+			Irrelevant:    rep.Order.HasIrrelevant,
+			MultiplePaths: rep.Order.MultiplePaths,
+			Reversed:      rep.Order.ReversedAny,
 		},
 		Completeness: CompletenessJSON{
-			Class:                m.Completeness.Class.String(),
-			AIARecoverable:       m.Completeness.AIARecoverable,
-			MissingIntermediates: m.Completeness.MissingIntermediates,
+			Class:                rep.Completeness.Class.String(),
+			AIARecoverable:       rep.Completeness.AIARecoverable,
+			MissingIntermediates: rep.Completeness.MissingIntermediates,
 		},
-		Matrix:      m.Matrix,
-		Repair:      m.Repair,
-		RepairError: m.RepairErr,
+		Matrix:      v.Matrix,
+		Repair:      v.Repair,
+		RepairError: v.RepairErr,
 	}
-	return resp
 }
 
 // compute performs the uncached analysis: order + completeness, the
 // eight-client construction matrix fanned out over the worker pool, and the
-// chainfix repair. AIA fetches are bound to the request context throughout.
-func (s *Server) compute(ctx context.Context, list []*certmodel.Certificate, domain string, keepRoot bool) *memo {
-	var fetcher aia.Fetcher
+// chainfix repair. Each miss gets its own Grader, because its AIA fetcher is
+// bound to the request context throughout.
+func (s *Server) compute(ctx context.Context, list []*certmodel.Certificate, domain string, keepRoot bool) (compliance.Report, verdict) {
+	trust := s.trust
 	if s.cfg.AIA != nil {
-		fetcher = s.cfg.AIA.WithContext(ctx)
+		trust.Fetcher = s.cfg.AIA.WithContext(ctx)
 	}
+	g := trust.Grader()
+	defer g.Close()
+	report := g.Analyze(list, domain)
 
-	analyzer := &compliance.Analyzer{Completeness: compliance.CompletenessConfig{
-		Roots:   s.cfg.Roots,
-		Fetcher: fetcher,
-	}}
-	report := analyzer.Analyze(domain, topo.Build(list))
-
-	// The matrix: one fresh Builder per profile (Builders own scratch and
-	// are not goroutine-safe), fanned out over the bounded pool. Each gets
-	// a fresh intermediate cache so verdicts never depend on what this
-	// process graded earlier.
-	profiles := s.profiles
-	matrix, err := parallel.Map(ctx, s.cfg.Workers, profiles, func(i int, p clients.Profile) ClientVerdict {
-		b := &pathbuild.Builder{
-			Policy:  p.Policy,
-			Roots:   s.cfg.Roots,
-			Fetcher: fetcher,
-			Cache:   rootstore.New("cache"),
-			Now:     s.cfg.Now,
-			Metrics: s.cfg.Metrics,
-		}
-		out := b.Build(list, domain)
-		b.FlushMetrics()
-		return ClientVerdict{Client: p.Name, Kind: p.Kind.String(), OK: out.OK()}
+	// The matrix: Builds for different clients run in parallel over the
+	// bounded pool.
+	var v verdict
+	matrix, err := parallel.Map(ctx, s.cfg.Workers, core.Profiles, func(i int, p clients.Profile) ClientVerdict {
+		return ClientVerdict{Client: p.Name, Kind: p.Kind.String(), OK: g.Build(i, list, domain).OK()}
 	})
-	if err != nil {
-		// Context cancelled mid-fan-out: the caller discards the memo.
-		matrix = nil
+	if err == nil {
+		// A cancelled fan-out leaves no matrix; the memo discards the
+		// grading.
+		v.Matrix = matrix
 	}
 
-	m := &memo{
-		Order:        report.Order,
-		Completeness: report.Completeness,
-		Matrix:       matrix,
-	}
-
-	fixer := &chainfix.Fixer{Roots: s.cfg.Roots, Fetcher: fetcher, KeepRoot: keepRoot}
+	fixer := &chainfix.Fixer{Roots: s.cfg.Roots, Fetcher: trust.Fetcher, KeepRoot: keepRoot}
 	res, err := fixer.Fix(list, domain)
 	if err != nil {
-		m.RepairErr = err.Error()
-		return m
+		v.RepairErr = err.Error()
+		return report, v
 	}
 	pem, err := certmodel.EncodePEM(res.List)
 	if err != nil {
-		m.RepairErr = err.Error()
-		return m
+		v.RepairErr = err.Error()
+		return report, v
 	}
 	actions := make([]string, len(res.Actions))
 	for i, a := range res.Actions {
 		actions[i] = a.String()
 	}
-	m.Repair = &Repair{
+	v.Repair = &Repair{
 		Actions:   actions,
 		PEM:       string(pem),
 		Compliant: res.Report.Compliant(),
 	}
-	return m
+	return report, v
 }

@@ -30,7 +30,7 @@ type fixture struct {
 	root  *certgen.Authority
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	root, err := certgen.NewRoot("Served Root")
 	if err != nil {
@@ -55,7 +55,7 @@ func newFixture(t *testing.T) *fixture {
 }
 
 // pem encodes a chain for the request body.
-func (f *fixture) pem(t *testing.T, list ...*certmodel.Certificate) string {
+func (f *fixture) pem(t testing.TB, list ...*certmodel.Certificate) string {
 	t.Helper()
 	data, err := certmodel.EncodePEM(list)
 	if err != nil {
@@ -78,7 +78,7 @@ func (f *fixture) server(cfg Config) *Server {
 }
 
 // post submits a verdict request and returns the recorder.
-func post(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/verdict", strings.NewReader(body))
 	w := httptest.NewRecorder()
@@ -104,7 +104,7 @@ func decodeError(t *testing.T, w *httptest.ResponseRecorder, wantStatus int, wan
 	}
 }
 
-func body(t *testing.T, req VerdictRequest) string {
+func body(t testing.TB, req VerdictRequest) string {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -281,6 +281,89 @@ func TestVerdictCacheHitRate(t *testing.T) {
 	if resp.LeafPlacement != "correct-placed/mismatched" {
 		t.Errorf("leaf placement = %q", resp.LeafPlacement)
 	}
+}
+
+// TestVerdictKeepRootSeparate: keep_root changes the repair, so the two
+// settings on one chain are distinct gradings that never share an entry.
+func TestVerdictKeepRootSeparate(t *testing.T) {
+	f := newFixture(t)
+	reg := obs.NewRegistry()
+	h := f.server(Config{Metrics: reg}).Handler()
+	chain := f.pem(t, f.leaf.Cert, f.ca1.Cert, f.ca2.Cert, f.root.Cert)
+
+	repairs := map[bool]string{}
+	for _, keepRoot := range []bool{false, true, false, true} {
+		w := post(t, h, body(t, VerdictRequest{Domain: "served.example", PEM: chain, KeepRoot: keepRoot}))
+		if w.Code != http.StatusOK {
+			t.Fatalf("keep_root=%v: status %d, body %s", keepRoot, w.Code, w.Body)
+		}
+		var resp VerdictResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Repair == nil {
+			t.Fatalf("keep_root=%v: no repair; error %q", keepRoot, resp.RepairError)
+		}
+		if seen, ok := repairs[keepRoot]; ok {
+			if !resp.Cached || resp.Repair.PEM != seen {
+				t.Errorf("keep_root=%v repeat: cached=%v, repair changed", keepRoot, resp.Cached)
+			}
+			continue
+		}
+		if resp.Cached {
+			t.Errorf("keep_root=%v first request was served from the other setting's entry", keepRoot)
+		}
+		repairs[keepRoot] = resp.Repair.PEM
+	}
+	if repairs[false] == repairs[true] {
+		t.Error("keep_root false and true repaired to the same chain")
+	}
+	if n := reg.Snapshot().Counters["chainserved.vcache.inserts"]; n != 2 {
+		t.Errorf("vcache.inserts = %d, want 2", n)
+	}
+}
+
+// FuzzVerdictPEM posts arbitrary PEM bodies for arbitrary domains, without
+// AIA. The service must answer 200 or 400, never panic; a 200 carries the
+// eight-client matrix, and resending the body answers the same bytes apart
+// from the cached flag.
+func FuzzVerdictPEM(fz *testing.F) {
+	f := newFixture(fz)
+	for _, chain := range [][]*certmodel.Certificate{
+		{f.leaf.Cert, f.ca1.Cert, f.ca2.Cert},
+		{f.leaf.Cert, f.ca2.Cert, f.ca1.Cert},
+		{f.leaf.Cert, f.leaf.Cert, f.ca1.Cert, f.ca2.Cert},
+		{f.leaf.Cert, f.ca2.Cert},
+	} {
+		fz.Add("served.example", f.pem(fz, chain...))
+	}
+	fz.Fuzz(func(t *testing.T, domain, pem string) {
+		h := f.server(Config{MaxBody: 16 << 20}).Handler()
+		req := body(t, VerdictRequest{Domain: domain, PEM: pem})
+		first := post(t, h, req)
+		switch first.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d, body %s", first.Code, first.Body)
+		}
+		var resp VerdictResponse
+		if err := json.Unmarshal(first.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Matrix) != 8 {
+			t.Fatalf("matrix has %d rows, want 8", len(resp.Matrix))
+		}
+		again := post(t, h, req)
+		if again.Code != http.StatusOK {
+			t.Fatalf("repeat status %d", again.Code)
+		}
+		uncached := bytes.Replace(again.Body.Bytes(), []byte(`"cached":true`), []byte(`"cached":false`), 1)
+		if !bytes.Equal(uncached, first.Body.Bytes()) {
+			t.Errorf("repeat answered differently:\n%s\n%s", first.Body, again.Body)
+		}
+	})
 }
 
 // TestScanDialFailure live-scans a port that refuses connections and

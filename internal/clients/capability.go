@@ -8,7 +8,6 @@ import (
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/pathbuild"
-	"chainchaos/internal/rootstore"
 )
 
 // ProbeMaxLength is the deepest total chain length the path-length probe
@@ -66,15 +65,14 @@ func NewRunner() (*Runner, error) {
 	return &Runner{Set: set, deep: make(map[int]*Scenario)}, nil
 }
 
-// builder instantiates the profile's path builder for a scenario. Every run
-// gets a cold intermediate cache: the capability tests measure intrinsic
+// builder instantiates the profile's path builder for a scenario. No run
+// gets an intermediate cache: the capability tests measure intrinsic
 // ability, not cache warmth.
 func (r *Runner) builder(p Profile, sc *Scenario) *pathbuild.Builder {
 	return &pathbuild.Builder{
 		Policy:  p.Policy,
 		Roots:   sc.Roots,
 		Fetcher: sc.Fetcher,
-		Cache:   rootstore.New("cache"),
 		Now:     certgen.Reference,
 	}
 }

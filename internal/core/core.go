@@ -1,118 +1,16 @@
-// Package core is the library's facade: it ties the paper's two workflows —
-// server-side deployment auditing (RQ1) and client-side path construction
-// (RQ2) — into two top-level types, Auditor and Client, over the substrates
-// in the sibling packages. The cmd/ tools and examples compose the
-// substrates directly for fine control; downstream users who just want
-// "grade this chain" or "build a path like Chrome would" start here.
+// Package core is the verdict engine: the one place a certificate list is
+// judged by the paper's eight client models (RQ2, §5.2) and graded for
+// deployment compliance (RQ1). Trust is the context every client is judged
+// in, Grader holds one worker's analyzer and client matrix, and Memo is the
+// rule for sharing a grading across the sites that present the same list.
+// The study, the differential harness, the verdict service and the
+// divergence fuzzer all grade through it.
 package core
 
 import (
-	"time"
-
-	"chainchaos/internal/aia"
-	"chainchaos/internal/certmodel"
-	"chainchaos/internal/clients"
-	"chainchaos/internal/compliance"
 	"chainchaos/internal/pathbuild"
-	"chainchaos/internal/revocation"
-	"chainchaos/internal/rootstore"
-	"chainchaos/internal/topo"
 	"chainchaos/internal/validate"
 )
-
-// Auditor grades server-side certificate chain deployments against the TLS
-// structural requirements (leaf first, issuance order, completeness).
-type Auditor struct {
-	// Roots is the trust store used for completeness analysis; the paper's
-	// baseline is a multi-vendor union.
-	Roots *rootstore.Store
-	// Fetcher resolves AIA URIs during completeness analysis; nil models a
-	// client without AIA support.
-	Fetcher aia.Fetcher
-}
-
-// Audit is the compliance report for one deployment, with the topology used
-// to derive it.
-type Audit struct {
-	compliance.Report
-	Topology *topo.Graph
-}
-
-// Audit grades the certificate list a server presented for domain.
-func (a *Auditor) Audit(domain string, list []*certmodel.Certificate) Audit {
-	g := topo.Build(list)
-	an := &compliance.Analyzer{Completeness: compliance.CompletenessConfig{
-		Roots:   a.Roots,
-		Fetcher: a.Fetcher,
-	}}
-	return Audit{Report: an.Analyze(domain, g), Topology: g}
-}
-
-// Client is a chain-constructing TLS client: a behavioural profile bound to
-// a trust store and environment.
-type Client struct {
-	Profile clients.Profile
-
-	// Roots is the client's trust store.
-	Roots *rootstore.Store
-	// Fetcher serves AIA fetches for AIA-capable profiles.
-	Fetcher aia.Fetcher
-	// Cache is the intermediate cache for cache-using profiles (Firefox).
-	Cache *rootstore.Store
-	// Revocation, when non-nil, is enforced during validation.
-	Revocation *revocation.List
-	// Now is the validation time; zero disables validity checks.
-	Now time.Time
-}
-
-// NewClient builds a client from a named model ("OpenSSL", "Chrome", …) or
-// the recommended policy for any other name.
-func NewClient(model string, roots *rootstore.Store) *Client {
-	for _, p := range clients.All() {
-		if p.Name == model {
-			return &Client{Profile: p, Roots: roots, Cache: rootstore.New("cache")}
-		}
-	}
-	return &Client{
-		Profile: clients.Profile{Name: model, Policy: pathbuild.DefaultPolicy()},
-		Roots:   roots,
-		Cache:   rootstore.New("cache"),
-	}
-}
-
-// Connect simulates the client receiving list from a server for domain: it
-// constructs a certification path and validates it, returning the full
-// outcome (path, validation findings, construction counters).
-func (c *Client) Connect(domain string, list []*certmodel.Certificate) pathbuild.Outcome {
-	b := &pathbuild.Builder{
-		Policy:     c.Profile.Policy,
-		Roots:      c.Roots,
-		Fetcher:    c.Fetcher,
-		Cache:      c.Cache,
-		Revocation: c.Revocation,
-		Now:        c.Now,
-	}
-	return b.Build(list, domain)
-}
-
-// Accepts reports whether the client would establish the connection.
-func (c *Client) Accepts(domain string, list []*certmodel.Certificate) bool {
-	return c.Connect(domain, list).OK()
-}
-
-// Explain renders a one-line human explanation of an outcome.
-func Explain(out pathbuild.Outcome) string {
-	switch {
-	case out.Err != nil:
-		return "construction refused: " + out.Err.Error()
-	case out.Validation.OK:
-		return "path valid"
-	case len(out.Validation.Findings) > 0:
-		return "validation failed: " + out.Validation.Findings[0].String()
-	default:
-		return "no result"
-	}
-}
 
 // VerdictClass buckets an outcome into the coarse error classes the paper's
 // differential testing compares across clients ("date_invalid / OK / domain

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"context"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"chainchaos/internal/aia"
 	"chainchaos/internal/certmodel"
+	"chainchaos/internal/clients"
+	"chainchaos/internal/compliance"
+	"chainchaos/internal/obs"
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/revocation"
 	"chainchaos/internal/rootstore"
@@ -36,53 +42,113 @@ func newEnv() *env {
 	return &env{root, ca2, ca1, leaf, rootstore.NewWith("core", root), repo}
 }
 
-func TestAuditorGrades(t *testing.T) {
-	e := newEnv()
-	a := &Auditor{Roots: e.roots, Fetcher: e.repo}
+// trust is the env's full client context.
+func (e *env) trust() Trust { return Trust{Roots: e.roots, Fetcher: e.repo, Now: base} }
 
-	good := a.Audit("core.example", []*certmodel.Certificate{e.leaf, e.ca1, e.ca2})
-	if !good.Compliant() || good.Topology == nil {
-		t.Errorf("compliant deployment graded: %+v", good.Report)
+func (e *env) full() []*certmodel.Certificate {
+	return []*certmodel.Certificate{e.leaf, e.ca1, e.ca2}
+}
+
+// client returns the index of the named profile in Profiles.
+func client(t *testing.T, name string) int {
+	t.Helper()
+	for i, p := range Profiles {
+		if p.Name == name {
+			return i
+		}
 	}
-	bad := a.Audit("core.example", []*certmodel.Certificate{e.leaf, e.ca2, e.ca1})
+	t.Fatalf("no profile %q", name)
+	return -1
+}
+
+func TestGraderAnalyze(t *testing.T) {
+	e := newEnv()
+	g := e.trust().Grader()
+
+	if good := g.Analyze(e.full(), "core.example"); !good.Compliant() {
+		t.Errorf("compliant deployment graded: %+v", good)
+	}
+	bad := g.Analyze([]*certmodel.Certificate{e.leaf, e.ca2, e.ca1}, "core.example")
 	if bad.Compliant() {
 		t.Error("reversed deployment passed the audit")
 	}
 	if !bad.Order.ReversedAny {
-		t.Error("reversal not detected through the facade")
+		t.Error("reversal not detected through the grader")
 	}
 }
 
 func TestClientModels(t *testing.T) {
 	e := newEnv()
+	tr := e.trust()
+	tr.Hostname = true
+	g := tr.Grader()
 	reversed := []*certmodel.Certificate{e.leaf, e.ca2, e.ca1}
 
-	chrome := NewClient("Chrome", e.roots)
-	chrome.Fetcher = e.repo
-	chrome.Now = base
-	if !chrome.Accepts("core.example", reversed) {
+	if !g.Build(client(t, "Chrome"), reversed, "core.example").OK() {
 		t.Error("Chrome model should reorder the chain")
 	}
-
-	mbed := NewClient("MbedTLS", e.roots)
-	mbed.Now = base
-	if mbed.Accepts("core.example", reversed) {
+	if g.Build(client(t, "MbedTLS"), reversed, "core.example").OK() {
 		t.Error("MbedTLS model should fail the reversed chain")
 	}
 
-	// An unknown model name falls back to the recommended policy.
-	rec := NewClient("my-client", e.roots)
-	rec.Fetcher = e.repo
-	rec.Now = base
-	if rec.Profile.Name != "my-client" || !rec.Accepts("core.example", reversed) {
-		t.Error("recommended fallback wrong")
+	// A profile outside the matrix wires the same way.
+	rec := tr.Builder(clients.Profile{Name: "my-client", Policy: pathbuild.DefaultPolicy()})
+	if !rec.Build(reversed, "core.example").OK() {
+		t.Error("recommended policy should reorder the chain")
 	}
 
-	// AIA completion through the facade.
-	incomplete := []*certmodel.Certificate{e.leaf, e.ca1}
-	out := chrome.Connect("core.example", incomplete)
+	// AIA completion through the trust's fetcher.
+	out := g.Build(client(t, "Chrome"), []*certmodel.Certificate{e.leaf, e.ca1}, "core.example")
 	if !out.OK() || out.AIAFetches == 0 {
-		t.Errorf("facade AIA build: ok=%v fetches=%d", out.OK(), out.AIAFetches)
+		t.Errorf("AIA build: ok=%v fetches=%d", out.OK(), out.AIAFetches)
+	}
+}
+
+// TestGraderHostname: Build hands the domain to validation only when the
+// trust checks hostnames.
+func TestGraderHostname(t *testing.T) {
+	e := newEnv()
+	tr := e.trust()
+	chrome := client(t, "Chrome")
+	if out := tr.Grader().Build(chrome, e.full(), "unrelated.example"); !out.OK() {
+		t.Errorf("without Hostname the domain reached validation: %v", Classify(out))
+	}
+	tr.Hostname = true
+	if got := Classify(tr.Grader().Build(chrome, e.full(), "unrelated.example")); got != VerdictDomainMismatch {
+		t.Errorf("with Hostname, mismatch = %v", got)
+	}
+}
+
+// TestTrustBuilderStores: each profile validates against its vendor's store
+// when Vendors is set, and against Roots otherwise; the warm preload is
+// wired read-only.
+func TestTrustBuilderStores(t *testing.T) {
+	v := &rootstore.VendorSet{
+		Mozilla:   rootstore.New("mozilla"),
+		Chrome:    rootstore.New("chrome"),
+		Microsoft: rootstore.New("microsoft"),
+		Apple:     rootstore.New("apple"),
+		Union:     rootstore.New("union"),
+	}
+	want := map[string]*rootstore.Store{
+		"OpenSSL": v.Mozilla, "GnuTLS": v.Mozilla, "MbedTLS": v.Mozilla, "Firefox": v.Mozilla,
+		"CryptoAPI": v.Microsoft, "Edge": v.Microsoft,
+		"Safari": v.Apple,
+		"Chrome": v.Chrome,
+	}
+	warm := rootstore.New("warm")
+	vendored := Trust{Roots: v.Union, Vendors: v, Warm: warm}
+	plain := Trust{Roots: v.Union}
+	for _, p := range Profiles {
+		if got := vendored.Builder(p).Roots; got != want[p.Name] {
+			t.Errorf("%s validates against %q, want %q", p.Name, got.Name(), want[p.Name].Name())
+		}
+		if got := plain.Builder(p).Roots; got != v.Union {
+			t.Errorf("%s without vendors validates against %q", p.Name, got.Name())
+		}
+		if b := vendored.Builder(p); b.Cache != warm || !b.CacheReadOnly {
+			t.Errorf("%s: warm preload not wired read-only", p.Name)
+		}
 	}
 }
 
@@ -90,10 +156,9 @@ func TestClientRevocation(t *testing.T) {
 	e := newEnv()
 	crl := revocation.NewList()
 	crl.Revoke(e.ca1)
-	c := NewClient("OpenSSL", e.roots)
-	c.Now = base
-	c.Revocation = crl
-	out := c.Connect("core.example", []*certmodel.Certificate{e.leaf, e.ca1, e.ca2})
+	b := Trust{Roots: e.roots, Now: base}.Builder(clients.OpenSSL())
+	b.Revocation = crl
+	out := b.Build(e.full(), "core.example")
 	if out.OK() {
 		t.Error("revoked intermediate accepted")
 	}
@@ -104,41 +169,32 @@ func TestClientRevocation(t *testing.T) {
 
 func TestClassify(t *testing.T) {
 	e := newEnv()
-	full := []*certmodel.Certificate{e.leaf, e.ca1, e.ca2}
-
-	mk := func(model string, cfg func(*Client)) pathbuild.Outcome {
-		c := NewClient(model, e.roots)
-		c.Now = base
-		c.Fetcher = e.repo
-		if cfg != nil {
-			cfg(c)
-		}
-		return c.Connect("core.example", full)
+	full := e.full()
+	build := func(tr Trust, p clients.Profile, list []*certmodel.Certificate, domain string) VerdictClass {
+		return Classify(tr.Builder(p).Build(list, domain))
 	}
 
-	if got := Classify(mk("Chrome", nil)); got != VerdictOK {
+	if got := build(e.trust(), clients.Chrome(), full, "core.example"); got != VerdictOK {
 		t.Errorf("healthy = %v", got)
 	}
-	out := mk("Chrome", func(c *Client) { c.Roots = rootstore.New("empty") })
-	if got := Classify(out); got != VerdictUnknownIssuer {
+	untrusted := e.trust()
+	untrusted.Roots = rootstore.New("empty")
+	if got := build(untrusted, clients.Chrome(), full, "core.example"); got != VerdictUnknownIssuer {
 		t.Errorf("untrusted = %v", got)
 	}
-	out = mk("OpenSSL", func(c *Client) { c.Now = base.AddDate(10, 0, 0) })
-	if got := Classify(out); got != VerdictDateInvalid {
+	late := e.trust()
+	late.Now = base.AddDate(10, 0, 0)
+	if got := build(late, clients.OpenSSL(), full, "core.example"); got != VerdictDateInvalid {
 		t.Errorf("expired = %v", got)
 	}
-	gnutls := NewClient("GnuTLS", e.roots)
 	long := append([]*certmodel.Certificate(nil), full...)
 	for len(long) <= 16 {
 		long = append(long, e.ca2)
 	}
-	if got := Classify(gnutls.Connect("core.example", long)); got != VerdictRejectedList {
+	if got := build(Trust{Roots: e.roots}, clients.GnuTLS(), long, "core.example"); got != VerdictRejectedList {
 		t.Errorf("long list = %v", got)
 	}
-	// Hostname mismatch.
-	c := NewClient("Chrome", e.roots)
-	c.Now = base
-	if got := Classify(c.Connect("unrelated.example", full)); got != VerdictDomainMismatch {
+	if got := build(Trust{Roots: e.roots, Now: base}, clients.Chrome(), full, "unrelated.example"); got != VerdictDomainMismatch {
 		t.Errorf("mismatch = %v", got)
 	}
 	for v := VerdictOK; v <= VerdictOtherFailure; v++ {
@@ -148,23 +204,153 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestExplain(t *testing.T) {
+// memoCase grades lists through one memo, counting the gradings it had to
+// compute.
+type memoCase struct {
+	memo  *Memo[string]
+	g     *Grader
+	reg   *obs.Registry
+	calls int
+}
+
+func newMemoCase(tr Trust) *memoCase {
+	tr.Metrics = obs.NewRegistry()
+	return &memoCase{memo: NewMemo[string]("core.vcache", tr), g: tr.Grader(), reg: tr.Metrics}
+}
+
+func (c *memoCase) grade(ctx context.Context, list []*certmodel.Certificate, domain string) (compliance.Report, string, bool) {
+	return c.memo.Grade(ctx, list, domain, func() (compliance.Report, string) {
+		c.calls++
+		return c.g.Analyze(list, domain), "graded for " + domain
+	})
+}
+
+func (c *memoCase) counter(name string) int64 { return c.reg.Snapshot().Counters["core.vcache."+name] }
+
+// TestMemoSharesAcrossDomains: a second domain presenting the same chain
+// reads the first grading, with its own domain and leaf placement.
+func TestMemoSharesAcrossDomains(t *testing.T) {
 	e := newEnv()
-	c := NewClient("Chrome", e.roots)
-	c.Now = base
-	if s := Explain(c.Connect("core.example", []*certmodel.Certificate{e.leaf, e.ca1, e.ca2})); s != "path valid" {
-		t.Errorf("Explain healthy = %q", s)
+	c := newMemoCase(e.trust())
+	ctx := context.Background()
+
+	first, v1, hit1 := c.grade(ctx, e.full(), "core.example")
+	second, v2, hit2 := c.grade(ctx, e.full(), "other.example")
+	if hit1 || !hit2 || c.calls != 1 {
+		t.Fatalf("hits = %v, %v after %d gradings; want a miss then a hit", hit1, hit2, c.calls)
 	}
-	gnutls := NewClient("GnuTLS", e.roots)
-	long := make([]*certmodel.Certificate, 0, 18)
-	long = append(long, e.leaf)
-	for len(long) < 18 {
-		long = append(long, e.ca1)
+	if v2 != v1 {
+		t.Errorf("hit value = %q, want the stored %q", v2, v1)
 	}
-	if s := Explain(gnutls.Connect("core.example", long)); s == "" || s == "path valid" {
-		t.Errorf("Explain refused = %q", s)
+	if second.Domain != "other.example" {
+		t.Errorf("hit Domain = %q", second.Domain)
 	}
-	if s := Explain(pathbuild.Outcome{}); s != "no result" {
-		t.Errorf("Explain zero = %q", s)
+	if want := compliance.ClassifyLeafPlacement(e.full(), "other.example"); second.Leaf != want || second.Leaf == first.Leaf {
+		t.Errorf("hit Leaf = %v, want its own %v (first was %v)", second.Leaf, want, first.Leaf)
+	}
+	if !reflect.DeepEqual(second.Order, first.Order) || !reflect.DeepEqual(second.Completeness, first.Completeness) {
+		t.Error("hit does not carry the stored order and completeness reports")
+	}
+}
+
+// TestMemoHostnameMatchBit: under Hostname the leaf-match bit splits
+// entries; without it a matched and a mismatched domain share one.
+func TestMemoHostnameMatchBit(t *testing.T) {
+	e := newEnv()
+	ctx := context.Background()
+	for _, hostname := range []bool{false, true} {
+		tr := e.trust()
+		tr.Hostname = hostname
+		c := newMemoCase(tr)
+		c.grade(ctx, e.full(), "core.example")
+		_, _, hit := c.grade(ctx, e.full(), "other.example")
+		if hit == hostname {
+			t.Errorf("Hostname=%v: mismatched domain hit=%v", hostname, hit)
+		}
+		if _, _, hit := c.grade(ctx, e.full(), "core.example"); !hit {
+			t.Errorf("Hostname=%v: repeat of the matched domain missed", hostname)
+		}
+		if want := map[bool]int64{false: 1, true: 2}[hostname]; c.counter("inserts") != want {
+			t.Errorf("Hostname=%v: %d entries, want %d", hostname, c.counter("inserts"), want)
+		}
+	}
+}
+
+// TestMemoCancelledNotStored: a grading whose context is done reaches its
+// caller but never the memo.
+func TestMemoCancelledNotStored(t *testing.T) {
+	e := newEnv()
+	c := newMemoCase(e.trust())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, v, hit := c.grade(ctx, e.full(), "core.example"); hit || v == "" {
+		t.Fatalf("cancelled grading: value %q, hit %v", v, hit)
+	}
+	if n := c.counter("inserts"); n != 0 {
+		t.Fatalf("cancelled grading stored (%d inserts)", n)
+	}
+	if _, _, hit := c.grade(context.Background(), e.full(), "core.example"); hit || c.calls != 2 {
+		t.Errorf("live grading after a cancelled one: hit %v after %d gradings", hit, c.calls)
+	}
+}
+
+// TestMemoNil: a nil memo grades every call and counts nothing.
+func TestMemoNil(t *testing.T) {
+	e := newEnv()
+	c := newMemoCase(e.trust())
+	c.memo = nil
+	for i := 0; i < 2; i++ {
+		if _, v, hit := c.grade(context.Background(), e.full(), "core.example"); hit || v == "" {
+			t.Fatalf("nil memo call %d: value %q, hit %v", i, v, hit)
+		}
+	}
+	if c.calls != 2 {
+		t.Errorf("nil memo graded %d times, want 2", c.calls)
+	}
+	for name, n := range c.reg.Snapshot().Counters {
+		if n != 0 {
+			t.Errorf("nil memo counted %s = %d", name, n)
+		}
+	}
+}
+
+// TestMemoConcurrentOneKey: eight goroutines grading one key see identical
+// values, and exactly one grading is stored. Run under -race.
+func TestMemoConcurrentOneKey(t *testing.T) {
+	e := newEnv()
+	tr := e.trust()
+	tr.Metrics = obs.NewRegistry()
+	memo := NewMemo[[]bool]("core.vcache", tr)
+	const n = 8
+	reps := make([]compliance.Report, n)
+	vals := make([][]bool, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := tr.Grader()
+			defer g.Close()
+			reps[w], vals[w], _ = memo.Grade(context.Background(), e.full(), "core.example", func() (compliance.Report, []bool) {
+				ok := make([]bool, len(Profiles))
+				for i := range ok {
+					ok[i] = g.Build(i, e.full(), "core.example").OK()
+				}
+				return g.Analyze(e.full(), "core.example"), ok
+			})
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < n; w++ {
+		if !reflect.DeepEqual(reps[w], reps[0]) || !reflect.DeepEqual(vals[w], vals[0]) {
+			t.Fatalf("goroutine %d graded differently: %v vs %v", w, vals[w], vals[0])
+		}
+	}
+	cn := tr.Metrics.Snapshot().Counters
+	if cn["core.vcache.inserts"] != 1 {
+		t.Errorf("inserts = %d, want 1", cn["core.vcache.inserts"])
+	}
+	if got := cn["core.vcache.hits"] + cn["core.vcache.misses"]; got != n {
+		t.Errorf("lookups = %d, want %d", got, n)
 	}
 }

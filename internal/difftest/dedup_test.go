@@ -96,20 +96,3 @@ func TestDedupStreamBitIdentical(t *testing.T) {
 		t.Errorf("cache holds %d entries for %d sites: reuse did not collapse the key space", got, cfg.Size)
 	}
 }
-
-// TestDedupHostnameOverride: CheckHostname verdicts are domain-specific, so
-// Dedup must be ignored rather than shared across sites.
-func TestDedupHostnameOverride(t *testing.T) {
-	pop := population.Generate(reuseCfg(120))
-	reg := obs.NewRegistry()
-	h := &Harness{Dedup: true, CheckHostname: true, Workers: 2, Metrics: reg}
-	off := &Harness{CheckHostname: true, Workers: 2}
-	got, want := h.Run(pop), off.Run(pop)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CheckHostname+Dedup diverged from CheckHostname alone:\n  want: %+v\n  got:  %+v", want, got)
-	}
-	snap := reg.Snapshot()
-	if n := snap.Counters["difftest.vcache.hits"] + snap.Counters["difftest.vcache.misses"]; n != 0 {
-		t.Errorf("CheckHostname run consulted the cache %d times; want 0", n)
-	}
-}

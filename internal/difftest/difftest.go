@@ -10,9 +10,9 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 
-	"chainchaos/internal/certmodel"
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
 	"chainchaos/internal/core"
@@ -23,8 +23,6 @@ import (
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
 	"chainchaos/internal/rootstore"
-	"chainchaos/internal/topo"
-	"chainchaos/internal/verdictcache"
 )
 
 // Cause is a root-cause class for client disagreement.
@@ -81,56 +79,23 @@ type ChainRecord struct {
 	Report   compliance.Report
 	Verdicts []ClientVerdict
 	Causes   []Cause
-
-	// byClient indexes Verdicts by client name, built once per record so
-	// cause attribution does not linear-scan the verdict list per lookup.
-	byClient map[string]int
-}
-
-// buildIndex (re)builds the client-name index. The harness calls it once as
-// soon as a record's verdicts are complete.
-func (r *ChainRecord) buildIndex() {
-	r.byClient = make(map[string]int, len(r.Verdicts))
-	for i, v := range r.Verdicts {
-		r.byClient[v.Client] = i
-	}
 }
 
 // verdictOf returns the named client's verdict.
 func (r *ChainRecord) verdictOf(name string) (ClientVerdict, bool) {
-	if r.byClient == nil {
-		r.buildIndex()
-	}
-	if i, ok := r.byClient[name]; ok {
-		return r.Verdicts[i], true
+	for _, v := range r.Verdicts {
+		if v.Client == name {
+			return v, true
+		}
 	}
 	return ClientVerdict{}, false
 }
 
-// excludedSet compiles an exclude list into a membership predicate once per
-// call, instead of rescanning the slice for every verdict.
-func excludedSet(exclude []string) func(string) bool {
-	switch len(exclude) {
-	case 0:
-		return func(string) bool { return false }
-	case 1:
-		only := exclude[0]
-		return func(s string) bool { return s == only }
-	default:
-		m := make(map[string]bool, len(exclude))
-		for _, s := range exclude {
-			m[s] = true
-		}
-		return func(s string) bool { return m[s] }
-	}
-}
-
 // Discrepant reports whether clients of the given kind disagree.
 func (r *ChainRecord) Discrepant(kind clients.Kind, exclude ...string) bool {
-	skip := excludedSet(exclude)
 	pass, fail := 0, 0
 	for _, v := range r.Verdicts {
-		if v.Kind != kind || skip(v.Client) {
+		if v.Kind != kind || slices.Contains(exclude, v.Client) {
 			continue
 		}
 		if v.OK() {
@@ -146,10 +111,9 @@ func (r *ChainRecord) Discrepant(kind clients.Kind, exclude ...string) bool {
 // different verdict classes — a finer comparison than pass/fail that mirrors
 // the paper's browser-message methodology.
 func (r *ChainRecord) ClassDiscrepant(kind clients.Kind, exclude ...string) bool {
-	skip := excludedSet(exclude)
 	var classes []core.VerdictClass
 	for _, v := range r.Verdicts {
-		if v.Kind != kind || skip(v.Client) {
+		if v.Kind != kind || slices.Contains(exclude, v.Client) {
 			continue
 		}
 		classes = append(classes, v.Class())
@@ -167,9 +131,8 @@ func (r *ChainRecord) ClassDiscrepant(kind clients.Kind, exclude ...string) bool
 
 // AllPass reports whether every client of the kind accepted the chain.
 func (r *ChainRecord) AllPass(kind clients.Kind, exclude ...string) bool {
-	skip := excludedSet(exclude)
 	for _, v := range r.Verdicts {
-		if v.Kind != kind || skip(v.Client) {
+		if v.Kind != kind || slices.Contains(exclude, v.Client) {
 			continue
 		}
 		if !v.OK() {
@@ -177,15 +140,6 @@ func (r *ChainRecord) AllPass(kind clients.Kind, exclude ...string) bool {
 		}
 	}
 	return true
-}
-
-func contains(xs []string, x string) bool {
-	for _, s := range xs {
-		if s == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Summary aggregates a differential run, mirroring §5.2's result overview.
@@ -212,22 +166,11 @@ type Summary struct {
 
 // Harness wires client models to a population.
 type Harness struct {
-	// Profiles defaults to clients.All().
-	Profiles []clients.Profile
-	// WarmCacheShares lists CA profile names whose intermediates are
-	// preloaded into cache-using clients (Firefox); the default warms the
-	// high-market-share CAs, leaving long-tail intermediates to miss —
-	// the paper's 1,074 SEC_ERROR_UNKNOWN_ISSUER chains.
-	WarmCacheShares []string
-	// CheckHostname includes the leaf/domain match in validation.
-	CheckHostname bool
 	// Dedup memoizes analysis and verdicts per distinct certificate list
-	// (verdictcache): duplicate chains cost a map lookup plus per-site leaf
+	// (core.Memo): duplicate chains cost a map lookup plus per-site leaf
 	// classification instead of a topology build, a compliance analysis and
 	// eight client path-builds. Summaries and record streams are
-	// bit-identical with the cache on or off. Ignored when CheckHostname is
-	// set — hostname-checking verdicts are domain-specific and must not be
-	// shared across sites.
+	// bit-identical with the cache on or off.
 	Dedup bool
 	// KeepRecords retains per-chain records (memory-heavy on large
 	// populations).
@@ -239,7 +182,7 @@ type Harness struct {
 	// Metrics, when non-nil, receives the run's stage timer
 	// (difftest.run), a per-shard wall-time histogram (difftest.shard_wall)
 	// and counters (difftest.chains, difftest.noncompliant), and is
-	// propagated to every per-shard Builder for construction metrics.
+	// propagated to every per-worker Grader for construction metrics.
 	Metrics *obs.Registry
 	// Out, when non-nil, receives one RecordLine of JSON per non-compliant
 	// chain, written by the single sink goroutine in rank order — a
@@ -291,28 +234,21 @@ func marshalRecordLine(rec *ChainRecord) ([]byte, error) {
 	return json.Marshal(line)
 }
 
-// Analysis carries precomputed per-domain topology graphs and compliance
-// reports, index-aligned with pop.Domains. Callers that already ran the
-// server-side analysis (experiments.Env holds both) pass it to RunAnalyzed so
-// the harness does not rebuild and regrade every chain.
-type Analysis struct {
-	Graphs  []*topo.Graph
-	Reports []compliance.Report
-}
-
-// storeFor maps each client to its vendor root store, as deployed in
-// practice: NSS/OpenSSL-family ship Mozilla's store, CryptoAPI and Edge use
-// Microsoft's, Safari Apple's, Chrome its own.
-func storeFor(name string, v *rootstore.VendorSet) *rootstore.Store {
-	switch name {
-	case "CryptoAPI", "Edge":
-		return v.Microsoft
-	case "Safari":
-		return v.Apple
-	case "Chrome":
-		return v.Chrome
-	default:
-		return v.Mozilla
+// Trust is the client context the harness judges every chain in: each
+// client's vendor root store, the population's AIA repository, the warm
+// Firefox preload, and validation pinned to the population's reference
+// time. Clients build without the hostname: the paper's differential
+// verdicts compare path construction, not name matching. Graders outside
+// the harness (the divergence fuzzer) use it so a divergence they find is
+// one the harness would report.
+func Trust(pop *population.Population, warm *rootstore.Store, reg *obs.Registry) core.Trust {
+	return core.Trust{
+		Roots:   pop.Roots(),
+		Vendors: pop.Vendors,
+		Fetcher: pop.Repo,
+		Warm:    warm,
+		Now:     pop.Cfg.Base,
+		Metrics: reg,
 	}
 }
 
@@ -321,195 +257,75 @@ func (h *Harness) Run(pop *population.Population) *Summary {
 	return h.RunAnalyzed(pop, nil)
 }
 
-// setup resolves the run's profiles and warm intermediate cache from the
-// population context (pop.Domains may be nil for streaming runs).
-func (h *Harness) setup(pop *population.Population) ([]clients.Profile, *rootstore.Store) {
-	profiles := h.Profiles
-	if len(profiles) == 0 {
-		profiles = clients.All()
-	}
-	warm := h.WarmCacheShares
-	if warm == nil {
-		// Firefox preloads every CCADB-disclosed intermediate (the
-		// "Mozilla caches all known CA certificates" design the paper
-		// cites); what it cannot know are intermediates of CAs that do
-		// not disclose — the government/regional hierarchies here. Their
-		// incomplete chains become the SEC_ERROR_UNKNOWN_ISSUER browser
-		// discrepancies of finding I-4.
-		undisclosed := map[string]bool{
-			"TAIWAN-CA":                 true,
-			"TW Government CA":          true,
-			"EU Qualified CA":           true,
-			"Regional Commerce CA":      true,
-			"Undisclosed Enterprise CA": true,
-		}
-		for _, iss := range pop.Issuers {
-			if !undisclosed[iss.Profile.Name] && !contains(warm, iss.Profile.Name) {
-				warm = append(warm, iss.Profile.Name)
-			}
-		}
-	}
-	return profiles, buildWarmCache(pop, warm)
-}
-
-// analyzed couples a domain with its compliance report between the analyze
-// and verdict stages. Under Dedup it also carries the cache coordinates: a
-// hit's memo for the verdict stage to reuse, or the key a miss should be
-// stored under once graded.
-type analyzed struct {
-	d   *population.Domain
-	rep compliance.Report
-	// memo is non-nil on a cache hit; rep then holds the memoized
-	// order/completeness analysis plus this domain's own leaf placement.
-	memo *dedupMemo
-	// key is the domain's cache key; valid only when keyed is true.
-	key   verdictcache.Key
-	keyed bool
-}
-
-// dedupMemo is the value memoized per distinct chain: every analysis and
-// verdict that does not depend on the queried hostname. Leaf placement — the
-// one hostname-dependent piece — is recomputed per site on a hit.
-type dedupMemo struct {
-	Order        compliance.OrderReport
-	Completeness compliance.CompletenessReport
-	// Verdicts and Causes are nil when the chain graded compliant (the
-	// harness only grades non-compliant chains). Hit records alias these
-	// slices read-only; absorb and the record sink never mutate them.
+// verdictMemo is what the harness memoizes per distinct chain beside the
+// order and completeness reports: the verdicts and causes of a
+// non-compliant chain, nil for a compliant one. Hit records alias these
+// slices read-only; absorb and the record sink never mutate them.
+type verdictMemo struct {
 	Verdicts []ClientVerdict
 	Causes   []Cause
 }
 
-// dedupCache builds the run's verdict cache, or nil when dedup is off (or
-// overridden by CheckHostname, whose verdicts must not be shared across
-// domains). The scope fingerprint keys entries to this profile set.
-func (h *Harness) dedupCache(profiles []clients.Profile) (*verdictcache.Cache[dedupMemo], certmodel.FP) {
-	if !h.Dedup || h.CheckHostname {
-		return nil, certmodel.FP{}
+// grade runs every client over a non-compliant chain; a compliant chain
+// touches no builder.
+func grade(g *core.Grader, d *population.Domain, rep compliance.Report) verdictMemo {
+	if rep.Compliant() {
+		return verdictMemo{}
 	}
-	return verdictcache.New[dedupMemo]("difftest.vcache", h.Metrics), clients.Fingerprint(profiles)
+	rec := ChainRecord{Report: rep, Verdicts: make([]ClientVerdict, len(core.Profiles))}
+	for i, p := range core.Profiles {
+		rec.Verdicts[i] = ClientVerdict{Client: p.Name, Kind: p.Kind, Outcome: g.Build(i, d.List, d.Name)}
+	}
+	return verdictMemo{Verdicts: rec.Verdicts, Causes: AttributeCauses(&rec)}
 }
 
-// analyzeDomain is the analyze stage's work item: consult the cache first —
-// a hit replaces the topology build and the order/completeness analysis with
-// a lookup plus leaf classification — and fall back to the full analyzer.
-func analyzeDomain(an *compliance.Analyzer, cache *verdictcache.Cache[dedupMemo], scope certmodel.FP, d *population.Domain) analyzed {
-	if cache == nil {
-		return analyzed{d: d, rep: an.Analyze(d.Name, topo.Build(d.List))}
-	}
-	k := verdictcache.Key{Digest: certmodel.ListDigest(d.List), Scope: scope}
-	if m, ok := cache.Get(k); ok {
-		return analyzed{d: d, rep: compliance.Report{
-			Domain:       d.Name,
-			Leaf:         compliance.ClassifyLeafPlacement(d.List, d.Name),
-			Order:        m.Order,
-			Completeness: m.Completeness,
-		}, memo: &m, key: k, keyed: true}
-	}
-	return analyzed{d: d, rep: an.Analyze(d.Name, topo.Build(d.List)), key: k, keyed: true}
-}
-
-// grader is the per-worker state of the verdict stage: one reusable
-// pathbuild.Builder per client profile — Build keeps no state across calls
-// (the shared warm cache is read-only here), so reuse only removes the
-// per-chain allocations.
-type grader struct {
-	h        *Harness
-	profiles []clients.Profile
-	builders []*pathbuild.Builder
-}
-
-func (h *Harness) newGrader(pop *population.Population, profiles []clients.Profile, cache *rootstore.Store) *grader {
-	g := &grader{h: h, profiles: profiles, builders: make([]*pathbuild.Builder, len(profiles))}
-	for i, p := range profiles {
-		g.builders[i] = &pathbuild.Builder{
-			Policy:  p.Policy,
-			Roots:   storeFor(p.Name, pop.Vendors),
-			Fetcher: pop.Repo,
-			Cache:   cache,
-			// The cache models a fixed preload (CCADB disclosure),
-			// not state accumulated during this measurement.
-			CacheReadOnly: true,
-			Now:           pop.Cfg.Base,
-			Metrics:       h.Metrics,
-		}
-	}
-	return g
-}
-
-// grade runs every client over one non-compliant chain and returns its
-// record; compliant chains return nil without touching the builders.
-func (g *grader) grade(a analyzed) *ChainRecord {
-	if a.rep.Compliant() {
-		return nil
-	}
-	rec := &ChainRecord{Domain: a.d, Report: a.rep, Verdicts: make([]ClientVerdict, 0, len(g.profiles))}
-	for j, p := range g.profiles {
-		domain := ""
-		if g.h.CheckHostname {
-			domain = a.d.Name
-		}
-		out := g.builders[j].Build(a.d.List, domain)
-		rec.Verdicts = append(rec.Verdicts, ClientVerdict{Client: p.Name, Kind: p.Kind, Outcome: out})
-	}
-	rec.buildIndex()
-	rec.Causes = classifyCauses(rec)
-	return rec
-}
-
-// flush publishes the builders' final partial batch of construction metrics;
-// called once at worker retirement.
-func (g *grader) flush() {
-	for _, b := range g.builders {
-		b.FlushMetrics()
-	}
-}
-
-// verdictStage builds the pipeline stage that grades analyzed chains across
-// all client profiles. Worker lifetimes carry the difftest.shard timer and
-// shard_wall histogram the batch path has always published: one interval per
+// verdictStage builds the one stage every harness pipeline runs after its
+// source: analyze each domain (or take its precomputed report, when reports
+// is non-nil and index-aligned with the ranks) and grade the non-compliant
+// ones across all clients, through the run's memo. Worker lifetimes carry
+// the difftest.shard timer and shard_wall histogram: one interval per
 // worker.
-func (h *Harness) verdictStage(pop *population.Population, profiles []clients.Profile, cache *rootstore.Store, vcache *verdictcache.Cache[dedupMemo], workers, queue int) pipeline.Stage[analyzed, *ChainRecord] {
-	graders := make([]*grader, workers)
+func (h *Harness) verdictStage(pop *population.Population, reports []compliance.Report, workers, queue int) pipeline.Stage[*population.Domain, *ChainRecord] {
+	trust := Trust(pop, DefaultWarmCache(pop), h.Metrics)
+	var memo *core.Memo[verdictMemo]
+	if h.Dedup {
+		memo = core.NewMemo[verdictMemo]("difftest.vcache", trust)
+	}
+	graders := make([]*core.Grader, workers)
 	shardWall := h.Metrics.Histogram("difftest.shard_wall", obs.LatencyBuckets)
-	return pipeline.Stage[analyzed, *ChainRecord]{
+	return pipeline.Stage[*population.Domain, *ChainRecord]{
 		Name:    "verdict",
 		Workers: workers,
 		Queue:   queue,
 		OnWorker: func(worker int) func() {
 			sw := h.Metrics.Timer("difftest.shard").Start()
-			graders[worker] = h.newGrader(pop, profiles, cache)
+			graders[worker] = trust.Grader()
 			return func() {
-				graders[worker].flush()
+				graders[worker].Close()
 				shardWall.ObserveDuration(sw.Stop())
 			}
 		},
-		Fn: func(_ context.Context, worker, _ int, a analyzed) (*ChainRecord, error) {
-			if a.memo != nil {
-				if a.rep.Compliant() {
-					return nil, nil
+		Fn: func(ctx context.Context, worker, rank int, d *population.Domain) (*ChainRecord, error) {
+			g := graders[worker]
+			rep, m, _ := memo.Grade(ctx, d.List, d.Name, func() (compliance.Report, verdictMemo) {
+				var rep compliance.Report
+				if reports != nil {
+					rep = reports[rank]
+				} else {
+					rep = g.Analyze(d.List, d.Name)
 				}
-				if a.memo.Verdicts != nil {
-					// The memoized verdicts are exactly what grading would
-					// recompute (Build sees no hostname here), so the record
-					// aliases them; only the domain identity and its leaf
-					// report are per-site.
-					return &ChainRecord{Domain: a.d, Report: a.rep, Verdicts: a.memo.Verdicts, Causes: a.memo.Causes}, nil
-				}
-				// Defensive: the digest was first seen on a domain where it
-				// graded compliant, but this domain's leaf placement flips
-				// the verdict. Grade it fully; keep the first-seen memo.
-				return graders[worker].grade(a), nil
+				return rep, grade(g, d, rep)
+			})
+			if rep.Compliant() {
+				return nil, nil
 			}
-			rec := graders[worker].grade(a)
-			if a.keyed {
-				m := dedupMemo{Order: a.rep.Order, Completeness: a.rep.Completeness}
-				if rec != nil {
-					m.Verdicts, m.Causes = rec.Verdicts, rec.Causes
-				}
-				vcache.Put(a.key, m)
+			if m.Verdicts == nil {
+				// The digest first graded compliant on a domain whose leaf
+				// placement differs from this one's: grade it here and
+				// keep the first-seen memo.
+				m = grade(g, d, rep)
 			}
-			return rec, nil
+			return &ChainRecord{Domain: d, Report: rep, Verdicts: m.Verdicts, Causes: m.Causes}, nil
 		},
 	}
 }
@@ -570,43 +386,22 @@ func (h *Harness) workerCount(size int) int {
 }
 
 // RunAnalyzed executes the differential evaluation, reusing precomputed
-// topology graphs and compliance reports when pre is non-nil (it must be
-// index-aligned with pop.Domains). It is the batch adapter over the
-// analyze→verdict pipeline: domains stream through per-worker analyzers and
-// builders and the Summary merges at the sink in rank order — bit-identical
-// to a serial run for any worker count or queue depth.
-func (h *Harness) RunAnalyzed(pop *population.Population, pre *Analysis) *Summary {
-	profiles, cache := h.setup(pop)
-	vcache, scope := h.dedupCache(profiles)
+// compliance reports when reports is non-nil (it must be index-aligned with
+// pop.Domains). It is the batch adapter over the verdict pipeline: domains
+// stream through per-worker graders and the Summary merges at the sink in
+// rank order — bit-identical to a serial run for any worker count or queue
+// depth.
+func (h *Harness) RunAnalyzed(pop *population.Population, reports []compliance.Report) *Summary {
 	workers := h.workerCount(len(pop.Domains))
-
 	run := h.Metrics.Timer("difftest.run").Start()
 	opts := pipeline.Options{Name: "difftest", Metrics: h.Metrics}
-	src := pipeline.From(context.Background(), opts, "domains", workers, func(rank int) (int, bool, error) {
-		return rank, rank < len(pop.Domains), nil
+	src := pipeline.From(context.Background(), opts, "domains", workers, func(rank int) (*population.Domain, bool, error) {
+		if rank >= len(pop.Domains) {
+			return nil, false, nil
+		}
+		return pop.Domains[rank], true, nil
 	})
-	analyzers := make([]*compliance.Analyzer, workers)
-	an := pipeline.Through(src, pipeline.Stage[int, analyzed]{
-		Name:    "analyze",
-		Workers: workers,
-		OnWorker: func(worker int) func() {
-			if pre == nil {
-				analyzers[worker] = &compliance.Analyzer{Completeness: compliance.CompletenessConfig{
-					Roots:   pop.Roots(),
-					Fetcher: pop.Repo,
-				}}
-			}
-			return nil
-		},
-		Fn: func(_ context.Context, worker, _ int, i int) (analyzed, error) {
-			d := pop.Domains[i]
-			if pre != nil {
-				return analyzed{d: d, rep: pre.Reports[i]}, nil
-			}
-			return analyzeDomain(analyzers[worker], vcache, scope, d), nil
-		},
-	})
-	sum, err := h.drainSummary(pipeline.Through(an, h.verdictStage(pop, profiles, cache, vcache, workers, 0)))
+	sum, err := h.drainSummary(pipeline.Through(src, h.verdictStage(pop, reports, workers, 0)))
 	if err != nil {
 		// Reachable only through an Out write failure: no stage errors and
 		// the context is never cancelled. Batch callers wanting to handle
@@ -618,35 +413,15 @@ func (h *Harness) RunAnalyzed(pop *population.Population, pre *Analysis) *Summar
 }
 
 // RunStream executes the differential evaluation over a streaming population
-// source: domains are generated, analyzed, and graded in flight, so peak
-// memory is O(workers · queue) regardless of src.Size(). The Summary is
-// bit-identical to Run over the materialized population. opts carries the
-// metrics registry, journal, and resume rank shared by every stage.
+// source: domains are generated and graded in flight, so peak memory is
+// O(workers · queue) regardless of src.Size(). The Summary is bit-identical
+// to Run over the materialized population. opts carries the metrics
+// registry, journal, and resume rank shared by every stage.
 func (h *Harness) RunStream(ctx context.Context, src *population.Source, opts pipeline.Options, queue int) (*Summary, error) {
-	pop := src.Population()
-	profiles, cache := h.setup(pop)
-	vcache, scope := h.dedupCache(profiles)
 	workers := h.workerCount(src.Size())
-
 	run := h.Metrics.Timer("difftest.run").Start()
 	defer run.Stop()
-	analyzers := make([]*compliance.Analyzer, workers)
-	an := pipeline.Through(src.Flow(ctx, opts, queue), pipeline.Stage[*population.Domain, analyzed]{
-		Name:    "analyze",
-		Workers: workers,
-		Queue:   queue,
-		OnWorker: func(worker int) func() {
-			analyzers[worker] = &compliance.Analyzer{Completeness: compliance.CompletenessConfig{
-				Roots:   pop.Roots(),
-				Fetcher: pop.Repo,
-			}}
-			return nil
-		},
-		Fn: func(_ context.Context, worker, _ int, d *population.Domain) (analyzed, error) {
-			return analyzeDomain(analyzers[worker], vcache, scope, d), nil
-		},
-	})
-	return h.drainSummary(pipeline.Through(an, h.verdictStage(pop, profiles, cache, vcache, workers, queue)))
+	return h.drainSummary(pipeline.Through(src.Flow(ctx, opts, queue), h.verdictStage(src.Population(), nil, workers, queue)))
 }
 
 // newSummary creates a Summary with its maps allocated.
@@ -696,26 +471,10 @@ func (s *Summary) absorb(rec *ChainRecord, keepRecords bool) {
 	}
 }
 
-// buildWarmCache preloads the intermediates of the named CA profiles, the
-// model of Firefox's intermediate-certificate cache.
-func buildWarmCache(pop *population.Population, warm []string) *rootstore.Store {
-	cache := rootstore.New("intermediate-cache")
-	for _, iss := range pop.Issuers {
-		if !contains(warm, iss.Profile.Name) {
-			continue
-		}
-		for _, inter := range iss.Intermediates {
-			cache.Add(inter)
-		}
-	}
-	// Every harness builder reads this cache CacheReadOnly, so freeze it:
-	// the worker shards then hit it lock-free.
-	cache.Seal()
-	return cache
-}
-
-// classifyCauses attributes each disagreement to the paper's I-1…I-4 causes.
-func classifyCauses(rec *ChainRecord) []Cause {
+// AttributeCauses attributes each client disagreement on a record to the
+// paper's I-1…I-4 causes. The harness applies it to every graded chain; the
+// divergence fuzzer applies it to records it assembles for mutated chains.
+func AttributeCauses(rec *ChainRecord) []Cause {
 	if !rec.Discrepant(clients.Library) && !rec.Discrepant(clients.Browser, "Safari") {
 		return nil
 	}
@@ -783,32 +542,42 @@ func backtrackerPasses(rec *ChainRecord) bool {
 	return false
 }
 
-// AttributeCauses classifies a hand-assembled record's client disagreements
-// into the paper's I-1…I-4 causes — the same attribution the harness applies
-// at its sink. Exported for the divergence fuzzer, which constructs records
-// for mutated chains outside any harness run and bins them by cause.
-func AttributeCauses(rec *ChainRecord) []Cause {
-	rec.buildIndex()
-	return classifyCauses(rec)
-}
-
-// DefaultWarmCache builds the harness's default Firefox-style warm
-// intermediate cache over the population: every disclosed CA's intermediates,
-// sealed (see setup). Out-of-harness graders — the divergence fuzzer's oracle
-// — use it so mutants are judged in the identical client context.
+// DefaultWarmCache builds the harness's Firefox preload over the population,
+// sealed: the intermediates of every CCADB-disclosed CA (the "Mozilla caches
+// all known CA certificates" design the paper cites). What it cannot know
+// are intermediates of CAs that do not disclose — the government/regional
+// hierarchies here. Their incomplete chains become the
+// SEC_ERROR_UNKNOWN_ISSUER browser discrepancies of finding I-4.
 func DefaultWarmCache(pop *population.Population) *rootstore.Store {
-	var h Harness
-	_, cache := h.setup(pop)
+	undisclosed := map[string]bool{
+		"TAIWAN-CA":                 true,
+		"TW Government CA":          true,
+		"EU Qualified CA":           true,
+		"Regional Commerce CA":      true,
+		"Undisclosed Enterprise CA": true,
+	}
+	cache := rootstore.New("intermediate-cache")
+	for _, iss := range pop.Issuers {
+		if undisclosed[iss.Profile.Name] {
+			continue
+		}
+		for _, inter := range iss.Intermediates {
+			cache.Add(inter)
+		}
+	}
+	cache.Seal()
 	return cache
 }
 
-// Builders constructs one pathbuild.Builder per profile wired exactly as the
-// harness wires its graders: the client's vendor root store, the population's
-// AIA repository, the shared read-only warm cache, validation pinned to the
-// population's reference time.
+// Builders constructs one pathbuild.Builder per profile judged in the
+// harness's Trust over the population with the given warm preload.
 func Builders(pop *population.Population, profiles []clients.Profile, cache *rootstore.Store, reg *obs.Registry) []*pathbuild.Builder {
-	h := &Harness{Metrics: reg}
-	return h.newGrader(pop, profiles, cache).builders
+	t := Trust(pop, cache, reg)
+	out := make([]*pathbuild.Builder, len(profiles))
+	for i, p := range profiles {
+		out[i] = t.Builder(p)
+	}
+	return out
 }
 
 // CauseNames renders the causes of a record for reports.

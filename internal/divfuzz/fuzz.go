@@ -10,14 +10,12 @@ import (
 	"strings"
 
 	"chainchaos/internal/certmodel"
-	"chainchaos/internal/compliance"
 	"chainchaos/internal/difftest"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/parallel"
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
 	"chainchaos/internal/rootstore"
-	"chainchaos/internal/topo"
 	"chainchaos/internal/verdictcache"
 )
 
@@ -108,14 +106,13 @@ type Result struct {
 
 // fuzzer is the run's sink-side state; all mutation happens in rank order.
 type fuzzer struct {
-	cfg      Config
-	pop      *population.Population
-	bases    [][]*certmodel.Certificate
-	names    []string
-	analyzer *compliance.Analyzer
-	oracle   *Oracle // sink-side: minimization and attribution
-	vcache   *verdictcache.Cache[Vector]
-	warm     *rootstore.Store
+	cfg    Config
+	pop    *population.Population
+	bases  [][]*certmodel.Certificate
+	names  []string
+	oracle *Oracle // sink-side: minimization and attribution
+	vcache *verdictcache.Cache[Vector]
+	warm   *rootstore.Store
 
 	corpus      []Genome
 	seenSigs    map[string]bool
@@ -141,13 +138,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	f := &fuzzer{
-		cfg:  cfg,
-		pop:  pop,
-		warm: warm,
-		analyzer: &compliance.Analyzer{Completeness: compliance.CompletenessConfig{
-			Roots:   pop.Roots(),
-			Fetcher: pop.Repo,
-		}},
+		cfg:         cfg,
+		pop:         pop,
+		warm:        warm,
 		oracle:      NewOracle(pop, warm, vcache, cfg.Metrics),
 		vcache:      vcache,
 		seenSigs:    make(map[string]bool),
@@ -305,7 +298,7 @@ func binMetric(d *Divergence) string {
 func (f *fuzzer) attribute(domain string, list []*certmodel.Certificate) []string {
 	rec := &difftest.ChainRecord{
 		Domain:   &population.Domain{Name: domain, List: list},
-		Report:   f.analyzer.Analyze(domain, topo.Build(list)),
+		Report:   f.oracle.g.Analyze(list, domain),
 		Verdicts: f.oracle.Outcomes(list),
 	}
 	var out []string

@@ -1,17 +1,15 @@
 // The divergence oracle: every mutant is graded by the full client-profile
-// matrix, wired exactly as the differential harness wires its graders, and
-// the per-client verdict classes form the coverage signature.
+// matrix, judged in the differential harness's trust context, and the
+// per-client verdict classes form the coverage signature.
 package divfuzz
 
 import (
 	"strings"
 
 	"chainchaos/internal/certmodel"
-	"chainchaos/internal/clients"
 	"chainchaos/internal/core"
 	"chainchaos/internal/difftest"
 	"chainchaos/internal/obs"
-	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/population"
 	"chainchaos/internal/rootstore"
 	"chainchaos/internal/verdictcache"
@@ -44,36 +42,24 @@ func (v Vector) Divergent() bool {
 // single-goroutine state (one per worker); the verdict cache and warm store
 // it reads are safe to share.
 type Oracle struct {
-	profiles []clients.Profile
-	builders []*pathbuild.Builder
-	cache    *verdictcache.Cache[Vector]
-	scope    certmodel.FP
+	g     *core.Grader
+	cache *verdictcache.Cache[Vector]
 }
 
-// NewOracle builds an oracle over the population's client matrix: one
-// pathbuild.Builder per profile with the client's vendor store, the
-// population's AIA repository, and the shared read-only warm intermediate
-// cache — the identical context internal/difftest grades in, so a divergence
-// found here is a divergence the harness would report. cache, when non-nil,
-// memoizes vectors by list digest across all oracles sharing it.
+// NewOracle builds an oracle over the population's client matrix, judged in
+// difftest.Trust — the identical context the differential harness grades
+// in, so a divergence found here is a divergence the harness would report.
+// cache, when non-nil, memoizes vectors by list digest across all oracles
+// sharing it: Evaluate has no domain and produces no report, so it needs
+// none of core.Memo's per-site rule.
 func NewOracle(pop *population.Population, warm *rootstore.Store, cache *verdictcache.Cache[Vector], reg *obs.Registry) *Oracle {
-	profiles := clients.All()
-	return &Oracle{
-		profiles: profiles,
-		builders: difftest.Builders(pop, profiles, warm, reg),
-		cache:    cache,
-		scope:    clients.Fingerprint(profiles),
-	}
+	return &Oracle{g: difftest.Trust(pop, warm, reg).Grader(), cache: cache}
 }
 
 // FlushMetrics publishes the builders' batched pathbuild counters. Call it
 // when the oracle retires: a builder flushes on its own only every few
 // dozen builds, so its last partial batch is otherwise lost.
-func (o *Oracle) FlushMetrics() {
-	for _, b := range o.builders {
-		b.FlushMetrics()
-	}
-}
+func (o *Oracle) FlushMetrics() { o.g.Close() }
 
 // Evaluate returns the list's verdict vector, consulting the shared dedup
 // cache first. Cache hit counters race across workers; the vector itself is
@@ -84,14 +70,14 @@ func (o *Oracle) Evaluate(list []*certmodel.Certificate) Vector {
 	}
 	var key verdictcache.Key
 	if o.cache != nil {
-		key = verdictcache.Key{Digest: certmodel.ListDigest(list), Scope: o.scope}
+		key = verdictcache.Key{Digest: certmodel.ListDigest(list)}
 		if v, ok := o.cache.Get(key); ok {
 			return v
 		}
 	}
-	v := make(Vector, len(o.builders))
-	for i, b := range o.builders {
-		v[i] = core.Classify(b.Build(list, ""))
+	v := make(Vector, len(core.Profiles))
+	for i := range v {
+		v[i] = core.Classify(o.g.Build(i, list, ""))
 	}
 	if o.cache != nil {
 		o.cache.Put(key, v)
@@ -103,13 +89,9 @@ func (o *Oracle) Evaluate(list []*certmodel.Certificate) Vector {
 // cache — cause attribution needs the complete outcomes, not just their
 // classes. Only confirmed divergences pay this cost.
 func (o *Oracle) Outcomes(list []*certmodel.Certificate) []difftest.ClientVerdict {
-	out := make([]difftest.ClientVerdict, len(o.builders))
-	for i, b := range o.builders {
-		out[i] = difftest.ClientVerdict{
-			Client:  o.profiles[i].Name,
-			Kind:    o.profiles[i].Kind,
-			Outcome: b.Build(list, ""),
-		}
+	out := make([]difftest.ClientVerdict, len(core.Profiles))
+	for i, p := range core.Profiles {
+		out[i] = difftest.ClientVerdict{Client: p.Name, Kind: p.Kind, Outcome: o.g.Build(i, list, "")}
 	}
 	return out
 }

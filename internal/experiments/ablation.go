@@ -5,7 +5,6 @@ import (
 
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/report"
-	"chainchaos/internal/rootstore"
 )
 
 // CapabilityAblation quantifies §6.2's recommendation: "clients equipped
@@ -54,7 +53,6 @@ func (e *Env) CapabilityAblation() *report.Table {
 			Policy:  policy,
 			Roots:   pop.Roots(),
 			Fetcher: pop.Repo,
-			Cache:   rootstore.New("cache"),
 			Now:     pop.Cfg.Base,
 		}
 		pass, cands, tried := 0, 0, 0

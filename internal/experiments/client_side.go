@@ -6,8 +6,8 @@ import (
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/clients"
+	"chainchaos/internal/core"
 	"chainchaos/internal/difftest"
-	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/report"
 	"chainchaos/internal/rootstore"
 )
@@ -60,24 +60,6 @@ func (e *Env) ClientCapabilities() (*report.Table, error) {
 	return t, nil
 }
 
-// clientBuilders instantiates one builder per client model over an ad-hoc
-// scenario (store + optional fetcher).
-func clientBuilders(roots *rootstore.Store, fetcher interface {
-	Fetch(string) (*certmodel.Certificate, error)
-}) []*pathbuild.Builder {
-	var out []*pathbuild.Builder
-	for _, p := range clients.All() {
-		out = append(out, &pathbuild.Builder{
-			Policy:  p.Policy,
-			Roots:   roots,
-			Fetcher: fetcher,
-			Cache:   rootstore.New("cache"),
-			Now:     certgen.Reference,
-		})
-	}
-	return out
-}
-
 // CaseLongChain reproduces Figure 3 / finding I-2: the
 // assiste6.serpro.gov.br shape — a 17-certificate list whose correct path
 // spans positions 8 -> 1 -> 16 -> 0, which GnuTLS rejects for size alone.
@@ -125,9 +107,9 @@ func (e *Env) CaseLongChain() (*report.Table, error) {
 
 	t := report.New("Figure 3 / I-2 — 17-certificate list, correct path 8->1->16->0",
 		"Client", "Result", "Detail")
-	for i, b := range clientBuilders(roots, nil) {
-		name := clients.All()[i].Name
-		out := b.Build(list, "assiste6.serpro.gov.br")
+	trust := core.Trust{Roots: roots, Now: certgen.Reference}
+	for _, p := range core.Profiles {
+		out := trust.Builder(p).Build(list, "assiste6.serpro.gov.br")
 		detail := "-"
 		switch {
 		case out.Err != nil:
@@ -135,7 +117,7 @@ func (e *Env) CaseLongChain() (*report.Table, error) {
 		case !out.Validation.OK:
 			detail = out.Validation.Findings[0].String()
 		}
-		t.Add(name, passFail(out.OK()), detail)
+		t.Add(p.Name, passFail(out.OK()), detail)
 	}
 	return t, nil
 }
@@ -173,9 +155,9 @@ func (e *Env) CaseBacktracking() (*report.Table, error) {
 
 	t := report.New("Figure 4 / I-3 — multiple candidate paths, untrusted root first",
 		"Client", "Result", "Chosen upper CA", "Paths tried")
-	for i, b := range clientBuilders(roots, nil) {
-		name := clients.All()[i].Name
-		out := b.Build(list, "moex.gov.tw")
+	trust := core.Trust{Roots: roots, Now: certgen.Reference}
+	for _, p := range core.Profiles {
+		out := trust.Builder(p).Build(list, "moex.gov.tw")
 		chosen := "-"
 		for _, c := range out.Path {
 			if bytes.Equal(c.PublicKeyID, topSelf.Cert.PublicKeyID) {
@@ -186,7 +168,7 @@ func (e *Env) CaseBacktracking() (*report.Table, error) {
 				}
 			}
 		}
-		t.Addf(name, passFail(out.OK()), chosen, out.PathsTried)
+		t.Addf(p.Name, passFail(out.OK()), chosen, out.PathsTried)
 	}
 	return t, nil
 }
@@ -201,9 +183,9 @@ func (e *Env) CaseValidityPriority() (*report.Table, error) {
 	sc := runner.Set.Validity
 	t := report.New("Figure 5 — candidate selection among same-subject issuers",
 		"Client", "Chosen candidate", "Inferred policy")
-	for _, p := range clients.All() {
-		b := &pathbuild.Builder{Policy: p.Policy, Roots: sc.Roots, Cache: rootstore.New("cache"), Now: certgen.Reference}
-		out := b.Build(sc.List, sc.Domain)
+	trust := core.Trust{Roots: sc.Roots, Now: certgen.Reference}
+	for _, p := range core.Profiles {
+		out := trust.Builder(p).Build(sc.List, sc.Domain)
 		label := "-"
 		if len(out.Path) > 1 {
 			label = sc.LabelOf(out.Path[1])
@@ -222,10 +204,10 @@ func (e *Env) CaseValidityPriority() (*report.Table, error) {
 // DifferentialOverview reproduces the §5.2 result overview: pass rates and
 // discrepancy counts over the population's non-compliant chains, with the
 // I-1…I-4 cause attribution. The compliance grading is shared with the
-// server-side tables through Env.Analysis, not recomputed.
+// server-side tables through Env.Reports, not recomputed.
 func (e *Env) DifferentialOverview() *report.Table {
 	pop := e.Population()
-	sum := (&difftest.Harness{Workers: e.Workers, Metrics: e.Metrics}).RunAnalyzed(pop, e.Analysis())
+	sum := (&difftest.Harness{Workers: e.Workers, Metrics: e.Metrics}).RunAnalyzed(pop, e.Reports())
 	return differentialTable(sum)
 }
 

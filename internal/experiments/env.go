@@ -10,7 +10,6 @@ import (
 
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
-	"chainchaos/internal/difftest"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/parallel"
 	"chainchaos/internal/population"
@@ -96,14 +95,6 @@ func (e *Env) Graphs() []*topo.Graph {
 func (e *Env) Reports() []compliance.Report {
 	e.analyze()
 	return e.reports
-}
-
-// Analysis bundles the precomputed graphs and reports for the differential
-// harness, so client-side tables never regrade what the server-side tables
-// already computed.
-func (e *Env) Analysis() *difftest.Analysis {
-	e.analyze()
-	return &difftest.Analysis{Graphs: e.graphs, Reports: e.reports}
 }
 
 // Runner returns the shared client capability runner.

@@ -115,10 +115,5 @@ type studySlot struct {
 	srv    *tlsserve.Server
 	target tlsscan.Target
 	once   sync.Once
-
-	list      []*certmodel.Certificate
-	digest    certmodel.FP
-	errs      ErrorBreakdown
-	rescanned bool
-	lost      bool
+	capture
 }

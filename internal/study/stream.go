@@ -17,20 +17,17 @@ import (
 	"chainchaos/internal/aia"
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
-	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
+	"chainchaos/internal/core"
 	"chainchaos/internal/faults"
 	"chainchaos/internal/httpserver"
 	"chainchaos/internal/ledger"
 	"chainchaos/internal/parallel"
-	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
 	"chainchaos/internal/rootstore"
 	"chainchaos/internal/tlsscan"
 	"chainchaos/internal/tlsserve"
-	"chainchaos/internal/topo"
-	"chainchaos/internal/verdictcache"
 )
 
 // Stream configures the streaming variant of a study run.
@@ -97,48 +94,40 @@ type deployed struct {
 	// slot is non-nil for a Dedup-mode shared site: the scan stage then
 	// reuses the slot's once-only physical scan instead of srv/target.
 	slot *studySlot
-	// list is non-nil for a scenario-replay site: the synthetic chain cannot
-	// complete a real handshake, so it bypasses the listener and scan and is
-	// graded as captured.
-	list []*certmodel.Certificate
+	// replay is non-nil for a scenario-replay site: the synthetic chain
+	// cannot complete a real handshake, so it bypasses the listener and scan
+	// and is graded as captured.
+	replay []*certmodel.Certificate
 	// minted records whether this rank minted a leaf (always true for
 	// unique sites; true for the slot site that materialized its slot).
 	minted bool
 }
 
-// scannedSite adds the site's merged capture and scan tallies.
-type scannedSite struct {
-	deployed
+// capture is what one target's scan yields: the first list any vantage
+// captured, every failed attempt by cause, whether a re-scan pass recovered
+// it, and whether every attempt missed.
+type capture struct {
 	list      []*certmodel.Certificate
-	digest    certmodel.FP
 	errs      ErrorBreakdown
 	rescanned bool
 	lost      bool
 }
 
+// scannedSite adds the site's capture.
+type scannedSite struct {
+	deployed
+	capture
+}
+
 // gradedSite is the retired form: the listener is closed, its fault ledger
 // folded in.
 type gradedSite struct {
+	capture
 	site             *Site
-	errs             ErrorBreakdown
-	rescanned        bool
-	lost             bool
 	minted           bool
 	faultsInjected   int
 	acceptRetries    int
 	deadlineExpiries int
-}
-
-// studyMemo is the verdict-cache value under Config.Dedup: every grading
-// output that does not depend on the site's hostname. Leaf placement — the
-// one hostname-dependent piece — is recomputed per site on a hit; the
-// Verdicts map is aliased read-only by every hit site (the leaf-match bit is
-// part of the cache key, so the verdicts are exactly what regrading would
-// produce).
-type studyMemo struct {
-	Order        compliance.OrderReport
-	Completeness compliance.CompletenessReport
-	Verdicts     map[string]bool
 }
 
 // liveServers tracks listeners between deploy and grade so an aborted run
@@ -244,9 +233,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		}
 	}
 	// The study trust store never grows after this point; sealed, the
-	// parallel site-grading workers read it without locking. The per-site
-	// intermediate caches created below stay unsealed — Firefox-style
-	// builders keep feeding them during the measurement.
+	// parallel site-grading workers read it without locking.
 	roots.Seal()
 	pkiSW.Stop()
 
@@ -372,7 +359,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 			// graded as captured.
 			m := scenarios[idx]
 			site := &Site{Domain: m.Domain, Injected: defectScenario, Server: "scenario", Scenario: m.Name}
-			return deployed{site: site, list: m.List}, true, nil
+			return deployed{site: site, replay: m.List}, true, nil
 		}
 
 		if shared, idx := cfg.reusePlan(rank); shared {
@@ -436,88 +423,59 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 			Clock:     cfg.Clock,
 		}
 	}
+	// scan probes one target from every vantage, then re-scans it up to
+	// RescanPasses times while nothing was captured.
+	scan := func(ctx context.Context, target tlsscan.Target) capture {
+		c := capture{lost: true}
+		attempt := func(rescan bool) {
+			res := scanner.Scan(ctx, target)
+			switch {
+			case res.Err != nil:
+				c.errs.add(res.Cause)
+			case c.lost:
+				c.list, c.lost, c.rescanned = res.List, false, rescan
+				if rescan {
+					rescannedCounter.Inc()
+				}
+			}
+		}
+		sw := scanTimer.Start()
+		for v := 0; v < cfg.Vantages; v++ {
+			attempt(false)
+		}
+		sw.Stop()
+		for pass := 0; pass < cfg.RescanPasses && c.lost; pass++ {
+			rsw := rescanTimer.Start()
+			attempt(true)
+			rsw.Stop()
+		}
+		return c
+	}
 	scanned := pipeline.Through(src, pipeline.Stage[deployed, scannedSite]{
 		Name:    "scan",
 		Workers: cfg.Concurrency,
 		Queue:   st.Queue,
 		Fn: func(ctx context.Context, _, _ int, d deployed) (scannedSite, error) {
 			out := scannedSite{deployed: d}
-			if d.list != nil {
+			switch {
+			case d.replay != nil:
 				// Scenario replay: the chain is already "captured" verbatim.
-				out.list, out.digest = d.list, certmodel.ListDigest(d.list)
-				return out, nil
-			}
-			if d.slot != nil {
+				out.list = d.replay
+			case d.slot != nil:
 				// Shared chain under Dedup: the slot's first site to arrive
-				// performs the one physical scan — same vantage and re-scan
-				// policy as a unique site — then retires the shared listener.
-				// Its scan tallies and fault ledger are folded into the run
-				// totals after the drain, never into per-site records.
+				// performs the one physical scan, then retires the shared
+				// listener. Its scan tallies and fault ledger are folded
+				// into the run totals after the drain, never into per-site
+				// records.
 				s := d.slot
 				s.once.Do(func() {
-					var captured []tlsscan.Result
-					sw := scanTimer.Start()
-					for v := 0; v < cfg.Vantages; v++ {
-						res := scanner.Scan(ctx, s.target)
-						if res.Err != nil {
-							s.errs.add(res.Cause)
-						} else {
-							captured = append(captured, res)
-						}
-					}
-					sw.Stop()
-					for pass := 0; pass < cfg.RescanPasses && len(captured) == 0; pass++ {
-						rsw := rescanTimer.Start()
-						res := scanner.Scan(ctx, s.target)
-						rsw.Stop()
-						if res.Err != nil {
-							s.errs.add(res.Cause)
-						} else {
-							captured = append(captured, res)
-							s.rescanned = true
-							rescannedCounter.Inc()
-						}
-					}
-					if len(captured) == 0 {
-						s.lost = true
-					} else {
-						s.list = captured[0].List
-						s.digest = captured[0].Digest
-					}
+					s.capture = scan(ctx, s.target)
 					s.srv.Close()
 					live.remove(s.srv)
 				})
-				out.list, out.digest, out.lost = s.list, s.digest, s.lost
-				return out, nil
-			}
-			var captured []tlsscan.Result
-			sw := scanTimer.Start()
-			for v := 0; v < cfg.Vantages; v++ {
-				res := scanner.Scan(ctx, d.target)
-				if res.Err != nil {
-					out.errs.add(res.Cause)
-				} else {
-					captured = append(captured, res)
-				}
-			}
-			sw.Stop()
-			for pass := 0; pass < cfg.RescanPasses && len(captured) == 0; pass++ {
-				rsw := rescanTimer.Start()
-				res := scanner.Scan(ctx, d.target)
-				rsw.Stop()
-				if res.Err != nil {
-					out.errs.add(res.Cause)
-				} else {
-					captured = append(captured, res)
-					out.rescanned = true
-					rescannedCounter.Inc()
-				}
-			}
-			if len(captured) == 0 {
-				out.lost = true
-			} else {
-				out.list = captured[0].List
-				out.digest = captured[0].Digest
+				out.list, out.lost = s.list, s.lost
+			default:
+				out.capture = scan(ctx, d.target)
 			}
 			return out, nil
 		},
@@ -526,80 +484,37 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	// Grade and differentially test each captured chain, then retire the
 	// listener: its fault ledger is folded into the site result and the
 	// socket closed, which is what keeps the live-listener count bounded.
-	analyzer := &compliance.Analyzer{Completeness: compliance.CompletenessConfig{Roots: roots, Fetcher: repo}}
-	profiles := clients.All()
-	// Under Dedup the grade stage consults the verdict cache first: keyed by
-	// (chain digest, profile-set fingerprint, leaf-match bit), so a hit is
-	// sound to share across sites — the only hostname-dependent outputs are
-	// the leaf placement (recomputed per site) and the match bit (in the
-	// key). A nil cache is inert: every Get misses, every Put is dropped.
-	var vcache *verdictcache.Cache[studyMemo]
-	var scope certmodel.FP
+	trust := core.Trust{Roots: roots, Fetcher: repo, Now: certgen.Reference, Hostname: true, Metrics: cfg.Metrics}
+	// Under Dedup the grade stage shares gradings through core.Memo: its
+	// hits alias one read-only OK map per (chain, leaf-match bit).
+	var memo *core.Memo[map[string]bool]
 	if cfg.Dedup {
-		vcache = verdictcache.New[studyMemo]("study.vcache", reg)
-		scope = clients.Fingerprint(profiles)
+		memo = core.NewMemo[map[string]bool]("study.vcache", trust)
 	}
-	gradeWorkers := parallel.Workers(cfg.Workers)
-	builderSets := make([][]*pathbuild.Builder, gradeWorkers)
+	graders := make([]*core.Grader, parallel.Workers(cfg.Workers))
 	graded := pipeline.Through(scanned, pipeline.Stage[scannedSite, gradedSite]{
 		Name:    "grade",
-		Workers: gradeWorkers,
+		Workers: len(graders),
 		Queue:   st.Queue,
 		OnWorker: func(worker int) func() {
-			builders := make([]*pathbuild.Builder, len(profiles))
-			for i, p := range profiles {
-				builders[i] = &pathbuild.Builder{
-					Policy: p.Policy, Roots: roots, Fetcher: repo,
-					Cache: rootstore.New("cache"), Now: certgen.Reference,
-					Metrics: cfg.Metrics,
-				}
-			}
-			builderSets[worker] = builders
-			return func() {
-				for _, b := range builders {
-					b.FlushMetrics()
-				}
-			}
+			graders[worker] = trust.Grader()
+			return graders[worker].Close
 		},
-		Fn: func(_ context.Context, worker, _ int, sc scannedSite) (gradedSite, error) {
+		Fn: func(ctx context.Context, worker, _ int, sc scannedSite) (gradedSite, error) {
 			if !sc.lost {
 				sw := gradeTimer.Start()
-				key := verdictcache.Key{Digest: sc.digest, Scope: scope,
-					Match: len(sc.list) > 0 && sc.list[0].MatchesDomain(sc.site.Domain)}
-				if memo, ok := vcache.Get(key); ok {
-					sc.site.Report = compliance.Report{
-						Domain:       sc.site.Domain,
-						Leaf:         compliance.ClassifyLeafPlacement(sc.list, sc.site.Domain),
-						Order:        memo.Order,
-						Completeness: memo.Completeness,
+				gr, domain := graders[worker], sc.site.Domain
+				sc.site.Report, sc.site.Verdicts, _ = memo.Grade(ctx, sc.list, domain, func() (compliance.Report, map[string]bool) {
+					rep := gr.Analyze(sc.list, domain)
+					verdicts := make(map[string]bool, len(core.Profiles))
+					for i, p := range core.Profiles {
+						verdicts[p.Name] = gr.Build(i, sc.list, domain).OK()
 					}
-					sc.site.Verdicts = memo.Verdicts
-				} else {
-					builders := builderSets[worker]
-					sc.site.Report = analyzer.Analyze(sc.site.Domain, topo.Build(sc.list))
-					sc.site.Verdicts = make(map[string]bool, len(profiles))
-					for j, p := range profiles {
-						// Each site gets a fresh intermediate cache: verdicts
-						// must not depend on which other sites a worker graded
-						// first.
-						builders[j].Cache = rootstore.New("cache")
-						sc.site.Verdicts[p.Name] = builders[j].Build(sc.list, sc.site.Domain).OK()
-					}
-					vcache.Put(key, studyMemo{
-						Order:        sc.site.Report.Order,
-						Completeness: sc.site.Report.Completeness,
-						Verdicts:     sc.site.Verdicts,
-					})
-				}
+					return rep, verdicts
+				})
 				sw.Stop()
 			}
-			g := gradedSite{
-				site:      sc.site,
-				errs:      sc.errs,
-				rescanned: sc.rescanned,
-				lost:      sc.lost,
-				minted:    sc.minted,
-			}
+			g := gradedSite{capture: sc.capture, site: sc.site, minted: sc.minted}
 			if sc.srv != nil {
 				g.faultsInjected = sc.srv.FaultsInjected()
 				g.acceptRetries = sc.srv.AcceptRetries()
@@ -616,11 +531,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		if g.minted {
 			rep.LeavesGenerated++
 		}
-		rep.ScanErrors += g.errs.Total()
-		rep.ScanErrorCauses.Dial += g.errs.Dial
-		rep.ScanErrorCauses.Handshake += g.errs.Handshake
-		rep.ScanErrorCauses.Parse += g.errs.Parse
-		rep.ScanErrorCauses.Cancelled += g.errs.Cancelled
+		rep.addScanErrors(g.errs)
 		if g.rescanned {
 			rep.Rescanned++
 		}
@@ -672,11 +583,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 			rep.AcceptRetries += s.srv.AcceptRetries()
 			rep.DeadlineExpiries += s.srv.DeadlineExpiries()
 		}
-		rep.ScanErrors += s.errs.Total()
-		rep.ScanErrorCauses.Dial += s.errs.Dial
-		rep.ScanErrorCauses.Handshake += s.errs.Handshake
-		rep.ScanErrorCauses.Parse += s.errs.Parse
-		rep.ScanErrorCauses.Cancelled += s.errs.Cancelled
+		rep.addScanErrors(s.errs)
 		if s.rescanned {
 			rep.Rescanned++
 		}

@@ -67,8 +67,8 @@ type Config struct {
 	DistinctChains int
 	// Dedup memoizes per distinct chain: slot sites share one listener and
 	// one physical scan (sync.Once), and the grade stage consults a
-	// verdict cache (study.vcache) keyed by (chain digest, client-profile
-	// fingerprint, leaf-match bit), so a duplicate chain costs a map
+	// core.Memo (study.vcache) keyed by (chain digest, leaf-match bit),
+	// so a duplicate chain costs a map
 	// lookup plus leaf classification instead of keygen + handshake +
 	// analysis + eight client path-builds. On a fault-free run the report
 	// tables and the streamed JSONL are byte-identical with Dedup on or
@@ -192,6 +192,15 @@ func (b *ErrorBreakdown) add(c tlsscan.ErrorCause) {
 // Total is the sum over all causes.
 func (b ErrorBreakdown) Total() int {
 	return b.Dial + b.Handshake + b.Parse + b.Cancelled
+}
+
+// addScanErrors folds one capture's failed attempts into the run totals.
+func (r *Report) addScanErrors(b ErrorBreakdown) {
+	r.ScanErrors += b.Total()
+	r.ScanErrorCauses.Dial += b.Dial
+	r.ScanErrorCauses.Handshake += b.Handshake
+	r.ScanErrorCauses.Parse += b.Parse
+	r.ScanErrorCauses.Cancelled += b.Cancelled
 }
 
 // Report is a completed study.

@@ -2,15 +2,10 @@
 // list. The paper's population-scale observation is that the Top-1M presents
 // only a few thousand distinct lists, so grading every site independently is
 // O(sites × clients) path-builds where O(unique chains × clients) plus
-// O(sites) tallying suffices. The cache stores one value per
-// (list digest, client-profile-set fingerprint) key; study and difftest put
-// their full differential verdict + compliance grade there and recompute only
-// the per-site leaf-placement bits on a hit.
-//
-// Only domain-independent analysis may be memoized under a digest: the
-// compliance pieces that depend on the queried hostname (leaf placement) are
-// the caller's responsibility per site, and hostname-checking differential
-// runs must bypass the cache entirely (see difftest.Harness.Dedup).
+// O(sites) tallying suffices. The cache stores one value per list digest
+// (plus the leaf-match bit); the rule for what may be stored under it —
+// only domain-independent analysis, with leaf placement recomputed per site
+// — lives in core.Memo, which every grader goes through.
 //
 // The cache follows the rootstore lifecycle: lock-striped while filling,
 // Seal()able into a lock-free read phase for callers that warm it once and
@@ -26,16 +21,12 @@ import (
 	"chainchaos/internal/obs"
 )
 
-// Key identifies one memoized grading: the presented list's digest and the
-// fingerprint of the client-profile set that graded it. Runs with different
-// profile sets never share entries even if they share one cache.
+// Key identifies one memoized grading. A cache serves one grading
+// configuration (client-profile set, trust context) for its whole life, so
+// the key carries only what varies between lists.
 type Key struct {
 	// Digest is certmodel.ListDigest over the presented list.
 	Digest certmodel.FP
-	// Scope fingerprints the grading configuration (the client-profile set;
-	// see clients.Fingerprint). The zero FP is a valid scope for callers
-	// whose configuration never varies within a cache's lifetime.
-	Scope certmodel.FP
 	// Match records whether the presented leaf matches the queried hostname.
 	// Client verdicts depend on the domain only through this bit (a
 	// mismatched leaf fails hostname validation identically for every
@@ -102,8 +93,7 @@ func (c *Cache[V]) Name() string {
 }
 
 // shardOf stripes by the digest's leading byte. ListDigest is a sha256, so
-// the byte is uniform; the scope does not contribute because a run uses one
-// scope and striping must spread digests, not configurations.
+// the byte is uniform.
 func (c *Cache[V]) shardOf(k Key) *shard[V] {
 	return &c.shards[k.Digest[0]&(shardCount-1)]
 }

@@ -30,13 +30,13 @@ func TestCacheBasics(t *testing.T) {
 		t.Fatalf("Get = %q, %v after Put", v, ok)
 	}
 
-	// Same digest, different scope: distinct entries.
+	// Same digest, different leaf-match bit: distinct entries.
 	k2 := key(1)
-	k2.Scope[0] = 0xFF
+	k2.Match = true
 	if _, ok := c.Get(k2); ok {
-		t.Fatal("scope is not part of the key")
+		t.Fatal("the match bit is not part of the key")
 	}
-	c.Put(k2, "scoped")
+	c.Put(k2, "matched")
 
 	// Duplicate Put: first insert wins.
 	c.Put(key(1), "two")
