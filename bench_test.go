@@ -424,6 +424,23 @@ func BenchmarkDifftestPrecomputedAnalysis(b *testing.B) {
 
 // --- Streaming pipeline engine vs batch orchestration ---
 
+// BenchmarkPipelineHop is the engine's own cost per item: b.N ranks from a
+// default-depth source through one identity stage of 2 workers into a sink
+// that does nothing.
+func BenchmarkPipelineHop(b *testing.B) {
+	b.ReportAllocs()
+	src := pipeline.From(context.Background(), pipeline.Options{}, "ranks", 0, func(rank int) (int, bool, error) {
+		return rank, rank < b.N, nil
+	})
+	hop := pipeline.Through(src, pipeline.Stage[int, int]{
+		Name: "hop", Workers: 2,
+		Fn: func(_ context.Context, _, _ int, v int) (int, error) { return v, nil },
+	})
+	if err := hop.Drain(func(int, int) error { return nil }); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkPipelineDifftest compares the streaming differential evaluation —
 // domains generated, analyzed, and graded in flight through the staged
 // pipeline, peak memory bounded by the worker window — against the batch

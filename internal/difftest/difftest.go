@@ -395,7 +395,7 @@ func (h *Harness) RunAnalyzed(pop *population.Population, reports []compliance.R
 	workers := h.workerCount(len(pop.Domains))
 	run := h.Metrics.Timer("difftest.run").Start()
 	opts := pipeline.Options{Name: "difftest", Metrics: h.Metrics}
-	src := pipeline.From(context.Background(), opts, "domains", workers, func(rank int) (*population.Domain, bool, error) {
+	src := pipeline.From(context.Background(), opts, "domains", 0, func(rank int) (*population.Domain, bool, error) {
 		if rank >= len(pop.Domains) {
 			return nil, false, nil
 		}

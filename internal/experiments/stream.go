@@ -27,7 +27,9 @@ type StreamConfig struct {
 	Size    int
 	Seed    int64
 	Workers int
-	// Queue bounds each stage's channel (0 = workers-proportional).
+	// Queue is the pipeline depth in items of the source and of each stage
+	// (0 = the engine default, 64); the rank source hands off blocks of up
+	// to Queue/2 ranks.
 	Queue int
 	// Metrics, when non-nil, instruments every pipeline stage.
 	Metrics *obs.Registry

@@ -90,7 +90,9 @@ type Journal struct {
 }
 
 // OpenJournal opens (or creates) the journal at path and loads every
-// existing watermark, so Last immediately reflects the previous run.
+// existing watermark, so Last immediately reflects the previous run. Lines
+// that do not decode (a torn tail) and watermarks with a negative rank are
+// skipped, so a resume point is never below zero.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -128,6 +130,9 @@ func OpenJournal(path string) (*Journal, error) {
 		}
 		if e.Event != "" {
 			continue // lease or runroot record, not a watermark
+		}
+		if e.Rank < 0 {
+			continue // no stage retires a negative rank: a garbled line
 		}
 		if cur, ok := j.last[e.Stage]; !ok || e.Rank > cur {
 			j.last[e.Stage] = e.Rank

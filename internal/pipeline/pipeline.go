@@ -19,17 +19,27 @@
 //     cancelled, and the panic is re-raised on the goroutine that called
 //     Drain — never silently swallowed, never deadlocking the graph.
 //
-// Backpressure falls out of the bounded hops: a slow stage fills its output
-// queue, its reorder buffer fills, and upstream workers block until the
-// consumer catches up. A faults.Policy on a stage retries transient per-item
-// failures before they fail the run, and an attached Journal records the
-// last retired rank per stage as a JSONL watermark stream so an interrupted
-// run can resume where it stopped.
+// Backpressure falls out of bounded hops. The unit of hand-off is a block:
+// the values of a run of consecutive ranks. Only the source forms blocks —
+// it hands one on when it holds max(1, queue/2) items (a run's first blocks
+// fewer), or at once whenever the hop downstream is empty, so a fast source
+// spreads each hand-off over many items while a slow one still moves one
+// item at a time and a consumer never waits on a partial block. Stages keep the source's block
+// boundaries. Every hop holds one block, every worker one block, and a
+// stage's reorder buffer admits a block only while the items it holds stay
+// within workers + queue (the next block to release is always admitted), so
+// a stage holds O(workers · queue) items and a slow stage blocks upstream
+// workers until the consumer catches up. A faults.Policy on a stage retries
+// transient per-item failures before they fail the run, and an attached
+// Journal records the last retired rank per stage as a JSONL watermark
+// stream so an interrupted run can resume where it stopped.
 package pipeline
 
 import (
 	"context"
+	"reflect"
 	"sync"
+	"time"
 
 	"chainchaos/internal/faults"
 	"chainchaos/internal/obs"
@@ -57,23 +67,86 @@ type Options struct {
 	Limit int
 }
 
-// item is one unit of work flowing between stages.
-type item[T any] struct {
+// defaultQueue is the depth, in items, of a source or stage whose queue is
+// <= 0.
+const defaultQueue = 64
+
+// block is the unit of hand-off between goroutines: the values of the
+// consecutive ranks rank, rank+1, ..., rank+len(vals)-1.
+type block[T any] struct {
 	rank int
-	val  T
+	vals []T
+}
+
+// buffers is a free list of block buffers: a flow's producer takes its
+// buffers here and its consumer returns them, so a run in steady state
+// allocates none. The list never holds more buffers than were once in
+// flight together.
+type buffers[T any] struct {
+	mu   sync.Mutex
+	free [][]T
+}
+
+// spares holds the process's free lists, one *buffers[T] per element type
+// T (keyed by its reflect.Type), shared by every run: a process that runs
+// many short pipelines — divfuzz runs one per generation — reuses one set
+// of buffers instead of allocating a set per run.
+var spares sync.Map
+
+// buffersOf returns the free list for element type T.
+func buffersOf[T any]() *buffers[T] {
+	key := reflect.TypeFor[T]()
+	if p, ok := spares.Load(key); ok {
+		return p.(*buffers[T])
+	}
+	p, _ := spares.LoadOrStore(key, new(buffers[T]))
+	return p.(*buffers[T])
+}
+
+// get returns an empty buffer; a fresh one has room for size values.
+func (p *buffers[T]) get(size int) []T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return make([]T, 0, size)
+	}
+	vals := p.free[n-1]
+	p.free = p.free[:n-1]
+	return vals
+}
+
+// put returns a consumed buffer, cleared so it pins nothing.
+func (p *buffers[T]) put(vals []T) {
+	clear(vals)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, vals[:0])
 }
 
 // run is the shared state of one pipeline execution.
 type run struct {
 	parent  context.Context // the caller's context; its Err outlives teardown
 	ctx     context.Context
+	done    <-chan struct{} // ctx.Done(), polled without the context's lock
 	cancel  context.CancelFunc
+	block   int // most items the source puts in one block
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	err     error
 	panicV  any
 	panicOK bool
 	opts    Options
+}
+
+// stopped reports whether the run has been cancelled.
+func (r *run) stopped() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // fail records the run's first error and cancels the context. Subsequent
@@ -101,6 +174,14 @@ func (r *run) panicked(v any) {
 	r.cancel()
 }
 
+// recoverPanic is deferred by every pipeline goroutine: a panic is
+// recorded and the run cancelled, to be re-raised by Drain.
+func (r *run) recoverPanic() {
+	if v := recover(); v != nil {
+		r.panicked(v)
+	}
+}
+
 // finish waits for every goroutine, re-raises a captured panic, and returns
 // the run's first error (a recorded failure wins over bare cancellation).
 func (r *run) finish() error {
@@ -119,13 +200,34 @@ func (r *run) finish() error {
 	return r.parent.Err()
 }
 
-// metricName builds "<run>.<stage>.<metric>".
+// metricName builds "<run>.<stage>.<metric>", or "" when no registry is
+// attached.
 func (r *run) metricName(stage, metric string) string {
+	if r.opts.Metrics == nil {
+		return ""
+	}
 	prefix := r.opts.Name
 	if prefix == "" {
 		prefix = "pipeline"
 	}
 	return prefix + "." + stage + "." + metric
+}
+
+// send hands b to the one-block hop out, or gives up when the run is
+// cancelled. depth is set to the items left queued on the hop.
+func send[T any](r *run, out chan<- block[T], b block[T], depth *obs.Gauge) bool {
+	n := int64(len(b.vals))
+	select {
+	case out <- b:
+		// A non-empty hop holds exactly the block just sent.
+		if len(out) == 0 {
+			n = 0
+		}
+		depth.Set(n)
+		return true
+	case <-r.done:
+		return false
+	}
 }
 
 // Flow is a pipeline whose last stage emits T values. Extend it with Through
@@ -134,27 +236,32 @@ func (r *run) metricName(stage, metric string) string {
 type Flow[T any] struct {
 	run  *run
 	name string // name of the stage that feeds out
-	out  <-chan item[T]
+	out  <-chan block[T]
+	bufs *buffers[T] // out's buffers, returned by the consumer
 }
 
-// queueDepth normalizes a queue depth: values <= 0 mean 2×workers.
-func queueDepth(queue, workers int) int {
+// queueDepth normalizes a queue depth: values <= 0 mean defaultQueue.
+func queueDepth(queue int) int {
 	if queue > 0 {
 		return queue
 	}
-	return 2 * workers
+	return defaultQueue
 }
 
 // From starts a Flow: a single source goroutine calls next(rank) for
-// rank = opts.Resume, Resume+1, ... and pushes each value into a bounded
-// queue, stopping when next reports done, errors, or the run is cancelled.
+// rank = opts.Resume, Resume+1, ... and hands the values downstream in
+// blocks of consecutive ranks, stopping when next reports done, errors, or
+// the run is cancelled. A block is handed on when it holds max(1, queue/2)
+// values (the first blocks fewer: 1, 2, 4, ...), or at once when the hop
+// downstream is empty; queue <= 0 means 64.
 // The source is serial by design — rank order is the pipeline's spine; put
 // parallel work in a Through stage.
 func From[T any](ctx context.Context, opts Options, name string, queue int, next func(rank int) (T, bool, error)) *Flow[T] {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
-	r := &run{parent: parent, ctx: ctx, cancel: cancel, opts: opts}
-	out := make(chan item[T], queueDepth(queue, 1))
+	r := &run{parent: parent, ctx: ctx, done: ctx.Done(), cancel: cancel, opts: opts, block: max(1, queueDepth(queue)/2)}
+	out := make(chan block[T], 1)
+	f := &Flow[T]{run: r, name: name, out: out, bufs: buffersOf[T]()}
 	items := opts.Metrics.Counter(r.metricName(name, "items"))
 	depth := opts.Metrics.Gauge(r.metricName(name, "queue"))
 
@@ -162,13 +269,16 @@ func From[T any](ctx context.Context, opts Options, name string, queue int, next
 	go func() {
 		defer r.wg.Done()
 		defer close(out)
-		defer func() {
-			if v := recover(); v != nil {
-				r.panicked(v)
-			}
-		}()
-		for rank := opts.Resume; ctx.Err() == nil; rank++ {
-			if opts.Limit > 0 && rank >= opts.Limit {
+		defer r.recoverPanic()
+		b := block[T]{rank: opts.Resume, vals: f.bufs.get(r.block)}
+		// The block limit starts at 1 and doubles with each hand-off up to
+		// r.block. A worker runs a whole block without yielding, so
+		// full-size first blocks would keep the next stage's workers
+		// waiting and delay the first record; small ones set every stage
+		// running as soon as one-item hand-offs would.
+		limit := 1
+		for rank := opts.Resume; opts.Limit <= 0 || rank < opts.Limit; rank++ {
+			if r.stopped() {
 				return
 			}
 			v, ok, err := next(rank)
@@ -177,18 +287,26 @@ func From[T any](ctx context.Context, opts Options, name string, queue int, next
 				return
 			}
 			if !ok {
-				return
+				break
 			}
-			select {
-			case out <- item[T]{rank: rank, val: v}:
-				items.Inc()
-				depth.Set(int64(len(out)))
-			case <-ctx.Done():
-				return
+			b.vals = append(b.vals, v)
+			if len(b.vals) >= limit || len(out) == 0 {
+				n := len(b.vals)
+				if !send(r, out, b, depth) {
+					return
+				}
+				items.Add(int64(n))
+				b = block[T]{rank: rank + 1, vals: f.bufs.get(r.block)}
+				limit = min(2*limit, r.block)
 			}
 		}
+		if n := len(b.vals); n == 0 {
+			f.bufs.put(b.vals)
+		} else if send(r, out, b, depth) {
+			items.Add(int64(n))
+		}
 	}()
-	return &Flow[T]{run: r, name: name, out: out}
+	return f
 }
 
 // Stage is one parallel processing step.
@@ -197,7 +315,9 @@ type Stage[In, Out any] struct {
 	Name string
 	// Workers bounds the stage's goroutines; <= 0 means GOMAXPROCS.
 	Workers int
-	// Queue bounds the stage's output channel; <= 0 means 2×workers.
+	// Queue is the stage's depth in items: its reorder buffer admits a
+	// block only while it would hold at most Workers + Queue items (the
+	// next block to release is always admitted); <= 0 means 64.
 	Queue int
 	// Retry, when non-zero, re-runs Fn on transient errors (faults.Policy
 	// semantics: bounded attempts, capped backoff, seeded jitter) before the
@@ -216,126 +336,129 @@ type Stage[In, Out any] struct {
 	OnWorker func(worker int) func()
 }
 
-// Through appends a stage to the flow. Workers consume the upstream channel
-// freely, but a reorder buffer releases results strictly in rank order, so
-// downstream stages and the sink observe the serial order regardless of
-// scheduling. The buffer admits at most workers+queue out-of-order results
-// (the rank currently blocking release is always admitted), which is what
-// bounds the stage's memory and propagates backpressure upstream.
+// Through appends a stage to the flow. Each worker takes one upstream block
+// at a time and runs Fn over its items in rank order, and a reorder buffer
+// releases the output blocks strictly in rank order, so downstream stages
+// and the sink observe the serial order regardless of scheduling. The
+// buffer admits a block only while the items it holds stay within
+// workers+queue (the block currently blocking release is always admitted),
+// which is what bounds the stage's memory and propagates backpressure
+// upstream.
 func Through[In, Out any](f *Flow[In], st Stage[In, Out]) *Flow[Out] {
 	r := f.run
 	workers := parallel.Workers(st.Workers)
-	queue := queueDepth(st.Queue, workers)
-	out := make(chan item[Out], queue)
-	ro := newReorder[Out](r.ctx, out, workers+queue)
-	ro.next = r.opts.Resume
+	out := make(chan block[Out], 1)
+	g := &Flow[Out]{run: r, name: st.Name, out: out, bufs: buffersOf[Out]()}
+	ro := newReorder[Out](r, workers, workers+queueDepth(st.Queue))
 
-	items := r.opts.Metrics.Counter(r.metricName(st.Name, "items"))
-	depth := r.opts.Metrics.Gauge(r.metricName(st.Name, "queue"))
-	latency := r.opts.Metrics.Histogram(r.metricName(st.Name, "latency"), obs.LatencyBuckets)
-	retries := r.opts.Metrics.Counter(r.metricName(st.Name, "retries"))
+	reg := r.opts.Metrics
+	items := reg.Counter(r.metricName(st.Name, "items"))
+	depth := reg.Gauge(r.metricName(st.Name, "queue"))
+	latency := reg.Histogram(r.metricName(st.Name, "latency"), obs.LatencyBuckets)
+	retries := reg.Counter(r.metricName(st.Name, "retries"))
 
-	var workerWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		workerWG.Add(1)
+	for worker := range workers {
 		r.wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer r.wg.Done()
-			defer workerWG.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					r.panicked(v)
-				}
-			}()
-			var retire func()
+			defer ro.exit()
+			defer r.recoverPanic()
 			if st.OnWorker != nil {
-				retire = st.OnWorker(worker)
-			}
-			if retire != nil {
-				defer retire()
+				if retire := st.OnWorker(worker); retire != nil {
+					defer retire()
+				}
 			}
 			for in := range f.out {
-				if r.ctx.Err() != nil {
-					return
+				res := block[Out]{rank: in.rank, vals: g.bufs.get(r.block)}
+				// An item's latency runs from the end of the one before
+				// it (or the block's start): one clock read per item.
+				var began time.Time
+				if reg != nil {
+					began = reg.Time()
 				}
-				began := r.opts.Metrics.Time()
-				var outV Out
-				attempt := 0
-				err := st.Retry.Do(r.ctx, func(ctx context.Context) error {
-					if attempt++; attempt > 1 {
-						retries.Inc()
+				for i, v := range in.vals {
+					if r.stopped() {
+						return
 					}
-					var fnErr error
-					outV, fnErr = st.Fn(ctx, worker, in.rank, in.val)
-					return fnErr
-				})
-				if err != nil {
-					r.fail(err)
-					return
+					var outV Out
+					attempt := 0
+					err := st.Retry.Do(r.ctx, func(ctx context.Context) error {
+						if attempt++; attempt > 1 {
+							retries.Inc()
+						}
+						var fnErr error
+						outV, fnErr = st.Fn(ctx, worker, in.rank+i, v)
+						return fnErr
+					})
+					if err != nil {
+						r.fail(err)
+						return
+					}
+					if reg != nil {
+						now := reg.Time()
+						latency.ObserveDuration(now.Sub(began))
+						began = now
+					}
+					res.vals = append(res.vals, outV)
 				}
-				latency.ObserveDuration(r.opts.Metrics.Time().Sub(began))
-				items.Inc()
-				if !ro.put(in.rank, outV) {
+				items.Add(int64(len(in.vals)))
+				f.bufs.put(in.vals)
+				if !ro.put(res) {
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 
-	// Releaser: waits for rank-ordered results, pushes them downstream, and
-	// journals the stage's retirement watermark. It is the stage's only
-	// sender on (and closer of) the out channel.
+	// Releaser: takes blocks in rank order, hands them downstream, and
+	// journals the stage's retirement watermark at each block's last rank.
+	// It is the stage's only sender on (and closer of) the out channel.
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer close(out)
-		defer func() {
-			if v := recover(); v != nil {
-				r.panicked(v)
-			}
-		}()
-		// Workers stop putting once the upstream channel closes; tell the
-		// reorder buffer no further ranks are coming so it can drain out.
-		go func() {
-			workerWG.Wait()
-			ro.closeInput()
-		}()
+		defer r.recoverPanic()
 		for {
-			rank, v, ok := ro.take()
+			b, ok := ro.take()
 			if !ok {
 				return
 			}
-			select {
-			case out <- item[Out]{rank: rank, val: v}:
-				depth.Set(int64(len(out)))
-				r.opts.Journal.Retire(st.Name, rank)
-			case <-r.ctx.Done():
+			last := b.rank + len(b.vals) - 1
+			if !send(r, out, b, depth) {
 				return
 			}
+			r.opts.Journal.Retire(st.Name, last)
 		}
 	}()
-	return &Flow[Out]{run: r, name: st.Name, out: out}
+	return g
 }
 
 // Drain terminates the flow on the calling goroutine: sink is invoked once
 // per item in strict rank order. A sink error fails the run. Drain returns
 // after every pipeline goroutine has stopped; a worker panic is re-raised
-// here. The sink's retirement watermark is journaled under "<stage>.sink"
-// where <stage> is the last stage's name.
+// here. The sink's retirement watermark is journaled, for every rank, under
+// "<stage>.sink" where <stage> is the last stage's name.
 func (f *Flow[T]) Drain(sink func(rank int, v T) error) error {
 	r := f.run
-	sinkStage := f.name + ".sink"
+	var sinkStage string
+	if r.opts.Journal != nil {
+		sinkStage = SinkName(f.name)
+	}
 	sinkErr := false
-	for it := range f.out {
-		if r.ctx.Err() != nil {
-			break
+blocks:
+	for b := range f.out {
+		for i, v := range b.vals {
+			if r.stopped() {
+				break blocks
+			}
+			if err := sink(b.rank+i, v); err != nil {
+				r.fail(err)
+				sinkErr = true
+				break blocks
+			}
+			r.opts.Journal.Retire(sinkStage, b.rank+i)
 		}
-		if err := sink(it.rank, it.val); err != nil {
-			r.fail(err)
-			sinkErr = true
-			break
-		}
-		r.opts.Journal.Retire(sinkStage, it.rank)
+		f.bufs.put(b.vals)
 	}
 	r.cancel()
 	if sinkErr {
@@ -363,81 +486,93 @@ func Collect[T any](f *Flow[T]) ([]T, error) {
 	return out, err
 }
 
-// reorder releases stage results in rank order. Workers put completed ranks;
-// a single taker (the stage releaser) removes them in order. Admission is
+// reorder releases a stage's output blocks in rank order. Workers put
+// completed blocks; a single taker (the stage releaser) removes them in
+// order, until every worker has exited and nothing is left. Admission is
 // capped so a stalled rank cannot let the buffer grow without bound: a put
-// for a rank other than the next-to-release blocks once cap pending results
-// are held. The next-to-release rank is always admitted, which keeps the
-// graph deadlock-free (see the package comment on backpressure).
+// of any block but the next to release waits while the items held plus the
+// block's would exceed cap. The next block is always admitted, which keeps
+// the graph deadlock-free: blocks leave every hop in rank order, so the
+// next block is always held by a running worker.
 type reorder[T any] struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	ctx     context.Context
-	pending map[int]T
-	next    int
+	ready   sync.Cond // the taker waits here for the next block
+	space   sync.Cond // putters wait here for room
+	run     *run
+	pending map[int]block[T] // by first rank
+	next    int              // first rank of the next block to release
+	held    int              // items in pending
 	cap     int
-	closed  bool // no further puts will arrive
+	workers int // workers that may still put
 }
 
-func newReorder[T any](ctx context.Context, _ chan<- item[T], capacity int) *reorder[T] {
-	ro := &reorder[T]{ctx: ctx, pending: make(map[int]T), cap: capacity}
-	ro.cond = sync.NewCond(&ro.mu)
-	// Wake all waiters when the run is cancelled so nothing stays parked on
-	// the condition variable forever.
+// newReorder returns the buffer for one stage of r and its workers,
+// releasing from r.opts.Resume. Its waiters are woken when the run is
+// cancelled.
+func newReorder[T any](r *run, workers, capacity int) *reorder[T] {
+	ro := &reorder[T]{run: r, pending: make(map[int]block[T]), next: r.opts.Resume, cap: capacity, workers: workers}
+	ro.ready.L = &ro.mu
+	ro.space.L = &ro.mu
+	r.wg.Add(1)
 	go func() {
-		<-ctx.Done()
+		defer r.wg.Done()
+		<-r.done
 		ro.mu.Lock()
-		ro.cond.Broadcast()
+		ro.ready.Broadcast()
+		ro.space.Broadcast()
 		ro.mu.Unlock()
 	}()
 	return ro
 }
 
-// put hands a completed rank to the buffer, blocking while the buffer is at
-// capacity (unless rank is the next to release). Returns false if the run
-// was cancelled.
-func (ro *reorder[T]) put(rank int, v T) bool {
+// put hands a completed block to the buffer, waiting while it does not fit
+// (unless it is the next to release). Returns false if the run was
+// cancelled.
+func (ro *reorder[T]) put(b block[T]) bool {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
-	for len(ro.pending) >= ro.cap && rank != ro.next {
-		if ro.ctx.Err() != nil {
+	for b.rank != ro.next && ro.held+len(b.vals) > ro.cap {
+		if ro.run.stopped() {
 			return false
 		}
-		ro.cond.Wait()
+		ro.space.Wait()
 	}
-	if ro.ctx.Err() != nil {
+	if ro.run.stopped() {
 		return false
 	}
-	ro.pending[rank] = v
-	ro.cond.Broadcast()
+	ro.pending[b.rank] = b
+	ro.held += len(b.vals)
+	if b.rank == ro.next {
+		ro.ready.Signal()
+	}
 	return true
 }
 
-// take removes and returns the next rank in order, blocking until it is
+// take removes and returns the next block in order, waiting until it is
 // available. ok is false when the stream is exhausted or cancelled.
-func (ro *reorder[T]) take() (rank int, v T, ok bool) {
+func (ro *reorder[T]) take() (block[T], bool) {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	for {
-		if v, present := ro.pending[ro.next]; present {
-			rank = ro.next
+		if b, ok := ro.pending[ro.next]; ok {
 			delete(ro.pending, ro.next)
-			ro.next++
-			ro.cond.Broadcast()
-			return rank, v, true
+			ro.next += len(b.vals)
+			ro.held -= len(b.vals)
+			ro.space.Broadcast()
+			return b, true
 		}
-		if ro.closed || ro.ctx.Err() != nil {
-			var zero T
-			return 0, zero, false
+		if ro.workers == 0 || ro.run.stopped() {
+			return block[T]{}, false
 		}
-		ro.cond.Wait()
+		ro.ready.Wait()
 	}
 }
 
-// closeInput marks that no further puts will arrive.
-func (ro *reorder[T]) closeInput() {
+// exit records that a worker will put no more blocks.
+func (ro *reorder[T]) exit() {
 	ro.mu.Lock()
-	ro.closed = true
-	ro.cond.Broadcast()
-	ro.mu.Unlock()
+	defer ro.mu.Unlock()
+	if ro.workers--; ro.workers == 0 {
+		ro.ready.Signal()
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,67 +17,107 @@ import (
 
 // source over [0, n): emits rank as the value.
 func intSource(ctx context.Context, opts Options, n int) *Flow[int] {
-	return From(ctx, opts, "src", 4, func(rank int) (int, bool, error) {
+	return depthSource(ctx, opts, n, 4)
+}
+
+// depthSource is intSource at source depth queue: depth 4 hands off blocks
+// of at most 2 ranks, the default depth (queue <= 0) blocks of up to 32.
+func depthSource(ctx context.Context, opts Options, n, queue int) *Flow[int] {
+	return From(ctx, opts, "src", queue, func(rank int) (int, bool, error) {
 		return rank, rank < n, nil
 	})
 }
 
+// identity is a stage function that passes its input through.
+func identity(_ context.Context, _, _ int, v int) (int, error) { return v, nil }
+
 // TestOrderPreserved: randomized per-item delays must not reorder the sink's
-// view — the reorder buffer releases strictly by rank.
+// view — the reorder buffer releases strictly by rank — for short blocks,
+// default-depth blocks, and a two-stage chain.
 func TestOrderPreserved(t *testing.T) {
 	const n = 500
-	f := intSource(context.Background(), Options{}, n)
 	rng := rand.New(rand.NewSource(1))
 	delays := make([]time.Duration, n)
 	for i := range delays {
 		delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
 	}
-	g := Through(f, Stage[int, int]{
-		Name: "jitter", Workers: 8,
-		Fn: func(_ context.Context, _, rank int, v int) (int, error) {
-			time.Sleep(delays[rank])
-			return v * 3, nil
-		},
-	})
-	got, err := Collect(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("collected %d items, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i*3 {
-			t.Fatalf("rank %d: got %d, want %d", i, v, i*3)
-		}
+	for _, c := range []struct {
+		name          string
+		depth, stages int
+	}{{"depth4", 4, 1}, {"default", 0, 1}, {"default-2stage", 0, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			f := depthSource(context.Background(), Options{}, n, c.depth)
+			for s := 0; s < c.stages; s++ {
+				f = Through(f, Stage[int, int]{
+					Name: fmt.Sprint("jitter", s), Workers: 8,
+					Fn: func(_ context.Context, _, rank int, v int) (int, error) {
+						time.Sleep(delays[rank])
+						return v * 3, nil
+					},
+				})
+			}
+			got, err := Collect(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("collected %d items, want %d", len(got), n)
+			}
+			scale := 1
+			for s := 0; s < c.stages; s++ {
+				scale *= 3
+			}
+			for i, v := range got {
+				if v != i*scale {
+					t.Fatalf("rank %d: got %d, want %d", i, v, i*scale)
+				}
+			}
+		})
 	}
 }
 
 // TestWorkerAndQueueInvariance: the collected output is bit-identical for
-// any (workers, queue) combination.
+// any (workers, queue) combination, for short and default-depth source
+// blocks, through one stage and through two.
 func TestWorkerAndQueueInvariance(t *testing.T) {
 	const n = 300
-	runWith := func(workers, queue int) []int {
-		f := intSource(context.Background(), Options{}, n)
-		g := Through(f, Stage[int, int]{
+	runWith := func(depth, stages, workers, queue int) []int {
+		f := depthSource(context.Background(), Options{}, n, depth)
+		f = Through(f, Stage[int, int]{
 			Name: "sq", Workers: workers, Queue: queue,
 			Fn: func(_ context.Context, _, rank int, v int) (int, error) {
 				return v*v + rank, nil
 			},
 		})
-		out, err := Collect(g)
+		if stages == 2 {
+			f = Through(f, Stage[int, int]{
+				Name: "mix", Workers: workers, Queue: queue,
+				Fn: func(_ context.Context, _, rank int, v int) (int, error) {
+					return v ^ (rank << 20), nil
+				},
+			})
+		}
+		out, err := Collect(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	want := runWith(1, 1)
-	for _, cfg := range [][2]int{{2, 1}, {4, 8}, {16, 2}, {64, 64}} {
-		got := runWith(cfg[0], cfg[1])
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d queue=%d: rank %d = %d, want %d",
-					cfg[0], cfg[1], i, got[i], want[i])
+	for _, stages := range []int{1, 2} {
+		want := runWith(4, stages, 1, 1)
+		for _, depth := range []int{4, 0} {
+			for _, cfg := range [][2]int{{1, 1}, {2, 1}, {4, 8}, {16, 2}, {64, 64}} {
+				got := runWith(depth, stages, cfg[0], cfg[1])
+				if len(got) != len(want) {
+					t.Fatalf("stages=%d depth=%d workers=%d queue=%d: %d items, want %d",
+						stages, depth, cfg[0], cfg[1], len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("stages=%d depth=%d workers=%d queue=%d: rank %d = %d, want %d",
+							stages, depth, cfg[0], cfg[1], i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -378,5 +419,132 @@ func TestStageLatencyFakeClock(t *testing.T) {
 	}
 	if want := int64(n) * int64(step); h.Sum() != want {
 		t.Fatalf("latency sum = %d ns, want exactly %d ns", h.Sum(), want)
+	}
+}
+
+// TestSlowSourceNotBatched: a source that cannot produce rank 1 until the
+// sink has seen rank 0 must still finish — the source hands a block on at
+// once when the hop downstream is empty, so no consumer waits on a partial
+// block.
+func TestSlowSourceNotBatched(t *testing.T) {
+	sunk := make(chan struct{})
+	f := From(context.Background(), Options{}, "slow", 0, func(rank int) (int, bool, error) {
+		if rank == 1 {
+			select {
+			case <-sunk:
+			case <-time.After(5 * time.Second):
+				return 0, false, errors.New("rank 0 never reached the sink while the source waited")
+			}
+		}
+		return rank, rank < 4, nil
+	})
+	g := Through(f, Stage[int, int]{Name: "id", Workers: 2, Fn: identity})
+	err := g.Drain(func(rank int, _ int) error {
+		if rank == 0 {
+			close(sunk)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoGoroutineLeak: every exit path of a run — a full drain, Collect, a
+// stage error, a sink error, a recovered worker panic, a parent cancel
+// mid-run and a Resume/Limit sub-range — leaves no pipeline goroutine
+// behind.
+func TestNoGoroutineLeak(t *testing.T) {
+	boom := errors.New("boom")
+	// chain runs a default-depth source through two stages; fn is the first
+	// stage's function.
+	chain := func(ctx context.Context, opts Options, n int, fn func(context.Context, int, int, int) (int, error)) *Flow[int] {
+		f := Through(depthSource(ctx, opts, n, 0), Stage[int, int]{Name: "a", Workers: 4, Fn: fn})
+		return Through(f, Stage[int, int]{Name: "b", Workers: 3, Fn: identity})
+	}
+	failAt := func(at int, fail func() error) func(context.Context, int, int, int) (int, error) {
+		return func(_ context.Context, _, rank, v int) (int, error) {
+			if rank == at {
+				return 0, fail()
+			}
+			return v, nil
+		}
+	}
+	none := func(int, int) error { return nil }
+	paths := []struct {
+		name string
+		run  func() error
+	}{
+		{"drain", func() error {
+			return chain(context.Background(), Options{}, 1000, identity).Drain(none)
+		}},
+		{"collect", func() error {
+			_, err := Collect(chain(context.Background(), Options{}, 1000, identity))
+			return err
+		}},
+		{"stage error", func() error {
+			err := chain(context.Background(), Options{}, 10000, failAt(37, func() error { return boom })).Drain(none)
+			if !errors.Is(err, boom) {
+				return fmt.Errorf("err = %v, want %v", err, boom)
+			}
+			return nil
+		}},
+		{"sink error", func() error {
+			err := chain(context.Background(), Options{}, 10000, identity).Drain(func(rank, _ int) error {
+				if rank == 10 {
+					return boom
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				return fmt.Errorf("err = %v, want %v", err, boom)
+			}
+			return nil
+		}},
+		{"worker panic", func() (err error) {
+			defer func() {
+				if recover() == nil {
+					err = errors.New("panic swallowed")
+				}
+			}()
+			_, _ = Collect(chain(context.Background(), Options{}, 10000, failAt(123, func() error { panic("kaboom") })))
+			return nil
+		}},
+		{"parent cancel", func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			err := chain(ctx, Options{}, 1<<30, identity).Drain(func(rank, _ int) error {
+				if rank == 100 {
+					cancel()
+				}
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("err = %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+		{"resume limit", func() error {
+			got, err := Collect(chain(context.Background(), Options{Resume: 100, Limit: 300}, 1000, identity))
+			if err == nil && (len(got) != 200 || got[0] != 100) {
+				err = fmt.Errorf("collected %d items from %v, want ranks [100, 300)", len(got), got[:min(1, len(got))])
+			}
+			return err
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			if err := p.run(); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after the run, baseline %d:\n%s",
+						runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
 	}
 }

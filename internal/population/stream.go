@@ -144,7 +144,9 @@ func (g *Generator) Domain(rank int) *Domain {
 
 // Flow emits the population's domains as a pipeline flow in rank order.
 // Pipeline ranks are 0-based; the domain at pipeline rank r carries
-// Domain.Rank r+1. Queue <= 0 uses the engine default (2×workers).
+// Domain.Rank r+1. queue is the pipeline depth in items (<= 0 uses the
+// engine default, 64): the rank source hands the generate stage blocks of
+// up to queue/2 ranks.
 func (s *Source) Flow(ctx context.Context, opts pipeline.Options, queue int) *pipeline.Flow[*Domain] {
 	workers := parallel.Workers(s.cfg.Workers)
 	gens := make([]*Generator, workers)

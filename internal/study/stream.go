@@ -61,7 +61,11 @@ type Stream struct {
 	// journal. The sink is dense — every rank emits exactly one line — so
 	// rank == leaf index. Nil is inert.
 	Ledger *ledger.Batcher
-	// Queue bounds each stage hop; <= 0 means 2× the stage's workers.
+	// Queue is the pipeline depth in items of the deploy source and of
+	// each stage; <= 0 means 2× the stage's workers (2 for the serial
+	// deploy source, which then hands off one site at a time). Every site
+	// in flight holds a live listener, so the study keeps this shallow
+	// rather than take the engine default.
 	Queue int
 	// KeepSites retains every graded *Site in Report.Sites — the batch
 	// behavior. Streaming callers leave it false: the Report then carries
@@ -338,8 +342,16 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		return s, true, nil
 	}
 
+	// depth is a hop's queue for a step with the given workers (see
+	// Stream.Queue).
+	depth := func(workers int) int {
+		if st.Queue > 0 {
+			return st.Queue
+		}
+		return 2 * parallel.Workers(workers)
+	}
 	opts := pipeline.Options{Name: "study", Metrics: reg, Journal: st.Journal, Resume: st.Resume, Limit: st.Limit}
-	src := pipeline.From(ctx, opts, "deploy", st.Queue, func(rank int) (deployed, bool, error) {
+	src := pipeline.From(ctx, opts, "deploy", depth(1), func(rank int) (deployed, bool, error) {
 		if rank >= cfg.Sites {
 			return deployed{}, false, nil
 		}
@@ -454,7 +466,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	scanned := pipeline.Through(src, pipeline.Stage[deployed, scannedSite]{
 		Name:    "scan",
 		Workers: cfg.Concurrency,
-		Queue:   st.Queue,
+		Queue:   depth(cfg.Concurrency),
 		Fn: func(ctx context.Context, _, _ int, d deployed) (scannedSite, error) {
 			out := scannedSite{deployed: d}
 			switch {
@@ -495,7 +507,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	graded := pipeline.Through(scanned, pipeline.Stage[scannedSite, gradedSite]{
 		Name:    "grade",
 		Workers: len(graders),
-		Queue:   st.Queue,
+		Queue:   depth(len(graders)),
 		OnWorker: func(worker int) func() {
 			graders[worker] = trust.Grader()
 			return graders[worker].Close
