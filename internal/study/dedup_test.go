@@ -95,6 +95,7 @@ func TestStudyDedupWorkerInvariant(t *testing.T) {
 		{1, 1, 1},
 		{4, 8, 2},
 		{8, 4, 16},
+		{2, 2, 0}, // the default depth
 	} {
 		cfg := base
 		cfg.Workers, cfg.Concurrency = tc.workers, tc.concurrency

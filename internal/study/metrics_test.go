@@ -105,9 +105,10 @@ func TestStudyMetricsReconcile(t *testing.T) {
 // TestStudyStaleLeafServedDirectly asserts the stale-leaf fix end to end: a
 // run whose population includes stale-leaf sites serves the expired leaf
 // itself (every client rejects it; graders see a structurally fine chain)
-// and still mints exactly one certificate per site.
+// and still mints exactly one certificate per site. Seed 8 draws four
+// stale-leaf sites among its 24.
 func TestStudyStaleLeafServedDirectly(t *testing.T) {
-	rep, err := Run(Config{Sites: 24, Seed: 4, Vantages: 1, Concurrency: 8})
+	rep, err := Run(Config{Sites: 24, Seed: 8, Vantages: 1, Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +131,6 @@ func TestStudyStaleLeafServedDirectly(t *testing.T) {
 		}
 	}
 	if stale == 0 {
-		t.Skip("seed produced no stale-leaf site; adjust seed")
+		t.Fatal("seed produced no stale-leaf site")
 	}
 }

@@ -1,0 +1,175 @@
+package study
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"chainchaos/internal/compliance"
+	"chainchaos/internal/population"
+	"chainchaos/internal/tlsserve"
+)
+
+// marshalSiteRecord is the reflective encoder appendSiteRecord replaced,
+// kept as its reference: json.Marshal over the site's SiteRecord.
+func marshalSiteRecord(rank int, g scannedSite) ([]byte, error) {
+	rec := SiteRecord{
+		Rank:       rank,
+		Domain:     g.site.Domain,
+		Injected:   g.site.Injected.String(),
+		Server:     g.site.Server,
+		Scanned:    !g.lost,
+		ScanErrors: g.errs.Total(),
+		Rescanned:  g.rescanned,
+		Scenario:   g.site.Scenario,
+	}
+	if !g.lost {
+		rec.Compliant = g.site.Report.Compliant()
+		rec.Leaf = fmt.Sprint(g.site.Report.Leaf)
+		rec.OrderOK = g.site.Report.Order.SequentialOK
+		rec.Completeness = fmt.Sprint(g.site.Report.Completeness.Class)
+		rec.Verdicts = g.site.Verdicts
+	}
+	return json.Marshal(rec)
+}
+
+// recordArgs are FuzzSiteRecord's inputs. Verdict keys are verdictKeys
+// split at NUL; bit i of verdictBits is key i's verdict, and hasVerdicts
+// false leaves the map nil.
+type recordArgs struct {
+	rank                     int
+	domain, server, scenario string
+	injected, leaf, class    uint8
+	lost, orderOK, orderBad  bool
+	scanErrors               int
+	rescanned                bool
+	hasVerdicts              bool
+	verdictKeys              string
+	verdictBits              uint64
+}
+
+func (a recordArgs) site() scannedSite {
+	g := scannedSite{site: &Site{
+		Domain: a.domain, Server: a.server, Scenario: a.scenario,
+		Injected: defect(a.injected % 8), // every defect, and one past the last
+	}}
+	g.lost, g.rescanned, g.errs.Dial = a.lost, a.rescanned, a.scanErrors
+	r := &g.site.Report
+	r.Leaf = compliance.LeafPlacement(a.leaf % 6)
+	r.Order.SequentialOK, r.Order.HasDuplicates = a.orderOK, a.orderBad
+	r.Completeness.Class = compliance.Completeness(a.class % 4)
+	if a.hasVerdicts {
+		g.site.Verdicts = map[string]bool{}
+		if a.verdictKeys != "" {
+			for i, k := range strings.Split(a.verdictKeys, "\x00") {
+				g.site.Verdicts[k] = a.verdictBits>>(i%64)&1 == 1
+			}
+		}
+	}
+	return g
+}
+
+func (a recordArgs) add(f *testing.F) {
+	f.Add(a.rank, a.domain, a.server, a.scenario, a.injected, a.leaf, a.class,
+		a.lost, a.orderOK, a.orderBad, a.scanErrors, a.rescanned,
+		a.hasVerdicts, a.verdictKeys, a.verdictBits)
+}
+
+// recordSeeds decodes a stream of JSONL site records into fuzz seeds.
+func recordSeeds(t testing.TB, jsonl []byte) []recordArgs {
+	leaves := map[string]uint8{}
+	for p := compliance.LeafPlacement(0); p < 6; p++ {
+		leaves[p.String()] = uint8(p)
+	}
+	classes := map[string]uint8{}
+	for c := compliance.Completeness(0); c < 4; c++ {
+		classes[c.String()] = uint8(c)
+	}
+	injected := map[string]uint8{}
+	for d := defect(0); d < 8; d++ {
+		injected[d.String()] = uint8(d)
+	}
+	var seeds []recordArgs
+	for _, line := range bytes.Split(bytes.TrimSpace(jsonl), []byte("\n")) {
+		var rec SiteRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		a := recordArgs{
+			rank: rec.Rank, domain: rec.Domain, server: rec.Server, scenario: rec.Scenario,
+			injected: injected[rec.Injected], leaf: leaves[rec.Leaf], class: classes[rec.Completeness],
+			lost: !rec.Scanned, orderOK: rec.OrderOK, orderBad: rec.Scanned && !rec.Compliant,
+			scanErrors: rec.ScanErrors, rescanned: rec.Rescanned, hasVerdicts: rec.Verdicts != nil,
+		}
+		keys := make([]string, 0, len(rec.Verdicts))
+		for k := range rec.Verdicts {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			if rec.Verdicts[k] {
+				a.verdictBits |= 1 << i
+			}
+		}
+		a.verdictKeys = strings.Join(keys, "\x00")
+		seeds = append(seeds, a)
+	}
+	return seeds
+}
+
+// FuzzSiteRecord: appendSiteRecord writes exactly the bytes json.Marshal
+// writes for the same SiteRecord, for any field values — strings that need
+// HTML-safe escaping, U+2028, invalid UTF-8, arbitrary verdict keys — and
+// appends to whatever the buffer already holds. The corpus is seeded with
+// the records of a 12-site chaos study (cmd/study -chaos faults) and of a
+// study replaying the scenario test file.
+func FuzzSiteRecord(f *testing.F) {
+	chaos := Config{
+		Sites: 12, Seed: 1, Vantages: 1, Concurrency: 4,
+		Faults: tlsserve.FaultConfig{FailFirst: 1, SlowWrite: time.Millisecond},
+	}
+	scenarios, err := population.LoadScenarios("../population/testdata/scenarios.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	replay := Config{Sites: 40, Seed: 3, Vantages: 1, Concurrency: 4, Scenarios: scenarios, ScenarioRate: 0.5}
+	for _, cfg := range []Config{chaos, replay} {
+		var buf bytes.Buffer
+		if _, err := RunStream(context.Background(), cfg, Stream{Out: &buf}); err != nil {
+			f.Fatal(err)
+		}
+		for _, a := range recordSeeds(f, buf.Bytes()) {
+			a.add(f)
+		}
+	}
+	recordArgs{
+		rank: -7, domain: `<a href="x">&amp;\`, server: "nginx\u2028\u2029", scenario: "bad\xff\xfeutf8\x00\x1f\x7f",
+		injected: 7, leaf: 5, class: 3, orderOK: true, scanErrors: 3, rescanned: true,
+		hasVerdicts: true, verdictKeys: "Chrome\x00<script>\x00\xc3\x28\x00", verdictBits: 0b0101,
+	}.add(f)
+	recordArgs{lost: true, scanErrors: 2, hasVerdicts: true}.add(f)
+
+	f.Fuzz(func(t *testing.T, rank int, domain, server, scenario string, injected, leaf, class uint8,
+		lost, orderOK, orderBad bool, scanErrors int, rescanned, hasVerdicts bool, verdictKeys string, verdictBits uint64) {
+		g := recordArgs{
+			rank: rank, domain: domain, server: server, scenario: scenario,
+			injected: injected, leaf: leaf, class: class,
+			lost: lost, orderOK: orderOK, orderBad: orderBad, scanErrors: scanErrors, rescanned: rescanned,
+			hasVerdicts: hasVerdicts, verdictKeys: verdictKeys, verdictBits: verdictBits,
+		}.site()
+		want, err := marshalSiteRecord(rank, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("prefix\n")
+		got := appendSiteRecord(append([]byte(nil), prefix...), rank, g)
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("appendSiteRecord:\n got %q\nwant %q", got[len(prefix):], want)
+		}
+	})
+}

@@ -18,8 +18,6 @@ import (
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/httpserver"
-	"chainchaos/internal/tlsscan"
-	"chainchaos/internal/tlsserve"
 )
 
 // Stream salts keep each decision on its own independent stream.
@@ -99,8 +97,8 @@ func slotSiteName(rank, slot int) string {
 }
 
 // studySlot is one pooled deployment: the wildcard leaf, the wire chain as
-// the slot's server model emitted it, and — under Dedup — the one shared
-// listener plus the once-only physical scan every slot site reuses.
+// the slot's server model emitted it, and — under Dedup — the once-only
+// physical scan every slot site reuses.
 type studySlot struct {
 	zone  string
 	leaf  *certgen.Leaf
@@ -108,12 +106,12 @@ type studySlot struct {
 	model httpserver.Model
 	wire  []*certmodel.Certificate
 
-	// Dedup-mode listener state. The first slot site to reach the scan
-	// stage performs the physical scan under once and closes the listener;
-	// its fault ledger and scan tallies are folded into the run totals
-	// after the drain, never into per-site records.
-	srv    *tlsserve.Server
-	target tlsscan.Target
-	once   sync.Once
+	// Dedup-mode scan state. The first slot site to reach the scan stage
+	// serves and scans the slot under once; the capture's scan tallies and
+	// listener fault ledger are folded into the run totals after the drain,
+	// never into per-site records. err is the listener's start error, which
+	// fails every site of the slot.
+	once sync.Once
 	capture
+	err error
 }

@@ -1,9 +1,12 @@
 // The study's staged dataflow: deploy → scan (+rescan) → grade, one site per
-// rank, on the pipeline engine. Every stage hop is a bounded channel, so the
-// number of live listeners — each one a real socket plus goroutines — is
-// O(workers + queue) for any site count, instead of every listener for the
-// whole run as the batch path once held. Run is the batch adapter (it keeps
-// Report.Sites); RunStream adds the JSONL record sink and checkpoint/resume.
+// rank, on the pipeline engine. Every stage hop is a bounded channel, so a
+// run holds O(workers + queue) sites in memory for any site count. A site's
+// listener — a real socket plus goroutines — lives only inside its scan: the
+// scan worker starts it, captures the chain and closes it, so at most
+// Concurrency listeners are open at once at any pipeline depth, and the
+// scan and grade stages take the engine's default depth. Run is the batch
+// adapter (it keeps Report.Sites); RunStream adds the JSONL record sink and
+// checkpoint/resume.
 package study
 
 import (
@@ -11,7 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
+	"strconv"
 	"time"
 
 	"chainchaos/internal/aia"
@@ -54,7 +58,8 @@ type Stream struct {
 	Limit int
 	// Record, when non-nil, receives each site's JSONL record (without
 	// trailing newline) in rank order — the distributed worker's tap. It
-	// runs in addition to Out, before it.
+	// runs in addition to Out, before it. line is valid only during the
+	// call: the sink reuses its buffer for the next record.
 	Record func(rank int, line []byte) error
 	// Ledger, when non-nil, receives each emitted record line as a Merkle
 	// leaf after it is written, so batch roots anchor into the checkpoint
@@ -62,10 +67,12 @@ type Stream struct {
 	// rank == leaf index. Nil is inert.
 	Ledger *ledger.Batcher
 	// Queue is the pipeline depth in items of the deploy source and of
-	// each stage; <= 0 means 2× the stage's workers (2 for the serial
-	// deploy source, which then hands off one site at a time). Every site
-	// in flight holds a live listener, so the study keeps this shallow
-	// rather than take the engine default.
+	// each stage. <= 0 means the engine default (64) for the scan and
+	// grade stages and 2 for the serial deploy source, which then hands
+	// off one site per block: a block runs on one worker, so multi-site
+	// blocks of freshly minted sites (a keygen and a handshake each) would
+	// keep one scan worker busy while the others wait. Listeners live only
+	// inside their scan, so the depth does not change how many are open.
 	Queue int
 	// KeepSites retains every graded *Site in Report.Sites — the batch
 	// behavior. Streaming callers leave it false: the Report then carries
@@ -73,7 +80,9 @@ type Stream struct {
 	KeepSites bool
 }
 
-// SiteRecord is the JSONL line RunStream emits per site.
+// SiteRecord is the JSONL line RunStream emits per site. appendSiteRecord
+// writes it field by field, byte for byte as json.Marshal would (the
+// FuzzSiteRecord check), so a field added here must be added there too.
 type SiteRecord struct {
 	Rank         int             `json:"rank"`
 	Domain       string          `json:"domain"`
@@ -90,13 +99,15 @@ type SiteRecord struct {
 	Scenario     string          `json:"scenario,omitempty"`
 }
 
-// deployed is one live site between the deploy source and the scan stage.
+// deployed is one minted site between the deploy source and the scan stage.
 type deployed struct {
-	site   *Site
-	srv    *tlsserve.Server
-	target tlsscan.Target
+	site *Site
+	// leaf and wire are the deployment the scan stage serves: the leaf's
+	// key and the certificate list as the server model emitted it.
+	leaf *certgen.Leaf
+	wire []*certmodel.Certificate
 	// slot is non-nil for a Dedup-mode shared site: the scan stage then
-	// reuses the slot's once-only physical scan instead of srv/target.
+	// reuses the slot's once-only physical scan instead of serving leaf/wire.
 	slot *studySlot
 	// replay is non-nil for a scenario-replay site: the synthetic chain
 	// cannot complete a real handshake, so it bypasses the listener and scan
@@ -107,59 +118,29 @@ type deployed struct {
 	minted bool
 }
 
+// listenerFaults is a listener's fault ledger, read when its scan is done.
+type listenerFaults struct {
+	injected, acceptRetries, deadlineExpiries int
+}
+
 // capture is what one target's scan yields: the first list any vantage
 // captured, every failed attempt by cause, whether a re-scan pass recovered
-// it, and whether every attempt missed.
+// it, whether every attempt missed, and the closed listener's fault ledger.
 type capture struct {
 	list      []*certmodel.Certificate
 	errs      ErrorBreakdown
 	rescanned bool
 	lost      bool
+	faults    listenerFaults
 }
 
-// scannedSite adds the site's capture.
+// scannedSite is a site with its capture, as the scan stage hands it on.
+// The grade stage fills in site.Report and site.Verdicts and passes it to
+// the sink unchanged.
 type scannedSite struct {
-	deployed
 	capture
-}
-
-// gradedSite is the retired form: the listener is closed, its fault ledger
-// folded in.
-type gradedSite struct {
-	capture
-	site             *Site
-	minted           bool
-	faultsInjected   int
-	acceptRetries    int
-	deadlineExpiries int
-}
-
-// liveServers tracks listeners between deploy and grade so an aborted run
-// closes every socket it opened.
-type liveServers struct {
-	mu sync.Mutex
-	m  map[*tlsserve.Server]struct{}
-}
-
-func (l *liveServers) add(s *tlsserve.Server) {
-	l.mu.Lock()
-	l.m[s] = struct{}{}
-	l.mu.Unlock()
-}
-
-func (l *liveServers) remove(s *tlsserve.Server) {
-	l.mu.Lock()
-	delete(l.m, s)
-	l.mu.Unlock()
-}
-
-func (l *liveServers) closeAll() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for s := range l.m {
-		s.Close()
-	}
-	l.m = map[*tlsserve.Server]struct{}{}
+	site   *Site
+	minted bool
 }
 
 // Run executes the study. It is the batch adapter over the streaming
@@ -171,9 +152,10 @@ func Run(cfg Config) (*Report, error) {
 // RunStream executes the study as a deploy→scan→grade pipeline. Sites flow
 // through bounded stage queues: the serial deploy source assigns defects
 // from per-rank salted splitmix64 streams (bit-identical to the batch path
-// for any worker count), cfg.Concurrency scan workers handshake each site from every
-// vantage and re-scan the missed ones, and cfg.Workers grade workers run the
-// analyzer plus all eight client models before the listener is torn down.
+// for any worker count) and mints its leaf and wire chain, cfg.Concurrency
+// scan workers each start a site's listener, handshake it from every vantage,
+// re-scan it if missed and close it, and cfg.Workers grade workers run the
+// analyzer plus all eight client models over the captured chain.
 // The sink aggregates the Report and, when st.Out is set, writes one JSONL
 // SiteRecord per site in rank order.
 func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
@@ -250,9 +232,6 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		defectReversed, defectDuplicateLeaf, defectIncomplete, defectIrrelevant, defectStaleLeaf,
 	}
 
-	live := &liveServers{m: map[*tlsserve.Server]struct{}{}}
-	defer live.closeAll()
-
 	// mintDeployment mints one leaf (exactly one — a stale-leaf deployment
 	// mints its expired leaf directly, the admin who never renewed, instead
 	// of a fresh leaf plus a discarded second) and runs the server model
@@ -309,8 +288,8 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 
 	// mintSlot materializes (once, in the serial source) a reuse slot: its
 	// defect and server model come from slot-salted streams, its leaf is the
-	// zone wildcard every slot site matches. Under Dedup the slot also gets
-	// the one shared listener its first scanned site will probe and close.
+	// zone wildcard every slot site matches. Under Dedup the slot's first
+	// scanned site serves and scans it once for all of them.
 	slots := map[int]*studySlot{}
 	mintSlot := func(idx int) (*studySlot, bool, error) {
 		if s, ok := slots[idx]; ok {
@@ -326,32 +305,18 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 			return nil, false, err
 		}
 		s.leaf, s.wire, s.inj = leaf, wire, inj
-		if cfg.Dedup {
-			srv, err := tlsserve.Start(tlsserve.Config{
-				List: wire, Key: leaf.Key, Domain: "*." + s.zone,
-				Faults: cfg.Faults, Clock: cfg.Clock, Metrics: cfg.Metrics,
-			})
-			if err != nil {
-				return nil, false, err
-			}
-			live.add(srv)
-			s.srv = srv
-			s.target = tlsscan.Target{Addr: srv.Addr(), Domain: "probe." + s.zone}
-		}
 		slots[idx] = s
 		return s, true, nil
 	}
 
-	// depth is a hop's queue for a step with the given workers (see
-	// Stream.Queue).
-	depth := func(workers int) int {
-		if st.Queue > 0 {
-			return st.Queue
-		}
-		return 2 * parallel.Workers(workers)
+	// The deploy source hands off one site per block unless the caller
+	// sets a depth (see Stream.Queue); the stages take st.Queue as it is.
+	srcQueue := st.Queue
+	if srcQueue <= 0 {
+		srcQueue = 2
 	}
 	opts := pipeline.Options{Name: "study", Metrics: reg, Journal: st.Journal, Resume: st.Resume, Limit: st.Limit}
-	src := pipeline.From(ctx, opts, "deploy", depth(1), func(rank int) (deployed, bool, error) {
+	src := pipeline.From(ctx, opts, "deploy", srcQueue, func(rank int) (deployed, bool, error) {
 		if rank >= cfg.Sites {
 			return deployed{}, false, nil
 		}
@@ -381,22 +346,12 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 			}
 			site := &Site{Domain: slotSiteName(rank, idx), Injected: s.inj, Server: s.model.Name}
 			if cfg.Dedup {
-				site.Addr = s.target.Addr
 				return deployed{site: site, slot: s, minted: minted}, true, nil
 			}
 			// Dedup off: the shared chain still gets its own listener and
 			// full physical scan — the baseline the cache is measured
 			// against.
-			srv, err := tlsserve.Start(tlsserve.Config{
-				List: s.wire, Key: s.leaf.Key, Domain: site.Domain,
-				Faults: cfg.Faults, Clock: cfg.Clock, Metrics: cfg.Metrics,
-			})
-			if err != nil {
-				return deployed{}, false, err
-			}
-			live.add(srv)
-			site.Addr = srv.Addr()
-			return deployed{site: site, srv: srv, target: tlsscan.Target{Addr: srv.Addr(), Domain: site.Domain}, minted: minted}, true, nil
+			return deployed{site: site, leaf: s.leaf, wire: s.wire, minted: minted}, true, nil
 		}
 
 		domain := fmt.Sprintf("site-%03d.study.example", rank)
@@ -404,16 +359,8 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		if err != nil {
 			return deployed{}, false, err
 		}
-		srv, err := tlsserve.Start(tlsserve.Config{
-			List: wire, Key: leaf.Key, Domain: domain,
-			Faults: cfg.Faults, Clock: cfg.Clock, Metrics: cfg.Metrics,
-		})
-		if err != nil {
-			return deployed{}, false, err
-		}
-		live.add(srv)
-		site := &Site{Domain: domain, Addr: srv.Addr(), Injected: inj, Server: model.Name}
-		return deployed{site: site, srv: srv, target: tlsscan.Target{Addr: srv.Addr(), Domain: domain}, minted: true}, true, nil
+		site := &Site{Domain: domain, Injected: inj, Server: model.Name}
+		return deployed{site: site, leaf: leaf, wire: wire, minted: true}, true, nil
 	})
 
 	// Multi-vantage scan per site. Transient failures are retried inside the
@@ -463,39 +410,52 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		}
 		return c
 	}
+	// serveScan starts a listener for one deployment, scans it as domain
+	// and closes it, so a listener lives only inside its scan and each scan
+	// worker holds at most one. The capture carries the listener's fault
+	// ledger.
+	serveScan := func(ctx context.Context, leaf *certgen.Leaf, wire []*certmodel.Certificate, domain string) (capture, error) {
+		srv, err := tlsserve.Start(tlsserve.Config{
+			List: wire, Key: leaf.Key, Domain: domain,
+			Faults: cfg.Faults, Clock: cfg.Clock, Metrics: cfg.Metrics,
+		})
+		if err != nil {
+			return capture{}, err
+		}
+		defer srv.Close()
+		c := scan(ctx, tlsscan.Target{Addr: srv.Addr(), Domain: domain})
+		c.faults = listenerFaults{srv.FaultsInjected(), srv.AcceptRetries(), srv.DeadlineExpiries()}
+		return c, nil
+	}
 	scanned := pipeline.Through(src, pipeline.Stage[deployed, scannedSite]{
 		Name:    "scan",
 		Workers: cfg.Concurrency,
-		Queue:   depth(cfg.Concurrency),
+		Queue:   st.Queue,
 		Fn: func(ctx context.Context, _, _ int, d deployed) (scannedSite, error) {
-			out := scannedSite{deployed: d}
+			out := scannedSite{site: d.site, minted: d.minted}
+			var err error
 			switch {
 			case d.replay != nil:
 				// Scenario replay: the chain is already "captured" verbatim.
 				out.list = d.replay
 			case d.slot != nil:
 				// Shared chain under Dedup: the slot's first site to arrive
-				// performs the one physical scan, then retires the shared
-				// listener. Its scan tallies and fault ledger are folded
-				// into the run totals after the drain, never into per-site
-				// records.
+				// serves and scans it once. Its scan tallies and fault
+				// ledger are folded into the run totals after the drain,
+				// never into per-site records.
 				s := d.slot
 				s.once.Do(func() {
-					s.capture = scan(ctx, s.target)
-					s.srv.Close()
-					live.remove(s.srv)
+					s.capture, s.err = serveScan(ctx, s.leaf, s.wire, "probe."+s.zone)
 				})
-				out.list, out.lost = s.list, s.lost
+				out.list, out.lost, err = s.list, s.lost, s.err
 			default:
-				out.capture = scan(ctx, d.target)
+				out.capture, err = serveScan(ctx, d.leaf, d.wire, d.site.Domain)
 			}
-			return out, nil
+			return out, err
 		},
 	})
 
-	// Grade and differentially test each captured chain, then retire the
-	// listener: its fault ledger is folded into the site result and the
-	// socket closed, which is what keeps the live-listener count bounded.
+	// Grade and differentially test each captured chain.
 	trust := core.Trust{Roots: roots, Fetcher: repo, Now: certgen.Reference, Hostname: true, Metrics: cfg.Metrics}
 	// Under Dedup the grade stage shares gradings through core.Memo: its
 	// hits alias one read-only OK map per (chain, leaf-match bit).
@@ -504,15 +464,15 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		memo = core.NewMemo[map[string]bool]("study.vcache", trust)
 	}
 	graders := make([]*core.Grader, parallel.Workers(cfg.Workers))
-	graded := pipeline.Through(scanned, pipeline.Stage[scannedSite, gradedSite]{
+	graded := pipeline.Through(scanned, pipeline.Stage[scannedSite, scannedSite]{
 		Name:    "grade",
 		Workers: len(graders),
-		Queue:   depth(len(graders)),
+		Queue:   st.Queue,
 		OnWorker: func(worker int) func() {
 			graders[worker] = trust.Grader()
 			return graders[worker].Close
 		},
-		Fn: func(ctx context.Context, worker, _ int, sc scannedSite) (gradedSite, error) {
+		Fn: func(ctx context.Context, worker, _ int, sc scannedSite) (scannedSite, error) {
 			if !sc.lost {
 				sw := gradeTimer.Start()
 				gr, domain := graders[worker], sc.site.Domain
@@ -526,33 +486,20 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 				})
 				sw.Stop()
 			}
-			g := gradedSite{capture: sc.capture, site: sc.site, minted: sc.minted}
-			if sc.srv != nil {
-				g.faultsInjected = sc.srv.FaultsInjected()
-				g.acceptRetries = sc.srv.AcceptRetries()
-				g.deadlineExpiries = sc.srv.DeadlineExpiries()
-				sc.srv.Close()
-				live.remove(sc.srv)
-			}
-			return g, nil
+			return sc, nil
 		},
 	})
 
 	rep := &Report{Cfg: cfg}
-	err = graded.Drain(func(rank int, g gradedSite) error {
+	var line []byte // the record buffer, reused for every site
+	err = graded.Drain(func(rank int, g scannedSite) error {
 		if g.minted {
 			rep.LeavesGenerated++
 		}
-		rep.addScanErrors(g.errs)
-		if g.rescanned {
-			rep.Rescanned++
-		}
+		rep.addScan(g.capture)
 		if g.lost {
 			rep.Lost++
 		}
-		rep.FaultsInjected += g.faultsInjected
-		rep.AcceptRetries += g.acceptRetries
-		rep.DeadlineExpiries += g.deadlineExpiries
 		rep.Streamed++
 		if !g.lost && g.site.Report.Compliant() {
 			rep.StreamedCompliant++
@@ -560,45 +507,33 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		if st.KeepSites {
 			rep.Sites = append(rep.Sites, g.site)
 		}
-		if st.Out != nil || st.Record != nil {
-			data, err := marshalSiteRecord(rank, g)
-			if err != nil {
-				return err
-			}
-			if st.Record != nil {
-				if err := st.Record(rank, data); err != nil {
-					return err
-				}
-			}
-			if st.Out != nil {
-				if _, err := st.Out.Write(append(data, '\n')); err != nil {
-					return err
-				}
-			}
-			if err := st.Ledger.Append(data); err != nil {
+		if st.Out == nil && st.Record == nil {
+			return nil
+		}
+		line = append(appendSiteRecord(line[:0], rank, g), '\n')
+		rec := line[:len(line)-1]
+		if st.Record != nil {
+			if err := st.Record(rank, rec); err != nil {
 				return err
 			}
 		}
-		return nil
+		if st.Out != nil {
+			if _, err := st.Out.Write(line); err != nil {
+				return err
+			}
+		}
+		return st.Ledger.Append(rec)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Fold the shared-listener ledgers and once-scan tallies into the run
-	// totals: under Dedup each slot was physically scanned once, on behalf
-	// of all its sites, so its errors and faults belong to the run, not to
-	// any one site record. Safe to read here — the drain has joined every
-	// stage, so no once-scan is still in flight.
+	// Fold the slots' once-scan tallies and listener fault ledgers into the
+	// run totals: under Dedup each slot was physically scanned once, on
+	// behalf of all its sites, so its errors and faults belong to the run,
+	// not to any one site record. Safe to read here — the drain has joined
+	// every stage, so no once-scan is still in flight.
 	for _, s := range slots {
-		if s.srv != nil {
-			rep.FaultsInjected += s.srv.FaultsInjected()
-			rep.AcceptRetries += s.srv.AcceptRetries()
-			rep.DeadlineExpiries += s.srv.DeadlineExpiries()
-		}
-		rep.addScanErrors(s.errs)
-		if s.rescanned {
-			rep.Rescanned++
-		}
+		rep.addScan(s.capture)
 	}
 	if reg != nil {
 		rep.Snapshot = reg.Snapshot()
@@ -606,27 +541,72 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	return rep, nil
 }
 
-// marshalSiteRecord builds one site's JSONL line, without the trailing
-// newline. encoding/json emits map keys sorted, and the record excludes
-// every nondeterministic field, so the byte stream depends only on
-// (Seed, Sites, Resume, Limit).
-func marshalSiteRecord(rank int, g gradedSite) ([]byte, error) {
-	rec := SiteRecord{
-		Rank:       rank,
-		Domain:     g.site.Domain,
-		Injected:   g.site.Injected.String(),
-		Server:     g.site.Server,
-		Scanned:    !g.lost,
-		ScanErrors: g.errs.Total(),
-		Rescanned:  g.rescanned,
-		Scenario:   g.site.Scenario,
+// appendSiteRecord appends one site's JSONL line, without the trailing
+// newline, to b: the bytes json.Marshal gives for the site's SiteRecord
+// (field order, omitempty, sorted verdict keys, HTML-safe escaping), written
+// without reflection. The record excludes every nondeterministic field, so
+// the byte stream depends only on (Seed, Sites, Resume, Limit).
+func appendSiteRecord(b []byte, rank int, g scannedSite) []byte {
+	s := g.site
+	b = strconv.AppendInt(append(b, `{"rank":`...), int64(rank), 10)
+	b = appendString(append(b, `,"domain":`...), s.Domain)
+	b = appendString(append(b, `,"injected":`...), s.Injected.String())
+	b = appendString(append(b, `,"server":`...), s.Server)
+	if g.lost {
+		b = append(b, `,"scanned":false,"compliant":false,"order_ok":false`...)
+	} else {
+		b = strconv.AppendBool(append(b, `,"scanned":true,"compliant":`...), s.Report.Compliant())
+		b = appendString(append(b, `,"leaf":`...), s.Report.Leaf.String())
+		b = strconv.AppendBool(append(b, `,"order_ok":`...), s.Report.Order.SequentialOK)
+		b = appendString(append(b, `,"completeness":`...), s.Report.Completeness.Class.String())
+		b = appendVerdicts(b, s.Verdicts)
 	}
-	if !g.lost {
-		rec.Compliant = g.site.Report.Compliant()
-		rec.Leaf = fmt.Sprint(g.site.Report.Leaf)
-		rec.OrderOK = g.site.Report.Order.SequentialOK
-		rec.Completeness = fmt.Sprint(g.site.Report.Completeness.Class)
-		rec.Verdicts = g.site.Verdicts
+	if n := g.errs.Total(); n != 0 {
+		b = strconv.AppendInt(append(b, `,"scan_errors":`...), int64(n), 10)
 	}
-	return json.Marshal(rec)
+	if g.rescanned {
+		b = append(b, `,"rescanned":true`...)
+	}
+	if s.Scenario != "" {
+		b = appendString(append(b, `,"scenario":`...), s.Scenario)
+	}
+	return append(b, '}')
+}
+
+// appendVerdicts appends the verdicts field with its keys sorted, as
+// encoding/json orders a map; an empty map is omitted.
+func appendVerdicts(b []byte, v map[string]bool) []byte {
+	if len(v) == 0 {
+		return b
+	}
+	var stack [16]string // room for every client profile
+	keys := stack[:0]
+	for k := range v {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, `,"verdicts":{`...)
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendBool(append(appendString(b, k), ':'), v[k])
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than `"`,
+// `\`, `<`, `>` and `&` is copied as it is; a string holding any other byte
+// is quoted by encoding/json, so its escaping (HTML-safe, U+2028 and U+2029,
+// invalid UTF-8) holds exactly.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -30,6 +30,7 @@ func TestStudyStreamMatchesBatch(t *testing.T) {
 		{1, 1, 1},
 		{4, 8, 2},
 		{8, 4, 16},
+		{2, 2, 0}, // the default depth
 	} {
 		cfg := base
 		cfg.Workers = tc.workers

@@ -88,9 +88,11 @@ type Config struct {
 	// leaves the run byte-identical.
 	ScenarioRate float64
 	// Metrics, when non-nil, instruments the whole pipeline: scanner and
-	// listener counters, AIA repository hits, per-client construction
-	// metrics, and per-stage timers (study.deploy / study.scan /
-	// study.rescan / study.grade). The final Report carries a Snapshot and
+	// listener counters, the open-listener gauge, AIA repository hits,
+	// per-client construction metrics, and per-stage timers (study.deploy /
+	// study.scan / study.rescan / study.grade). study.deploy times the PKI
+	// and the minting of leaves and wire chains, not listener start, which
+	// happens in the scan stage. The final Report carries a Snapshot and
 	// its Tables() gain the pipeline stage table. When Clock is also set
 	// and the registry has no Now of its own, the registry is put on the
 	// same clock, so fault-injection runs snapshot deterministically.
@@ -157,10 +159,9 @@ func (d defect) String() string {
 	}
 }
 
-// Site is one deployed listener.
+// Site is one deployed site.
 type Site struct {
 	Domain   string
-	Addr     string
 	Injected defect
 	Server   string
 	// Scenario names the replayed scenario for defectScenario sites.
@@ -194,13 +195,21 @@ func (b ErrorBreakdown) Total() int {
 	return b.Dial + b.Handshake + b.Parse + b.Cancelled
 }
 
-// addScanErrors folds one capture's failed attempts into the run totals.
-func (r *Report) addScanErrors(b ErrorBreakdown) {
+// addScan folds one physical scan into the run totals: its failed attempts
+// by cause, its re-scan recovery and its listener's fault ledger.
+func (r *Report) addScan(c capture) {
+	b := c.errs
 	r.ScanErrors += b.Total()
 	r.ScanErrorCauses.Dial += b.Dial
 	r.ScanErrorCauses.Handshake += b.Handshake
 	r.ScanErrorCauses.Parse += b.Parse
 	r.ScanErrorCauses.Cancelled += b.Cancelled
+	if c.rescanned {
+		r.Rescanned++
+	}
+	r.FaultsInjected += c.faults.injected
+	r.AcceptRetries += c.faults.acceptRetries
+	r.DeadlineExpiries += c.faults.deadlineExpiries
 }
 
 // Report is a completed study.

@@ -78,6 +78,7 @@ type Server struct {
 // without a registry. Counters are shared across every server wired to the
 // same registry, so a farm's totals aggregate without extra bookkeeping.
 type serveMetrics struct {
+	listeners        *obs.Gauge   // serve.listeners: listeners started and not yet closed
 	accepts          *obs.Counter // serve.accepts
 	faults           *obs.Counter // serve.faults: injected misbehaviours fired
 	acceptRetries    *obs.Counter // serve.accept_retries: temporary Accept errors retried
@@ -86,6 +87,7 @@ type serveMetrics struct {
 
 func resolveServeMetrics(r *obs.Registry) serveMetrics {
 	return serveMetrics{
+		listeners:        r.Gauge("serve.listeners"),
 		accepts:          r.Counter("serve.accepts"),
 		faults:           r.Counter("serve.faults"),
 		acceptRetries:    r.Counter("serve.accept_retries"),
@@ -117,7 +119,7 @@ type Config struct {
 	// a fake clock so nothing really sleeps and deadlines are controlled.
 	Clock faults.Clock
 	// Metrics, when non-nil, receives accept/fault/retry/deadline counters
-	// (see serveMetrics for the names).
+	// and the open-listener gauge (see serveMetrics for the names).
 	Metrics *obs.Registry
 }
 
@@ -168,6 +170,7 @@ func startWithListener(ln net.Listener, cfg Config, raw [][]byte) *Server {
 		closeCtx: ctx,
 		closeFn:  cancel,
 	}
+	s.m.listeners.Add(1)
 	go s.acceptLoop()
 	return s
 }
@@ -322,11 +325,13 @@ func (s *Server) DeadlineExpiries() int {
 	return s.deadlineExpiries
 }
 
-// Close shuts the listener down. Safe to call multiple times.
+// Close shuts the listener down. Safe to call multiple times; the first
+// call takes the listener off the serve.listeners gauge.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.closeFn()
 		s.listener.Close()
+		s.m.listeners.Add(-1)
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/faults"
+	"chainchaos/internal/obs"
 )
 
 func testChain(t *testing.T, domain string) (*certgen.Leaf, []*certmodel.Certificate) {
@@ -292,4 +293,32 @@ func TestFarmLifecycle(t *testing.T) {
 	// Double close is safe.
 	srv2.Close()
 	srv2.Close()
+}
+
+// TestListenerGauge: serve.listeners counts listeners started and not yet
+// closed; a second Close of the same server does not count twice.
+func TestListenerGauge(t *testing.T) {
+	leaf, list := testChain(t, "gauge.example")
+	reg := obs.NewRegistry()
+	live := reg.Gauge("serve.listeners")
+	start := func() *Server {
+		srv, err := Start(Config{List: list, Key: leaf.Key, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	a, b := start(), start()
+	if n := live.Value(); n != 2 {
+		t.Fatalf("serve.listeners = %d after two starts, want 2", n)
+	}
+	a.Close()
+	a.Close()
+	if n := live.Value(); n != 1 {
+		t.Fatalf("serve.listeners = %d after closing one server twice, want 1", n)
+	}
+	b.Close()
+	if n := live.Value(); n != 0 {
+		t.Fatalf("serve.listeners = %d after closing both, want 0", n)
+	}
 }
