@@ -147,10 +147,13 @@ func (c *Certificate) fingerprintData() *fingerprintData {
 	if fp := c.fingerprint.Load(); fp != nil {
 		return fp
 	}
-	fp := &fingerprintData{sum: sha256.Sum256(c.Raw)}
-	fp.hex = hex.EncodeToString(fp.sum[:])
+	fp := newFingerprintData(sha256.Sum256(c.Raw))
 	c.fingerprint.Store(fp)
 	return fp
+}
+
+func newFingerprintData(sum FP) *fingerprintData {
+	return &fingerprintData{sum: sum, hex: hex.EncodeToString(sum[:])}
 }
 
 // Fingerprint returns the SHA-256 digest of Raw. It is computed lazily and

@@ -94,6 +94,13 @@ var ErrNoCertificates = errors.New("certmodel: no CERTIFICATE blocks in PEM inpu
 // preserving block order, which is the whole point: the order in the bundle
 // becomes the order on the wire.
 func ParsePEMBundle(data []byte) ([]*Certificate, error) {
+	return (*CertMemo)(nil).ParsePEMBundle(data)
+}
+
+// ParsePEMBundle parses data as the package function ParsePEMBundle does,
+// with the same certificates and the same errors, answering each CERTIFICATE
+// block whose DER the memo holds from the memo.
+func (m *CertMemo) ParsePEMBundle(data []byte) ([]*Certificate, error) {
 	var out []*Certificate
 	for len(data) > 0 {
 		var block *pem.Block
@@ -104,7 +111,7 @@ func ParsePEMBundle(data []byte) ([]*Certificate, error) {
 		if block.Type != "CERTIFICATE" {
 			continue
 		}
-		c, err := ParseDER(block.Bytes)
+		c, err := m.parse(block.Bytes)
 		if err != nil {
 			return nil, fmt.Errorf("certmodel: bundle block %d: %w", len(out), err)
 		}

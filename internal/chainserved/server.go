@@ -14,8 +14,12 @@
 //   - Responses are memoized through core.Memo, keyed on the chain digest
 //     and the leaf-match bit — the study's dedup soundness model, one memo
 //     per repair configuration. Only domain-independent outputs are
-//     cached; leaf placement is recomputed per request. The memos are never
-//     sealed: a daemon keeps learning new chains for its whole lifetime.
+//     cached, already encoded; leaf placement is recomputed per request.
+//     The memos are never sealed: a daemon keeps learning new chains for
+//     its whole lifetime.
+//   - Pasted certificates are parsed through a bounded per-server memo of
+//     DER fingerprints (certmodel.CertMemo), so a repeated chain costs a
+//     fingerprint and a lookup per certificate, not a parse.
 //   - Every endpoint carries its own latency histogram, in-flight gauge,
 //     and request counter; the verdict endpoint additionally counts
 //     admitted vs completed requests, the pair a graceful drain compares to
@@ -24,11 +28,13 @@ package chainserved
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 
 	"chainchaos/internal/aia"
@@ -39,6 +45,7 @@ import (
 	"chainchaos/internal/core"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/parallel"
+	"chainchaos/internal/report"
 	"chainchaos/internal/rootstore"
 	"chainchaos/internal/tlsscan"
 )
@@ -89,7 +96,11 @@ type Server struct {
 	trust core.Trust
 	// memos holds one memo per KeepRoot value: the two repair
 	// configurations are distinct gradings that never share an entry.
-	memos   [2]*core.Memo[verdict]
+	memos [2]*core.Memo[verdict]
+	// certs parses pasted PEM bodies. It lives and dies with the server,
+	// so two servers in one process never share or evict each other's
+	// entries.
+	certs   certmodel.CertMemo
 	scanner *tlsscan.Scanner
 	sem     chan struct{}
 
@@ -103,12 +114,13 @@ type Server struct {
 }
 
 // verdict is what the service memoizes beside the order and completeness
-// reports: the client matrix and the repair. The hostname's only influence
-// on either is the leaf-match bit, which is part of the memo key.
+// reports: the list digest in hex and the answer's domain-independent tail
+// (order, completeness, client matrix, repair), encoded once when the
+// grading is stored. The hostname's only influence on the tail is the
+// leaf-match bit, which is part of the memo key.
 type verdict struct {
-	Matrix    []ClientVerdict
-	Repair    *Repair
-	RepairErr string
+	digest string
+	tail   []byte
 }
 
 // New builds a Server from cfg, applying defaults and registering metrics.
@@ -350,7 +362,7 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	source := "pem"
 	if req.PEM != "" {
 		var err error
-		list, err = certmodel.ParsePEMBundle([]byte(req.PEM))
+		list, err = s.certs.ParsePEMBundle([]byte(req.PEM))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadPEM, err.Error())
 			return
@@ -380,9 +392,25 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := s.grade(r.Context(), list, req.Domain, req.KeepRoot)
-	resp.Source = source
-	writeJSON(w, resp)
+	rep, v, hit := s.grade(r.Context(), list, req.Domain, req.KeepRoot)
+	head := appendHead(make([]byte, 0, 256), req.Domain, source, v.digest, hit, rep)
+	// The head, then the stored tail: net/http frames the two writes as it
+	// framed one encoder write, with a Content-Length while the body fits
+	// its write buffer and chunked beyond.
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(head)   //nolint:errcheck // response write
+	w.Write(v.tail) //nolint:errcheck // response write
+}
+
+// appendHead appends the per-request fields of the VerdictResponse JSON, in
+// its field order, to b: everything before the stored tail.
+func appendHead(b []byte, domain, source, digest string, cached bool, rep compliance.Report) []byte {
+	b = report.AppendJSONString(append(b, `{"domain":`...), domain)
+	b = report.AppendJSONString(append(b, `,"source":`...), source)
+	b = append(append(append(b, `,"digest":"`...), digest...), '"')
+	b = strconv.AppendBool(append(b, `,"cached":`...), cached)
+	b = strconv.AppendBool(append(b, `,"compliant":`...), rep.Compliant())
+	return report.AppendJSONString(append(b, `,"leaf_placement":`...), rep.Leaf.String())
 }
 
 // scanError maps a scan failure cause to its wire code and HTTP status:
@@ -402,8 +430,8 @@ func scanError(cause tlsscan.ErrorCause) (string, int) {
 }
 
 // grade runs the full analysis over one acquired chain, through the memo of
-// its repair configuration.
-func (s *Server) grade(ctx context.Context, list []*certmodel.Certificate, domain string, keepRoot bool) *VerdictResponse {
+// its repair configuration, and reports whether the memo answered it.
+func (s *Server) grade(ctx context.Context, list []*certmodel.Certificate, domain string, keepRoot bool) (compliance.Report, verdict, bool) {
 	memo := s.memos[0]
 	if keepRoot {
 		memo = s.memos[1]
@@ -414,28 +442,43 @@ func (s *Server) grade(ctx context.Context, list []*certmodel.Certificate, domai
 	if hit {
 		s.cacheable.Inc()
 	}
-	return &VerdictResponse{
-		Domain:        domain,
-		Digest:        fmt.Sprintf("%x", certmodel.ListDigest(list)),
-		Cached:        hit,
-		Compliant:     rep.Compliant(),
-		LeafPlacement: rep.Leaf.String(),
-		Order: OrderJSON{
-			Compliant:     !rep.Order.NonCompliant(),
-			Duplicates:    rep.Order.HasDuplicates,
-			Irrelevant:    rep.Order.HasIrrelevant,
-			MultiplePaths: rep.Order.MultiplePaths,
-			Reversed:      rep.Order.ReversedAny,
-		},
-		Completeness: CompletenessJSON{
-			Class:                rep.Completeness.Class.String(),
-			AIARecoverable:       rep.Completeness.AIARecoverable,
-			MissingIntermediates: rep.Completeness.MissingIntermediates,
-		},
-		Matrix:      v.Matrix,
-		Repair:      v.Repair,
-		RepairError: v.RepairErr,
+	return rep, v, hit
+}
+
+// verdictTail is the domain-independent end of VerdictResponse: its fields
+// after leaf_placement, with the same names, types and order, so that the
+// head appendHead writes followed by this encoding is the VerdictResponse
+// encoding.
+type verdictTail struct {
+	Order        OrderJSON        `json:"order"`
+	Completeness CompletenessJSON `json:"completeness"`
+	Matrix       []ClientVerdict  `json:"matrix"`
+	Repair       *Repair          `json:"repair,omitempty"`
+	RepairError  string           `json:"repair_error,omitempty"`
+}
+
+// newVerdict encodes the memoized part of the answer for a grading of list:
+// t's matrix and repair with rep's order and completeness.
+func newVerdict(list []*certmodel.Certificate, rep compliance.Report, t verdictTail) verdict {
+	t.Order = OrderJSON{
+		Compliant:     !rep.Order.NonCompliant(),
+		Duplicates:    rep.Order.HasDuplicates,
+		Irrelevant:    rep.Order.HasIrrelevant,
+		MultiplePaths: rep.Order.MultiplePaths,
+		Reversed:      rep.Order.ReversedAny,
 	}
+	t.Completeness = CompletenessJSON{
+		Class:                rep.Completeness.Class.String(),
+		AIARecoverable:       rep.Completeness.AIARecoverable,
+		MissingIntermediates: rep.Completeness.MissingIntermediates,
+	}
+	tail, _ := json.Marshal(t) // strings, bools and ints always marshal
+	// The tail continues the head's object: its opening brace becomes the
+	// comma after leaf_placement, and it ends with the newline json.Encoder
+	// writes after a value.
+	tail[0] = ','
+	digest := certmodel.ListDigest(list)
+	return verdict{digest: hex.EncodeToString(digest[:]), tail: append(tail, '\n')}
 }
 
 // compute performs the uncached analysis: order + completeness, the
@@ -453,35 +496,34 @@ func (s *Server) compute(ctx context.Context, list []*certmodel.Certificate, dom
 
 	// The matrix: Builds for different clients run in parallel over the
 	// bounded pool.
-	var v verdict
+	var t verdictTail
 	matrix, err := parallel.Map(ctx, s.cfg.Workers, core.Profiles, func(i int, p clients.Profile) ClientVerdict {
 		return ClientVerdict{Client: p.Name, Kind: p.Kind.String(), OK: g.Build(i, list, domain).OK()}
 	})
 	if err == nil {
 		// A cancelled fan-out leaves no matrix; the memo discards the
 		// grading.
-		v.Matrix = matrix
+		t.Matrix = matrix
 	}
 
 	fixer := &chainfix.Fixer{Roots: s.cfg.Roots, Fetcher: trust.Fetcher, KeepRoot: keepRoot}
 	res, err := fixer.Fix(list, domain)
-	if err != nil {
-		v.RepairErr = err.Error()
-		return report, v
+	var pem []byte
+	if err == nil {
+		pem, err = certmodel.EncodePEM(res.List)
 	}
-	pem, err := certmodel.EncodePEM(res.List)
 	if err != nil {
-		v.RepairErr = err.Error()
-		return report, v
+		t.RepairError = err.Error()
+		return report, newVerdict(list, report, t)
 	}
 	actions := make([]string, len(res.Actions))
 	for i, a := range res.Actions {
 		actions[i] = a.String()
 	}
-	v.Repair = &Repair{
+	t.Repair = &Repair{
 		Actions:   actions,
 		PEM:       string(pem),
 		Compliant: res.Report.Compliant(),
 	}
-	return report, v
+	return report, newVerdict(list, report, t)
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +22,9 @@ import (
 	"chainchaos/internal/obs"
 	"chainchaos/internal/rootstore"
 )
+
+// raceEnabled is set in race-detector builds (race_test.go).
+var raceEnabled bool
 
 // fixture builds one PKI and a server over it: root → ca2 → ca1 → leaf for
 // "served.example", plus the raw materials for broken chains.
@@ -80,10 +86,22 @@ func (f *fixture) server(cfg Config) *Server {
 // post submits a verdict request and returns the recorder.
 func post(t testing.TB, h http.Handler, body string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/v1/verdict", strings.NewReader(body))
+	return postRaw(t, h, []byte(body))
+}
+
+// postRaw submits raw bytes as the verdict request body.
+func postRaw(t testing.TB, h http.Handler, raw []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/verdict", bytes.NewReader(raw))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w
+}
+
+// sameApartFromCached reports whether a repeat's body equals the first
+// answer's once its cached flag is cleared.
+func sameApartFromCached(first, again []byte) bool {
+	return bytes.Equal(bytes.Replace(again, []byte(`"cached":true`), []byte(`"cached":false`), 1), first)
 }
 
 // decodeError asserts a structured error envelope with the given code.
@@ -359,11 +377,266 @@ func FuzzVerdictPEM(fz *testing.F) {
 		if again.Code != http.StatusOK {
 			t.Fatalf("repeat status %d", again.Code)
 		}
-		uncached := bytes.Replace(again.Body.Bytes(), []byte(`"cached":true`), []byte(`"cached":false`), 1)
-		if !bytes.Equal(uncached, first.Body.Bytes()) {
+		if !sameApartFromCached(first.Body.Bytes(), again.Body.Bytes()) {
 			t.Errorf("repeat answered differently:\n%s\n%s", first.Body, again.Body)
 		}
 	})
+}
+
+// exemplars builds the defect fixtures of cmd/chainserved -exemplars over
+// f's PKI, by file name: the compliant chain and the paper's I-1…I-4.
+func (f *fixture) exemplars(t testing.TB) map[string][]*certmodel.Certificate {
+	t.Helper()
+	stale, err := f.ca1.NewLeaf("served.example",
+		certgen.WithValidity(certgen.Reference.AddDate(-2, 0, 0), certgen.Reference.AddDate(-1, 0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray, err := certgen.NewRoot("Stray Root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := []*certmodel.Certificate{f.leaf.Cert}
+	for len(long) < 16 {
+		long = append(long, f.ca1.Cert)
+	}
+	return map[string][]*certmodel.Certificate{
+		"ok.pem":            {f.leaf.Cert, f.ca1.Cert, f.ca2.Cert},
+		"i1-reversed.pem":   {f.leaf.Cert, f.ca2.Cert, f.ca1.Cert},
+		"i2-long-list.pem":  append(long, f.ca2.Cert),
+		"i3-polluted.pem":   {f.leaf.Cert, f.leaf.Cert, stale.Cert, f.root.Cert, f.ca2.Cert, f.ca1.Cert, stray.Cert},
+		"i4-incomplete.pem": {f.leaf.Cert},
+	}
+}
+
+// FuzzVerdictRequest posts arbitrary raw request bodies, without AIA, to a
+// server whose body cap is 64 KiB. The service must answer 200, 400 or 413
+// and never panic; every refusal is the structured error envelope with a
+// known code; a 200 carries the eight-client matrix in exactly the bytes the
+// reflective encoder writes for the decoded answer; and resending the body
+// answers the same bytes apart from the cached flag. A body that names a
+// well-formed live-scan target is skipped: it would dial whatever it names.
+func FuzzVerdictRequest(fz *testing.F) {
+	f := newFixture(fz)
+	exemplars := f.exemplars(fz)
+	names := make([]string, 0, len(exemplars))
+	for name := range exemplars {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		pem := f.pem(fz, exemplars[name]...)
+		fz.Add([]byte(body(fz, VerdictRequest{Domain: "served.example", PEM: pem})))
+	}
+	quoted, err := json.Marshal(f.pem(fz, exemplars["ok.pem"]...))
+	if err != nil {
+		fz.Fatal(err)
+	}
+	pem := string(quoted)
+	for _, raw := range []string{
+		`{"domain":"a<b>&\"c\\","pem":` + pem + `}`,
+		`{"domain":"line\u2028para\u2029","pem":` + pem + `}`,
+		"{\"domain\":\"\xff\xfe.example\",\"pem\":" + pem + "}",
+		`{"domain":"served.example","PEM":` + pem + `}`,
+		`{"pem":"not pem","domain":"x","pem":` + pem + `,"domain":"served.example"}`,
+		`{"domain":"served.example","keep_root":true,"pem":` + pem + `}`,
+		`{"domain":"served.example","pem":` + pem + `} trailing {"pem":""}`,
+		`{"target":"no-port-here"}`,
+		`{"domain":7,"pem":` + pem + `}`,
+		`{"pem":"` + strings.Repeat("A", 70<<10) + `"}`,
+		``,
+		`{`,
+	} {
+		fz.Add([]byte(raw))
+	}
+	codes := map[string]bool{CodeBadRequest: true, CodeBadPEM: true, CodeBodyTooLarge: true}
+	fz.Fuzz(func(t *testing.T, raw []byte) {
+		var req VerdictRequest
+		if json.NewDecoder(bytes.NewReader(raw)).Decode(&req) == nil && req.PEM == "" && req.Target != "" {
+			if _, _, err := net.SplitHostPort(req.Target); err == nil {
+				return
+			}
+		}
+		h := f.server(Config{MaxBody: 64 << 10}).Handler()
+		first := postRaw(t, h, raw)
+		switch first.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			var e errorJSON
+			if err := json.Unmarshal(first.Body.Bytes(), &e); err != nil {
+				t.Fatalf("status %d body is not the error envelope: %v (%s)", first.Code, err, first.Body)
+			}
+			if !codes[e.Error.Code] || e.Error.Message == "" {
+				t.Fatalf("status %d: error %+v", first.Code, e.Error)
+			}
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d, body %s", first.Code, first.Body)
+		}
+		var resp VerdictResponse
+		if err := json.Unmarshal(first.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Matrix) != 8 {
+			t.Fatalf("matrix has %d rows, want 8", len(resp.Matrix))
+		}
+		var reflected bytes.Buffer
+		if err := json.NewEncoder(&reflected).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Body.Bytes(), reflected.Bytes()) {
+			t.Fatalf("answer differs from the reflective encoding:\n%s\n%s", first.Body, reflected.Bytes())
+		}
+		again := postRaw(t, h, raw)
+		if again.Code != http.StatusOK || !sameApartFromCached(first.Body.Bytes(), again.Body.Bytes()) {
+			t.Errorf("repeat answered %d differently:\n%s\n%s", again.Code, first.Body, again.Body)
+		}
+	})
+}
+
+// TestVerdictAfterMemoEviction floods one server with more new leaves than
+// its DER memo holds, then repeats the first chain: the answer is the first
+// one apart from the cached flag. The exemplar bundles, whose repeated
+// blocks come back from the memo as one certificate, keep reporting their
+// duplicates.
+func TestVerdictAfterMemoEviction(t *testing.T) {
+	f := newFixture(t)
+	h := f.server(Config{}).Handler()
+	chain := body(t, VerdictRequest{Domain: "served.example",
+		PEM: f.pem(t, f.leaf.Cert, f.ca1.Cert, f.ca2.Cert)})
+	first := post(t, h, chain)
+	if first.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", first.Code, first.Body)
+	}
+
+	// Twice the memo's 256 entries, sixteen new leaves per bundle.
+	const leaves, perBundle = 512, 16
+	for i := 0; i < leaves; i += perBundle {
+		var bundle []*certmodel.Certificate
+		for j := i; j < i+perBundle; j++ {
+			leaf, err := f.ca1.NewLeaf(fmt.Sprintf("flood-%d.example", j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bundle = append(bundle, leaf.Cert)
+		}
+		if w := post(t, h, body(t, VerdictRequest{Domain: "flood.example", PEM: f.pem(t, bundle...)})); w.Code != http.StatusOK {
+			t.Fatalf("flood bundle %d: status %d, body %s", i/perBundle, w.Code, w.Body)
+		}
+	}
+
+	again := post(t, h, chain)
+	if again.Code != http.StatusOK || !sameApartFromCached(first.Body.Bytes(), again.Body.Bytes()) {
+		t.Fatalf("after eviction the chain answered %d differently:\n%s\n%s", again.Code, first.Body, again.Body)
+	}
+	exemplars := f.exemplars(t)
+	for _, name := range []string{"i2-long-list.pem", "i3-polluted.pem"} {
+		for i := 0; i < 2; i++ { // a parse, then memo hits
+			w := post(t, h, body(t, VerdictRequest{Domain: "served.example", PEM: f.pem(t, exemplars[name]...)}))
+			var resp VerdictResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s: %v (%s)", name, err, w.Body)
+			}
+			if !resp.Order.Duplicates || resp.Compliant {
+				t.Errorf("%s request %d: order %+v, compliant %v", name, i, resp.Order, resp.Compliant)
+			}
+		}
+	}
+}
+
+// TestConcurrentVerdicts has eight goroutines post a mix of repeated and new
+// chains through one handler, so the DER memo and the verdict memos are read
+// and written at once (run it under -race). Every repeat answers its chain's
+// first bytes apart from the cached flag.
+func TestConcurrentVerdicts(t *testing.T) {
+	f := newFixture(t)
+	h := f.server(Config{}).Handler()
+	repeated := []string{
+		body(t, VerdictRequest{Domain: "served.example", PEM: f.pem(t, f.leaf.Cert, f.ca1.Cert, f.ca2.Cert)}),
+		body(t, VerdictRequest{Domain: "served.example", PEM: f.pem(t, f.leaf.Cert, f.ca2.Cert, f.ca1.Cert)}),
+		body(t, VerdictRequest{Domain: "served.example", PEM: f.pem(t, f.leaf.Cert, f.ca1.Cert), KeepRoot: true}),
+	}
+	want := make([][]byte, len(repeated))
+	for i, b := range repeated {
+		w := post(t, h, b)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d, body %s", w.Code, w.Body)
+		}
+		want[i] = w.Body.Bytes()
+	}
+
+	const workers, rounds = 8, 12
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if r%4 == 3 { // a never-seen chain
+					leaf, err := f.ca1.NewLeaf(fmt.Sprintf("c%d-%d.example", g, r))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					w := post(t, h, body(t, VerdictRequest{Domain: "served.example",
+						PEM: f.pem(t, leaf.Cert, f.ca1.Cert, f.ca2.Cert)}))
+					if w.Code != http.StatusOK {
+						t.Errorf("new chain: status %d, body %s", w.Code, w.Body)
+					}
+					continue
+				}
+				i := (g + r) % len(repeated)
+				w := post(t, h, repeated[i])
+				if w.Code != http.StatusOK || !sameApartFromCached(want[i], w.Body.Bytes()) {
+					t.Errorf("repeat of chain %d answered %d:\n%s\nwant\n%s", i, w.Code, w.Body, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestVerdictCachedAllocs is the allocation sentinel for the commonest
+// request: a cached two-certificate chain, leaf and intermediate. Each
+// certificate sits in one of its set's two ways, so the two never evict each
+// other and the count cannot flake on a fingerprint collision. One lost DER
+// memo hit costs about 60 allocations; the bound sits midway between the
+// count before the DER memo and the stored answer encoding (163) and the
+// count with them (45).
+func TestVerdictCachedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	const bound = 104
+	f := newFixture(t)
+	h := f.server(Config{}).Handler()
+	req := []byte(body(t, VerdictRequest{Domain: "served.example", PEM: f.pem(t, f.leaf.Cert, f.ca1.Cert)}))
+	if w := postRaw(t, h, req); w.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", w.Code, w.Body)
+	}
+	allocs := testing.AllocsPerRun(100, func() { postRaw(t, h, req) })
+	if allocs > bound {
+		t.Errorf("a cached request allocates %.0f times, bound %d", allocs, bound)
+	}
+}
+
+// BenchmarkVerdictCached serves one cached three-certificate request through
+// the handler, without sockets: the DER memo lookups, the verdict memo hit
+// and the head append, plus request decoding and the recorder.
+func BenchmarkVerdictCached(b *testing.B) {
+	f := newFixture(b)
+	h := f.server(Config{}).Handler()
+	req := []byte(body(b, VerdictRequest{Domain: "served.example",
+		PEM: f.pem(b, f.leaf.Cert, f.ca1.Cert, f.ca2.Cert)}))
+	if w := postRaw(b, h, req); w.Code != http.StatusOK {
+		b.Fatalf("status %d, body %s", w.Code, w.Body)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if w := postRaw(b, h, req); w.Code != http.StatusOK {
+			b.Fatalf("status %d", w.Code)
+		}
+	}
 }
 
 // TestScanDialFailure live-scans a port that refuses connections and
@@ -461,19 +734,23 @@ func TestAdmissionControl(t *testing.T) {
 // TestGracefulDrain runs the service on a real listener, keeps a burst of
 // concurrent verdict requests in flight, shuts the server down mid-burst,
 // and asserts the drain contract: every admitted request completes with a
-// full response (zero dropped in flight), admitted == completed, and
-// Shutdown returns cleanly. Run under -race this also exercises the
-// handler's concurrency.
+// full response (zero dropped in flight), admitted == completed, Shutdown
+// returns cleanly, Serve returns http.ErrServerClosed, and once the client
+// drops its idle connections no goroutine of the server or the client
+// outlives the test. Run under -race this also exercises the handler's
+// concurrency.
 func TestGracefulDrain(t *testing.T) {
 	f := newFixture(t)
 	reg := obs.NewRegistry()
 	s := f.server(Config{Metrics: reg, MaxInFlight: 64})
 	srv := &http.Server{Handler: s.Handler()}
+	goroutines := runtime.NumGoroutine()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
 	// Distinct chains per goroutine so the burst does real grading work
@@ -496,7 +773,6 @@ func TestGracefulDrain(t *testing.T) {
 	// would let one server-side completion show up client-side as an error
 	// and break the delivered == Completed() equality below.
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	defer client.CloseIdleConnections()
 
 	var wg sync.WaitGroup
 	type outcome struct {
@@ -559,6 +835,18 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if int64(delivered) != s.Completed() {
 		t.Errorf("clients saw %d full responses, server completed %d", delivered, s.Completed())
+	}
+
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	client.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after the drain, baseline %d:\n%s",
+				runtime.NumGoroutine(), goroutines, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -64,6 +64,11 @@ func loadAnchors(journalPath, stage string) (*anchorSet, error) {
 		if r.Stage != stage {
 			continue
 		}
+		// No writer journals a negative batch, a negative leaf or an
+		// inverted span; the batch arithmetic below relies on all three.
+		if r.Batch < 0 || r.Lo < 0 || r.Hi < r.Lo {
+			return nil, fmt.Errorf("ledger: inconsistent anchors: %s batch %d spans leaves [%d,%d)", r.Event, r.Batch, r.Lo, r.Hi)
+		}
 		switch {
 		case r.Event == "runroot":
 			rr := r

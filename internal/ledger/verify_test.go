@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"chainchaos/internal/pipeline"
@@ -13,7 +14,7 @@ import (
 
 // writeLedgeredRun produces an output file, sidecar, and journal the way a
 // real run does: lines through a journal-anchored batcher, sealed.
-func writeLedgeredRun(t *testing.T, dir string, n, size int) (outPath, journalPath, sidecarPath string) {
+func writeLedgeredRun(t testing.TB, dir string, n, size int) (outPath, journalPath, sidecarPath string) {
 	t.Helper()
 	outPath = filepath.Join(dir, "out.jsonl")
 	journalPath = filepath.Join(dir, "ckpt.journal")
@@ -266,4 +267,69 @@ func TestJournalAnchorRoundTrip(t *testing.T) {
 	if got := j2.Last("grade.sink"); got != 5 {
 		t.Fatalf("Last = %d, want 5", got)
 	}
+}
+
+// invertedAnchor is a partial anchor whose span ends before it starts.
+var invertedAnchor = `{"stage":"grade","event":"anchor","batch":0,"lo":5,"hi":3,"partial":true,"root":"` + strings.Repeat("0", 64) + `"}` + "\n"
+
+// TestVerifyFileRejectsInvalidAnchors: an anchor with a negative batch, a
+// negative leaf or an inverted span is an inconsistent journal, reported as
+// an error rather than a panic or a tamper verdict.
+func TestVerifyFileRejectsInvalidAnchors(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.jsonl")
+	if err := os.WriteFile(out, []byte("{\"a\":1}\n{\"a\":2}\n{\"a\":3}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	root := strings.Repeat("0", 64)
+	for name, rec := range map[string]string{
+		"inverted partial": invertedAnchor,
+		"inverted final":   `{"stage":"grade","event":"anchor","batch":0,"lo":3,"hi":1,"root":"` + root + `"}` + "\n",
+		"negative batch":   `{"stage":"grade","event":"anchor","batch":-1,"lo":0,"hi":3,"root":"` + root + `"}` + "\n",
+		"negative leaf":    `{"stage":"grade","event":"anchor","batch":0,"lo":-3,"hi":3,"partial":true,"root":"` + root + `"}` + "\n",
+		"negative runroot": `{"stage":"grade","event":"runroot","batch":-2,"lo":0,"hi":3,"root":"` + root + `"}` + "\n",
+	} {
+		journal := filepath.Join(dir, "j.ckpt")
+		if err := os.WriteFile(journal, []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := VerifyFile(out, 0, journal, "grade", "")
+		var tamper *TamperError
+		if err == nil || errors.As(err, &tamper) || !strings.Contains(err.Error(), "inconsistent anchors") {
+			t.Errorf("%s: err = %v, want an inconsistent-anchors error", name, err)
+		}
+	}
+}
+
+// FuzzVerifyFile: whatever bytes the output file, the journal and the
+// sidecar hold, VerifyFile answers with a report or an error, with the
+// sidecar and without it, and never panics.
+func FuzzVerifyFile(f *testing.F) {
+	outPath, journalPath, sidePath := writeLedgeredRun(f, f.TempDir(), 23, 5)
+	var valid [3][]byte
+	for i, p := range []string{outPath, journalPath, sidePath} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid[i] = data
+	}
+	f.Add(valid[0], valid[1], valid[2])
+	f.Add([]byte("{\"a\":1}\n{\"a\":2}\n{\"a\":3}\n"), []byte(invertedAnchor), []byte(nil))
+	// One set of files per fuzzing process, rewritten by each input: the
+	// inputs of one process run one at a time.
+	dir := f.TempDir()
+	paths := [3]string{filepath.Join(dir, "out.jsonl"), filepath.Join(dir, "j.ckpt"), filepath.Join(dir, "out.leaves")}
+	f.Fuzz(func(t *testing.T, out, journal, sidecar []byte) {
+		for i, data := range [][]byte{out, journal, sidecar} {
+			if err := os.WriteFile(paths[i], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, side := range []string{"", paths[2]} {
+			if rep, err := VerifyFile(paths[0], 0, paths[1], "grade", side); err == nil && rep == nil {
+				t.Fatal("VerifyFile returned neither a report nor an error")
+			}
+		}
+	})
 }

@@ -1,5 +1,7 @@
 // Package report renders the aligned text tables used by the experiment
-// binaries and EXPERIMENTS.md: one Table per paper table/figure.
+// binaries and EXPERIMENTS.md: one Table per paper table/figure. It also
+// holds the JSON string encoder shared by the record encoders that append
+// their JSON without reflection.
 package report
 
 import (

@@ -11,7 +11,6 @@ package study
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -29,6 +28,7 @@ import (
 	"chainchaos/internal/parallel"
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
+	"chainchaos/internal/report"
 	"chainchaos/internal/rootstore"
 	"chainchaos/internal/tlsscan"
 	"chainchaos/internal/tlsserve"
@@ -549,16 +549,16 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 func appendSiteRecord(b []byte, rank int, g scannedSite) []byte {
 	s := g.site
 	b = strconv.AppendInt(append(b, `{"rank":`...), int64(rank), 10)
-	b = appendString(append(b, `,"domain":`...), s.Domain)
-	b = appendString(append(b, `,"injected":`...), s.Injected.String())
-	b = appendString(append(b, `,"server":`...), s.Server)
+	b = report.AppendJSONString(append(b, `,"domain":`...), s.Domain)
+	b = report.AppendJSONString(append(b, `,"injected":`...), s.Injected.String())
+	b = report.AppendJSONString(append(b, `,"server":`...), s.Server)
 	if g.lost {
 		b = append(b, `,"scanned":false,"compliant":false,"order_ok":false`...)
 	} else {
 		b = strconv.AppendBool(append(b, `,"scanned":true,"compliant":`...), s.Report.Compliant())
-		b = appendString(append(b, `,"leaf":`...), s.Report.Leaf.String())
+		b = report.AppendJSONString(append(b, `,"leaf":`...), s.Report.Leaf.String())
 		b = strconv.AppendBool(append(b, `,"order_ok":`...), s.Report.Order.SequentialOK)
-		b = appendString(append(b, `,"completeness":`...), s.Report.Completeness.Class.String())
+		b = report.AppendJSONString(append(b, `,"completeness":`...), s.Report.Completeness.Class.String())
 		b = appendVerdicts(b, s.Verdicts)
 	}
 	if n := g.errs.Total(); n != 0 {
@@ -568,7 +568,7 @@ func appendSiteRecord(b []byte, rank int, g scannedSite) []byte {
 		b = append(b, `,"rescanned":true`...)
 	}
 	if s.Scenario != "" {
-		b = appendString(append(b, `,"scenario":`...), s.Scenario)
+		b = report.AppendJSONString(append(b, `,"scenario":`...), s.Scenario)
 	}
 	return append(b, '}')
 }
@@ -590,23 +590,7 @@ func appendVerdicts(b []byte, v map[string]bool) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendBool(append(appendString(b, k), ':'), v[k])
+		b = strconv.AppendBool(append(report.AppendJSONString(b, k), ':'), v[k])
 	}
 	return append(b, '}')
-}
-
-// appendString appends s as a JSON string. Printable ASCII other than `"`,
-// `\`, `<`, `>` and `&` is copied as it is; a string holding any other byte
-// is quoted by encoding/json, so its escaping (HTML-safe, U+2028 and U+2029,
-// invalid UTF-8) holds exactly.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
