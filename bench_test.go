@@ -7,6 +7,7 @@ package chainchaos_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"sort"
@@ -197,9 +198,14 @@ func BenchmarkFigure3LongChain(b *testing.B) {
 
 // BenchmarkPathBuildLongList measures a single reused builder over the two
 // pathological list shapes the paper's resource-consumption findings rest
-// on: the ns3.link-style 25-cert duplicate list and the Figure 3 17-cert
-// stale-sibling list. Steady-state allocations here are the indexed-lookup +
-// reusable-scratch hot path.
+// on — the ns3.link-style 25-cert duplicate list and the Figure 3 17-cert
+// stale-sibling list — and over three adversarial shapes that bound the
+// searcher's two modes:
+//   - deep32: a leaf over a 31-certificate chain, the longest list the
+//     searcher scans, and the scan's worst case;
+//   - deep1024: the same shape, 1,024 certificates long, which is indexed;
+//   - distinct1024: a leaf, 1,024 unrelated intermediates, then its real
+//     issuer and root.
 func BenchmarkPathBuildLongList(b *testing.B) {
 	root, err := certgen.NewRoot("Bench LL Root")
 	if err != nil {
@@ -217,6 +223,10 @@ func BenchmarkPathBuildLongList(b *testing.B) {
 	fig3, fig3Roots := benchCaseChains(b)
 	fig3Roots.Seal()
 
+	deep32, deep32Roots := deepChain(32)
+	deep1024, deep1024Roots := deepChain(1024)
+	distinct1024, distinctRoots := distinctList(1024)
+
 	cases := []struct {
 		name   string
 		list   []*certmodel.Certificate
@@ -225,6 +235,9 @@ func BenchmarkPathBuildLongList(b *testing.B) {
 	}{
 		{"dup25", dup25, dupRoots, "bench.ll.example"},
 		{"fig3x17", fig3, fig3Roots, "bench.case.example"},
+		{"deep32", deep32, deep32Roots, "deep.bench.example"},
+		{"deep1024", deep1024, deep1024Roots, "deep.bench.example"},
+		{"distinct1024", distinct1024, distinctRoots, "distinct.bench.example"},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -238,6 +251,43 @@ func BenchmarkPathBuildLongList(b *testing.B) {
 			}
 		})
 	}
+}
+
+// deepChain returns a compliant list of n synthetic certificates — a leaf,
+// n-2 intermediates each issued by the next, and the root — with a store
+// trusting the root.
+func deepChain(n int) ([]*certmodel.Certificate, *rootstore.Store) {
+	base := certgen.Reference.AddDate(-1, 0, 0)
+	root := certmodel.SyntheticRoot("Bench Deep Root", base)
+	chain := []*certmodel.Certificate{root}
+	for i := 1; i < n-1; i++ {
+		chain = append(chain, certmodel.SyntheticIntermediate(fmt.Sprintf("Bench Deep CA %d", i), chain[i-1], base))
+	}
+	leaf := certmodel.SyntheticLeaf("deep.bench.example", "1", chain[len(chain)-1], base, base.AddDate(2, 0, 0))
+	list := []*certmodel.Certificate{leaf}
+	for i := len(chain) - 1; i >= 0; i-- {
+		list = append(list, chain[i])
+	}
+	roots := rootstore.NewWith("bench-deep", root)
+	roots.Seal()
+	return list, roots
+}
+
+// distinctList returns a leaf, n intermediates unrelated to it, then the
+// leaf's issuer and root, with a store trusting the root.
+func distinctList(n int) ([]*certmodel.Certificate, *rootstore.Store) {
+	base := certgen.Reference.AddDate(-1, 0, 0)
+	root := certmodel.SyntheticRoot("Bench Distinct Root", base)
+	issuing := certmodel.SyntheticIntermediate("Bench Distinct CA", root, base)
+	stranger := certmodel.SyntheticRoot("Bench Stranger Root", base)
+	list := []*certmodel.Certificate{certmodel.SyntheticLeaf("distinct.bench.example", "1", issuing, base, base.AddDate(2, 0, 0))}
+	for i := 0; i < n; i++ {
+		list = append(list, certmodel.SyntheticIntermediate(fmt.Sprintf("Bench Stranger CA %d", i), stranger, base))
+	}
+	list = append(list, issuing, root)
+	roots := rootstore.NewWith("bench-distinct", root)
+	roots.Seal()
+	return list, roots
 }
 
 func BenchmarkFigure4Backtracking(b *testing.B) {

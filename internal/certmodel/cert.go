@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"crypto/x509"
-	"encoding/hex"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -53,9 +52,10 @@ const MaxPathLenUnset = -1
 // every fingerprint-indexed structure in the repository (candidate pools,
 // trust stores, topology graphs, chain digests). It is an alias, not a
 // defined type, so Fingerprint() results flow into FP-keyed maps without
-// conversion. Keying by the 32 raw bytes instead of the 64-byte hex string
+// conversion. Keying by the 32 raw bytes instead of a 64-byte hex string
 // halves the bytes hashed per map operation and keeps the hot paths free of
-// string handling; FingerprintHex exists only for human-facing output.
+// string handling. Byte order is hex order, so sorting by FP sorts as the
+// hex form would.
 type FP = [sha256.Size]byte
 
 // Certificate is the unified certificate record.
@@ -130,44 +130,23 @@ type Certificate struct {
 	// real DER, nil otherwise.
 	X509 *x509.Certificate
 
-	// fingerprint caches the digest and its hex form behind an atomic
-	// pointer so Certificates can be shared across goroutines (the
-	// population generator, experiment environment, and differential
-	// harness all hash the same intermediates concurrently). Racing
-	// initializers compute identical values, so last-store-wins is benign.
-	fingerprint atomic.Pointer[fingerprintData]
-}
-
-type fingerprintData struct {
-	sum [sha256.Size]byte
-	hex string
-}
-
-func (c *Certificate) fingerprintData() *fingerprintData {
-	if fp := c.fingerprint.Load(); fp != nil {
-		return fp
-	}
-	fp := newFingerprintData(sha256.Sum256(c.Raw))
-	c.fingerprint.Store(fp)
-	return fp
-}
-
-func newFingerprintData(sum FP) *fingerprintData {
-	return &fingerprintData{sum: sum, hex: hex.EncodeToString(sum[:])}
+	// fingerprint caches the digest behind an atomic pointer so
+	// Certificates can be shared across goroutines (the population
+	// generator, experiment environment, and differential harness all hash
+	// the same intermediates concurrently). Racing initializers compute
+	// identical values, so last-store-wins is benign.
+	fingerprint atomic.Pointer[FP]
 }
 
 // Fingerprint returns the SHA-256 digest of Raw. It is computed lazily and
 // cached; callers must not mutate Raw after the first call.
-func (c *Certificate) Fingerprint() [sha256.Size]byte {
-	return c.fingerprintData().sum
-}
-
-// FingerprintHex returns the hex form of Fingerprint, for report tables,
-// traces and log lines. Machine-facing structures key by the binary FP
-// instead; the string is cached alongside the digest so rendering pays no
-// per-call allocation.
-func (c *Certificate) FingerprintHex() string {
-	return c.fingerprintData().hex
+func (c *Certificate) Fingerprint() FP {
+	if fp := c.fingerprint.Load(); fp != nil {
+		return *fp
+	}
+	fp := FP(sha256.Sum256(c.Raw))
+	c.fingerprint.Store(&fp)
+	return fp
 }
 
 // Equal reports whether the two certificates are bit-for-bit identical,

@@ -2,6 +2,7 @@ package certmodel
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 	"time"
 )
@@ -15,8 +16,8 @@ func TestFingerprintStableAndCached(t *testing.T) {
 	if fp1 != fp2 {
 		t.Error("fingerprint not stable")
 	}
-	if c.FingerprintHex() == "" || len(c.FingerprintHex()) != 64 {
-		t.Errorf("hex fingerprint = %q", c.FingerprintHex())
+	if fp1 != sha256.Sum256(c.Raw) {
+		t.Error("fingerprint is not the SHA-256 of Raw")
 	}
 	other := SyntheticRoot("FP Root 2", base)
 	if other.Fingerprint() == fp1 {

@@ -64,7 +64,7 @@ func (m *CertMemo) parse(der []byte) (*Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.fingerprint.Store(newFingerprintData(fp))
+	c.fingerprint.Store(&fp)
 	set[1].Store(set[0].Load())
 	set[0].Store(&certMemoEntry{fp: fp, cert: c})
 	return c, nil

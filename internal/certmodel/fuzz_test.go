@@ -40,7 +40,7 @@ func FuzzParsePEMBundle(f *testing.F) {
 			if c == nil || c.X509 == nil {
 				t.Fatal("parsed bundle returned an invalid certificate")
 			}
-			_ = c.FingerprintHex()
+			_ = c.Fingerprint()
 		}
 	})
 }

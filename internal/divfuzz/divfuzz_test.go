@@ -2,6 +2,8 @@ package divfuzz
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -113,6 +115,64 @@ func TestMinimizeIdempotent(t *testing.T) {
 		}
 		if again.Digest() != d.Digest {
 			t.Fatalf("digest drifted on re-minimize for %s", d.Digest[:12])
+		}
+	}
+}
+
+// TestManifestGolden pins the manifest bytes of a 40-generation campaign at
+// 1 and 8 workers. About a sixth of its breeds drop a mutation, so children
+// built from their parent's list and children replayed from their base both
+// reach the sink.
+func TestManifestGolden(t *testing.T) {
+	const want = "fddf92663b57ed99f079e2a73e695cf2788f000b6f9528e7981d09d6bd3d5a23"
+	for _, workers := range []int{1, 8} {
+		res, err := Run(context.Background(), Config{Seed: 103, Generations: 40, Dedup: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := res.Manifest().MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("workers=%d: manifest sha256 %s, want %s", workers, got, want)
+		}
+	}
+}
+
+// TestApplyIncremental: for every genome a short campaign admits, every
+// operator and a few salts, the child built by applyNext from the parent's
+// list has the same list digest as the child genome replayed from its base,
+// and the parent's list is unchanged afterwards.
+func TestApplyIncremental(t *testing.T) {
+	res, err := Run(context.Background(), smallCfg(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range res.Corpus {
+		base := res.Pop.Domains[g.Base].List
+		parent := Apply(res.Pop, base, g)
+		before := append([]*certmodel.Certificate(nil), parent...)
+		for op := Op(0); op < opCount; op++ {
+			for _, salt := range []uint64{0, 1, 0x9e3779b97f4a7c15} {
+				m := Mut{Op: op, A: int(salt%97) + int(op), Salt: salt}
+				child := g.Clone()
+				child.Muts = append(child.Muts, m)
+				got := applyNext(res.Pop, parent, m)
+				if want := Apply(res.Pop, base, child); certmodel.ListDigest(got) != certmodel.ListDigest(want) {
+					t.Fatalf("%s + %s:%d:%x: list from the parent differs from the replayed genome",
+						g.Encode(), op, m.A, salt)
+				}
+			}
+		}
+		if len(parent) != len(before) {
+			t.Fatalf("%s: parent list length changed from %d to %d", g.Encode(), len(before), len(parent))
+		}
+		for i := range parent {
+			if parent[i] != before[i] {
+				t.Fatalf("%s: parent list entry %d replaced", g.Encode(), i)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package divfuzz
 
 import (
+	"bytes"
 	"context"
 	"sort"
 	"strings"
@@ -114,7 +115,10 @@ type fuzzer struct {
 	vcache *verdictcache.Cache[Vector]
 	warm   *rootstore.Store
 
-	corpus      []Genome
+	corpus []Genome
+	// lists[i] is corpus[i] applied to its base: a child bred from it
+	// starts from this list instead of replaying its mutations.
+	lists       [][]*certmodel.Certificate
 	seenSigs    map[string]bool
 	seenDigests map[string]bool
 	divergences []*Divergence
@@ -162,8 +166,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Generation zero: the seed corpus itself. Defective domains diverge
 	// here, rediscovering the known classes before any mutation runs.
 	seed := f.cfg.Metrics.Timer("divfuzz.generation").Start()
-	for i := range f.bases {
-		f.admit(Genome{Base: i}, f.oracle.Evaluate(f.bases[i]))
+	for i, list := range f.bases {
+		f.admit(Genome{Base: i}, list, f.oracle.Evaluate(list))
 	}
 	seed.Stop()
 
@@ -187,16 +191,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // generation breeds and evaluates one round of mutants. Parents come from a
 // corpus snapshot frozen here, mutation draws are pure in (Seed, gen, rank),
 // and admission happens at the sink in rank order — the three properties
-// that make the run worker-invariant.
+// that make the run worker-invariant. The parents' lists are frozen with
+// their genomes, so workers read them while the sink appends to the corpus;
+// a child copies its parent's list before mutating it.
 func (f *fuzzer) generation(ctx context.Context, gen int) error {
 	t := f.cfg.Metrics.Timer("divfuzz.generation").Start()
 	defer t.Stop()
 	snapshot := append([]Genome(nil), f.corpus...)
+	lists := append([][]*certmodel.Certificate(nil), f.lists...)
 	workers := parallel.Workers(f.cfg.Workers)
 
 	type evaluated struct {
-		g   Genome
-		vec Vector
+		g    Genome
+		list []*certmodel.Certificate
+		vec  Vector
 	}
 	opts := pipeline.Options{Name: "divfuzz", Metrics: f.cfg.Metrics}
 	src := pipeline.From(ctx, opts, "breed", 0, func(rank int) (int, bool, error) {
@@ -212,38 +220,49 @@ func (f *fuzzer) generation(ctx context.Context, gen int) error {
 			return o.FlushMetrics
 		},
 		Fn: func(_ context.Context, worker, _ int, rank int) (evaluated, error) {
-			g := breed(snapshot, f.cfg, gen, rank)
-			vec := oracles[worker].Evaluate(Apply(f.pop, f.bases[g.Base], g))
+			g, parent, dropped := breed(snapshot, f.cfg, gen, rank)
+			var list []*certmodel.Certificate
+			if dropped {
+				list = Apply(f.pop, f.bases[g.Base], g)
+			} else {
+				list = applyNext(f.pop, lists[parent], g.Muts[len(g.Muts)-1])
+			}
+			vec := oracles[worker].Evaluate(list)
 			f.cMutants.Inc()
-			return evaluated{g: g, vec: vec}, nil
+			return evaluated{g: g, list: list, vec: vec}, nil
 		},
 	})
 	return ev.Drain(func(_ int, e evaluated) error {
-		f.admit(e.g, e.vec)
+		f.admit(e.g, e.list, e.vec)
 		return nil
 	})
 }
 
 // breed derives one child genome from the frozen corpus snapshot — a pure
-// function of (cfg.Seed, gen, rank) and the snapshot.
-func breed(snapshot []Genome, cfg Config, gen, rank int) Genome {
+// function of (cfg.Seed, gen, rank) and the snapshot. It also returns the
+// parent's snapshot index and whether a mutation was dropped to make room:
+// only an undropped child extends its parent's genome, and so its list.
+func breed(snapshot []Genome, cfg Config, gen, rank int) (g Genome, parent int, dropped bool) {
 	r := newRNG(cfg.Seed, gen, rank)
-	g := snapshot[r.intn(len(snapshot))].Clone()
+	parent = r.intn(len(snapshot))
+	g = snapshot[parent].Clone()
 	if len(g.Muts) >= cfg.MaxMuts {
 		i := r.intn(len(g.Muts))
 		g.Muts = append(g.Muts[:i], g.Muts[i+1:]...)
+		dropped = true
 	}
 	g.Muts = append(g.Muts, Mut{
 		Op:   Op(r.intn(int(opCount))),
 		A:    r.intn(1 << 16),
 		Salt: r.next(),
 	})
-	return g
+	return g, parent, dropped
 }
 
 // admit is the sink: coverage bookkeeping, minimization, and attribution,
-// strictly in rank order.
-func (f *fuzzer) admit(g Genome, vec Vector) {
+// strictly in rank order. list is g applied to its base, kept with an
+// admitted genome for the children bred from it.
+func (f *fuzzer) admit(g Genome, list []*certmodel.Certificate, vec Vector) {
 	f.mutants++
 	sig := vec.Signature()
 	if f.seenSigs[sig] {
@@ -251,6 +270,7 @@ func (f *fuzzer) admit(g Genome, vec Vector) {
 	}
 	f.seenSigs[sig] = true
 	f.corpus = append(f.corpus, g)
+	f.lists = append(f.lists, list)
 	if !vec.Divergent() {
 		return
 	}
@@ -262,16 +282,15 @@ func (f *fuzzer) admit(g Genome, vec Vector) {
 	f.seenDigests[digest] = true
 	f.cDivergent.Inc()
 
-	list := Apply(f.pop, f.bases[g.Base], min)
 	d := &Divergence{
 		Found:     g,
 		Minimized: min,
 		Digest:    digest,
 		Signature: sig,
 		Domain:    f.names[g.Base],
-		List:      list,
+		List:      Apply(f.pop, f.bases[g.Base], min),
 	}
-	d.Causes = f.attribute(d.Domain, list)
+	d.Causes = f.attribute(d.Domain, d.List)
 	d.Novel = len(d.Causes) == 0
 	if d.Novel {
 		f.bins["novel"]++
@@ -393,7 +412,8 @@ func (r *Result) ancestorClosure(list []*certmodel.Certificate) (closure, roots 
 		walk(c)
 	}
 	sort.Slice(roots, func(i, j int) bool {
-		return roots[i].FingerprintHex() < roots[j].FingerprintHex()
+		a, b := roots[i].Fingerprint(), roots[j].Fingerprint()
+		return bytes.Compare(a[:], b[:]) < 0
 	})
 	return closure, roots
 }

@@ -23,6 +23,19 @@ func Apply(pop *population.Population, base []*certmodel.Certificate, g Genome) 
 	return list
 }
 
+// applyNext materializes the child that appends m to a parent's genome,
+// given the parent's list. Apply is a left fold over the mutations, so
+// applying m to a copy of the parent's list equals replaying the whole
+// child genome from its base. The parent's list is not modified, so
+// children of one parent may be built concurrently. The copy has room for
+// the two certificates OpCrossRoot appends, the most any operator but
+// OpBloat adds.
+func applyNext(pop *population.Population, parent []*certmodel.Certificate, m Mut) []*certmodel.Certificate {
+	list := make([]*certmodel.Certificate, len(parent), len(parent)+2)
+	copy(list, parent)
+	return applyOne(pop, list, m)
+}
+
 // maxBloat caps list growth so bloat chains stay bounded while still
 // exceeding every profile's input limit.
 const maxBloat = 40

@@ -3,6 +3,7 @@ package pathbuild
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -67,11 +68,11 @@ func (o Outcome) OK() bool { return o.Err == nil && o.Validation.OK }
 // Builder constructs certification paths under a Policy.
 //
 // A Builder owns reusable construction scratch (candidate pool, pool index,
-// search stacks), so calling Build repeatedly on one Builder runs
-// allocation-lean; the differential harness keeps one Builder per
-// (shard, profile) for exactly this reason. A Builder is therefore NOT safe
-// for concurrent use — share certificates and (sealed) stores across
-// goroutines, not Builders.
+// search stacks, the Outcome under construction), so calling Build
+// repeatedly on one Builder allocates only the Outcome's path and findings;
+// the differential harness keeps one Builder per (shard, profile) for
+// exactly this reason. A Builder is therefore NOT safe for concurrent use —
+// share certificates and (sealed) stores across goroutines, not Builders.
 type Builder struct {
 	Policy Policy
 	// Roots is the builder's trust store.
@@ -188,16 +189,17 @@ func (b *Builder) FlushMetrics() {
 
 const defaultMaxAttempts = 32
 
+// scanMax is the longest presented list the searcher scans. Up to it, the
+// pool, the path and each candidate shortlist are walked linearly, which
+// beats building the pool index and the fingerprint sets for lists this
+// short. Longer lists, such as a 1 MiB chainserved body of about 1,700
+// certificates, are indexed, so a build stays linear in the list length.
+const scanMax = 32
+
 // searcher returns the builder's reusable search scratch.
 func (b *Builder) searcher() *searcher {
 	if b.scratch == nil {
-		b.scratch = &searcher{
-			builder:   b,
-			used:      make(map[certmodel.FP]bool, 8),
-			poolSeen:  make(map[certmodel.FP]bool, 8),
-			bySubject: make(map[certmodel.Name]int32, 8),
-			bySKID:    make(map[skidKey]int32, 8),
-		}
+		b.scratch = &searcher{builder: b}
 	}
 	return b.scratch
 }
@@ -205,27 +207,29 @@ func (b *Builder) searcher() *searcher {
 // Build constructs and validates a path for the presented list. domain, when
 // non-empty, is checked against the leaf during validation.
 func (b *Builder) Build(list []*certmodel.Certificate, domain string) Outcome {
-	m := b.metrics()
-	var out Outcome
-	defer m.record(&out)
+	out := b.build(list, domain)
+	b.metrics().record(&out)
+	return out
+}
+
+func (b *Builder) build(list []*certmodel.Certificate, domain string) Outcome {
 	if len(list) == 0 {
-		out.Err = ErrEmptyList
-		return out
+		return Outcome{Err: ErrEmptyList}
 	}
 	if b.Policy.MaxInputList > 0 && len(list) > b.Policy.MaxInputList {
-		out.Err = fmt.Errorf("%w: %d > %d", ErrInputListTooLong, len(list), b.Policy.MaxInputList)
-		return out
+		return Outcome{Err: fmt.Errorf("%w: %d > %d", ErrInputListTooLong, len(list), b.Policy.MaxInputList)}
 	}
 
 	leaf := list[0]
 	if leaf.SelfSigned() && !b.Policy.AllowSelfSignedLeaf {
-		out.Err = ErrSelfSignedLeaf
-		return out
+		return Outcome{Err: ErrSelfSignedLeaf}
 	}
 
 	search := b.searcher()
-	search.begin(list, domain, &out)
+	search.begin(list, domain)
 	search.run(leaf)
+	out := search.out
+	search.out = Outcome{} // the caller owns the path and findings now
 
 	if out.Err == nil && len(out.Path) > 0 && out.Validation.OK && b.Policy.UseCache && b.Cache != nil && !b.CacheReadOnly {
 		// Cache the intermediates of a successfully validated path.
@@ -247,11 +251,19 @@ type poolEntry struct {
 // buildPool converts the list into the candidate pool, folding duplicates
 // when the policy eliminates them. The leaf (position 0) stays in the pool:
 // a duplicated leaf must still be skipped over, at scanning cost. The pool
-// slice and dedup set live in the searcher scratch and are reused across
-// Build calls.
+// slice and the indexed mode's dedup set live in the searcher scratch and
+// are reused across Build calls.
 func (s *searcher) buildPool(list []*certmodel.Certificate) {
 	pool := s.poolBuf[:0]
-	if s.builder.Policy.EliminateDuplicates {
+	switch {
+	case !s.builder.Policy.EliminateDuplicates:
+		for i, c := range list {
+			pool = append(pool, poolEntry{c, i})
+		}
+	case s.indexed:
+		if s.poolSeen == nil {
+			s.poolSeen = make(map[certmodel.FP]bool, len(list))
+		}
 		clear(s.poolSeen)
 		for i, c := range list {
 			fp := c.Fingerprint()
@@ -261,13 +273,33 @@ func (s *searcher) buildPool(list []*certmodel.Certificate) {
 			s.poolSeen[fp] = true
 			pool = append(pool, poolEntry{c, i})
 		}
-	} else {
+	default:
 		for i, c := range list {
-			pool = append(pool, poolEntry{c, i})
+			if !inPool(pool, c) {
+				pool = append(pool, poolEntry{c, i})
+			}
 		}
 	}
 	s.poolBuf = pool
 	s.pool = pool
+}
+
+// inPool reports whether the pool already holds a copy of c. A pointer
+// match settles the common case, a list repeating one certificate; only
+// then are fingerprints compared.
+func inPool(pool []poolEntry, c *certmodel.Certificate) bool {
+	for _, e := range pool {
+		if e.cert == c {
+			return true
+		}
+	}
+	fp := c.Fingerprint()
+	for _, e := range pool {
+		if e.cert.Fingerprint() == fp {
+			return true
+		}
+	}
+	return false
 }
 
 // searcher runs the (possibly backtracking) DFS over issuer choices. One
@@ -278,8 +310,14 @@ type searcher struct {
 	builder *Builder
 	pool    []poolEntry
 	domain  string
-	out     *Outcome
 	maxTry  int
+	// indexed is set for lists longer than scanMax: the pool is deduplicated
+	// through poolSeen, candidates are found through the pool index, and
+	// used tracks the path. Shorter lists scan the pool and the path instead.
+	indexed bool
+
+	// out is the Outcome under construction; Build returns it by value.
+	out Outcome
 
 	// Reusable scratch.
 
@@ -295,7 +333,7 @@ type searcher struct {
 	nextSubject []int32
 	nextSKID    []int32
 	// path is the DFS stack of the partial path; used marks the
-	// fingerprints on it.
+	// fingerprints on it in indexed mode.
 	path []*certmodel.Certificate
 	used map[certmodel.FP]bool
 	// candStack holds one reusable candidate buffer per search depth, so
@@ -314,28 +352,62 @@ type searcher struct {
 }
 
 // begin resets the searcher for a new Build call: per-call results are
-// zeroed, the candidate pool is rebuilt into the reusable buffers, and the
-// pool index is rewired.
-func (s *searcher) begin(list []*certmodel.Certificate, domain string, out *Outcome) {
+// zeroed, the candidate pool is rebuilt into the reusable buffers, and, for
+// a list longer than scanMax, the pool index is rewired.
+func (s *searcher) begin(list []*certmodel.Certificate, domain string) {
 	s.domain = domain
-	s.out = out
+	s.out = Outcome{}
 	s.maxTry = s.builder.Policy.MaxAttempts
 	if s.maxTry <= 0 {
 		s.maxTry = defaultMaxAttempts
 	}
 	s.path = s.path[:0]
-	clear(s.used)
 	s.firstPath = nil
 	s.firstValidation = validate.Result{}
 	s.haveFirst = false
 	s.done = false
+	s.indexed = len(list) > scanMax
 	s.buildPool(list)
-	s.indexPool()
+	if s.indexed {
+		if s.used == nil {
+			s.used = make(map[certmodel.FP]bool, 8)
+		}
+		clear(s.used)
+		s.indexPool()
+	}
+}
+
+// push appends c to the path.
+func (s *searcher) push(c *certmodel.Certificate) {
+	s.path = append(s.path, c)
+	if s.indexed {
+		s.used[c.Fingerprint()] = true
+	}
+}
+
+// pop removes the path's last certificate.
+func (s *searcher) pop() {
+	if s.indexed {
+		delete(s.used, s.path[len(s.path)-1].Fingerprint())
+	}
+	s.path = s.path[:len(s.path)-1]
+}
+
+// onPath reports whether a certificate with fingerprint fp is on the path.
+func (s *searcher) onPath(c *certmodel.Certificate, fp certmodel.FP) bool {
+	if s.indexed {
+		return s.used[fp]
+	}
+	for _, p := range s.path {
+		if p == c || p.Fingerprint() == fp {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *searcher) run(leaf *certmodel.Certificate) {
-	s.path = append(s.path, leaf)
-	s.used[leaf.Fingerprint()] = true
+	s.push(leaf)
 	s.extend(0)
 	if s.done {
 		return
@@ -367,7 +439,7 @@ func (s *searcher) finish(path []*certmodel.Certificate) bool {
 		res = validate.Result{Findings: []validate.Finding{{
 			Index:   -1,
 			Problem: validate.ProblemPathLenExceeded,
-			Detail:  fmt.Sprintf("client limit %d", s.builder.Policy.MaxPathLen),
+			Detail:  "client limit " + strconv.Itoa(s.builder.Policy.MaxPathLen),
 		}}}
 	}
 	s.recordAttempt(path, res)
@@ -441,21 +513,17 @@ func (s *searcher) extend(lastPos int) {
 			break
 		}
 		tried = true
-		fp := cand.cert.Fingerprint()
-		s.used[fp] = true
-		s.path = append(s.path, cand.cert)
+		s.push(cand.cert)
 		if cand.terminal {
 			finished := s.finish(s.path)
-			s.path = s.path[:len(s.path)-1]
-			delete(s.used, fp)
+			s.pop()
 			if !finished && s.builder.Policy.Backtrack {
 				continue
 			}
 			return
 		}
 		s.extend(cand.nextLastPos(lastPos))
-		s.path = s.path[:len(s.path)-1]
-		delete(s.used, fp)
+		s.pop()
 		if s.done || !s.builder.Policy.Backtrack {
 			return
 		}

@@ -110,7 +110,7 @@ func skidKeyOf(id []byte) (k skidKey) {
 	return k
 }
 
-// indexPool (re)builds the pool index for the current Build call: a
+// indexPool (re)builds the pool index for a list longer than scanMax: a
 // subject-DN chain and an SKID chain over the pool entries, so candidate
 // lookup touches only the entries that can satisfy NameIndicatesIssuance
 // for the path tip — O(matches) instead of O(pool) per step. Chain heads
@@ -123,6 +123,10 @@ func skidKeyOf(id []byte) (k skidKey) {
 // requires a non-empty issuer name), and SKID-less entries never enter the
 // SKID chain, mirroring the guards inside NameIndicatesIssuance.
 func (s *searcher) indexPool() {
+	if s.bySubject == nil {
+		s.bySubject = make(map[certmodel.Name]int32, len(s.pool))
+		s.bySKID = make(map[skidKey]int32, len(s.pool))
+	}
 	clear(s.bySubject)
 	clear(s.bySKID)
 	n := len(s.pool)
@@ -159,7 +163,7 @@ func (s *searcher) indexPool() {
 // per-step map.
 func (s *searcher) addCandidate(cands []candidate, current, cert *certmodel.Certificate, pos int, source candSource, terminal bool) []candidate {
 	fp := cert.Fingerprint()
-	if s.used[fp] {
+	if s.onPath(cert, fp) {
 		return cands
 	}
 	for i := range cands {
@@ -215,40 +219,17 @@ func (s *searcher) collectCandidates(current *certmodel.Certificate, lastPos, de
 		}
 	}
 
-	// Presented list, via the pool index. CandidatesConsidered keeps the
-	// sequential-scan semantics — every pool entry a front-to-back scanner
-	// would visit counts, whether or not the index touches it: reordering
-	// policies scan the whole pool, forward-only ones the tail past
-	// lastPos (pool positions are strictly increasing).
-	if b.Policy.Reorder {
-		s.out.CandidatesConsidered += len(s.pool)
+	// Presented list: scanned in pool order, or looked up in the pool index.
+	if s.indexed {
+		cands = s.indexedListCandidates(cands, current, lastPos)
 	} else {
-		first := sort.Search(len(s.pool), func(i int) bool { return s.pool[i].pos > lastPos })
-		s.out.CandidatesConsidered += len(s.pool) - first
-	}
-	if !current.Issuer.IsZero() {
-		if head, ok := s.bySubject[current.Issuer]; ok {
-			for i := head; i >= 0; i = s.nextSubject[i] {
-				entry := s.pool[i]
-				if !b.Policy.Reorder && entry.pos <= lastPos {
-					continue
-				}
-				if certmodel.NameIndicatesIssuance(entry.cert, current) {
-					cands = s.addCandidate(cands, current, entry.cert, entry.pos, sourceList, false)
-				}
+		for _, entry := range s.pool {
+			if !b.Policy.Reorder && entry.pos <= lastPos {
+				continue
 			}
-		}
-	}
-	if len(current.AuthorityKeyID) > 0 {
-		if head, ok := s.bySKID[skidKeyOf(current.AuthorityKeyID)]; ok {
-			for i := head; i >= 0; i = s.nextSKID[i] {
-				entry := s.pool[i]
-				if !b.Policy.Reorder && entry.pos <= lastPos {
-					continue
-				}
-				if certmodel.NameIndicatesIssuance(entry.cert, current) {
-					cands = s.addCandidate(cands, current, entry.cert, entry.pos, sourceList, false)
-				}
+			s.out.CandidatesConsidered++
+			if certmodel.NameIndicatesIssuance(entry.cert, current) {
+				cands = s.addCandidate(cands, current, entry.cert, entry.pos, sourceList, false)
 			}
 		}
 	}
@@ -280,9 +261,69 @@ func (s *searcher) collectCandidates(current *certmodel.Certificate, lastPos, de
 	for i := range cands {
 		cands[i].rank = s.rankCandidate(current, cands[i], depth)
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].rank.less(cands[j].rank) })
+	sortCandidates(cands)
 	s.candStack[depth] = cands
 	return cands
+}
+
+// indexedListCandidates appends the pool entries the index links to
+// current. The subject chain is visited before the SKID chain, so the
+// shortlist is not in pool order until it is ranked: the position, the
+// ranking's last key, orders it as a scan would. CandidatesConsidered keeps
+// the sequential-scan semantics —
+// every pool entry a front-to-back scanner would visit counts, whether or
+// not the index touches it: reordering policies scan the whole pool,
+// forward-only ones the tail past lastPos (pool positions are strictly
+// increasing).
+func (s *searcher) indexedListCandidates(cands []candidate, current *certmodel.Certificate, lastPos int) []candidate {
+	reorder := s.builder.Policy.Reorder
+	if reorder {
+		s.out.CandidatesConsidered += len(s.pool)
+	} else {
+		first := sort.Search(len(s.pool), func(i int) bool { return s.pool[i].pos > lastPos })
+		s.out.CandidatesConsidered += len(s.pool) - first
+	}
+	if !current.Issuer.IsZero() {
+		if head, ok := s.bySubject[current.Issuer]; ok {
+			for i := head; i >= 0; i = s.nextSubject[i] {
+				entry := s.pool[i]
+				if !reorder && entry.pos <= lastPos {
+					continue
+				}
+				if certmodel.NameIndicatesIssuance(entry.cert, current) {
+					cands = s.addCandidate(cands, current, entry.cert, entry.pos, sourceList, false)
+				}
+			}
+		}
+	}
+	if len(current.AuthorityKeyID) > 0 {
+		if head, ok := s.bySKID[skidKeyOf(current.AuthorityKeyID)]; ok {
+			for i := head; i >= 0; i = s.nextSKID[i] {
+				entry := s.pool[i]
+				if !reorder && entry.pos <= lastPos {
+					continue
+				}
+				if certmodel.NameIndicatesIssuance(entry.cert, current) {
+					cands = s.addCandidate(cands, current, entry.cert, entry.pos, sourceList, false)
+				}
+			}
+		}
+	}
+	return cands
+}
+
+// sortCandidates orders the shortlist by rank, keeping equal ranks in
+// collection order. A shortlist holds a handful of issuers, so an insertion
+// sort suffices, and unlike sort.SliceStable it allocates nothing.
+func sortCandidates(cands []candidate) {
+	for i := 1; i < len(cands); i++ {
+		c := cands[i]
+		j := i
+		for ; j > 0 && c.rank.less(cands[j-1].rank); j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = c
+	}
 }
 
 // rankCandidate computes the policy-dependent priority key.

@@ -135,9 +135,9 @@ func TestPathNeverRepeatsCertificates(t *testing.T) {
 			policy.AIA = false
 			b := &Builder{Policy: policy, Roots: roots, Now: base.AddDate(0, 1, 0)}
 			out := b.Build(list, "")
-			seen := map[string]bool{}
+			seen := map[certmodel.FP]bool{}
 			for _, c := range out.Path {
-				fp := c.FingerprintHex()
+				fp := c.Fingerprint()
 				if seen[fp] {
 					t.Fatalf("case %d policy %s: certificate repeated in path", i, policy.Name)
 				}

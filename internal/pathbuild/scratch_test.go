@@ -8,10 +8,12 @@ import (
 
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/rootstore"
+	"chainchaos/internal/validate"
 )
 
 // figureTopologies builds the paper's canonical chain shapes — Figure 2's
-// four topologies, a Figure 3-style long duplicate-heavy list, and Figure 4's
+// four topologies, a Figure 3-style long duplicate-heavy list, the same
+// list padded past scanMax so the searcher indexes it, and Figure 4's
 // cross-signed multi-path list — with synthetic certificates, each paired
 // with a trust store.
 func figureTopologies(tag string) []struct {
@@ -44,6 +46,15 @@ func figureTopologies(tag string) []struct {
 	}
 	long = append(long, top, issuing, root)
 
+	// The Figure 3 shape padded to 40 entries, past scanMax.
+	padded := []*certmodel.Certificate{leaf}
+	for i := 0; i < 18; i++ {
+		stale := certmodel.SyntheticLeaf("fig."+tag+".example", fmt.Sprintf("padded-%d", i),
+			issuing, base.AddDate(-2, 0, 0), base.AddDate(-1, 0, 0))
+		padded = append(padded, stale, stale)
+	}
+	padded = append(padded, top, issuing, root)
+
 	store := rootstore.NewWith("fig-"+tag, root)
 	crossStore := rootstore.NewWith("fig-cross-"+tag, root, legacy)
 	// Exercise the sealed read paths too: these stores never grow again.
@@ -60,6 +71,7 @@ func figureTopologies(tag string) []struct {
 		{"fig2c-crosssigned", []*certmodel.Certificate{leaf, issuing, legacy, cross, top, root}, crossStore},
 		{"fig2d-duplicated", []*certmodel.Certificate{leaf, issuing, top, root, top, issuing}, store},
 		{"fig3-long", long, store},
+		{"fig3-padded40", padded, store},
 		{"fig4-multipath", []*certmodel.Certificate{leaf, issuing, cross, top}, crossStore},
 	}
 }
@@ -76,18 +88,23 @@ func oraclePolicies() []Policy {
 	return []Policy{chrome, openssl, mbed, rec}
 }
 
-// linearCollectOracle reimplements candidate collection as the sequential
-// scan the index replaced: fresh seen map, full front-to-back pool walk,
-// then ranking. It is the test oracle for collectCandidates.
+// linearCollectOracle reimplements candidate collection as a plain
+// sequential scan: fresh seen maps, full front-to-back pool walk, then
+// ranking with sort.SliceStable. It is the test oracle for collectCandidates
+// in both its scanned and its indexed mode.
 func linearCollectOracle(s *searcher, current *certmodel.Certificate, lastPos, depth int) ([]candidate, int) {
 	b := s.builder
 	var cands []candidate
 	seen := make(map[certmodel.FP]bool)
+	onPath := make(map[certmodel.FP]bool)
+	for _, c := range s.path {
+		onPath[c.Fingerprint()] = true
+	}
 	considered := 0
 
 	add := func(cert *certmodel.Certificate, pos int, source candSource, terminal bool) {
 		fp := cert.Fingerprint()
-		if s.used[fp] || seen[fp] {
+		if onPath[fp] || seen[fp] {
 			return
 		}
 		if cert.Equal(current) {
@@ -134,24 +151,29 @@ func linearCollectOracle(s *searcher, current *certmodel.Certificate, lastPos, d
 	return cands, considered
 }
 
-// TestPoolIndexOracle: on every Figure 2/3/4 topology, under every policy
-// family, for every path tip and forward-only cursor, the indexed
-// collectCandidates must return the same ranked slice — and account the same
-// CandidatesConsidered — as the sequential scan it replaced.
-func TestPoolIndexOracle(t *testing.T) {
+// TestCandidateCollectionOracle: on every Figure 2/3/4 topology — lists the
+// searcher scans and one it indexes — under every policy family, for every
+// path tip and forward-only cursor, collectCandidates must return the same
+// ranked slice, and account the same CandidatesConsidered, as the plain
+// sequential scan. The path holds the leaf and a bit-identical copy of the
+// list's second certificate under another pointer, which must still count
+// as on the path.
+func TestCandidateCollectionOracle(t *testing.T) {
+	modes := map[bool]int{}
 	for _, pol := range oraclePolicies() {
 		for _, tc := range figureTopologies(pol.Name) {
 			b := &Builder{Policy: pol, Roots: tc.roots, Now: base.AddDate(0, 1, 0)}
-			var out Outcome
 			s := b.searcher()
-			s.begin(tc.list, "", &out)
-			s.used[tc.list[0].Fingerprint()] = true
+			s.begin(tc.list, "")
+			s.push(tc.list[0])
+			s.push(certmodel.NewSynthetic(certmodel.SyntheticConfigOf(tc.list[1])))
+			modes[s.indexed]++
 
 			for _, current := range tc.list {
 				for lastPos := 0; lastPos <= len(tc.list); lastPos++ {
-					before := out.CandidatesConsidered
+					before := s.out.CandidatesConsidered
 					got := append([]candidate(nil), s.collectCandidates(current, lastPos, 1)...)
-					gotConsidered := out.CandidatesConsidered - before
+					gotConsidered := s.out.CandidatesConsidered - before
 					want, wantConsidered := linearCollectOracle(s, current, lastPos, 1)
 
 					label := fmt.Sprintf("%s/%s tip=%s lastPos=%d", pol.Name, tc.name, current.Subject.CommonName, lastPos)
@@ -171,6 +193,55 @@ func TestPoolIndexOracle(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	if modes[false] == 0 || modes[true] == 0 {
+		t.Fatalf("topologies cover scanned=%d and indexed=%d lists; want both", modes[false], modes[true])
+	}
+}
+
+// TestDuplicatesFoldByBytes: a duplicate is a bit-identical certificate
+// (paper §3.1), so a list whose repeated entries are separate copies must
+// build exactly like the list that repeats one pointer, whether the
+// searcher scans it or indexes it, and a policy that eliminates duplicates
+// keeps one pool entry per distinct certificate.
+func TestDuplicatesFoldByBytes(t *testing.T) {
+	for _, pol := range oraclePolicies() {
+		for _, tc := range figureTopologies(pol.Name + "-copies") {
+			copies := make([]*certmodel.Certificate, len(tc.list))
+			seen := map[*certmodel.Certificate]bool{}
+			cloned := 0
+			for i, c := range tc.list {
+				copies[i] = c
+				if seen[c] {
+					copies[i] = certmodel.NewSynthetic(certmodel.SyntheticConfigOf(c))
+					if copies[i].Fingerprint() != c.Fingerprint() {
+						t.Fatalf("%s: copy of entry %d is not bit-identical", tc.name, i)
+					}
+					cloned++
+				}
+				seen[c] = true
+			}
+			if cloned == 0 {
+				continue
+			}
+			now := base.AddDate(0, 1, 0)
+			want := (&Builder{Policy: pol, Roots: tc.roots, Now: now}).Build(tc.list, "")
+			b := &Builder{Policy: pol, Roots: tc.roots, Now: now}
+			got := b.Build(copies, "")
+			wantPool := len(tc.list)
+			if pol.EliminateDuplicates {
+				wantPool = len(seen)
+			}
+			if len(b.scratch.pool) != wantPool {
+				t.Errorf("%s/%s: pool holds %d entries, want %d", pol.Name, tc.name, len(b.scratch.pool), wantPool)
+			}
+			if !outcomesEqual(got, want) {
+				t.Errorf("%s/%s: %d copied duplicates: path=%d ok=%v cand=%d tried=%d; repeated pointers: path=%d ok=%v cand=%d tried=%d",
+					pol.Name, tc.name, cloned,
+					len(got.Path), got.Validation.OK, got.CandidatesConsidered, got.PathsTried,
+					len(want.Path), want.Validation.OK, want.CandidatesConsidered, want.PathsTried)
 			}
 		}
 	}
@@ -203,7 +274,7 @@ func outcomesEqual(a, b Outcome) bool {
 // TestScratchReuseMatchesFreshBuilder: a Builder reused across many Build
 // calls with different lists must behave exactly like a fresh Builder per
 // call — no scratch state (pool, index, used set, candidate buffers) may
-// leak between calls.
+// leak between calls, including between a scanned list and an indexed one.
 func TestScratchReuseMatchesFreshBuilder(t *testing.T) {
 	for _, pol := range oraclePolicies() {
 		cases := figureTopologies(pol.Name + "-reuse")
@@ -224,6 +295,56 @@ func TestScratchReuseMatchesFreshBuilder(t *testing.T) {
 						len(want.Path), want.Validation.OK, want.CandidatesConsidered, want.PathsTried, want.Err)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildAllocs: on a reused Builder, a build allocates only what it
+// returns. A validating build allocates its path and nothing else, whether
+// the searcher scans the list or indexes it; a build that ends in one
+// untrusted finding adds the findings slice and the finding's Detail, which
+// quotes the terminal's subject string: at most 4 in all.
+func TestBuildAllocs(t *testing.T) {
+	for _, pol := range oraclePolicies() {
+		topologies := figureTopologies(pol.Name + "-allocs")
+		cases := []struct {
+			name  string
+			list  []*certmodel.Certificate
+			roots *rootstore.Store
+		}{
+			{"fig2a-untrusted", topologies[0].list, rootstore.NewWith("allocs-empty")},
+		}
+		for _, tc := range topologies {
+			switch tc.name {
+			case "fig2a-compliant", "fig3-long", "fig3-padded40":
+				cases = append(cases, tc)
+			}
+		}
+		b := &Builder{Policy: pol, Now: base.AddDate(0, 1, 0)}
+		seen := map[string]int{}
+		for _, tc := range cases {
+			b.Roots = tc.roots
+			out := b.Build(tc.list, "")
+			allocs := testing.AllocsPerRun(50, func() { b.Build(tc.list, "") })
+			label := fmt.Sprintf("%s/%s (%d entries)", pol.Name, tc.name, len(tc.list))
+			t.Logf("%s: %.0f allocations", label, allocs)
+			switch f := out.Validation.Findings; {
+			case out.OK():
+				seen["valid"]++
+				if allocs != 1 {
+					t.Errorf("%s: validating build allocates %.1f times, want 1", label, allocs)
+				}
+			case out.Err == nil && len(f) == 1 && f[0].Problem == validate.ProblemUntrusted:
+				seen["untrusted"]++
+				if allocs > 4 {
+					t.Errorf("%s: untrusted build allocates %.1f times, want at most 4", label, allocs)
+				}
+			default:
+				t.Fatalf("%s: unexpected outcome: err=%v findings=%v", label, out.Err, f)
+			}
+		}
+		if seen["valid"] == 0 || seen["untrusted"] == 0 {
+			t.Fatalf("%s: %d validating and %d untrusted builds; want both", pol.Name, seen["valid"], seen["untrusted"])
 		}
 	}
 }

@@ -33,9 +33,9 @@ func TestPropertyFoldingPreservesDistinctCerts(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		list := randomList(r)
 		g := Build(list)
-		distinct := map[string]bool{}
+		distinct := map[certmodel.FP]bool{}
 		for _, c := range list {
-			distinct[c.FingerprintHex()] = true
+			distinct[c.Fingerprint()] = true
 		}
 		if len(g.Nodes) != len(distinct) {
 			t.Fatalf("case %d: nodes=%d distinct=%d", i, len(g.Nodes), len(distinct))

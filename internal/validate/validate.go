@@ -7,6 +7,7 @@ package validate
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"chainchaos/internal/certmodel"
@@ -125,23 +126,39 @@ type Options struct {
 	Revocation *revocation.List
 }
 
+// add records one finding. The slice is allocated at the first finding,
+// with room for four, so a valid path keeps a nil slice.
+func (r *Result) add(index int, p Problem, detail string) {
+	if r.Findings == nil {
+		r.Findings = make([]Finding, 0, 4)
+	}
+	r.Findings = append(r.Findings, Finding{Index: index, Problem: p, Detail: detail})
+}
+
 // Path validates path[0]=leaf … path[len-1]=top against opts. All findings
 // are collected, not just the first.
+//
+// Each formatted Detail is appended into a stack buffer and converted to a
+// string once. strconv.AppendQuote writes the bytes fmt's %q would, and a
+// Name is quoted through its String form, as %q quotes a Stringer.
 func Path(path []*certmodel.Certificate, opts Options) Result {
 	var res Result
 	if len(path) == 0 {
-		res.Findings = append(res.Findings, Finding{Index: -1, Problem: ProblemEmptyPath, Detail: "no certificates"})
+		res.add(-1, ProblemEmptyPath, "no certificates")
 		return res
 	}
 
+	var buf [128]byte
 	leaf := path[0]
 	if opts.Domain != "" && !leaf.MatchesDomain(opts.Domain) {
-		res.Findings = append(res.Findings, Finding{Index: 0, Problem: ProblemHostnameMismatch,
-			Detail: fmt.Sprintf("leaf %q does not match %q", leaf.Subject.CommonName, opts.Domain)})
+		b := append(buf[:0], "leaf "...)
+		b = strconv.AppendQuote(b, leaf.Subject.CommonName)
+		b = append(b, " does not match "...)
+		b = strconv.AppendQuote(b, opts.Domain)
+		res.add(0, ProblemHostnameMismatch, string(b))
 	}
 	if !leaf.PermitsServerAuth() {
-		res.Findings = append(res.Findings, Finding{Index: 0, Problem: ProblemBadEKU,
-			Detail: "leaf EKU set excludes serverAuth"})
+		res.add(0, ProblemBadEKU, "leaf EKU set excludes serverAuth")
 	}
 
 	for i, cert := range path {
@@ -149,21 +166,25 @@ func Path(path []*certmodel.Certificate, opts Options) Result {
 			// Trust-anchor signatures are never evaluated, so a weak
 			// self-signature on a root is harmless; anywhere else it is a
 			// deprecated-crypto rejection.
-			res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemDeprecatedCrypto,
-				Detail: "certificate signed with a deprecated algorithm"})
+			res.add(i, ProblemDeprecatedCrypto, "certificate signed with a deprecated algorithm")
 		}
 		if opts.Revocation.IsRevoked(cert) {
-			res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemRevoked,
-				Detail: fmt.Sprintf("serial %s revoked by %q", cert.SerialNumber, cert.Issuer)})
+			b := append(buf[:0], "serial "...)
+			b = append(b, cert.SerialNumber...)
+			b = append(b, " revoked by "...)
+			b = strconv.AppendQuote(b, cert.Issuer.String())
+			res.add(i, ProblemRevoked, string(b))
 		}
 		if !opts.Now.IsZero() {
 			if opts.Now.After(cert.NotAfter) {
-				res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemExpired,
-					Detail: fmt.Sprintf("notAfter %s", cert.NotAfter.Format(time.RFC3339))})
+				b := append(buf[:0], "notAfter "...)
+				b = cert.NotAfter.AppendFormat(b, time.RFC3339)
+				res.add(i, ProblemExpired, string(b))
 			}
 			if opts.Now.Before(cert.NotBefore) {
-				res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemNotYetValid,
-					Detail: fmt.Sprintf("notBefore %s", cert.NotBefore.Format(time.RFC3339))})
+				b := append(buf[:0], "notBefore "...)
+				b = cert.NotBefore.AppendFormat(b, time.RFC3339)
+				res.add(i, ProblemNotYetValid, string(b))
 			}
 		}
 		if i == 0 {
@@ -171,12 +192,12 @@ func Path(path []*certmodel.Certificate, opts Options) Result {
 		}
 		// Issuer checks: CA status, KeyUsage, pathLenConstraint.
 		if !cert.IsCA || !cert.BasicConstraintsValid {
-			res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemNotCA,
-				Detail: fmt.Sprintf("%q is not a CA certificate", cert.Subject.CommonName)})
+			b := strconv.AppendQuote(buf[:0], cert.Subject.CommonName)
+			b = append(b, " is not a CA certificate"...)
+			res.add(i, ProblemNotCA, string(b))
 		}
 		if !cert.CanSignCertificates() {
-			res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemBadKeyUsage,
-				Detail: "KeyUsage lacks certSign"})
+			res.add(i, ProblemBadKeyUsage, "KeyUsage lacks certSign")
 		}
 		// RFC 5280 §4.2.1.9: pathLenConstraint bounds the number of
 		// non-self-issued intermediate certificates that may follow this
@@ -185,32 +206,41 @@ func Path(path []*certmodel.Certificate, opts Options) Result {
 		if cert.MaxPathLen != certmodel.MaxPathLenUnset {
 			below := i - 1
 			if below > cert.MaxPathLen {
-				res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemPathLenExceeded,
-					Detail: fmt.Sprintf("pathLen %d but %d intermediates below", cert.MaxPathLen, below)})
+				b := append(buf[:0], "pathLen "...)
+				b = strconv.AppendInt(b, int64(cert.MaxPathLen), 10)
+				b = append(b, " but "...)
+				b = strconv.AppendInt(b, int64(below), 10)
+				b = append(b, " intermediates below"...)
+				res.add(i, ProblemPathLenExceeded, string(b))
 			}
 		}
 		// Extended Key Usage chains transitively in Web PKI practice: a CA
 		// whose EKU set excludes serverAuth cannot appear on a server path.
 		if !cert.PermitsServerAuth() {
-			res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemBadEKU,
-				Detail: "EKU set excludes serverAuth"})
+			res.add(i, ProblemBadEKU, "EKU set excludes serverAuth")
 		}
 		// Name constraints on this CA apply to every subject below it
 		// (RFC 5280 §4.2.1.10); checking the leaf covers the hostname
 		// identities that matter for TLS.
 		if !leaf.NamesAllowedBy(cert) {
-			res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemNameConstraintViolation,
-				Detail: fmt.Sprintf("leaf names violate %q's name constraints", cert.Subject.CommonName)})
+			b := append(buf[:0], "leaf names violate "...)
+			b = strconv.AppendQuote(b, cert.Subject.CommonName)
+			b = append(b, "'s name constraints"...)
+			res.add(i, ProblemNameConstraintViolation, string(b))
 		}
 		if !opts.SkipSignatures && !path[i-1].SignatureVerifiedBy(cert) {
-			res.Findings = append(res.Findings, Finding{Index: i, Problem: ProblemBadSignature,
-				Detail: fmt.Sprintf("%q does not verify %q", cert.Subject.CommonName, path[i-1].Subject.CommonName)})
+			b := strconv.AppendQuote(buf[:0], cert.Subject.CommonName)
+			b = append(b, " does not verify "...)
+			b = strconv.AppendQuote(b, path[i-1].Subject.CommonName)
+			res.add(i, ProblemBadSignature, string(b))
 		}
 	}
 
 	if !anchored(path, opts.Roots) {
-		res.Findings = append(res.Findings, Finding{Index: -1, Problem: ProblemUntrusted,
-			Detail: fmt.Sprintf("path terminates at %q with no trust anchor", path[len(path)-1].Subject)})
+		b := append(buf[:0], "path terminates at "...)
+		b = strconv.AppendQuote(b, path[len(path)-1].Subject.String())
+		b = append(b, " with no trust anchor"...)
+		res.add(-1, ProblemUntrusted, string(b))
 	}
 
 	res.OK = len(res.Findings) == 0
@@ -224,8 +254,5 @@ func anchored(path []*certmodel.Certificate, roots *rootstore.Store) bool {
 		return false
 	}
 	last := path[len(path)-1]
-	if roots.Contains(last) {
-		return true
-	}
-	return len(roots.FindIssuers(last)) > 0
+	return roots.Contains(last) || roots.HasIssuer(last)
 }

@@ -1,11 +1,13 @@
 package validate
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"chainchaos/internal/certmodel"
+	"chainchaos/internal/revocation"
 	"chainchaos/internal/rootstore"
 )
 
@@ -205,5 +207,61 @@ func TestProblemAndFindingStrings(t *testing.T) {
 	var empty Result
 	if empty.FirstProblem() != Problem(-1) {
 		t.Error("FirstProblem on empty result")
+	}
+}
+
+// TestDetailsMatchFmt: every formatted Detail has the bytes fmt.Sprintf
+// gives for its format, on names, serials and domains that need escaping.
+func TestDetailsMatchFmt(t *testing.T) {
+	caBName := certmodel.Name{CommonName: "CA \"B\" \\ ✓", Organization: "Org, \"Q\"\n", Country: "Ü"}
+	caAName := certmodel.Name{CommonName: "CA 'A'\t\x01", Organization: "Org, \"Q\"\n"}
+	caBKey := certmodel.NewSyntheticKey("detail ca B")
+	caAKey := certmodel.NewSyntheticKey("detail ca A")
+	caB := certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: caBName, Issuer: certmodel.Name{CommonName: "Elsewhere"}, Serial: "b",
+		NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
+		Key: caBKey, SignedBy: certmodel.NewSyntheticKey("detail elsewhere"),
+		IsCA: true, BasicConstraintsValid: true, HasPathLen: true, MaxPathLen: 0,
+	})
+	caA := certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: caAName, Issuer: caBName, Serial: "0x\"7f\\",
+		NotBefore: base.AddDate(2, 0, 0), NotAfter: base.AddDate(5, 0, 0),
+		Key: caAKey, SignedBy: caBKey,
+		BasicConstraintsValid: true,
+		PermittedDNSDomains:   []string{"constrained.invalid"},
+	})
+	leaf := certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: certmodel.Name{CommonName: "we\"ird\\ü\x7f.example"}, Issuer: caAName, Serial: "1",
+		NotBefore: base, NotAfter: base.AddDate(0, 0, 1),
+		Key: certmodel.NewSyntheticKey("detail leaf"), SignedBy: certmodel.NewSyntheticKey("detail stranger"),
+		DNSNames: []string{"we\"ird\\ü\x7f.example"},
+	})
+	revoked := revocation.NewList()
+	revoked.Revoke(caA)
+	now := base.AddDate(1, 0, 0)
+	domain := "other\".example "
+
+	res := Path([]*certmodel.Certificate{leaf, caA, caB}, Options{Now: now, Domain: domain, Revocation: revoked})
+	want := map[Problem]string{
+		ProblemHostnameMismatch:        fmt.Sprintf("leaf %q does not match %q", leaf.Subject.CommonName, domain),
+		ProblemExpired:                 fmt.Sprintf("notAfter %s", leaf.NotAfter.Format(time.RFC3339)),
+		ProblemRevoked:                 fmt.Sprintf("serial %s revoked by %q", caA.SerialNumber, caA.Issuer),
+		ProblemNotYetValid:             fmt.Sprintf("notBefore %s", caA.NotBefore.Format(time.RFC3339)),
+		ProblemNotCA:                   fmt.Sprintf("%q is not a CA certificate", caA.Subject.CommonName),
+		ProblemNameConstraintViolation: fmt.Sprintf("leaf names violate %q's name constraints", caA.Subject.CommonName),
+		ProblemBadSignature:            fmt.Sprintf("%q does not verify %q", caA.Subject.CommonName, leaf.Subject.CommonName),
+		ProblemPathLenExceeded:         fmt.Sprintf("pathLen %d but %d intermediates below", caB.MaxPathLen, 1),
+		ProblemUntrusted:               fmt.Sprintf("path terminates at %q with no trust anchor", caB.Subject),
+	}
+	got := map[Problem]string{}
+	for _, f := range res.Findings {
+		if _, ok := want[f.Problem]; ok {
+			got[f.Problem] = f.Detail
+		}
+	}
+	for p, w := range want {
+		if got[p] != w {
+			t.Errorf("%s: Detail %q, want %q", p, got[p], w)
+		}
 	}
 }
