@@ -165,6 +165,32 @@ func BenchmarkFigure2TopologyBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkTopoLongList bounds the quadratic cost of folding and wiring a
+// long untrusted list (chainserved grades bodies of up to 1 MiB): Build,
+// then IrrelevantNodes, over a 1,024-deep chain, a leaf among 1,024
+// unrelated intermediates, and the same with 1,024 intermediates whose
+// encodings all have one length and differ only in their trailing key.
+func BenchmarkTopoLongList(b *testing.B) {
+	deep1024, _ := deepChain(1024)
+	distinct1024, _ := distinctList(1024)
+	cases := []struct {
+		name string
+		list []*certmodel.Certificate
+	}{
+		{"deep1024", deep1024},
+		{"distinct1024", distinct1024},
+		{"sameLength1024", sameLengthList(1024)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				topo.Build(c.list).IrrelevantNodes()
+			}
+		})
+	}
+}
+
 // --- Figures 3/4: the case-study chains ---
 
 func benchCaseChains(b *testing.B) ([]*certmodel.Certificate, *rootstore.Store) {
@@ -288,6 +314,26 @@ func distinctList(n int) ([]*certmodel.Certificate, *rootstore.Store) {
 	roots := rootstore.NewWith("bench-distinct", root)
 	roots.Seal()
 	return list, roots
+}
+
+// sameLengthList is distinctList with n intermediates that share subject,
+// issuer, serial and signer and carry no key identifiers, so their
+// encodings have one length and differ only in the trailing public key.
+func sameLengthList(n int) []*certmodel.Certificate {
+	base := certgen.Reference.AddDate(-1, 0, 0)
+	root := certmodel.SyntheticRoot("Bench Same-Length Root", base)
+	issuing := certmodel.SyntheticIntermediate("Bench Same-Length Issuing CA", root, base)
+	stranger := certmodel.SyntheticRoot("Bench Same-Length Stranger", base)
+	list := []*certmodel.Certificate{certmodel.SyntheticLeaf("same.bench.example", "1", issuing, base, base.AddDate(2, 0, 0))}
+	for i := 0; i < n; i++ {
+		list = append(list, certmodel.NewSynthetic(certmodel.SyntheticConfig{
+			Subject: certmodel.Name{CommonName: "Bench Same-Length CA"}, Issuer: stranger.Subject,
+			Serial: "same", NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
+			Key: certmodel.NewSyntheticKey(fmt.Sprintf("bench same-length %d", i)), SignedBy: certmodel.KeyOf(stranger),
+			OmitSKID: true, OmitAKID: true, IsCA: true, BasicConstraintsValid: true,
+		}))
+	}
+	return append(list, issuing, root)
 }
 
 func BenchmarkFigure4Backtracking(b *testing.B) {

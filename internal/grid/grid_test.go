@@ -3,8 +3,10 @@ package grid
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSubstitution(t *testing.T) {
@@ -197,13 +199,7 @@ func TestRunnerServeDrain(t *testing.T) {
 	spec := &Spec{
 		Name: "serve",
 		Steps: []Step{
-			{
-				ID:    "daemon",
-				Serve: true,
-				Ready: `listening on (\S+)`,
-				Run: []string{"sh", "-c",
-					`echo "listening on 127.0.0.1:1234" >&2; trap 'echo bye >&2; exit 0' TERM; while true; do sleep 0.1; done`},
-			},
+			serveDaemon,
 			{
 				ID:  "use",
 				Run: []string{"sh", "-c", `echo "target was ${addr}"`},
@@ -227,6 +223,76 @@ func TestRunnerServeDrain(t *testing.T) {
 	}
 	if rep.Steps["use"].Captures["target"] != "127.0.0.1:1234" {
 		t.Fatalf("addr did not reach the later step: %+v", rep.Steps["use"].Captures)
+	}
+}
+
+// serveDaemon is a serve step that prints its ready line, then serves until
+// SIGTERM.
+var serveDaemon = Step{
+	ID:    "daemon",
+	Serve: true,
+	Ready: `listening on (\S+)`,
+	Run: []string{"sh", "-c",
+		`echo "listening on 127.0.0.1:1234" >&2; trap 'echo bye >&2; exit 0' TERM; while true; do sleep 0.1; done`},
+}
+
+// TestRunnerServeEarlyExit: a daemon that exits before its ready line fails
+// the run at once, naming its exit status, instead of waiting out the ready
+// deadline.
+func TestRunnerServeEarlyExit(t *testing.T) {
+	spec := &Spec{
+		Name: "early",
+		Steps: []Step{{
+			ID: "daemon", Serve: true, Ready: `listening on (\S+)`,
+			Run: []string{"sh", "-c", "echo boom >&2; exit 3"},
+		}},
+	}
+	if err := spec.validate(); err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Spec: spec, Work: t.TempDir(), Log: io_Discard(t)}
+	start := time.Now()
+	_, err := r.Run()
+	if err == nil || !strings.Contains(err.Error(), "exit status 3") {
+		t.Fatalf("want a failure naming exit status 3, got %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("early exit took %v to report", d)
+	}
+}
+
+// TestRunnerServeNoGoroutineLeak: every exit path of a run with a serve
+// step — a clean drain, a daemon exiting before it is ready, and a later
+// step failing while the daemon serves — leaves no goroutine behind.
+func TestRunnerServeNoGoroutineLeak(t *testing.T) {
+	cases := map[string][]Step{
+		"clean-drain": {serveDaemon, {ID: "use", Run: []string{"true"}}},
+		"early-exit": {{
+			ID: "daemon", Serve: true, Ready: `listening on (\S+)`,
+			Run: []string{"sh", "-c", "exit 3"},
+		}},
+		"later-step-fails": {serveDaemon, {ID: "use", Run: []string{"false"}}},
+	}
+	for name, steps := range cases {
+		t.Run(name, func(t *testing.T) {
+			spec := &Spec{Name: name, Steps: steps}
+			if err := spec.validate(); err != nil {
+				t.Fatal(err)
+			}
+			base := runtime.NumGoroutine()
+			r := &Runner{Spec: spec, Work: t.TempDir(), Log: io_Discard(t)}
+			_, err := r.Run()
+			if (err == nil) != (name == "clean-drain") {
+				t.Fatalf("run error = %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after the run, %d before", n, base)
+			}
+		})
 	}
 }
 

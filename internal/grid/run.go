@@ -102,6 +102,9 @@ type serveProc struct {
 	out     *safeBuf
 	vars    map[string]any
 	closers []io.Closer
+	// done closes when the daemon's one Wait returns; waitErr is its result.
+	done    chan struct{}
+	waitErr error
 }
 
 // safeBuf is a mutex-guarded buffer shared by the runner and a daemon's
@@ -367,30 +370,51 @@ func (r *Runner) runStep(st *Step, vars map[string]any, rec *RepeatRecord, tools
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("step %s: %v", st.ID, err)
 		}
+		sp := &serveProc{step: st, cmd: cmd, out: out, closers: closers, done: make(chan struct{})}
+		go func() {
+			sp.waitErr = cmd.Wait()
+			close(sp.done)
+		}()
 		re := regexp.MustCompile(st.Ready)
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			if m := re.FindStringSubmatch(out.String()); m != nil {
-				if len(m) > 1 {
-					name := st.ReadyVar
-					if name == "" {
-						name = "addr"
-					}
-					vars[name] = m[1]
-					srec.Captures[name] = m[1]
+		ready := func() bool {
+			m := re.FindStringSubmatch(out.String())
+			if m == nil {
+				return false
+			}
+			if len(m) > 1 {
+				name := st.ReadyVar
+				if name == "" {
+					name = "addr"
 				}
-				break
+				vars[name] = m[1]
+				srec.Captures[name] = m[1]
 			}
-			if time.Now().After(deadline) {
+			return true
+		}
+		deadline := time.NewTimer(30 * time.Second)
+		defer deadline.Stop()
+		poll := time.NewTicker(25 * time.Millisecond)
+		defer poll.Stop()
+		for !ready() {
+			select {
+			case <-sp.done:
+				// Wait has returned, so the output is complete. A daemon
+				// that printed its ready line before exiting goes to the
+				// drain, which reports how it exited.
+				if !ready() {
+					return fmt.Errorf("step %s: daemon exited before matching ready regex %q: %v — see %s", st.ID, st.Ready, sp.waitErr, logPath)
+				}
+			case <-deadline.C:
 				cmd.Process.Kill() //nolint:errcheck
-				cmd.Wait()         //nolint:errcheck
+				<-sp.done
 				return fmt.Errorf("step %s: daemon never matched ready regex %q", st.ID, st.Ready)
+			case <-poll.C:
 			}
-			time.Sleep(25 * time.Millisecond)
 		}
 		srec.WallMS = time.Since(start).Milliseconds()
 		handedOff = true
-		*serves = append(*serves, &serveProc{step: st, cmd: cmd, out: out, vars: cloneVars(vars), closers: closers})
+		sp.vars = cloneVars(vars)
+		*serves = append(*serves, sp)
 		return nil
 	}
 
@@ -488,16 +512,17 @@ func drainServes(serves []*serveProc, rec *RepeatRecord, r *Runner) error {
 	for i := len(serves) - 1; i >= 0; i-- {
 		sp := serves[i]
 		sp.cmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
-		done := make(chan error, 1)
-		go func() { done <- sp.cmd.Wait() }()
+		timeout := time.NewTimer(30 * time.Second)
 		var waitErr error
 		select {
-		case waitErr = <-done:
-		case <-time.After(30 * time.Second):
+		case <-sp.done:
+			waitErr = sp.waitErr
+		case <-timeout.C:
 			sp.cmd.Process.Kill() //nolint:errcheck
 			waitErr = fmt.Errorf("drain timed out")
-			<-done
+			<-sp.done
 		}
+		timeout.Stop()
 		closeAll(sp.closers)
 		if r == nil {
 			continue

@@ -1,8 +1,8 @@
 package population
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"chainchaos/internal/aia"
 	"chainchaos/internal/ca"
@@ -121,7 +121,7 @@ func (g *generator) domain(rank int) *Domain {
 	iss := h.iss
 	serverName := g.pickServer()
 	model := serverModel(serverName, g.rng)
-	name := fmt.Sprintf("site-%06d.%s", rank, leafTLDs[g.rng.Intn(len(leafTLDs))])
+	name := padded("site-", rank, 6, "."+leafTLDs[g.rng.Intn(len(leafTLDs))])
 	if g.nameOverride != "" {
 		name = g.nameOverride
 	}
@@ -150,17 +150,16 @@ func (g *generator) domain(rank int) *Domain {
 	t.LeafExpired = g.rng.Float64() < 0.008
 
 	leafOpts := g.leafAIAOptions(t, iss, inc)
-	leafOpts.Serial = fmt.Sprintf("r%06d", rank)
+	leafOpts.Serial = padded("r", rank, 6, "")
 	leafName := name
 	if t.LeafMismatch {
-		leafName = fmt.Sprintf("fallback-%03d.hosting.example", g.rng.Intn(500))
+		leafName = padded("fallback-", g.rng.Intn(500), 3, ".hosting.example")
 	}
 	nb, na := g.cfg.Base.AddDate(0, -3, 0), g.cfg.Base.AddDate(0, 9, 0)
 	if t.LeafExpired {
 		nb, na = g.cfg.Base.AddDate(-1, -3, 0), g.cfg.Base.AddDate(0, -1, 0)
 	}
-	delivery := iss.Issue(leafName, nb, na, leafOpts)
-	leaf := delivery.Leaf
+	leaf := iss.IssueLeaf(leafName, nb, na, leafOpts)
 
 	// Assemble the intermediate block in correct order: issuing CA first,
 	// then upward, root last when included.
@@ -328,7 +327,7 @@ func (g *generator) appendIrrelevant(t *Truth, iss *ca.Issuer, leafName string, 
 		var stale []*certmodel.Certificate
 		for i := 1; i <= n; i++ {
 			nb := g.cfg.Base.AddDate(-i, -3, 0)
-			old := certmodel.SyntheticLeaf(leafName, fmt.Sprintf("stale-%06d-%d", g.rank, i), iss.IssuingCA(), nb, nb.AddDate(1, 0, 0))
+			old := certmodel.SyntheticLeaf(leafName, padded("stale-", g.rank, 6, "-"+strconv.Itoa(i)), iss.IssuingCA(), nb, nb.AddDate(1, 0, 0))
 			stale = append(stale, old)
 		}
 		return append(stale, inters...)
@@ -346,7 +345,7 @@ func (g *generator) appendIrrelevant(t *Truth, iss *ca.Issuer, leafName string, 
 		return append(inters, block...)
 	default:
 		t.Irrelevant = IrrelevantUnrelatedRoot
-		stray := certmodel.SyntheticRoot(fmt.Sprintf("Stray Root %04d", g.rng.Intn(100)), g.cfg.Base.AddDate(-6, 0, 0))
+		stray := certmodel.SyntheticRoot(padded("Stray Root ", g.rng.Intn(100), 4, ""), g.cfg.Base.AddDate(-6, 0, 0))
 		return append(inters, stray)
 	}
 }
@@ -434,15 +433,38 @@ func (g *generator) deploy(t *Truth, model httpserver.Model, leaf *certmodel.Cer
 func (g *generator) otherLeafDomain(d *Domain) *Domain {
 	d.Truth.LeafOther = true
 	cn := []string{"Plesk", "localhost", "testexp", ""}[g.rng.Intn(4)]
-	key := certmodel.NewSyntheticKey(fmt.Sprintf("other-%d", d.Rank))
+	id := "other-" + strconv.Itoa(d.Rank)
+	key := certmodel.NewSyntheticKey(id)
 	subject := certmodel.Name{CommonName: cn}
 	cert := certmodel.NewSynthetic(certmodel.SyntheticConfig{
 		Subject: subject, Issuer: subject,
-		Serial:    fmt.Sprintf("other-%d", d.Rank),
+		Serial:    id,
 		NotBefore: g.cfg.Base.AddDate(-1, 0, 0), NotAfter: g.cfg.Base.AddDate(9, 0, 0),
 		Key: key, SignedBy: key,
 		BasicConstraintsValid: true,
 	})
 	d.List = []*certmodel.Certificate{cert}
 	return d
+}
+
+// padded returns prefix, then n in decimal zero-padded to width characters,
+// then suffix: fmt.Sprintf(prefix+"%0*d"+suffix, width, n) in one
+// allocation. As with fmt, a minus sign comes first and counts toward the
+// width, so the slot templates' negative ranks read "r-00001".
+func padded(prefix string, n, width int, suffix string) string {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	u := uint64(n)
+	if n < 0 {
+		b = append(b, '-')
+		u = -u
+		width--
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	b = append(b, d...)
+	return string(append(b, suffix...))
 }

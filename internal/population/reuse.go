@@ -12,10 +12,6 @@
 // of the worker schedule.
 package population
 
-import (
-	"fmt"
-)
-
 // Stream salts separate the reuse decisions from the per-domain seed stream
 // (domainSeed) and from each other.
 const (
@@ -58,7 +54,7 @@ func (c *Config) reusePlan(rank int) (bool, int) {
 // zone wildcard, so every site of the slot matches it (the shared-hosting
 // shape: one certificate, many customer vhosts).
 func slotZone(slot int) string {
-	return fmt.Sprintf("shard-%04d.hosting.example", slot)
+	return padded("shard-", slot, 4, ".hosting.example")
 }
 
 // slotTemplate returns (memoized per generator) the slot's template domain.
@@ -86,7 +82,7 @@ func (g *Generator) sharedDomain(rank, slot int) *Domain {
 	tpl := g.slotTemplate(slot)
 	d := *tpl
 	d.Rank = rank
-	d.Name = fmt.Sprintf("site-%06d.%s", rank, slotZone(slot))
+	d.Name = padded("site-", rank, 6, "."+slotZone(slot))
 	d.Shared = true
 	return &d
 }

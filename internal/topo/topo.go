@@ -7,6 +7,7 @@
 package topo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -19,7 +20,16 @@ import (
 // against adversarial inputs.
 const maxPaths = 64
 
+// stackNodes is how many list entries, distinct certificates and issuance
+// edges Build holds in stack buffers before it spills to the heap. A
+// generated population's longest list has 15 entries.
+const stackNodes = 32
+
 // Node is one distinct certificate in the list.
+//
+// A graph's Occurrences, Issuers and Children slices are runs of a few
+// shared backing arrays. Each run is capped (cap == len), so an append by a
+// caller copies instead of writing into a neighbour's run.
 type Node struct {
 	// Index is the position of the certificate's first occurrence in the
 	// original list; it is the node's label in Figure 2 terms.
@@ -31,6 +41,9 @@ type Node struct {
 	Issuers []*Node
 	// Children are the inverse edges.
 	Children []*Node
+
+	onPath   bool // on the path the walk is extending
+	relevant bool // reachable from the leaf; set by the path walk
 }
 
 // Label renders the node in the paper's notation: "4" for a first
@@ -38,50 +51,124 @@ type Node struct {
 func (n *Node) Label() string { return fmt.Sprintf("%d", n.Index) }
 
 // Graph is the folded issuance topology of a certificate list. A Graph is
-// immutable after Build; the derived path enumeration and ancestor closure
-// are memoized, so the compliance analyzers and difftest grading that each
-// interrogate the same graph several times per chain pay for the DFS once.
-// Use Graphs by pointer — the memoization state makes them non-copyable.
+// immutable after Build; the path enumeration and the relevance marks it
+// leaves are computed once, so the compliance analyzers and difftest
+// grading that each interrogate the same graph several times per chain pay
+// for the walk once. Use Graphs by pointer — the memoization state makes
+// them non-copyable.
 type Graph struct {
 	// List is the original server-provided order, including duplicates.
 	List []*certmodel.Certificate
 	// Nodes holds the distinct certificates in first-occurrence order.
 	Nodes []*Node
 
-	byFP map[certmodel.FP]*Node
-
 	// Memoized query results (goroutine-safe: difftest and the experiment
 	// Env grade precomputed graphs from worker pools).
-	pathsOnce    sync.Once
-	paths        [][]*Node
-	relevantOnce sync.Once
-	relevant     map[*Node]bool
+	pathsOnce sync.Once
+	paths     [][]*Node
 }
+
+// edge is one issuance link, by node position.
+type edge struct{ child, parent int }
 
 // Build folds duplicates and wires issuance edges. It accepts an empty list,
 // producing an empty graph.
+//
+// The nodes live in one array. Duplicates are folded by a linear scan of the
+// nodes so far, by the SHA-256 fingerprint of Raw a map would key on: each
+// step compares the first eight bytes, and only a match is confirmed on the
+// whole digest. So a crafted list cannot make a step slow, as a byte compare
+// of two long encodings that differ at the end would be. The scan is
+// quadratic in the distinct count, as the edge loop below is.
 func Build(list []*certmodel.Certificate) *Graph {
-	g := &Graph{List: list, byFP: make(map[certmodel.FP]*Node, len(list))}
+	g := &Graph{List: list}
+	if len(list) == 0 {
+		return g
+	}
+
+	// keys[j] is the first eight bytes of node j's fingerprint; owner[i] is
+	// the node of list[i].
+	var keyBuf [stackNodes]uint64
+	var ownerBuf [stackNodes]int
+	keys, owner := keyBuf[:0], ownerBuf[:0]
+	nodes := make([]Node, 0, len(list))
 	for i, cert := range list {
 		fp := cert.Fingerprint()
-		if node, ok := g.byFP[fp]; ok {
-			node.Occurrences = append(node.Occurrences, i)
-			continue
+		key := binary.LittleEndian.Uint64(fp[:8])
+		j := 0
+		for j < len(keys) && (keys[j] != key || nodes[j].Cert.Fingerprint() != fp) {
+			j++
 		}
-		node := &Node{Index: i, Cert: cert, Occurrences: []int{i}}
-		g.byFP[fp] = node
-		g.Nodes = append(g.Nodes, node)
+		if j == len(keys) {
+			keys = append(keys, key)
+			nodes = append(nodes, Node{Index: i, Cert: cert})
+		}
+		owner = append(owner, j)
 	}
-	for _, child := range g.Nodes {
-		for _, parent := range g.Nodes {
-			if parent == child {
-				continue
-			}
-			if certmodel.Issued(parent.Cert, child.Cert) {
-				child.Issuers = append(child.Issuers, parent)
-				parent.Children = append(parent.Children, child)
+
+	// Occurrences: count each node's copies into occ, carve each node its
+	// run of occ, then fill the runs in list order.
+	occ := make([]int, len(list))
+	for _, j := range owner {
+		occ[j]++
+	}
+	start := 0
+	for j := range nodes {
+		c := occ[j]
+		nodes[j].Occurrences = occ[start : start : start+c]
+		start += c
+	}
+	for i, j := range owner {
+		nodes[j].Occurrences = append(nodes[j].Occurrences, i)
+	}
+
+	var edgeBuf [stackNodes]edge
+	edges := edgeBuf[:0]
+	for c := range nodes {
+		child := nodes[c].Cert
+		for p := range nodes {
+			if p != c && certmodel.Issued(nodes[p].Cert, child) {
+				edges = append(edges, edge{c, p})
 			}
 		}
+	}
+
+	// One pointer array holds Nodes, then every Issuers run, then every
+	// Children run.
+	n, e := len(nodes), len(edges)
+	ptrs := make([]*Node, n+2*e)
+	g.Nodes = ptrs[:n:n]
+	for j := range nodes {
+		g.Nodes[j] = &nodes[j]
+	}
+	// Edges are child-major in parent order, so a child's issuers are one
+	// run of them.
+	issuers := ptrs[n : n+e]
+	for k := 0; k < e; {
+		c, first := edges[k].child, k
+		for ; k < e && edges[k].child == c; k++ {
+			issuers[k] = &nodes[edges[k].parent]
+		}
+		nodes[c].Issuers = issuers[first:k:k]
+	}
+	// A parent's children arrive in child order; owner, no longer needed,
+	// counts them per parent.
+	children := ptrs[n+e:]
+	count := owner[:n]
+	clear(count)
+	for _, ed := range edges {
+		count[ed.parent]++
+	}
+	start = 0
+	for j, c := range count {
+		if c > 0 {
+			nodes[j].Children = children[start : start : start+c]
+			start += c
+		}
+	}
+	for _, ed := range edges {
+		p := &nodes[ed.parent]
+		p.Children = append(p.Children, &nodes[ed.child])
 	}
 	return g
 }
@@ -146,55 +233,103 @@ func (g *Graph) computePaths() [][]*Node {
 	if leaf == nil {
 		return nil
 	}
-	var paths [][]*Node
-	onPath := make(map[*Node]bool)
-	var walk func(node *Node, acc []*Node)
-	walk = func(node *Node, acc []*Node) {
-		if len(paths) >= maxPaths {
-			return
-		}
-		acc = append(acc, node)
-		onPath[node] = true
-		defer delete(onPath, node)
+	// A path holds each node at most once, so acc never outgrows the first
+	// half of buf; store starts in the second half.
+	n := len(g.Nodes)
+	buf := make([]*Node, 2*n)
+	w := walker{acc: buf[:0:n], store: buf[n:n]}
+	w.walk(leaf)
+	if len(w.paths) >= maxPaths {
+		// An uncapped walk visits exactly the nodes reachable from the
+		// leaf, so its marks are the relevance; the cap may have stopped it
+		// short. Marking separately only here keeps the SelfSigned checks,
+		// and so certmodel's signature counters, those of a plain walk.
+		g.markReachable(w.acc[:0])
+	}
+	return w.paths
+}
 
-		if node.Cert.SelfSigned() {
-			// A self-signed certificate terminates the path even if some
-			// other in-list certificate could nominally extend it (e.g. a
-			// cross-signed sibling sharing the same key).
-			paths = append(paths, append([]*Node(nil), acc...))
-			return
+// markReachable sets the relevance marks to reachability from the leaf
+// along Issuers. A self-signed node is reached but not extended, as a path
+// ends there. stack is scratch with room for every node.
+func (g *Graph) markReachable(stack []*Node) {
+	for _, n := range g.Nodes {
+		n.relevant = false
+	}
+	leaf := g.Nodes[0]
+	leaf.relevant = true
+	stack = append(stack, leaf)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n.Cert.SelfSigned() {
+			continue
 		}
+		for _, issuer := range n.Issuers {
+			if !issuer.relevant {
+				issuer.relevant = true
+				stack = append(stack, issuer)
+			}
+		}
+	}
+}
+
+// walker is the depth-first path enumeration. acc is the path being
+// extended; every finished path is a capped run of store.
+type walker struct {
+	acc   []*Node
+	store []*Node
+	paths [][]*Node
+}
+
+func (w *walker) walk(node *Node) {
+	if len(w.paths) >= maxPaths {
+		return
+	}
+	w.acc = append(w.acc, node)
+	node.onPath, node.relevant = true, true
+
+	if node.Cert.SelfSigned() {
+		// A self-signed certificate terminates the path even if some
+		// other in-list certificate could nominally extend it (e.g. a
+		// cross-signed sibling sharing the same key).
+		w.emit()
+	} else {
 		extended := false
 		for _, issuer := range node.Issuers {
-			if issuer == node || onPath[issuer] {
+			if issuer.onPath {
 				continue // cross-signing cycle
 			}
 			extended = true
-			walk(issuer, acc)
+			w.walk(issuer)
 		}
 		if !extended {
-			paths = append(paths, append([]*Node(nil), acc...))
+			w.emit()
 		}
 	}
-	walk(leaf, nil)
-	return paths
+	node.onPath = false
+	w.acc = w.acc[:len(w.acc)-1]
 }
 
-// RelevantNodes returns the ancestor closure of the leaf (every node that
-// appears on some path), including the leaf itself. The result is computed
-// once and shared by every later call; callers must not mutate the returned
-// map.
+// emit records the current path.
+func (w *walker) emit() {
+	start := len(w.store)
+	w.store = append(w.store, w.acc...)
+	w.paths = append(w.paths, w.store[start:len(w.store):len(w.store)])
+}
+
+// RelevantNodes returns the leaf and every node reachable from it along
+// issuance edges, not extending past a self-signed certificate — every node
+// some path would contain, were paths not capped at maxPaths.
 func (g *Graph) RelevantNodes() map[*Node]bool {
-	g.relevantOnce.Do(func() {
-		relevant := make(map[*Node]bool)
-		for _, path := range g.Paths() {
-			for _, n := range path {
-				relevant[n] = true
-			}
+	g.Paths() // the walk sets the relevance marks
+	relevant := make(map[*Node]bool)
+	for _, n := range g.Nodes {
+		if n.relevant {
+			relevant[n] = true
 		}
-		g.relevant = relevant
-	})
-	return g.relevant
+	}
+	return relevant
 }
 
 // IrrelevantNodes returns the distinct certificates with no direct or
@@ -202,10 +337,10 @@ func (g *Graph) RelevantNodes() map[*Node]bool {
 // surplus copies do not count (matching the paper: "duplicate certificates
 // are not counted").
 func (g *Graph) IrrelevantNodes() []*Node {
-	relevant := g.RelevantNodes()
+	g.Paths() // the walk sets the relevance marks
 	var out []*Node
 	for _, n := range g.Nodes {
-		if !relevant[n] {
+		if !n.relevant {
 			out = append(out, n)
 		}
 	}

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,13 +12,91 @@ import (
 var base = time.Date(2024, time.March, 1, 0, 0, 0, 0, time.UTC)
 
 // pki builds a small synthetic hierarchy: root -> i1 -> i2 -> leaf.
-func pki(t *testing.T) (root, i1, i2, leaf *certmodel.Certificate) {
+func pki(t testing.TB) (root, i1, i2, leaf *certmodel.Certificate) {
 	t.Helper()
 	root = certmodel.SyntheticRoot("Topo Root", base)
 	i1 = certmodel.SyntheticIntermediate("Topo CA 1", root, base)
 	i2 = certmodel.SyntheticIntermediate("Topo CA 2", i1, base)
 	leaf = certmodel.SyntheticLeaf("topo.example", "1", i2, base, base.AddDate(1, 0, 0))
 	return
+}
+
+// crossSigned builds the USERTrust shape of Figure 2c: the issuing CA's
+// issuer exists in two variants sharing subject and key — a self-signed root
+// and a cross-signed certificate chaining to an older root ("AAA").
+func crossSigned() (leaf, issuing, aaa, cross, usertrust *certmodel.Certificate) {
+	usertrust = certmodel.SyntheticRoot("USERTrust RSA Certification Authority", base)
+	aaa = certmodel.SyntheticRoot("AAA Certificate Services", base)
+	cross = certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: usertrust.Subject, Issuer: aaa.Subject, Serial: "cross",
+		NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
+		Key: certmodel.KeyOf(usertrust), SignedBy: certmodel.KeyOf(aaa),
+		IsCA: true, BasicConstraintsValid: true,
+		KeyUsage: certmodel.KeyUsageCertSign, HasKeyUsage: true,
+	})
+	issuing = certmodel.SyntheticIntermediate("Sectigo DV CA", usertrust, base)
+	leaf = certmodel.SyntheticLeaf("cross.example", "1", issuing, base, base.AddDate(1, 0, 0))
+	return
+}
+
+// cycle builds two CAs cross-signing each other (CVE-2024-0567's DoS shape)
+// and a leaf issued by the first.
+func cycle() (leaf, aByB, bByA *certmodel.Certificate) {
+	keyA := certmodel.NewSyntheticKey("Cycle A")
+	keyB := certmodel.NewSyntheticKey("Cycle B")
+	nameA := certmodel.Name{CommonName: "Cycle A"}
+	nameB := certmodel.Name{CommonName: "Cycle B"}
+	mk := func(subject, issuer certmodel.Name, key, signer certmodel.SyntheticKey, serial string) *certmodel.Certificate {
+		return certmodel.NewSynthetic(certmodel.SyntheticConfig{
+			Subject: subject, Issuer: issuer, Serial: serial,
+			NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
+			Key: key, SignedBy: signer,
+			IsCA: true, BasicConstraintsValid: true,
+		})
+	}
+	aByB = mk(nameA, nameB, keyA, keyB, "a-by-b")
+	bByA = mk(nameB, nameA, keyB, keyA, "b-by-a")
+	leaf = certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: certmodel.Name{CommonName: "cycle.example"}, Issuer: nameA,
+		Serial: "leaf", NotBefore: base, NotAfter: base.AddDate(1, 0, 0),
+		Key: certmodel.NewSyntheticKey("cycle leaf"), SignedBy: keyA,
+		DNSNames: []string{"cycle.example"},
+	})
+	return
+}
+
+// ladder builds a 16-certificate list: a leaf, then 7 levels of two
+// certificates each, then a root. The two certificates of a level share
+// subject and key and differ in serial, and each is issued by the level
+// above, so the list has 2^7 = 128 paths.
+func ladder() []*certmodel.Certificate {
+	root := certmodel.SyntheticRoot("Ladder Root", base)
+	issuer, signer := root.Subject, certmodel.KeyOf(root)
+	levels := make([]*certmodel.Certificate, 0, 14)
+	for k := 7; k >= 1; k-- {
+		name := certmodel.Name{CommonName: "Ladder CA " + strconv.Itoa(k)}
+		key := certmodel.NewSyntheticKey(name.CommonName)
+		for _, serial := range []string{"b", "a"} {
+			levels = append(levels, certmodel.NewSynthetic(certmodel.SyntheticConfig{
+				Subject: name, Issuer: issuer, Serial: serial,
+				NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
+				Key: key, SignedBy: signer,
+				IsCA: true, BasicConstraintsValid: true,
+			}))
+		}
+		issuer, signer = name, key
+	}
+	leaf := certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: certmodel.Name{CommonName: "ladder.example"}, Issuer: issuer,
+		Serial: "leaf", NotBefore: base, NotAfter: base.AddDate(1, 0, 0),
+		Key: certmodel.NewSyntheticKey("ladder leaf"), SignedBy: signer,
+		DNSNames: []string{"ladder.example"},
+	})
+	list := []*certmodel.Certificate{leaf}
+	for i := len(levels) - 1; i >= 0; i-- {
+		list = append(list, levels[i])
+	}
+	return append(list, root)
 }
 
 func TestCompliantChainFigure2a(t *testing.T) {
@@ -65,23 +145,10 @@ func TestIrrelevantCertificateFigure2b(t *testing.T) {
 }
 
 func TestCrossSignMultiplePathsFigure2c(t *testing.T) {
-	// The USERTrust shape of Figure 2c: the intermediate's issuer exists
-	// in two variants sharing subject and key — a self-signed root and a
-	// cross-signed certificate chaining to an older root ("AAA"). The
-	// server inserts the cross-signed certificate at the wrong position:
+	// The USERTrust shape of Figure 2c. The server inserts the cross-signed certificate at the wrong position:
 	// AFTER its own issuer, producing one reversed path next to one
 	// in-order path. Swapping nodes 2 and 3 would restore compliance.
-	usertrust := certmodel.SyntheticRoot("USERTrust RSA Certification Authority", base)
-	aaa := certmodel.SyntheticRoot("AAA Certificate Services", base)
-	cross := certmodel.NewSynthetic(certmodel.SyntheticConfig{
-		Subject: usertrust.Subject, Issuer: aaa.Subject, Serial: "cross",
-		NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
-		Key: certmodel.KeyOf(usertrust), SignedBy: certmodel.KeyOf(aaa),
-		IsCA: true, BasicConstraintsValid: true,
-		KeyUsage: certmodel.KeyUsageCertSign, HasKeyUsage: true,
-	})
-	issuing := certmodel.SyntheticIntermediate("Sectigo DV CA", usertrust, base)
-	leaf := certmodel.SyntheticLeaf("cross.example", "1", issuing, base, base.AddDate(1, 0, 0))
+	leaf, issuing, aaa, cross, usertrust := crossSigned()
 
 	// Deployed order: 0=leaf, 1=issuing, 2=AAA root, 3=cross-signed
 	// USERTrust, 4=self-signed USERTrust.
@@ -154,29 +221,8 @@ func TestReversedChain(t *testing.T) {
 }
 
 func TestCyclicCrossSignTerminates(t *testing.T) {
-	// Two CAs cross-signing each other (CVE-2024-0567's DoS shape). The
-	// walk must terminate, not loop.
-	keyA := certmodel.NewSyntheticKey("Cycle A")
-	keyB := certmodel.NewSyntheticKey("Cycle B")
-	nameA := certmodel.Name{CommonName: "Cycle A"}
-	nameB := certmodel.Name{CommonName: "Cycle B"}
-	mk := func(subject, issuer certmodel.Name, key, signer certmodel.SyntheticKey, serial string) *certmodel.Certificate {
-		return certmodel.NewSynthetic(certmodel.SyntheticConfig{
-			Subject: subject, Issuer: issuer, Serial: serial,
-			NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
-			Key: key, SignedBy: signer,
-			IsCA: true, BasicConstraintsValid: true,
-		})
-	}
-	aByB := mk(nameA, nameB, keyA, keyB, "a-by-b")
-	bByA := mk(nameB, nameA, keyB, keyA, "b-by-a")
-	leafKey := certmodel.NewSyntheticKey("cycle leaf")
-	leaf := certmodel.NewSynthetic(certmodel.SyntheticConfig{
-		Subject: certmodel.Name{CommonName: "cycle.example"}, Issuer: nameA,
-		Serial: "leaf", NotBefore: base, NotAfter: base.AddDate(1, 0, 0),
-		Key: leafKey, SignedBy: keyA,
-		DNSNames: []string{"cycle.example"},
-	})
+	// The walk must terminate on a cross-signing cycle, not loop.
+	leaf, aByB, bByA := cycle()
 	g := Build([]*certmodel.Certificate{leaf, aByB, bByA})
 	paths := g.Paths()
 	if len(paths) == 0 {
@@ -211,4 +257,76 @@ func TestStringRendering(t *testing.T) {
 	if s == "" || s == "(no edges)" {
 		t.Errorf("String() = %q", s)
 	}
+}
+
+// TestRelevanceIgnoresPathCap: relevance is reachability from the leaf, not
+// membership in the first maxPaths enumerated paths. The ladder's 128 paths
+// all pass through one of Ladder CA 1's two copies; the walk spends its 64
+// below the first copy, yet the second (node 2) directly issued the leaf.
+func TestRelevanceIgnoresPathCap(t *testing.T) {
+	g := Build(ladder())
+	if len(g.Nodes) != 16 {
+		t.Fatalf("nodes = %d, want 16", len(g.Nodes))
+	}
+	if n := len(g.Paths()); n != maxPaths {
+		t.Fatalf("paths = %d, want the cap %d", n, maxPaths)
+	}
+	if irr := g.IrrelevantNodes(); len(irr) != 0 {
+		t.Errorf("irrelevant nodes = %s, want none", indexes(irr))
+	}
+	if n := len(g.RelevantNodes()); n != 16 {
+		t.Errorf("relevant nodes = %d, want 16", n)
+	}
+}
+
+var sinkNodes []*Node
+
+// TestTopoAllocs guards the allocation count of the per-chain topology
+// queries compliance makes: Build, then IrrelevantNodes, ReversedSequences
+// and DuplicatedNodes. Build makes 4 (graph, node array, occurrences,
+// pointers), Paths 2 (walker buffer, path list), DuplicatedNodes 1 when a
+// node is duplicated; the map-based graph made 27 and 29.
+func TestTopoAllocs(t *testing.T) {
+	root, i1, i2, leaf := pki(t)
+	for _, tc := range []struct {
+		name string
+		list []*certmodel.Certificate
+		max  float64
+	}{
+		{"fig2a", []*certmodel.Certificate{leaf, i2, i1, root}, 6},
+		{"duplicated-leaf", []*certmodel.Certificate{leaf, leaf, i2, i1, root}, 7},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			g := Build(tc.list)
+			sinkNodes = g.IrrelevantNodes()
+			g.ReversedSequences()
+			sinkNodes = g.DuplicatedNodes()
+		})
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("%s: %.1f allocations, want at most %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
+// TestConcurrentQueries: the path walk writes the relevance marks inside
+// Paths' sync.Once, so goroutines sharing one graph — difftest and the
+// experiment Env grade precomputed graphs from worker pools — read one
+// answer. Run with -race.
+func TestConcurrentQueries(t *testing.T) {
+	g := Build(ladder())
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if n := len(g.IrrelevantNodes()); n != 0 {
+				t.Errorf("irrelevant nodes = %d, want 0", n)
+			}
+			if n := len(g.Paths()); n != maxPaths {
+				t.Errorf("paths = %d, want %d", n, maxPaths)
+			}
+		}()
+	}
+	wg.Wait()
 }
