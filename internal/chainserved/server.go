@@ -15,8 +15,7 @@
 //     and the leaf-match bit — the study's dedup soundness model, one memo
 //     per repair configuration. Only domain-independent outputs are
 //     cached, already encoded; leaf placement is recomputed per request.
-//     The memos are never sealed: a daemon keeps learning new chains for
-//     its whole lifetime.
+//     The memos keep learning new chains for the daemon's whole lifetime.
 //   - Pasted certificates are parsed through a bounded per-server memo of
 //     DER fingerprints (certmodel.CertMemo), so a repeated chain costs a
 //     fingerprint and a lookup per certificate, not a parse.

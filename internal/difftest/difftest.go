@@ -179,10 +179,11 @@ type Harness struct {
 	// GOMAXPROCS. Per-worker summaries are merged in shard order, so the
 	// Summary is bit-identical to a serial run for any worker count.
 	Workers int
-	// Metrics, when non-nil, receives the run's stage timer
-	// (difftest.run), a per-shard wall-time histogram (difftest.shard_wall)
-	// and counters (difftest.chains, difftest.noncompliant), and is
-	// propagated to every per-worker Grader for construction metrics.
+	// Metrics, when non-nil, receives the run's counters (difftest.chains,
+	// difftest.noncompliant) and is propagated to every per-worker Grader
+	// for construction metrics. Run and RunAnalyzed also time their
+	// pipeline on it — the difftest.domains source and the difftest.verdict
+	// stage; RunStream times its pipeline on opts.Metrics.
 	Metrics *obs.Registry
 	// Out, when non-nil, receives one RecordLine of JSON per non-compliant
 	// chain, written by the single sink goroutine in rank order — a
@@ -282,9 +283,7 @@ func grade(g *core.Grader, d *population.Domain, rep compliance.Report) verdictM
 // verdictStage builds the one stage every harness pipeline runs after its
 // source: analyze each domain (or take its precomputed report, when reports
 // is non-nil and index-aligned with the ranks) and grade the non-compliant
-// ones across all clients, through the run's memo. Worker lifetimes carry
-// the difftest.shard timer and shard_wall histogram: one interval per
-// worker.
+// ones across all clients, through the run's memo.
 func (h *Harness) verdictStage(pop *population.Population, reports []compliance.Report, workers, queue int) pipeline.Stage[*population.Domain, *ChainRecord] {
 	trust := Trust(pop, DefaultWarmCache(pop), h.Metrics)
 	var memo *core.Memo[verdictMemo]
@@ -292,18 +291,13 @@ func (h *Harness) verdictStage(pop *population.Population, reports []compliance.
 		memo = core.NewMemo[verdictMemo]("difftest.vcache", trust)
 	}
 	graders := make([]*core.Grader, workers)
-	shardWall := h.Metrics.Histogram("difftest.shard_wall", obs.LatencyBuckets)
 	return pipeline.Stage[*population.Domain, *ChainRecord]{
 		Name:    "verdict",
 		Workers: workers,
 		Queue:   queue,
 		OnWorker: func(worker int) func() {
-			sw := h.Metrics.Timer("difftest.shard").Start()
 			graders[worker] = trust.Grader()
-			return func() {
-				graders[worker].Close()
-				shardWall.ObserveDuration(sw.Stop())
-			}
+			return graders[worker].Close
 		},
 		Fn: func(ctx context.Context, worker, rank int, d *population.Domain) (*ChainRecord, error) {
 			g := graders[worker]
@@ -393,7 +387,6 @@ func (h *Harness) workerCount(size int) int {
 // depth.
 func (h *Harness) RunAnalyzed(pop *population.Population, reports []compliance.Report) *Summary {
 	workers := h.workerCount(len(pop.Domains))
-	run := h.Metrics.Timer("difftest.run").Start()
 	opts := pipeline.Options{Name: "difftest", Metrics: h.Metrics}
 	src := pipeline.From(context.Background(), opts, "domains", 0, func(rank int) (*population.Domain, bool, error) {
 		if rank >= len(pop.Domains) {
@@ -408,7 +401,6 @@ func (h *Harness) RunAnalyzed(pop *population.Population, reports []compliance.R
 		// sink errors should use RunStream.
 		panic(err)
 	}
-	run.Stop()
 	return sum
 }
 
@@ -419,8 +411,6 @@ func (h *Harness) RunAnalyzed(pop *population.Population, reports []compliance.R
 // registry, journal, and resume rank shared by every stage.
 func (h *Harness) RunStream(ctx context.Context, src *population.Source, opts pipeline.Options, queue int) (*Summary, error) {
 	workers := h.workerCount(src.Size())
-	run := h.Metrics.Timer("difftest.run").Start()
-	defer run.Stop()
 	return h.drainSummary(pipeline.Through(src.Flow(ctx, opts, queue), h.verdictStage(src.Population(), nil, workers, queue)))
 }
 

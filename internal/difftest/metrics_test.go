@@ -44,11 +44,13 @@ func TestHarnessMetricsExact(t *testing.T) {
 	if n := snap.Histograms["pathbuild.chain_length"].Count; n < wantOK || n > wantBuilds {
 		t.Errorf("chain_length count = %d, want within [%d, %d]", n, wantOK, wantBuilds)
 	}
-	if snap.Timers["difftest.run"].Count != 1 {
-		t.Errorf("difftest.run intervals = %d, want 1", snap.Timers["difftest.run"].Count)
+	// The engine is the harness's stage clock: the verdict stage observes
+	// every domain, the source once per hand-off.
+	if got := snap.Histograms["difftest.verdict.latency"].Count; got != int64(sum.Total) {
+		t.Errorf("difftest.verdict.latency count = %d, want %d (one per domain)", got, sum.Total)
 	}
-	if got := snap.Timers["difftest.shard"].Count; got != 4 {
-		t.Errorf("difftest.shard intervals = %d, want 4", got)
+	if got := snap.Histograms["difftest.domains.latency"].Count; got < 1 || got > int64(sum.Total) {
+		t.Errorf("difftest.domains.latency count = %d, want one per hand-off, within [1, %d]", got, sum.Total)
 	}
 
 	// An uninstrumented harness over the same population is unaffected and

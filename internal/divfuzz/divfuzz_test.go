@@ -69,6 +69,26 @@ func TestBuildCountersFlushed(t *testing.T) {
 	}
 }
 
+// TestSeedGenerationTimedOnce: generation zero, graded outside the engine,
+// is Run's one timing of its own — a single divfuzz.seed.latency
+// observation — while every later generation is timed by the engine, one
+// divfuzz.evaluate observation per mutant.
+func TestSeedGenerationTimedOnce(t *testing.T) {
+	cfg := smallCfg(2)
+	cfg.Generations, cfg.PerGen = 2, 16
+	cfg.Metrics = obs.NewRegistry()
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	snap := cfg.Metrics.Snapshot()
+	if got := snap.Histograms["divfuzz.seed.latency"].Count; got != 1 {
+		t.Errorf("divfuzz.seed.latency count = %d, want 1", got)
+	}
+	if got, want := snap.Histograms["divfuzz.evaluate.latency"].Count, int64(cfg.Generations*cfg.PerGen); got != want {
+		t.Errorf("divfuzz.evaluate.latency count = %d, want %d", got, want)
+	}
+}
+
 // TestManifestWorkerInvariance: the manifest bytes are identical for 1, 4,
 // and 8 workers — the determinism contract the distributed corpus scheduler
 // rests on.

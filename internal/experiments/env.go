@@ -26,8 +26,7 @@ type Env struct {
 	// Workers bounds parallelism in population generation, per-domain
 	// analysis, and the differential harness; <= 0 means GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, instruments the analysis stage (a stage timer
-	// under experiments.analyze) and every differential harness the
+	// Metrics, when non-nil, instruments every differential harness the
 	// experiments run; nil runs uninstrumented.
 	Metrics *obs.Registry
 
@@ -65,8 +64,6 @@ func (e *Env) Population() *population.Population {
 // in parallel.
 func (e *Env) analyze() {
 	e.analysisOnce.Do(func() {
-		sw := e.Metrics.Timer("experiments.analyze").Start()
-		defer sw.Stop()
 		pop := e.Population()
 		n := len(pop.Domains)
 		e.graphs = make([]*topo.Graph, n)

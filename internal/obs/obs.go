@@ -1,7 +1,9 @@
 // Package obs is the repository's observability substrate: a dependency-free
-// metrics registry of atomic counters, gauges, fixed-bucket histograms and
-// named stage timers, built for instrumenting the scan→build→diff pipeline
-// without perturbing it.
+// metrics registry of atomic counters, gauges and fixed-bucket histograms,
+// built for instrumenting the scan→build→diff pipeline without perturbing
+// it. Stage time is not kept here: internal/pipeline publishes each stage's
+// <stage>.latency histogram and <stage>.items counter, and PipelineTable
+// renders those pairs.
 //
 // The design goals, in order:
 //
@@ -33,16 +35,16 @@ import (
 // NewRegistry. A nil *Registry is valid everywhere and yields nil handles,
 // whose methods are no-ops.
 type Registry struct {
-	// Now is the registry's time source, used by stage timers and snapshot
-	// timestamps; nil means time.Now. Tests inject a fake clock's Now so
-	// timer output is deterministic.
+	// Now is the registry's time source, read through Time by every
+	// latency the instrumented code measures (the pipeline's stage clock
+	// among them); nil means time.Now. Tests inject a fake clock's Now so
+	// latency histograms are deterministic.
 	Now func() time.Time
 
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	timers   map[string]*Timer
 }
 
 // NewRegistry creates an empty registry on the wall clock.
@@ -51,23 +53,19 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		timers:   make(map[string]*Timer),
 	}
 }
 
-// now returns the registry's current time.
-func (r *Registry) now() time.Time {
+// Time returns the registry's current time: the injected Now when set, the
+// wall clock otherwise. Safe on a nil registry. Instrumented code reads its
+// timestamps here so latency measurements stay deterministic under a fake
+// clock.
+func (r *Registry) Time() time.Time {
 	if r != nil && r.Now != nil {
 		return r.Now()
 	}
 	return time.Now()
 }
-
-// Time returns the registry's current time: the injected Now when set, the
-// wall clock otherwise. Safe on a nil registry. Instrumented code that needs
-// a raw timestamp (rather than a Timer) reads it here so latency measurements
-// stay deterministic under a fake clock.
-func (r *Registry) Time() time.Time { return r.now() }
 
 // Counter returns the named counter, creating it on first use. Returns nil
 // on a nil registry.
@@ -116,22 +114,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Timer returns the named stage timer, creating it on first use. Returns nil
-// on a nil registry.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{reg: r}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -186,65 +168,4 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Timer accumulates the wall time of a named pipeline stage: total duration
-// and the number of timed intervals. Stage timings use the registry's Now.
-type Timer struct {
-	reg   *Registry
-	total atomic.Int64 // nanoseconds
-	count atomic.Int64
-}
-
-// Observe records one interval of duration d. No-op on nil.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.total.Add(int64(d))
-	t.count.Add(1)
-}
-
-// Start begins timing an interval; call Stop on the returned Stopwatch to
-// record it. Valid on a nil timer (Stop is then a no-op), so stage code does
-// not branch on whether metrics are wired.
-func (t *Timer) Start() Stopwatch {
-	if t == nil {
-		return Stopwatch{}
-	}
-	return Stopwatch{timer: t, began: t.reg.now()}
-}
-
-// Total returns the accumulated duration; 0 on nil.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.total.Load())
-}
-
-// Count returns how many intervals were recorded; 0 on nil.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// Stopwatch is one in-flight timer interval. The zero value's Stop is a
-// no-op.
-type Stopwatch struct {
-	timer *Timer
-	began time.Time
-}
-
-// Stop records the interval on the owning timer and returns its duration
-// (0 on the zero Stopwatch).
-func (s Stopwatch) Stop() time.Duration {
-	if s.timer == nil {
-		return 0
-	}
-	d := s.timer.reg.now().Sub(s.began)
-	s.timer.Observe(d)
-	return d
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -38,11 +39,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("g").Set(1)
 	r.Histogram("h", LatencyBuckets).Observe(42)
 	r.Histogram("h", LatencyBuckets).ObserveDuration(time.Second)
-	r.Timer("t").Observe(time.Second)
-	sw := r.Timer("t").Start()
-	if d := sw.Stop(); d != 0 {
-		t.Fatalf("nil stopwatch duration = %v, want 0", d)
-	}
 	if v := r.Counter("c").Value(); v != 0 {
 		t.Fatalf("nil counter value = %d", v)
 	}
@@ -50,7 +46,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if snap == nil {
 		t.Fatal("nil registry snapshot must be non-nil")
 	}
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms)+len(snap.Timers) != 0 {
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 	if _, err := snap.JSON(); err != nil {
@@ -93,20 +89,18 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestConcurrentExactTotals hammers one counter, one histogram, and one timer
-// from parallel.For workers and asserts the totals are exact — the atomic
+// TestConcurrentExactTotals hammers one counter and one histogram from
+// parallel.For workers and asserts the totals are exact — the atomic
 // counters must not drop updates under contention. Run with -race in CI.
 func TestConcurrentExactTotals(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hammer.count")
 	h := r.Histogram("hammer.hist", SizeBuckets)
-	tm := r.Timer("hammer.timer")
 
 	const n = 10_000
 	parallel.For(context.Background(), n, 8, func(i int) {
 		c.Inc()
 		h.Observe(int64(i%64 + 1))
-		tm.Observe(time.Microsecond)
 		// Exercise the registry's locked lookup path concurrently too.
 		r.Counter("hammer.count").Add(1)
 	})
@@ -124,12 +118,6 @@ func TestConcurrentExactTotals(t *testing.T) {
 	if got := h.Sum(); got != wantSum {
 		t.Fatalf("histogram sum = %d, want %d", got, wantSum)
 	}
-	if got := tm.Count(); got != n {
-		t.Fatalf("timer count = %d, want %d", got, n)
-	}
-	if got := tm.Total(); got != n*time.Microsecond {
-		t.Fatalf("timer total = %v, want %v", got, n*time.Microsecond)
-	}
 }
 
 // buildFixture drives a registry through a fixed sequence of updates on a
@@ -146,9 +134,9 @@ func buildFixture() ([]byte, error) {
 	for i := 0; i < 10; i++ {
 		h.ObserveDuration(time.Duration(i+1) * time.Millisecond)
 	}
-	sw := r.Timer("study.scan").Start()
+	began := r.Time()
 	clk.Advance(250 * time.Millisecond)
-	sw.Stop()
+	r.Histogram("study.scan.latency", LatencyBuckets).ObserveDuration(r.Time().Sub(began))
 
 	return r.Snapshot().JSON()
 }
@@ -172,40 +160,48 @@ func TestSnapshotDeterministicUnderFakeClock(t *testing.T) {
 	if snap.Counters["scan.handshakes"] != 40 {
 		t.Fatalf("handshakes = %d, want 40", snap.Counters["scan.handshakes"])
 	}
-	if got := snap.Timers["study.scan"]; got.Count != 1 || got.TotalNS != 250*time.Millisecond {
-		t.Fatalf("study.scan = %+v, want {1 250ms} — the timer must tick on the injected clock", got)
+	if got := snap.Histograms["study.scan.latency"]; got.Count != 1 || got.Sum != int64(250*time.Millisecond) {
+		t.Fatalf("study.scan.latency = %+v, want one 250ms observation — Time must read the injected clock", got)
 	}
 	if snap.Histograms["scan.handshake_latency"].Count != 10 {
 		t.Fatal("histogram lost observations")
 	}
 }
 
-func TestSnapshotTables(t *testing.T) {
-	clk := faults.NewFakeClock(time.Unix(1700000000, 0))
+// TestPipelineTable: one row per <p>.latency histogram with a <p>.items
+// counter, the pair the pipeline engine publishes; Busy is the histogram's
+// sum and Mean is Busy per item, so a source observed once per two-item
+// hand-off still reports its time per item. A latency histogram without an
+// items counter gets no row, and a snapshot with no pair gives nil.
+func TestPipelineTable(t *testing.T) {
 	r := NewRegistry()
-	r.Now = clk.Now
-	r.Counter("serve.faults").Add(7)
-	r.Gauge("pool.size").Set(3)
-	r.Histogram("scan.dial_latency", LatencyBuckets).ObserveDuration(2 * time.Millisecond)
-	r.Histogram("pathbuild.chain_length", SizeBuckets).Observe(3)
-	sw := r.Timer("study.deploy").Start()
-	clk.Advance(time.Second)
-	sw.Stop()
+	deploy := r.Histogram("study.deploy.latency", LatencyBuckets)
+	for range 2 {
+		deploy.ObserveDuration(4 * time.Millisecond)
+	}
+	r.Counter("study.deploy.items").Add(4)
+	scan := r.Histogram("study.scan.latency", LatencyBuckets)
+	for range 4 {
+		scan.ObserveDuration(3 * time.Millisecond)
+	}
+	r.Counter("study.scan.items").Add(4)
+	r.Histogram("chainserved.verdict.latency", LatencyBuckets).ObserveDuration(time.Millisecond)
+	r.Counter("scan.handshakes").Add(8)
 
-	tables := r.Snapshot().Tables()
-	if len(tables) != 3 {
-		t.Fatalf("tables = %d, want 3 (counters+gauges, histograms, pipeline)", len(tables))
+	pt := r.Snapshot().PipelineTable()
+	if pt == nil {
+		t.Fatal("no pipeline table for two engine pairs")
 	}
-	out := ""
-	for _, tb := range tables {
-		out += tb.String()
+	want := [][]string{
+		{"study.deploy", "4", "8ms", "2ms"},
+		{"study.scan", "4", "12ms", "3ms"},
 	}
-	for _, want := range []string{"serve.faults", "pool.size", "scan.dial_latency", "pipeline", "study.deploy", "1s"} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Fatalf("rendered tables missing %q:\n%s", want, out)
-		}
+	if !reflect.DeepEqual(pt.Rows, want) {
+		t.Fatalf("rows = %q, want %q", pt.Rows, want)
 	}
-	// A snapshot with no timers has no pipeline table.
+	if pt.Title != "pipeline — per-stage busy time" {
+		t.Errorf("title = %q", pt.Title)
+	}
 	if pt := NewRegistry().Snapshot().PipelineTable(); pt != nil {
 		t.Fatal("empty registry must not produce a pipeline table")
 	}

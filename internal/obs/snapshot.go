@@ -2,27 +2,22 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"chainchaos/internal/report"
 )
 
-// HistogramStat is the exported state of one histogram: totals plus the
-// p50/p95/p99 estimates the pipeline tables print.
+// HistogramStat is the exported state of one histogram: totals plus its
+// p50/p95/p99 estimates.
 type HistogramStat struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`
 	P50   int64 `json:"p50"`
 	P95   int64 `json:"p95"`
 	P99   int64 `json:"p99"`
-}
-
-// TimerStat is the exported state of one stage timer.
-type TimerStat struct {
-	Count   int64         `json:"count"`
-	TotalNS time.Duration `json:"total_ns"`
 }
 
 // Snapshot is a point-in-time export of a registry. Maps marshal with sorted
@@ -32,7 +27,6 @@ type Snapshot struct {
 	Counters   map[string]int64         `json:"counters,omitempty"`
 	Gauges     map[string]int64         `json:"gauges,omitempty"`
 	Histograms map[string]HistogramStat `json:"histograms,omitempty"`
-	Timers     map[string]TimerStat     `json:"timers,omitempty"`
 }
 
 // Snapshot exports the registry's current state. Individual metric reads are
@@ -44,7 +38,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramStat{},
-		Timers:     map[string]TimerStat{},
 	}
 	if r == nil {
 		return snap
@@ -62,9 +55,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			Count: h.Count(), Sum: h.Sum(),
 			P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
 		}
-	}
-	for name, t := range r.timers {
-		snap.Timers[name] = TimerStat{Count: t.Count(), TotalNS: t.Total()}
 	}
 	return snap
 }
@@ -84,62 +74,32 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Tables renders the snapshot as report tables: one for counters and gauges,
-// one for histograms (count/p50/p95/p99), and the pipeline table of stage
-// timers. Empty sections are omitted.
-func (s *Snapshot) Tables() []*report.Table {
-	var tables []*report.Table
-	if len(s.Counters) > 0 || len(s.Gauges) > 0 {
-		t := report.New("metrics — counters and gauges", "Metric", "Value")
-		for _, name := range sortedKeys(s.Counters) {
-			t.Addf(name, s.Counters[name])
-		}
-		for _, name := range sortedKeys(s.Gauges) {
-			t.Addf(name+" (gauge)", s.Gauges[name])
-		}
-		tables = append(tables, t)
-	}
-	if len(s.Histograms) > 0 {
-		t := report.New("metrics — latency and size distributions",
-			"Histogram", "Count", "p50", "p95", "p99")
-		for _, name := range sortedKeys(s.Histograms) {
-			h := s.Histograms[name]
-			t.Add(name, fmt.Sprintf("%d", h.Count),
-				histCell(name, h.P50), histCell(name, h.P95), histCell(name, h.P99))
-		}
-		tables = append(tables, t)
-	}
-	if pt := s.PipelineTable(); pt != nil {
-		tables = append(tables, pt)
-	}
-	return tables
-}
-
-// PipelineTable renders the stage timers as the per-stage accounting table
-// ("pipeline") the study report embeds; nil when no stage was timed.
+// PipelineTable renders the per-stage accounting table ("pipeline") the
+// study report embeds: one row per <p>.latency histogram that has a
+// <p>.items counter — the pair internal/pipeline publishes for its source
+// and each stage — with the stage's items, its busy time (the histogram's
+// sum) and the busy time per item. Nil when no such pair exists.
 func (s *Snapshot) PipelineTable() *report.Table {
-	if len(s.Timers) == 0 {
-		return nil
-	}
-	t := report.New("pipeline — per-stage wall time", "Stage", "Intervals", "Total", "Mean")
-	for _, name := range sortedKeys(s.Timers) {
-		ts := s.Timers[name]
-		mean := time.Duration(0)
-		if ts.Count > 0 {
-			mean = ts.TotalNS / time.Duration(ts.Count)
+	var t *report.Table
+	for _, name := range sortedKeys(s.Histograms) {
+		stage, ok := strings.CutSuffix(name, ".latency")
+		if !ok {
+			continue
 		}
-		t.Add(name, fmt.Sprintf("%d", ts.Count),
-			ts.TotalNS.Round(time.Microsecond).String(),
-			mean.Round(time.Microsecond).String())
+		items, ok := s.Counters[stage+".items"]
+		if !ok {
+			continue
+		}
+		if t == nil {
+			t = report.New("pipeline — per-stage busy time", "Stage", "Items", "Busy", "Mean")
+		}
+		busy := time.Duration(s.Histograms[name].Sum)
+		mean := time.Duration(0)
+		if items > 0 {
+			mean = busy / time.Duration(items)
+		}
+		t.Add(stage, strconv.FormatInt(items, 10),
+			busy.Round(time.Microsecond).String(), mean.Round(time.Microsecond).String())
 	}
 	return t
-}
-
-// histCell renders a histogram quantile: durations for latency histograms
-// (names ending in "latency" or "wall"), plain numbers otherwise.
-func histCell(name string, v int64) string {
-	if n := len(name); (n >= 7 && name[n-7:] == "latency") || (n >= 4 && name[n-4:] == "wall") {
-		return time.Duration(v).Round(time.Microsecond).String()
-	}
-	return fmt.Sprintf("%d", v)
 }

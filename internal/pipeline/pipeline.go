@@ -29,10 +29,10 @@
 // stage's reorder buffer admits a block only while the items it holds stay
 // within workers + queue (the next block to release is always admitted), so
 // a stage holds O(workers · queue) items and a slow stage blocks upstream
-// workers until the consumer catches up. A faults.Policy on a stage retries
-// transient per-item failures before they fail the run, and an attached
-// Journal records the last retired rank per stage as a JSONL watermark
-// stream so an interrupted run can resume where it stopped.
+// workers until the consumer catches up. An attached Journal records the
+// last retired rank per stage as a JSONL watermark stream so an interrupted
+// run can resume where it stopped, and an attached obs.Registry makes the
+// engine the run's stage clock (see Options.Metrics).
 package pipeline
 
 import (
@@ -41,7 +41,6 @@ import (
 	"sync"
 	"time"
 
-	"chainchaos/internal/faults"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/parallel"
 )
@@ -51,8 +50,15 @@ type Options struct {
 	// Name prefixes the run's metric names: pipeline.<stage>.* by default,
 	// or <Name>.<stage>.* when set.
 	Name string
-	// Metrics, when non-nil, instruments every stage: an items counter, a
-	// latency histogram, and an output queue-depth gauge per stage.
+	// Metrics, when non-nil, instruments the source and every stage, each
+	// under its own name: an items counter, an output queue-depth gauge and
+	// a latency histogram read on the registry's clock. A stage observes
+	// each item's Fn, one clock read per item. The source observes once per
+	// hand-off the time spent in next since the previous hand-off returned,
+	// two clock reads per hand-off, so time blocked on a full hop is not
+	// counted. Each histogram's sum is thus its stage's busy time, the
+	// figure obs.Snapshot.PipelineTable prints beside the items counter.
+	// Without a registry the engine reads no clock.
 	Metrics *obs.Registry
 	// Journal, when non-nil, receives per-stage retirement watermarks and
 	// provides the resume point.
@@ -262,14 +268,36 @@ func From[T any](ctx context.Context, opts Options, name string, queue int, next
 	r := &run{parent: parent, ctx: ctx, done: ctx.Done(), cancel: cancel, opts: opts, block: max(1, queueDepth(queue)/2)}
 	out := make(chan block[T], 1)
 	f := &Flow[T]{run: r, name: name, out: out, bufs: buffersOf[T]()}
-	items := opts.Metrics.Counter(r.metricName(name, "items"))
-	depth := opts.Metrics.Gauge(r.metricName(name, "queue"))
+	reg := opts.Metrics
+	items := reg.Counter(r.metricName(name, "items"))
+	depth := reg.Gauge(r.metricName(name, "queue"))
+	latency := reg.Histogram(r.metricName(name, "latency"), obs.LatencyBuckets)
 
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer close(out)
 		defer r.recoverPanic()
+		// handOff sends the block b, observing the time since began (the
+		// previous hand-off's return) and restarting the clock after the
+		// send, so a send blocked on a full hop is not busy time.
+		var began time.Time
+		if reg != nil {
+			began = reg.Time()
+		}
+		handOff := func(b block[T]) bool {
+			if reg != nil {
+				latency.ObserveDuration(reg.Time().Sub(began))
+			}
+			if !send(r, out, b, depth) {
+				return false
+			}
+			items.Add(int64(len(b.vals)))
+			if reg != nil {
+				began = reg.Time()
+			}
+			return true
+		}
 		b := block[T]{rank: opts.Resume, vals: f.bufs.get(r.block)}
 		// The block limit starts at 1 and doubles with each hand-off up to
 		// r.block. A worker runs a whole block without yielding, so
@@ -291,19 +319,17 @@ func From[T any](ctx context.Context, opts Options, name string, queue int, next
 			}
 			b.vals = append(b.vals, v)
 			if len(b.vals) >= limit || len(out) == 0 {
-				n := len(b.vals)
-				if !send(r, out, b, depth) {
+				if !handOff(b) {
 					return
 				}
-				items.Add(int64(n))
 				b = block[T]{rank: rank + 1, vals: f.bufs.get(r.block)}
 				limit = min(2*limit, r.block)
 			}
 		}
-		if n := len(b.vals); n == 0 {
+		if len(b.vals) == 0 {
 			f.bufs.put(b.vals)
-		} else if send(r, out, b, depth) {
-			items.Add(int64(n))
+		} else {
+			handOff(b)
 		}
 	}()
 	return f
@@ -319,10 +345,6 @@ type Stage[In, Out any] struct {
 	// block only while it would hold at most Workers + Queue items (the
 	// next block to release is always admitted); <= 0 means 64.
 	Queue int
-	// Retry, when non-zero, re-runs Fn on transient errors (faults.Policy
-	// semantics: bounded attempts, capped backoff, seeded jitter) before the
-	// error fails the run.
-	Retry faults.Policy
 	// Fn processes one item. worker identifies the executing worker
 	// (0 <= worker < Workers) so stages can keep per-worker scratch state;
 	// rank is the item's position in the stream. Fn must be deterministic in
@@ -355,7 +377,6 @@ func Through[In, Out any](f *Flow[In], st Stage[In, Out]) *Flow[Out] {
 	items := reg.Counter(r.metricName(st.Name, "items"))
 	depth := reg.Gauge(r.metricName(st.Name, "queue"))
 	latency := reg.Histogram(r.metricName(st.Name, "latency"), obs.LatencyBuckets)
-	retries := reg.Counter(r.metricName(st.Name, "retries"))
 
 	for worker := range workers {
 		r.wg.Add(1)
@@ -380,16 +401,7 @@ func Through[In, Out any](f *Flow[In], st Stage[In, Out]) *Flow[Out] {
 					if r.stopped() {
 						return
 					}
-					var outV Out
-					attempt := 0
-					err := st.Retry.Do(r.ctx, func(ctx context.Context) error {
-						if attempt++; attempt > 1 {
-							retries.Inc()
-						}
-						var fnErr error
-						outV, fnErr = st.Fn(ctx, worker, in.rank+i, v)
-						return fnErr
-					})
+					outV, err := st.Fn(r.ctx, worker, in.rank+i, v)
 					if err != nil {
 						r.fail(err)
 						return

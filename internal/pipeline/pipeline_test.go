@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -272,46 +274,79 @@ func TestCancelStopsRun(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyAbsorbsTransients: a stage with a Retry policy survives
-// transient failures, counts the retries, and the output is unaffected.
-func TestRetryPolicyAbsorbsTransients(t *testing.T) {
+// TestSourceLatencyFakeClock: the source's latency histogram is its busy
+// time in next, observed once per hand-off. next advances a fake clock 1ms
+// per item and nothing else advances it, so the histogram sums to exactly n
+// ms at any block size, and its count is the number of hand-offs: a stage
+// keeps the source's blocks and journals each block's last rank, so at
+// Every 1 the journal holds one stage line per hand-off. At depth 2 every
+// item is its own hand-off; at the default depth a hand-off carries 1 to 32.
+func TestSourceLatencyFakeClock(t *testing.T) {
+	const n = 40
+	for _, queue := range []int{2, 0} {
+		clock := faults.NewFakeClock(time.Unix(0, 0))
+		reg := obs.NewRegistry()
+		reg.Now = clock.Now
+		path := filepath.Join(t.TempDir(), "j")
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Every = 1
+		f := From(context.Background(), Options{Name: "sc", Metrics: reg, Journal: j}, "src", queue, func(rank int) (int, bool, error) {
+			if rank >= n {
+				return 0, false, nil
+			}
+			clock.Advance(time.Millisecond)
+			return rank, true, nil
+		})
+		if _, err := Collect(Through(f, Stage[int, int]{Name: "id", Workers: 2, Fn: identity})); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handOffs := int64(strings.Count(string(data), `{"stage":"id","rank":`))
+		if queue == 2 && handOffs != n {
+			t.Fatalf("depth 2: %d hand-offs journaled, want %d", handOffs, n)
+		}
+		snap := reg.Snapshot()
+		h := snap.Histograms["sc.src.latency"]
+		if want := int64(n * time.Millisecond); h.Sum != want {
+			t.Errorf("queue %d: sc.src.latency sum = %v, want exactly %v", queue, time.Duration(h.Sum), time.Duration(want))
+		}
+		if h.Count != handOffs {
+			t.Errorf("queue %d: sc.src.latency count = %d, want %d (one per hand-off)", queue, h.Count, handOffs)
+		}
+		if c := snap.Counters["sc.src.items"]; c != n {
+			t.Errorf("queue %d: sc.src.items = %d, want %d", queue, c, n)
+		}
+	}
+}
+
+// TestSourceBlockedTimeExcluded: a source blocked on a full hop is not
+// busy. The sink takes 2ms per item, so the source waits about 100ms on
+// its hop over 50 items while next itself returns at once.
+func TestSourceBlockedTimeExcluded(t *testing.T) {
 	const n = 50
 	reg := obs.NewRegistry()
-	clock := faults.NewFakeClock(time.Unix(0, 0))
-	var mu sync.Mutex
-	failedOnce := map[int]bool{}
-	f := intSource(context.Background(), Options{Metrics: reg}, n)
-	g := Through(f, Stage[int, int]{
-		Name: "flaky", Workers: 4,
-		Retry: faults.Policy{
-			Attempts: 3, BaseDelay: time.Millisecond, Clock: clock,
-			Retryable: func(error) bool { return true },
-		},
-		Fn: func(_ context.Context, _, rank int, v int) (int, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			// Every third rank fails its first attempt and passes the retry.
-			if rank%3 == 0 && !failedOnce[rank] {
-				failedOnce[rank] = true
-				return 0, fmt.Errorf("transient failure at rank %d", rank)
-			}
-			return v, nil
-		},
+	err := intSource(context.Background(), Options{Metrics: reg}, n).Drain(func(int, int) error {
+		time.Sleep(2 * time.Millisecond)
+		return nil
 	})
-	got, err := Collect(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("rank %d: got %d", i, v)
-		}
+	h := reg.Histogram("pipeline.src.latency", obs.LatencyBuckets)
+	if h.Count() == 0 {
+		t.Fatal("source latency never observed")
 	}
-	if c := reg.Snapshot().Counters["pipeline.flaky.retries"]; c == 0 {
-		t.Error("retries counter = 0, want > 0")
-	}
-	if clock.SleptTotal() == 0 {
-		t.Error("retry backoff never slept on the injected clock")
+	if busy := time.Duration(h.Sum()); busy >= 25*time.Millisecond {
+		t.Fatalf("source busy %v of a run blocked ~100ms on its hop; blocked time counted as busy", busy)
 	}
 }
 
@@ -329,6 +364,9 @@ func TestStageMetrics(t *testing.T) {
 	snap := reg.Snapshot()
 	if c := snap.Counters["tp.src.items"]; c != n {
 		t.Errorf("tp.src.items = %d, want %d", c, n)
+	}
+	if h := snap.Histograms["tp.src.latency"]; h.Count == 0 || h.Count > n {
+		t.Errorf("tp.src.latency count = %d, want one per hand-off, within [1, %d]", h.Count, n)
 	}
 	if c := snap.Counters["tp.work.items"]; c != n {
 		t.Errorf("tp.work.items = %d, want %d", c, n)

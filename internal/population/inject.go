@@ -121,7 +121,7 @@ func (g *generator) domain(rank int) *Domain {
 	iss := h.iss
 	serverName := g.pickServer()
 	model := serverModel(serverName, g.rng)
-	name := padded("site-", rank, 6, "."+leafTLDs[g.rng.Intn(len(leafTLDs))])
+	name := Padded("site-", rank, 6, "."+leafTLDs[g.rng.Intn(len(leafTLDs))])
 	if g.nameOverride != "" {
 		name = g.nameOverride
 	}
@@ -150,10 +150,10 @@ func (g *generator) domain(rank int) *Domain {
 	t.LeafExpired = g.rng.Float64() < 0.008
 
 	leafOpts := g.leafAIAOptions(t, iss, inc)
-	leafOpts.Serial = padded("r", rank, 6, "")
+	leafOpts.Serial = Padded("r", rank, 6, "")
 	leafName := name
 	if t.LeafMismatch {
-		leafName = padded("fallback-", g.rng.Intn(500), 3, ".hosting.example")
+		leafName = Padded("fallback-", g.rng.Intn(500), 3, ".hosting.example")
 	}
 	nb, na := g.cfg.Base.AddDate(0, -3, 0), g.cfg.Base.AddDate(0, 9, 0)
 	if t.LeafExpired {
@@ -327,7 +327,7 @@ func (g *generator) appendIrrelevant(t *Truth, iss *ca.Issuer, leafName string, 
 		var stale []*certmodel.Certificate
 		for i := 1; i <= n; i++ {
 			nb := g.cfg.Base.AddDate(-i, -3, 0)
-			old := certmodel.SyntheticLeaf(leafName, padded("stale-", g.rank, 6, "-"+strconv.Itoa(i)), iss.IssuingCA(), nb, nb.AddDate(1, 0, 0))
+			old := certmodel.SyntheticLeaf(leafName, Padded("stale-", g.rank, 6, "-"+strconv.Itoa(i)), iss.IssuingCA(), nb, nb.AddDate(1, 0, 0))
 			stale = append(stale, old)
 		}
 		return append(stale, inters...)
@@ -345,7 +345,7 @@ func (g *generator) appendIrrelevant(t *Truth, iss *ca.Issuer, leafName string, 
 		return append(inters, block...)
 	default:
 		t.Irrelevant = IrrelevantUnrelatedRoot
-		stray := certmodel.SyntheticRoot(padded("Stray Root ", g.rng.Intn(100), 4, ""), g.cfg.Base.AddDate(-6, 0, 0))
+		stray := certmodel.SyntheticRoot(Padded("Stray Root ", g.rng.Intn(100), 4, ""), g.cfg.Base.AddDate(-6, 0, 0))
 		return append(inters, stray)
 	}
 }
@@ -447,11 +447,11 @@ func (g *generator) otherLeafDomain(d *Domain) *Domain {
 	return d
 }
 
-// padded returns prefix, then n in decimal zero-padded to width characters,
+// Padded returns prefix, then n in decimal zero-padded to width characters,
 // then suffix: fmt.Sprintf(prefix+"%0*d"+suffix, width, n) in one
 // allocation. As with fmt, a minus sign comes first and counts toward the
 // width, so the slot templates' negative ranks read "r-00001".
-func padded(prefix string, n, width int, suffix string) string {
+func Padded(prefix string, n, width int, suffix string) string {
 	var buf [64]byte
 	b := append(buf[:0], prefix...)
 	u := uint64(n)

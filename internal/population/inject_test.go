@@ -190,18 +190,18 @@ func TestDeployedListsNeverShareBackingArrays(t *testing.T) {
 	}
 }
 
-// TestPaddedMatchesFmt: padded renders what fmt's %0*d renders, including
+// TestPaddedMatchesFmt: Padded renders what fmt's %0*d renders, including
 // the sign placement of negative numbers (the slot templates' ranks are
 // negative) and the extremes of int64.
 func TestPaddedMatchesFmt(t *testing.T) {
 	for _, w := range []int{3, 4, 6} {
 		for _, n := range []int{0, 1, 999_999, 1_000_000, 12_345_678, -1, -3_000, -100_000, math.MinInt64, math.MaxInt64} {
 			want := fmt.Sprintf("%0*d", w, n)
-			if got := padded("", n, w, ""); got != want {
-				t.Errorf("padded(%d, width %d) = %q, want %q", n, w, got, want)
+			if got := Padded("", n, w, ""); got != want {
+				t.Errorf("Padded(%d, width %d) = %q, want %q", n, w, got, want)
 			}
-			if got := padded("site-", n, w, ".com"); got != "site-"+want+".com" {
-				t.Errorf("padded with affixes (%d, width %d) = %q", n, w, got)
+			if got := Padded("site-", n, w, ".com"); got != "site-"+want+".com" {
+				t.Errorf("Padded with affixes (%d, width %d) = %q", n, w, got)
 			}
 		}
 	}

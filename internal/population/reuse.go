@@ -20,10 +20,11 @@ const (
 	slotSeedSalt  = 0x7E57AB1E5EEDF00D
 )
 
-// unit derives a uniform [0,1) draw for (seed, rank) on the salted stream —
+// Unit derives a uniform [0,1) draw for (seed, rank) on the salted stream —
 // the splitmix64 finalizer over the combined words, matching domainSeed's
-// mixing but cheaper than seeding a rand.Rand per rank.
-func unit(seed int64, rank int, salt uint64) float64 {
+// mixing but cheaper than seeding a rand.Rand per rank. The study's farm
+// draws its own decisions here too, on its own salts.
+func Unit(seed int64, rank int, salt uint64) float64 {
 	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(rank)*0xD1B54A32D192ED03 + salt + 1
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -31,30 +32,34 @@ func unit(seed int64, rank int, salt uint64) float64 {
 	return float64(z>>11) / (1 << 53)
 }
 
+// Pick maps the salted draw for (seed, key) uniformly onto [0, n).
+func Pick(n int, seed int64, key int, salt uint64) int {
+	return min(int(Unit(seed, key, salt)*float64(n)), n-1)
+}
+
+// PickSkewed maps the salted draw u for (seed, key) onto [0, n) as n·u³,
+// the power-law slot pick: slot 0 alone serves ~⅒ of the picks at n = 3000,
+// with a long tail — "realistic chain-reuse skew" rather than a uniform
+// pool.
+func PickSkewed(n int, seed int64, key int, salt uint64) int {
+	u := Unit(seed, key, salt)
+	return min(int(float64(n)*u*u*u), n-1)
+}
+
 // reusePlan decides, per rank, whether the site reuses a pooled chain and
-// which slot it draws. The slot pick is power-law skewed (u³): slot 0 alone
-// serves ~⅒ of reusing sites at pool 3000, with a long tail — "realistic
-// chain-reuse skew" rather than a uniform pool.
+// which slot it draws (PickSkewed).
 func (c *Config) reusePlan(rank int) (bool, int) {
-	if c.ChainReuse <= 0 {
+	if c.ChainReuse <= 0 || Unit(c.Seed, rank, reuseCoinSalt) >= c.ChainReuse {
 		return false, 0
 	}
-	if unit(c.Seed, rank, reuseCoinSalt) >= c.ChainReuse {
-		return false, 0
-	}
-	u := unit(c.Seed, rank, reuseSlotSalt)
-	slot := int(float64(c.ChainPool) * u * u * u)
-	if slot >= c.ChainPool {
-		slot = c.ChainPool - 1
-	}
-	return true, slot
+	return true, PickSkewed(c.ChainPool, c.Seed, rank, reuseSlotSalt)
 }
 
 // slotZone is the DNS zone a slot's sites share; the template leaf is the
 // zone wildcard, so every site of the slot matches it (the shared-hosting
 // shape: one certificate, many customer vhosts).
 func slotZone(slot int) string {
-	return padded("shard-", slot, 4, ".hosting.example")
+	return Padded("shard-", slot, 4, ".hosting.example")
 }
 
 // slotTemplate returns (memoized per generator) the slot's template domain.
@@ -82,7 +87,7 @@ func (g *Generator) sharedDomain(rank, slot int) *Domain {
 	tpl := g.slotTemplate(slot)
 	d := *tpl
 	d.Rank = rank
-	d.Name = padded("site-", rank, 6, "."+slotZone(slot))
+	d.Name = Padded("site-", rank, 6, "."+slotZone(slot))
 	d.Shared = true
 	return &d
 }

@@ -260,15 +260,10 @@ func (c *Config) scenarioPlan(rank int) (bool, int) {
 	if len(c.Scenarios) == 0 || c.ScenarioRate <= 0 {
 		return false, 0
 	}
-	if unit(c.Seed, rank, scenarioCoinSalt) >= c.ScenarioRate {
+	if Unit(c.Seed, rank, scenarioCoinSalt) >= c.ScenarioRate {
 		return false, 0
 	}
-	u := unit(c.Seed, rank, scenarioPickSalt)
-	idx := int(u * float64(len(c.Scenarios)))
-	if idx >= len(c.Scenarios) {
-		idx = len(c.Scenarios) - 1
-	}
-	return true, idx
+	return true, Pick(len(c.Scenarios), c.Seed, rank, scenarioPickSalt)
 }
 
 // scenarioDomain materializes one injected site: the scenario's chain

@@ -12,12 +12,12 @@
 package study
 
 import (
-	"fmt"
 	"sync"
 
 	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/httpserver"
+	"chainchaos/internal/population"
 )
 
 // Stream salts keep each decision on its own independent stream.
@@ -33,41 +33,14 @@ const (
 	studyScenarioPickSalt = 0xBEEFCAFEF01DAB1E
 )
 
-// unit derives a uniform [0,1) draw for (seed, rank) on the salted stream —
-// the splitmix64 finalizer over the combined words.
-func unit(seed int64, rank int, salt uint64) float64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(rank)*0xD1B54A32D192ED03 + salt + 1
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
-}
-
-// pick maps a salted draw for (seed, key) onto [0, n).
-func pick(n int, seed int64, key int, salt uint64) int {
-	i := int(unit(seed, key, salt) * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return i
-}
-
 // reusePlan decides, per rank, whether the site serves a pooled chain and
-// which slot it draws. The slot pick is power-law skewed (u³): the head slot
-// alone serves a large share of reusing sites, with a long tail.
+// which slot it draws: population's power-law skewed pick on the study's
+// own salts.
 func (c *Config) reusePlan(rank int) (bool, int) {
-	if c.Reuse <= 0 {
+	if c.Reuse <= 0 || population.Unit(c.Seed, rank, studyCoinSalt) >= c.Reuse {
 		return false, 0
 	}
-	if unit(c.Seed, rank, studyCoinSalt) >= c.Reuse {
-		return false, 0
-	}
-	u := unit(c.Seed, rank, studySlotSalt)
-	slot := int(float64(c.DistinctChains) * u * u * u)
-	if slot >= c.DistinctChains {
-		slot = c.DistinctChains - 1
-	}
-	return true, slot
+	return true, population.PickSkewed(c.DistinctChains, c.Seed, rank, studySlotSalt)
 }
 
 // scenarioPlan decides, per rank, whether the site replays an injected
@@ -79,21 +52,16 @@ func (c *Config) scenarioPlan(rank int) (bool, int) {
 	if len(c.Scenarios) == 0 || c.ScenarioRate <= 0 {
 		return false, 0
 	}
-	if unit(c.Seed, rank, studyScenarioCoinSalt) >= c.ScenarioRate {
+	if population.Unit(c.Seed, rank, studyScenarioCoinSalt) >= c.ScenarioRate {
 		return false, 0
 	}
-	return true, pick(len(c.Scenarios), c.Seed, rank, studyScenarioPickSalt)
+	return true, population.Pick(len(c.Scenarios), c.Seed, rank, studyScenarioPickSalt)
 }
 
 // slotZone is the DNS zone a slot's sites share; the slot leaf is the zone
 // wildcard, so every vhost of the slot matches it.
 func slotZone(slot int) string {
-	return fmt.Sprintf("shard-%04d.study.example", slot)
-}
-
-// slotSiteName is the per-site vhost under the slot zone.
-func slotSiteName(rank, slot int) string {
-	return fmt.Sprintf("site-%06d.%s", rank, slotZone(slot))
+	return population.Padded("shard-", slot, 4, ".study.example")
 }
 
 // studySlot is one pooled deployment: the wildcard leaf, the wire chain as

@@ -162,18 +162,13 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	cfg.fillDefaults()
 	reg := cfg.Metrics
 	if reg != nil && cfg.Clock != nil && reg.Now == nil {
-		// Deterministic fault runs: stage timers tick on the same injected
-		// clock as the faults and backoff they time.
+		// Deterministic fault runs: the engine's stage clock ticks on the
+		// same injected clock as the faults and backoff it times.
 		reg.Now = cfg.Clock.Now
 	}
-	deployTimer := reg.Timer("study.deploy")
-	scanTimer := reg.Timer("study.scan")
-	rescanTimer := reg.Timer("study.rescan")
-	gradeTimer := reg.Timer("study.grade")
 	leavesCounter := reg.Counter("study.leaves_generated")
 	rescannedCounter := reg.Counter("study.rescanned")
 
-	pkiSW := deployTimer.Start()
 	// Real PKI: a root with two intermediates, AIA-wired.
 	root, err := certgen.NewRoot("Study Root")
 	if err != nil {
@@ -221,7 +216,6 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	// The study trust store never grows after this point; sealed, the
 	// parallel site-grading workers read it without locking.
 	roots.Seal()
-	pkiSW.Stop()
 
 	servers := []httpserver.Model{
 		httpserver.ApacheOld(), httpserver.Apache(), httpserver.Nginx(),
@@ -297,8 +291,8 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		}
 		s := &studySlot{
 			zone:  slotZone(idx),
-			inj:   defects[pick(len(defects), cfg.Seed, idx, slotDefectSalt)],
-			model: servers[pick(len(servers), cfg.Seed, idx, slotServerSalt)],
+			inj:   defects[population.Pick(len(defects), cfg.Seed, idx, slotDefectSalt)],
+			model: servers[population.Pick(len(servers), cfg.Seed, idx, slotServerSalt)],
 		}
 		leaf, wire, inj, err := mintDeployment("*."+s.zone, s.inj, s.model)
 		if err != nil {
@@ -320,14 +314,12 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		if rank >= cfg.Sites {
 			return deployed{}, false, nil
 		}
-		sw := deployTimer.Start()
-		defer sw.Stop()
 		// Each rank's defect and server-model assignment comes from its own
 		// salted splitmix64 stream, so a resumed or range-restricted run needs
 		// no replay: rank r draws the same pair in every run shape. Shared
 		// sites take their assignment from the slot instead.
-		inj := defects[pick(len(defects), cfg.Seed, rank, siteDefectSalt)]
-		model := servers[pick(len(servers), cfg.Seed, rank, siteServerSalt)]
+		inj := defects[population.Pick(len(defects), cfg.Seed, rank, siteDefectSalt)]
+		model := servers[population.Pick(len(servers), cfg.Seed, rank, siteServerSalt)]
 
 		if replay, idx := cfg.scenarioPlan(rank); replay {
 			// Scenario sites present a fuzzer-discovered synthetic chain. No
@@ -344,7 +336,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 			if err != nil {
 				return deployed{}, false, err
 			}
-			site := &Site{Domain: slotSiteName(rank, idx), Injected: s.inj, Server: s.model.Name}
+			site := &Site{Domain: population.Padded("site-", rank, 6, "."+s.zone), Injected: s.inj, Server: s.model.Name}
 			if cfg.Dedup {
 				return deployed{site: site, slot: s, minted: minted}, true, nil
 			}
@@ -354,7 +346,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 			return deployed{site: site, leaf: s.leaf, wire: s.wire, minted: minted}, true, nil
 		}
 
-		domain := fmt.Sprintf("site-%03d.study.example", rank)
+		domain := population.Padded("site-", rank, 3, ".study.example")
 		leaf, wire, inj, err := mintDeployment(domain, inj, model)
 		if err != nil {
 			return deployed{}, false, err
@@ -398,15 +390,11 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 				}
 			}
 		}
-		sw := scanTimer.Start()
 		for v := 0; v < cfg.Vantages; v++ {
 			attempt(false)
 		}
-		sw.Stop()
 		for pass := 0; pass < cfg.RescanPasses && c.lost; pass++ {
-			rsw := rescanTimer.Start()
 			attempt(true)
-			rsw.Stop()
 		}
 		return c
 	}
@@ -474,7 +462,6 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		},
 		Fn: func(ctx context.Context, worker, _ int, sc scannedSite) (scannedSite, error) {
 			if !sc.lost {
-				sw := gradeTimer.Start()
 				gr, domain := graders[worker], sc.site.Domain
 				sc.site.Report, sc.site.Verdicts, _ = memo.Grade(ctx, sc.list, domain, func() (compliance.Report, map[string]bool) {
 					rep := gr.Analyze(sc.list, domain)
@@ -484,7 +471,6 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 					}
 					return rep, verdicts
 				})
-				sw.Stop()
 			}
 			return sc, nil
 		},

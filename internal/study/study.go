@@ -89,9 +89,10 @@ type Config struct {
 	ScenarioRate float64
 	// Metrics, when non-nil, instruments the whole pipeline: scanner and
 	// listener counters, the open-listener gauge, AIA repository hits,
-	// per-client construction metrics, and per-stage timers (study.deploy /
-	// study.scan / study.rescan / study.grade). study.deploy times the PKI
-	// and the minting of leaves and wire chains, not listener start, which
+	// per-client construction metrics, and the engine's per-stage metrics
+	// (study.deploy / study.scan / study.grade .items and .latency). The
+	// deploy source's busy time covers the minting of leaves and wire
+	// chains, not the PKI set-up before the run or listener start, which
 	// happens in the scan stage. The final Report carries a Snapshot and
 	// its Tables() gain the pipeline stage table. When Clock is also set
 	// and the registry has no Now of its own, the registry is put on the

@@ -7,15 +7,12 @@
 // only domain-independent analysis, with leaf placement recomputed per site
 // — lives in core.Memo, which every grader goes through.
 //
-// The cache follows the rootstore lifecycle: lock-striped while filling,
-// Seal()able into a lock-free read phase for callers that warm it once and
-// then share it across a measurement (the PR 2 store idiom). Writes after
-// Seal panic.
+// Every cache is filled while it is read, so reads and writes alike lock
+// only the key's stripe.
 package verdictcache
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/obs"
@@ -40,7 +37,7 @@ type Key struct {
 // mutex and one map header.
 const shardCount = 64
 
-// shard is one stripe: a mutex-guarded map while the cache is unsealed.
+// shard is one stripe: a mutex-guarded map.
 type shard[V any] struct {
 	mu sync.Mutex
 	m  map[Key]V
@@ -52,7 +49,6 @@ type shard[V any] struct {
 // thread an optional cache without branching.
 type Cache[V any] struct {
 	name   string
-	sealed atomic.Bool
 	shards [shardCount]shard[V]
 
 	// Metric handles, resolved once at New (nil-safe no-ops when the
@@ -98,18 +94,15 @@ func (c *Cache[V]) shardOf(k Key) *shard[V] {
 	return &c.shards[k.Digest[0]&(shardCount-1)]
 }
 
-// Get returns the memoized value for k. Sealed caches answer without touching
-// any lock; unsealed caches lock only k's stripe.
+// Get returns the memoized value for k, locking only k's stripe.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	if c == nil {
 		var zero V
 		return zero, false
 	}
 	s := c.shardOf(k)
-	if !c.sealed.Load() {
-		c.lock(s)
-		defer s.mu.Unlock()
-	}
+	c.lock(s)
+	defer s.mu.Unlock()
 	v, ok := s.m[k]
 	if ok {
 		c.hits.Inc()
@@ -122,13 +115,10 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 // Put memoizes v under k, first insert wins: when two workers grade the same
 // digest concurrently, both computed the same deterministic value, so the
 // loser's copy is discarded (counted in <name>.races) and every later Get
-// observes one canonical entry. Put panics on a sealed cache.
+// observes one canonical entry.
 func (c *Cache[V]) Put(k Key, v V) {
 	if c == nil {
 		return
-	}
-	if c.sealed.Load() {
-		panic("verdictcache: Put on sealed cache " + c.name)
 	}
 	s := c.shardOf(k)
 	c.lock(s)
@@ -152,36 +142,17 @@ func (c *Cache[V]) lock(s *shard[V]) {
 	s.mu.Lock()
 }
 
-// Seal freezes the cache: subsequent Put calls panic and Get skips the stripe
-// locks entirely. Seal must happen-before any read it is meant to
-// de-synchronize (fill, seal, then share — the rootstore contract); sealing
-// twice is a no-op.
-func (c *Cache[V]) Seal() {
-	if c == nil {
-		return
-	}
-	c.sealed.Store(true)
-}
-
-// Sealed reports whether the cache has been sealed.
-func (c *Cache[V]) Sealed() bool { return c != nil && c.sealed.Load() }
-
 // Len returns the number of memoized entries.
 func (c *Cache[V]) Len() int {
 	if c == nil {
 		return 0
 	}
-	sealed := c.sealed.Load()
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
-		if !sealed {
-			s.mu.Lock()
-		}
+		s.mu.Lock()
 		n += len(s.m)
-		if !sealed {
-			s.mu.Unlock()
-		}
+		s.mu.Unlock()
 	}
 	return n
 }

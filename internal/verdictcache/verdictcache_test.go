@@ -68,32 +68,15 @@ func TestCacheNil(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(key(1), 7)
-	c.Seal()
-	if c.Sealed() || c.Len() != 0 || c.Name() != "" {
+	if c.Len() != 0 || c.Name() != "" {
 		t.Fatal("nil cache is not inert")
 	}
 }
 
-// TestCacheSealPanics: writes after Seal are programming errors.
-func TestCacheSealPanics(t *testing.T) {
-	c := New[int]("vc", nil)
-	c.Put(key(1), 1)
-	c.Seal()
-	if !c.Sealed() {
-		t.Fatal("Sealed() false after Seal")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Put on sealed cache did not panic")
-		}
-	}()
-	c.Put(key(2), 2)
-}
-
-// TestCacheSealThenReadHammer: fill from many goroutines, seal, then hammer
-// the lock-free read path from many goroutines (run under -race via the
-// Makefile's RACE_PKGS). Every reader must observe every entry.
-func TestCacheSealThenReadHammer(t *testing.T) {
+// TestCacheFillThenReadHammer: fill from many goroutines, then hammer the
+// read path from many goroutines (run under -race via the Makefile's
+// RACE_PKGS). Every reader must observe every entry.
+func TestCacheFillThenReadHammer(t *testing.T) {
 	const writers, entries, readers = 8, 512, 8
 	reg := obs.NewRegistry()
 	c := New[int]("vc", reg)
@@ -112,7 +95,6 @@ func TestCacheSealThenReadHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	c.Seal()
 
 	if c.Len() != entries {
 		t.Fatalf("Len = %d, want %d", c.Len(), entries)
@@ -124,7 +106,7 @@ func TestCacheSealThenReadHammer(t *testing.T) {
 			for i := 0; i < entries; i++ {
 				v, ok := c.Get(key(i))
 				if !ok || v != i {
-					panic(fmt.Sprintf("sealed read %d = %d, %v", i, v, ok))
+					panic(fmt.Sprintf("read %d = %d, %v", i, v, ok))
 				}
 			}
 		}()
@@ -139,7 +121,7 @@ func TestCacheSealThenReadHammer(t *testing.T) {
 		t.Fatalf("races = %d, want %d", snap.Counters["vc.races"], writers*entries-entries)
 	}
 	if snap.Counters["vc.hits"] != int64(readers*entries) {
-		t.Fatalf("sealed hits = %d, want %d", snap.Counters["vc.hits"], readers*entries)
+		t.Fatalf("hits = %d, want %d", snap.Counters["vc.hits"], readers*entries)
 	}
 }
 
