@@ -23,6 +23,7 @@ import (
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
 	"chainchaos/internal/difftest"
+	"chainchaos/internal/divfuzz"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/pipeline"
@@ -828,6 +829,25 @@ func BenchmarkAblationLengthSemantics(b *testing.B) {
 }
 
 // --- Extensions beyond the paper ---
+
+// BenchmarkDivfuzzCampaign runs the divergence-fuzzing campaign
+// internal/divfuzz's TestManifestGolden pins (seed 103, 40 generations of
+// 256 mutants, verdict cache on) at 2 workers: breeding, mutation through
+// the workers' rebuild memos, 8-model grading and the sink's minimization.
+// allocs/op and B/op are per campaign.
+func BenchmarkDivfuzzCampaign(b *testing.B) {
+	cfg := divfuzz.Config{Seed: 103, Generations: 40, Dedup: true, Workers: 2}
+	b.ReportAllocs()
+	mutants := 0
+	for b.Loop() {
+		res, err := divfuzz.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mutants += res.Mutants
+	}
+	b.ReportMetric(float64(mutants)/b.Elapsed().Seconds(), "mutants/s")
+}
 
 // BenchmarkChainFix measures the §6-recommendations repair engine over the
 // population's non-compliant chains.

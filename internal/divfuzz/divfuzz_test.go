@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"chainchaos/internal/certmodel"
@@ -14,6 +16,9 @@ import (
 	"chainchaos/internal/obs"
 	"chainchaos/internal/population"
 )
+
+// raceEnabled is set in race-detector builds (race_test.go).
+var raceEnabled bool
 
 // smallCfg is the shared test campaign: big enough to rediscover known
 // classes and breed novel topologies, small enough for the race detector.
@@ -66,6 +71,30 @@ func TestBuildCountersFlushed(t *testing.T) {
 	}
 	if profiles := int64(len(clients.All())); builds < profiles*misses {
 		t.Errorf("pathbuild.builds = %d, want >= %d (%d profiles x %d cache misses)", builds, profiles*misses, profiles, misses)
+	}
+}
+
+// TestRebuildMemoCounted: at one worker every oracle rebuilds and looks up
+// in a fixed order, so a campaign's published divfuzz.rebuilds and
+// divfuzz.rebuild_hits repeat exactly from run to run, and most rebuilds
+// are answered by the memo.
+func TestRebuildMemoCounted(t *testing.T) {
+	var got [2][2]int64
+	for i := range got {
+		cfg := smallCfg(1)
+		cfg.Metrics = obs.NewRegistry()
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		c := cfg.Metrics.Snapshot().Counters
+		got[i] = [2]int64{c["divfuzz.rebuilds"], c["divfuzz.rebuild_hits"]}
+	}
+	t.Logf("rebuilds %d, hits %d", got[0][0], got[0][1])
+	if got[0] != got[1] {
+		t.Fatalf("(rebuilds, hits) = %v, then %v", got[0], got[1])
+	}
+	if rebuilds, hits := got[0][0], got[0][1]; rebuilds == 0 || hits <= rebuilds {
+		t.Errorf("rebuilds %d, hits %d: want both published and more hits than rebuilds", rebuilds, hits)
 	}
 }
 
@@ -161,28 +190,76 @@ func TestManifestGolden(t *testing.T) {
 	}
 }
 
+// TestCampaignAllocs is the fuzz path's allocation sentinel: the
+// TestManifestGolden campaign at one worker, bounded in allocations per
+// mutant from the process's malloc count, which repeats to ±0.01 between
+// runs. It measured 33.85 allocations (3,820 B) per mutant before the
+// rebuild memo, the campaign-long worker oracles and the byte-keyed seen
+// set, and 21.7 (1,826 B) with them. Without any one of the three it
+// measured at least 23.6, so the bound fails on losing each.
+func TestCampaignAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	const bound = 23.0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(context.Background(), Config{Seed: 103, Generations: 40, Dedup: true, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(res.Mutants)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Mutants)
+	t.Logf("%d mutants: %.2f allocations, %.0f B per mutant", res.Mutants, allocs, bytes)
+	if allocs > bound {
+		t.Errorf("a mutant allocates %.2f times, bound %.0f", allocs, bound)
+	}
+}
+
 // TestApplyIncremental: for every genome a short campaign admits, every
-// operator and a few salts, the child built by applyNext from the parent's
-// list has the same list digest as the child genome replayed from its base,
-// and the parent's list is unchanged afterwards.
+// operator, two positions and a few salts, the child built by applyNext from
+// the parent's list and the child genome replayed from its base have the
+// list digest of the memo-less Apply — without a rebuild memo, with a fresh
+// one, and with one warmed by everything the test applied before. Repeating
+// a memoized operator on the parent's list returns the identical
+// certificates, and the parent's list is unchanged afterwards.
 func TestApplyIncremental(t *testing.T) {
 	res, err := Run(context.Background(), smallCfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	warmed := &rebuildMemo{}
 	for _, g := range res.Corpus {
 		base := res.Pop.Domains[g.Base].List
 		parent := Apply(res.Pop, base, g)
 		before := append([]*certmodel.Certificate(nil), parent...)
 		for op := Op(0); op < opCount; op++ {
-			for _, salt := range []uint64{0, 1, 0x9e3779b97f4a7c15} {
-				m := Mut{Op: op, A: int(salt%97) + int(op), Salt: salt}
-				child := g.Clone()
-				child.Muts = append(child.Muts, m)
-				got := applyNext(res.Pop, parent, m)
-				if want := Apply(res.Pop, base, child); certmodel.ListDigest(got) != certmodel.ListDigest(want) {
-					t.Fatalf("%s + %s:%d:%x: list from the parent differs from the replayed genome",
-						g.Encode(), op, m.A, salt)
+			for _, a := range []int{int(op), int(op) + 1} {
+				for _, salt := range []uint64{0, 1, 0x9e3779b97f4a7c15} {
+					m := Mut{Op: op, A: a, Salt: salt}
+					child := g.Clone()
+					child.Muts = append(child.Muts, m)
+					want := certmodel.ListDigest(Apply(res.Pop, base, child))
+					for i, memo := range []*rebuildMemo{nil, {}, warmed} {
+						kind := [...]string{"no", "a fresh", "the warmed"}[i]
+						got := applyNext(res.Pop, parent, m, memo)
+						if certmodel.ListDigest(got) != want {
+							t.Fatalf("%s + %s:%d:%x with %s memo: list from the parent differs from the replayed genome",
+								g.Encode(), op, a, salt, kind)
+						}
+						if replay := apply(res.Pop, base, child, memo); certmodel.ListDigest(replay) != want {
+							t.Fatalf("%s + %s:%d:%x with %s memo: replay differs from Apply",
+								g.Encode(), op, a, salt, kind)
+						}
+						if memo == nil || op == OpPerturbAKID {
+							continue
+						}
+						if again := applyNext(res.Pop, parent, m, memo); !slices.Equal(again, got) {
+							t.Fatalf("%s + %s:%d:%x with %s memo: a repeated rebuild made a new certificate",
+								g.Encode(), op, a, salt, kind)
+						}
+					}
 				}
 			}
 		}

@@ -45,9 +45,10 @@ type Config struct {
 	// list digest already graded reuse its vector. Hit counters race and
 	// are excluded from the manifest; results are unaffected.
 	Dedup bool
-	// Metrics receives mutants/divergence/bin counters, the per-generation
-	// engine metrics (divfuzz.breed and divfuzz.evaluate) and generation
-	// zero's time (divfuzz.seed.latency, one observation per Run).
+	// Metrics receives mutants/divergence/bin counters, the rebuild memos'
+	// divfuzz.rebuilds and divfuzz.rebuild_hits, the per-generation engine
+	// metrics (divfuzz.breed and divfuzz.evaluate) and generation zero's
+	// time (divfuzz.seed.latency, one observation per Run).
 	Metrics *obs.Registry
 }
 
@@ -114,14 +115,19 @@ type fuzzer struct {
 	bases  [][]*certmodel.Certificate
 	names  []string
 	oracle *Oracle // sink-side: minimization and attribution
-	vcache *verdictcache.Cache[Vector]
-	warm   *rootstore.Store
+	// oracles[w] is evaluate worker w's oracle, built in the first
+	// generation and kept, with its rebuild memo, for the campaign.
+	oracles []*Oracle
+	vcache  *verdictcache.Cache[Vector]
+	warm    *rootstore.Store
 
 	corpus []Genome
 	// lists[i] is corpus[i] applied to its base: a child bred from it
 	// starts from this list instead of replaying its mutations.
-	lists       [][]*certmodel.Certificate
-	seenSigs    map[string]bool
+	lists [][]*certmodel.Certificate
+	// seenVecs holds every admitted verdict vector, keyed by its classes
+	// one byte each (classKey).
+	seenVecs    map[string]bool
 	seenDigests map[string]bool
 	divergences []*Divergence
 	bins        map[string]int
@@ -148,8 +154,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		pop:         pop,
 		warm:        warm,
 		oracle:      NewOracle(pop, warm, vcache, cfg.Metrics),
+		oracles:     make([]*Oracle, parallel.Workers(cfg.Workers)),
 		vcache:      vcache,
-		seenSigs:    make(map[string]bool),
+		seenVecs:    make(map[string]bool),
 		seenDigests: make(map[string]bool),
 		bins:        make(map[string]int),
 		cMutants:    cfg.Metrics.Counter("divfuzz.mutants"),
@@ -157,8 +164,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cNovel:      cfg.Metrics.Counter("divfuzz.novel"),
 	}
 	// The sink-side oracle builds for generation zero, minimization and
-	// attribution; publish its builders' last partial metric batches when
-	// Run returns.
+	// attribution; publish its builders' last partial metric batches and its
+	// memo's tallies when Run returns.
 	defer f.oracle.FlushMetrics()
 	for _, d := range pop.Domains {
 		f.bases = append(f.bases, d.List)
@@ -196,11 +203,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // and admission happens at the sink in rank order — the three properties
 // that make the run worker-invariant. The parents' lists are frozen with
 // their genomes, so workers read them while the sink appends to the corpus;
-// a child copies its parent's list before mutating it.
+// a child copies its parent's list before mutating it. A worker's oracle
+// is built when the worker first starts, in generation one, so Run's
+// set-up does not include it, and flushes its tallies each time the worker
+// retires at a generation's end.
 func (f *fuzzer) generation(ctx context.Context, gen int) error {
 	snapshot := append([]Genome(nil), f.corpus...)
 	lists := append([][]*certmodel.Certificate(nil), f.lists...)
-	workers := parallel.Workers(f.cfg.Workers)
 
 	type evaluated struct {
 		g    Genome
@@ -211,24 +220,25 @@ func (f *fuzzer) generation(ctx context.Context, gen int) error {
 	src := pipeline.From(ctx, opts, "breed", 0, func(rank int) (int, bool, error) {
 		return rank, rank < f.cfg.PerGen, nil
 	})
-	oracles := make([]*Oracle, workers)
 	ev := pipeline.Through(src, pipeline.Stage[int, evaluated]{
 		Name:    "evaluate",
-		Workers: workers,
+		Workers: len(f.oracles),
 		OnWorker: func(worker int) func() {
-			o := NewOracle(f.pop, f.warm, f.vcache, f.cfg.Metrics)
-			oracles[worker] = o
-			return o.FlushMetrics
+			if f.oracles[worker] == nil {
+				f.oracles[worker] = NewOracle(f.pop, f.warm, f.vcache, f.cfg.Metrics)
+			}
+			return f.oracles[worker].FlushMetrics
 		},
 		Fn: func(_ context.Context, worker, _ int, rank int) (evaluated, error) {
+			o := f.oracles[worker]
 			g, parent, dropped := breed(snapshot, f.cfg, gen, rank)
 			var list []*certmodel.Certificate
 			if dropped {
-				list = Apply(f.pop, f.bases[g.Base], g)
+				list = apply(f.pop, f.bases[g.Base], g, &o.memo)
 			} else {
-				list = applyNext(f.pop, lists[parent], g.Muts[len(g.Muts)-1])
+				list = applyNext(f.pop, lists[parent], g.Muts[len(g.Muts)-1], &o.memo)
 			}
-			vec := oracles[worker].Evaluate(list)
+			vec := o.Evaluate(list)
 			f.cMutants.Inc()
 			return evaluated{g: g, list: list, vec: vec}, nil
 		},
@@ -265,11 +275,12 @@ func breed(snapshot []Genome, cfg Config, gen, rank int) (g Genome, parent int, 
 // admitted genome for the children bred from it.
 func (f *fuzzer) admit(g Genome, list []*certmodel.Certificate, vec Vector) {
 	f.mutants++
-	sig := vec.Signature()
-	if f.seenSigs[sig] {
+	var buf [16]byte // room for more than len(core.Profiles) classes
+	key := classKey(buf[:0], vec)
+	if f.seenVecs[string(key)] {
 		return
 	}
-	f.seenSigs[sig] = true
+	f.seenVecs[string(key)] = true
 	f.corpus = append(f.corpus, g)
 	f.lists = append(f.lists, list)
 	if !vec.Divergent() {
@@ -287,9 +298,9 @@ func (f *fuzzer) admit(g Genome, list []*certmodel.Certificate, vec Vector) {
 		Found:     g,
 		Minimized: min,
 		Digest:    digest,
-		Signature: sig,
+		Signature: vec.Signature(),
 		Domain:    f.names[g.Base],
-		List:      Apply(f.pop, f.bases[g.Base], min),
+		List:      apply(f.pop, f.bases[g.Base], min, &f.oracle.memo),
 	}
 	d.Causes = f.attribute(d.Domain, d.List)
 	d.Novel = len(d.Causes) == 0
@@ -302,6 +313,17 @@ func (f *fuzzer) admit(g Genome, list []*certmodel.Certificate, vec Vector) {
 	}
 	f.cfg.Metrics.Counter("divfuzz.bin." + binMetric(d)).Inc()
 	f.divergences = append(f.divergences, d)
+}
+
+// classKey appends one byte per verdict class to dst — the seen set's key,
+// which equal vectors and only they share. Indexing a map with the
+// string(key) conversion does not copy it, so a mutant whose vector was
+// seen costs no allocation; a Signature is rendered only for a divergence.
+func classKey(dst []byte, vec Vector) []byte {
+	for _, c := range vec {
+		dst = append(dst, byte(c))
+	}
+	return dst
 }
 
 // binMetric renders a divergence's primary bin for the metric name.

@@ -16,9 +16,14 @@ import (
 // material (other hierarchies' certificates). Apply never mutates base or
 // the population and is a pure function of its arguments.
 func Apply(pop *population.Population, base []*certmodel.Certificate, g Genome) []*certmodel.Certificate {
+	return apply(pop, base, g, nil)
+}
+
+// apply is Apply with its rebuilds taken from memo.
+func apply(pop *population.Population, base []*certmodel.Certificate, g Genome, memo *rebuildMemo) []*certmodel.Certificate {
 	list := append([]*certmodel.Certificate(nil), base...)
 	for _, m := range g.Muts {
-		list = applyOne(pop, list, m)
+		list = applyOne(pop, list, m, memo)
 	}
 	return list
 }
@@ -30,17 +35,17 @@ func Apply(pop *population.Population, base []*certmodel.Certificate, g Genome) 
 // children of one parent may be built concurrently. The copy has room for
 // the two certificates OpCrossRoot appends, the most any operator but
 // OpBloat adds.
-func applyNext(pop *population.Population, parent []*certmodel.Certificate, m Mut) []*certmodel.Certificate {
+func applyNext(pop *population.Population, parent []*certmodel.Certificate, m Mut, memo *rebuildMemo) []*certmodel.Certificate {
 	list := make([]*certmodel.Certificate, len(parent), len(parent)+2)
 	copy(list, parent)
-	return applyOne(pop, list, m)
+	return applyOne(pop, list, m, memo)
 }
 
 // maxBloat caps list growth so bloat chains stay bounded while still
 // exceeding every profile's input limit.
 const maxBloat = 40
 
-func applyOne(pop *population.Population, list []*certmodel.Certificate, m Mut) []*certmodel.Certificate {
+func applyOne(pop *population.Population, list []*certmodel.Certificate, m Mut, memo *rebuildMemo) []*certmodel.Certificate {
 	n := len(list)
 	if n == 0 {
 		return list
@@ -81,12 +86,12 @@ func applyOne(pop *population.Population, list []*certmodel.Certificate, m Mut) 
 		list = append(list, iss.Root, iss.RootCrossSigned)
 	case OpStripSKID:
 		i := m.A % n
-		list[i] = rebuild(list[i], func(cfg *certmodel.SyntheticConfig) {
+		list[i] = memo.rebuild(list[i], m.Op, 0, func(cfg *certmodel.SyntheticConfig) {
 			cfg.OmitSKID = true
 		})
 	case OpPerturbAKID:
 		i := m.A % n
-		list[i] = rebuild(list[i], func(cfg *certmodel.SyntheticConfig) {
+		list[i] = memo.rebuild(list[i], m.Op, m.Salt, func(cfg *certmodel.SyntheticConfig) {
 			cfg.OmitAKID = false
 			cfg.AKIDOverride = saltBytes(m.Salt)
 		})
@@ -96,28 +101,28 @@ func applyOne(pop *population.Population, list []*certmodel.Certificate, m Mut) 
 		if m.Salt&1 == 1 {
 			years = 2
 		}
-		list[i] = rebuild(list[i], func(cfg *certmodel.SyntheticConfig) {
+		list[i] = memo.rebuild(list[i], m.Op, m.Salt&1, func(cfg *certmodel.SyntheticConfig) {
 			cfg.NotBefore = cfg.NotBefore.AddDate(years, 0, 0)
 			cfg.NotAfter = cfg.NotAfter.AddDate(years, 0, 0)
 		})
 	case OpPerturbEKU:
 		i := m.A % n
-		list[i] = rebuild(list[i], func(cfg *certmodel.SyntheticConfig) {
+		list[i] = memo.rebuild(list[i], m.Op, 0, func(cfg *certmodel.SyntheticConfig) {
 			cfg.ExtKeyUsages = []certmodel.ExtKeyUsage{certmodel.EKUCodeSigning}
 		})
 	case OpToggleBC:
 		i := m.A % n
-		list[i] = rebuild(list[i], func(cfg *certmodel.SyntheticConfig) {
+		list[i] = memo.rebuild(list[i], m.Op, 0, func(cfg *certmodel.SyntheticConfig) {
 			cfg.IsCA = !cfg.IsCA
 			cfg.BasicConstraintsValid = true
 		})
 	case OpNameConstrain:
 		i := m.A % n
-		list[i] = rebuild(list[i], func(cfg *certmodel.SyntheticConfig) {
+		list[i] = memo.rebuild(list[i], m.Op, 0, func(cfg *certmodel.SyntheticConfig) {
 			cfg.PermittedDNSDomains = []string{"constrained.invalid"}
 		})
 	case OpSelfSignLeaf:
-		list[0] = rebuild(list[0], func(cfg *certmodel.SyntheticConfig) {
+		list[0] = memo.rebuild(list[0], m.Op, 0, func(cfg *certmodel.SyntheticConfig) {
 			cfg.Issuer = cfg.Subject
 			cfg.SignedBy = cfg.Key
 		})
@@ -134,6 +139,56 @@ func rebuild(c *certmodel.Certificate, tweak func(*certmodel.SyntheticConfig)) *
 	cfg := certmodel.SyntheticConfigOf(c)
 	tweak(&cfg)
 	return certmodel.NewSynthetic(cfg)
+}
+
+// rebuildKey names one rebuilt certificate: the certificate it was made
+// from, the operator, and the one mutation parameter the operator's tweak
+// reads (Salt&1 for OpShiftValidity, the whole Salt for OpPerturbAKID,
+// nothing for the others).
+type rebuildKey struct {
+	src   *certmodel.Certificate
+	op    Op
+	param uint64
+}
+
+// rebuildMemo holds the certificates one oracle has rebuilt, so a repeated
+// mutation returns the certificate made the first time, its fingerprint
+// already cached, instead of encoding and hashing an identical one. A
+// rebuild is a pure function of its source's fields and the key's
+// parameter, and nothing changes a certificate once it is built, so lists
+// sharing the pointer compare exactly as lists holding equal copies.
+// OpPerturbAKID is not stored: every mutation draws a fresh 64-bit AKID, so
+// its keys almost never repeat. The memo is single-goroutine state, and a
+// nil *rebuildMemo rebuilds every time and counts nothing.
+type rebuildMemo struct {
+	certs map[rebuildKey]*certmodel.Certificate
+	// rebuilds counts certificates actually rebuilt, hits the rebuilds a
+	// stored certificate answered; the oracle publishes both.
+	rebuilds, hits int64
+}
+
+// rebuild returns tweak applied to c, from the memo when the key
+// (c, op, param) was rebuilt before.
+func (mm *rebuildMemo) rebuild(c *certmodel.Certificate, op Op, param uint64, tweak func(*certmodel.SyntheticConfig)) *certmodel.Certificate {
+	if mm == nil {
+		return rebuild(c, tweak)
+	}
+	if op == OpPerturbAKID {
+		mm.rebuilds++
+		return rebuild(c, tweak)
+	}
+	k := rebuildKey{src: c, op: op, param: param}
+	if r, ok := mm.certs[k]; ok {
+		mm.hits++
+		return r
+	}
+	if mm.certs == nil {
+		mm.certs = make(map[rebuildKey]*certmodel.Certificate)
+	}
+	r := rebuild(c, tweak)
+	mm.rebuilds++
+	mm.certs[k] = r
+	return r
 }
 
 // pickIssuer selects a hierarchy by salt; the population always has at least

@@ -39,11 +39,16 @@ func (v Vector) Divergent() bool {
 }
 
 // Oracle grades certificate lists across every client profile. It is
-// single-goroutine state (one per worker); the verdict cache and warm store
-// it reads are safe to share.
+// single-goroutine state (one per worker), kept for a whole campaign: its
+// builders' search scratch and its rebuild memo stay warm from one
+// generation to the next. The verdict cache and warm store it reads are
+// safe to share.
 type Oracle struct {
 	g     *core.Grader
 	cache *verdictcache.Cache[Vector]
+	// memo serves the rebuilds of every list this oracle materializes.
+	memo                    rebuildMemo
+	cRebuilds, cRebuildHits *obs.Counter
 }
 
 // NewOracle builds an oracle over the population's client matrix, judged in
@@ -53,13 +58,25 @@ type Oracle struct {
 // sharing it: Evaluate has no domain and produces no report, so it needs
 // none of core.Memo's per-site rule.
 func NewOracle(pop *population.Population, warm *rootstore.Store, cache *verdictcache.Cache[Vector], reg *obs.Registry) *Oracle {
-	return &Oracle{g: difftest.Trust(pop, warm, reg).Grader(), cache: cache}
+	return &Oracle{
+		g:            difftest.Trust(pop, warm, reg).Grader(),
+		cache:        cache,
+		cRebuilds:    reg.Counter("divfuzz.rebuilds"),
+		cRebuildHits: reg.Counter("divfuzz.rebuild_hits"),
+	}
 }
 
-// FlushMetrics publishes the builders' batched pathbuild counters. Call it
-// when the oracle retires: a builder flushes on its own only every few
-// dozen builds, so its last partial batch is otherwise lost.
-func (o *Oracle) FlushMetrics() { o.g.Close() }
+// FlushMetrics publishes what the oracle has tallied since the last call:
+// the builders' batched pathbuild counters and the rebuild memo's
+// divfuzz.rebuilds and divfuzz.rebuild_hits. Call it at the end of each
+// batch of work and when the oracle retires: a builder flushes on its own
+// only every few dozen builds, and the memo never does.
+func (o *Oracle) FlushMetrics() {
+	o.g.Close()
+	o.cRebuilds.Add(o.memo.rebuilds)
+	o.cRebuildHits.Add(o.memo.hits)
+	o.memo.rebuilds, o.memo.hits = 0, 0
+}
 
 // Evaluate returns the list's verdict vector, consulting the shared dedup
 // cache first. Cache hit counters race across workers; the vector itself is
