@@ -555,7 +555,7 @@ func BenchmarkPipelineDifftest(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src := population.NewSource(cfg)
-			if _, err := (&difftest.Harness{}).RunStream(context.Background(), src, pipeline.Options{}, 0); err != nil {
+			if _, err := (&difftest.Harness{}).RunStream(context.Background(), src, pipeline.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

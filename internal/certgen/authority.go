@@ -93,11 +93,6 @@ func WithAKID(id []byte) Option {
 	return func(t *Template) { t.AKID = id }
 }
 
-// WithoutAKID suppresses the Authority Key Identifier extension.
-func WithoutAKID() Option {
-	return func(t *Template) { t.AKID = nil }
-}
-
 // WithAIA sets the caIssuers URIs of the Authority Information Access
 // extension.
 func WithAIA(urls ...string) Option {

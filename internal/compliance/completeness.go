@@ -61,10 +61,9 @@ type CompletenessConfig struct {
 	// issuer; the paper's Table 7 baseline uses the four-vendor union.
 	Roots *rootstore.Store
 	// Fetcher resolves AIA caIssuers URIs; nil disables AIA (the Table 8
-	// "AIA Not Supported" columns).
+	// "AIA Not Supported" columns). Recursive recovery is bounded by the
+	// aia.Chaser default depth.
 	Fetcher aia.Fetcher
-	// MaxDepth bounds recursive AIA recovery (default 8).
-	MaxDepth int
 }
 
 // AnalyzeCompleteness classifies one chain. For each certification path the
@@ -112,8 +111,7 @@ func AnalyzeCompleteness(g *topo.Graph, cfg CompletenessConfig) CompletenessRepo
 		return best
 	}
 	chaser := &aia.Chaser{
-		Fetcher:  cfg.Fetcher,
-		MaxDepth: cfg.MaxDepth,
+		Fetcher: cfg.Fetcher,
 		TrustedIssuer: func(c *certmodel.Certificate) bool {
 			return issuerIsRootInStore(c, cfg.Roots)
 		},

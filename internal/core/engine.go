@@ -66,13 +66,12 @@ func (t Trust) roots(name string) *rootstore.Store {
 // Builder wires profile p into a path builder judged in t.
 func (t Trust) Builder(p clients.Profile) *pathbuild.Builder {
 	return &pathbuild.Builder{
-		Policy:        p.Policy,
-		Roots:         t.roots(p.Name),
-		Fetcher:       t.Fetcher,
-		Cache:         t.Warm,
-		CacheReadOnly: true,
-		Now:           t.Now,
-		Metrics:       t.Metrics,
+		Policy:  p.Policy,
+		Roots:   t.roots(p.Name),
+		Fetcher: t.Fetcher,
+		Cache:   t.Warm,
+		Now:     t.Now,
+		Metrics: t.Metrics,
 	}
 }
 

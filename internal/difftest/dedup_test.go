@@ -17,13 +17,25 @@ func reuseCfg(size int) population.Config {
 	return population.Config{Size: size, Seed: 11, ChainReuse: 0.85, ChainPool: 12}
 }
 
+// collect is a Record tap that appends each emitted line, newline-ended,
+// to out — the JSONL file a command writes through run.Output.
+func collect(out *bytes.Buffer) func(int, []byte) error {
+	return func(_ int, line []byte) error {
+		if line != nil {
+			out.Write(line)
+			out.WriteByte('\n')
+		}
+		return nil
+	}
+}
+
 // runOnce executes the harness batch path and returns the summary, the
 // streamed record bytes, and the metrics snapshot.
 func runOnce(t *testing.T, pop *population.Population, dedup bool, workers int) (*Summary, []byte, *obs.Snapshot) {
 	t.Helper()
 	var out bytes.Buffer
 	reg := obs.NewRegistry()
-	h := &Harness{Dedup: dedup, Workers: workers, Metrics: reg, Out: &out}
+	h := &Harness{Dedup: dedup, Workers: workers, Metrics: reg, Record: collect(&out)}
 	sum := h.Run(pop)
 	return sum, out.Bytes(), reg.Snapshot()
 }
@@ -72,9 +84,9 @@ func TestDedupStreamBitIdentical(t *testing.T) {
 	run := func(dedup bool) (*Summary, []byte, *obs.Snapshot) {
 		var out bytes.Buffer
 		reg := obs.NewRegistry()
-		h := &Harness{Dedup: dedup, Workers: 4, Metrics: reg, Out: &out}
+		h := &Harness{Dedup: dedup, Workers: 4, Metrics: reg, Record: collect(&out)}
 		src := population.NewSource(cfg)
-		sum, err := h.RunStream(context.Background(), src, pipeline.Options{Name: "difftest", Metrics: reg}, 0)
+		sum, err := h.RunStream(context.Background(), src, pipeline.Options{Name: "difftest", Metrics: reg})
 		if err != nil {
 			t.Fatalf("RunStream(dedup=%v): %v", dedup, err)
 		}

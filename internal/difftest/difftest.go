@@ -9,14 +9,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"slices"
 	"strings"
 
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
 	"chainchaos/internal/core"
-	"chainchaos/internal/ledger"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/parallel"
 	"chainchaos/internal/pathbuild"
@@ -185,28 +183,20 @@ type Harness struct {
 	// pipeline on it — the difftest.domains source and the difftest.verdict
 	// stage; RunStream times its pipeline on opts.Metrics.
 	Metrics *obs.Registry
-	// Out, when non-nil, receives one RecordLine of JSON per non-compliant
-	// chain, written by the single sink goroutine in rank order — a
-	// streaming result file that never requires KeepRecords. The bytes are
-	// deterministic for a (seed, population) pair regardless of worker
-	// count or queue depth.
-	Out io.Writer
-	// Record, when non-nil, is called by the sink for every retired rank in
-	// rank order — the distributed worker's tap. line is the rank's
-	// RecordLine JSON without a trailing newline, or nil for ranks that
-	// produce no output (compliant chains): the harness is a sparse sink,
-	// and the nil calls let the caller track progress through silent ranks.
+	// Record, when non-nil, is called by the single sink goroutine for
+	// every retired rank in rank order — the tap through which commands
+	// write their out-file and ledger, without KeepRecords. line is the
+	// rank's RecordLine JSON without a trailing newline, or nil for ranks
+	// that produce no output (compliant chains): the harness is a sparse
+	// sink, and the nil calls let the caller track progress through silent
+	// ranks. The lines are deterministic for a (seed, population) pair
+	// regardless of worker count.
 	Record func(rank int, line []byte) error
-	// Ledger, when non-nil, receives every emitted RecordLine as a Merkle
-	// leaf. The harness is a sparse sink — compliant chains emit nothing —
-	// so the leaf index is the line's position in the output file, not the
-	// domain rank. Nil is inert.
-	Ledger *ledger.Batcher
 }
 
 // RecordLine is the JSONL row the sink emits per non-compliant chain when
-// Harness.Out is set: the chain's generated identity, each client's verdict
-// class, and the attributed root causes.
+// Harness.Record is set: the chain's generated identity, each client's
+// verdict class, and the attributed root causes.
 type RecordLine struct {
 	Rank     int               `json:"rank"`
 	Domain   string            `json:"domain"`
@@ -284,7 +274,7 @@ func grade(g *core.Grader, d *population.Domain, rep compliance.Report) verdictM
 // source: analyze each domain (or take its precomputed report, when reports
 // is non-nil and index-aligned with the ranks) and grade the non-compliant
 // ones across all clients, through the run's memo.
-func (h *Harness) verdictStage(pop *population.Population, reports []compliance.Report, workers, queue int) pipeline.Stage[*population.Domain, *ChainRecord] {
+func (h *Harness) verdictStage(pop *population.Population, reports []compliance.Report, workers int) pipeline.Stage[*population.Domain, *ChainRecord] {
 	trust := Trust(pop, DefaultWarmCache(pop), h.Metrics)
 	var memo *core.Memo[verdictMemo]
 	if h.Dedup {
@@ -294,7 +284,6 @@ func (h *Harness) verdictStage(pop *population.Population, reports []compliance.
 	return pipeline.Stage[*population.Domain, *ChainRecord]{
 		Name:    "verdict",
 		Workers: workers,
-		Queue:   queue,
 		OnWorker: func(worker int) func() {
 			graders[worker] = trust.Grader()
 			return graders[worker].Close
@@ -331,32 +320,20 @@ func (h *Harness) drainSummary(f *pipeline.Flow[*ChainRecord]) (*Summary, error)
 	sum := newSummary()
 	err := f.Drain(func(rank int, rec *ChainRecord) error {
 		sum.Total++
-		var line []byte
 		if rec != nil {
 			sum.absorb(rec, h.KeepRecords)
-			if h.Out != nil || h.Record != nil {
-				var err error
-				if line, err = marshalRecordLine(rec); err != nil {
-					return err
-				}
-			}
 		}
-		if h.Record != nil {
-			if err := h.Record(rank, line); err != nil {
+		if h.Record == nil {
+			return nil
+		}
+		var line []byte
+		if rec != nil {
+			var err error
+			if line, err = marshalRecordLine(rec); err != nil {
 				return err
 			}
 		}
-		if h.Out != nil && line != nil {
-			if _, err := h.Out.Write(append(line, '\n')); err != nil {
-				return err
-			}
-		}
-		if line != nil {
-			if err := h.Ledger.Append(line); err != nil {
-				return err
-			}
-		}
-		return nil
+		return h.Record(rank, line)
 	})
 	if err != nil {
 		return nil, err
@@ -394,11 +371,11 @@ func (h *Harness) RunAnalyzed(pop *population.Population, reports []compliance.R
 		}
 		return pop.Domains[rank], true, nil
 	})
-	sum, err := h.drainSummary(pipeline.Through(src, h.verdictStage(pop, reports, workers, 0)))
+	sum, err := h.drainSummary(pipeline.Through(src, h.verdictStage(pop, reports, workers)))
 	if err != nil {
-		// Reachable only through an Out write failure: no stage errors and
-		// the context is never cancelled. Batch callers wanting to handle
-		// sink errors should use RunStream.
+		// Reachable only through a Record failure: no stage errors and the
+		// context is never cancelled. Batch callers wanting to handle sink
+		// errors should use RunStream.
 		panic(err)
 	}
 	return sum
@@ -409,9 +386,9 @@ func (h *Harness) RunAnalyzed(pop *population.Population, reports []compliance.R
 // O(workers · queue) regardless of src.Size(). The Summary is bit-identical
 // to Run over the materialized population. opts carries the metrics
 // registry, journal, and resume rank shared by every stage.
-func (h *Harness) RunStream(ctx context.Context, src *population.Source, opts pipeline.Options, queue int) (*Summary, error) {
+func (h *Harness) RunStream(ctx context.Context, src *population.Source, opts pipeline.Options) (*Summary, error) {
 	workers := h.workerCount(src.Size())
-	return h.drainSummary(pipeline.Through(src.Flow(ctx, opts, queue), h.verdictStage(src.Population(), nil, workers, queue)))
+	return h.drainSummary(pipeline.Through(src.Flow(ctx, opts), h.verdictStage(src.Population(), nil, workers)))
 }
 
 // newSummary creates a Summary with its maps allocated.

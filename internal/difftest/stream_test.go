@@ -46,34 +46,34 @@ func verdictsEqual(t *testing.T, i int, name string, a, b []ClientVerdict) {
 // TestRunStreamMatchesBatch: the streaming differential evaluation — domains
 // generated, analyzed, and graded in flight — produces a Summary deep-equal
 // to the batch path over the materialized population, for several
-// (seed, workers, queue) combinations.
+// (seed, workers) combinations.
 func TestRunStreamMatchesBatch(t *testing.T) {
 	const size = 1500
 	for _, tc := range []struct {
-		seed           int64
-		workers, queue int
+		seed    int64
+		workers int
 	}{
-		{3, 1, 1},
-		{3, 4, 2},
-		{3, 8, 16},
-		{9, 3, 0},
+		{3, 1},
+		{3, 4},
+		{3, 8},
+		{9, 3},
 	} {
 		cfg := population.Config{Size: size, Seed: tc.seed, Workers: tc.workers}
 		batch := (&Harness{Workers: tc.workers, KeepRecords: true}).Run(population.Generate(cfg))
 
 		src := population.NewSource(cfg)
 		stream, err := (&Harness{Workers: tc.workers, KeepRecords: true}).
-			RunStream(context.Background(), src, pipeline.Options{Name: "difftest"}, tc.queue)
+			RunStream(context.Background(), src, pipeline.Options{Name: "difftest"})
 		if err != nil {
-			t.Fatalf("seed=%d workers=%d queue=%d: RunStream: %v", tc.seed, tc.workers, tc.queue, err)
+			t.Fatalf("seed=%d workers=%d: RunStream: %v", tc.seed, tc.workers, err)
 		}
 
 		// Records hold certificates from two separate generation runs whose
 		// lazily-cached internals differ; compare the generated identity and
 		// the verdicts field by field, then the aggregate summaries.
 		if len(stream.Records) != len(batch.Records) {
-			t.Fatalf("seed=%d workers=%d queue=%d: %d streamed records, batch has %d",
-				tc.seed, tc.workers, tc.queue, len(stream.Records), len(batch.Records))
+			t.Fatalf("seed=%d workers=%d: %d streamed records, batch has %d",
+				tc.seed, tc.workers, len(stream.Records), len(batch.Records))
 		}
 		for i := range stream.Records {
 			rs, rb := stream.Records[i], batch.Records[i]
@@ -88,8 +88,8 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 		}
 		stream.Records, batch.Records = nil, nil
 		if !reflect.DeepEqual(stream, batch) {
-			t.Errorf("seed=%d workers=%d queue=%d: streaming summary differs from batch:\nstream: %+v\nbatch:  %+v",
-				tc.seed, tc.workers, tc.queue, stream, batch)
+			t.Errorf("seed=%d workers=%d: streaming summary differs from batch:\nstream: %+v\nbatch:  %+v",
+				tc.seed, tc.workers, stream, batch)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestRunStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := population.NewSource(population.Config{Size: 100000, Seed: 1, Workers: 4})
-	sum, err := (&Harness{Workers: 4}).RunStream(ctx, src, pipeline.Options{}, 4)
+	sum, err := (&Harness{Workers: 4}).RunStream(ctx, src, pipeline.Options{})
 	if err == nil {
 		t.Fatalf("cancelled RunStream returned %+v with nil error", sum)
 	}

@@ -77,9 +77,6 @@ type Config struct {
 	// Poll is the deadline-check cadence; <= 0 means LeaseTimeout/4 capped
 	// at 500ms.
 	Poll time.Duration
-	// Respawn paces worker respawns after death or expiry (faults.Policy
-	// backoff semantics; the zero value respawns immediately).
-	Respawn faults.Policy
 	// MaxRespawns bounds consecutive failed launches per slot; <= 0 means 5.
 	MaxRespawns int
 	// MaxLeaseAttempts bounds executions of one lease before the run is
@@ -313,8 +310,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return &c.res, nil
 }
 
+// respawnBackoff paces a slot's relaunches after a worker death, an expiry
+// or a failed launch: 50 ms before the first, doubling per consecutive
+// failed launch up to 2 s, with no jitter.
+var respawnBackoff = faults.Policy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
+
 // manage owns one worker slot's lifecycle: launch, forward messages, and
-// respawn (with Respawn backoff) after death, until the run context ends.
+// respawn (with respawnBackoff) after death, until the run context ends.
 // The end of the run context closes the current conn, which is what
 // releases a worker the coordinator never granted a lease.
 func (c *coord) manage(ctx context.Context, slot int, events chan<- event) {
@@ -328,7 +330,7 @@ func (c *coord) manage(ctx context.Context, slot int, events chan<- event) {
 	for gen := 0; ctx.Err() == nil; gen++ {
 		if gen > 0 {
 			c.respawns.Inc()
-			if err := c.clock.Sleep(ctx, c.cfg.Respawn.Delay(failures)); err != nil {
+			if err := c.clock.Sleep(ctx, respawnBackoff.Delay(failures)); err != nil {
 				return
 			}
 		}

@@ -1,0 +1,33 @@
+package experiments
+
+import (
+	"context"
+	"runtime"
+	"testing"
+)
+
+// raceEnabled is set in race-detector builds (race_test.go).
+var raceEnabled bool
+
+// TestDifferentialStreamAllocs bounds the allocations per domain of the
+// streamed differential evaluation, the path of cmd/experiments -stream and
+// of the perfbench differential workload, at one worker.
+func TestDifferentialStreamAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	const bound = 28.0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum, err := DifferentialStreamSummary(context.Background(), StreamConfig{Size: 20000, Seed: 1, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(sum.Total)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(sum.Total)
+	t.Logf("%d domains: %.2f allocations, %.0f B per domain", sum.Total, allocs, bytes)
+	if allocs > bound {
+		t.Errorf("a domain allocates %.2f times, bound %.0f", allocs, bound)
+	}
+}

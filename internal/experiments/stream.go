@@ -3,17 +3,15 @@
 // analyses, and every verdict at once, so cmd/experiments -stream routes
 // §5.2 through the population Source and the difftest pipeline instead —
 // domains are generated, analyzed, and graded in flight with peak memory
-// O(workers · queue), and per-chain results leave through a JSONL sink
+// O(workers · queue), and per-chain results leave through the Record tap
 // rather than accumulating in a Summary's Records.
 
 package experiments
 
 import (
 	"context"
-	"io"
 
 	"chainchaos/internal/difftest"
-	"chainchaos/internal/ledger"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
@@ -27,19 +25,12 @@ type StreamConfig struct {
 	Size    int
 	Seed    int64
 	Workers int
-	// Queue is the pipeline depth in items of the source and of each stage
-	// (0 = the engine default, 64); the rank source hands off blocks of up
-	// to Queue/2 ranks.
-	Queue int
 	// Metrics, when non-nil, instruments every pipeline stage.
 	Metrics *obs.Registry
-	// Out, when non-nil, receives one difftest.RecordLine of JSON per
-	// non-compliant chain, in rank order.
-	Out io.Writer
 	// Journal and Resume checkpoint the run: Journal records retired ranks,
 	// Resume skips ranks a previous run already retired. A resumed run's
 	// summary covers only the ranks processed by this invocation; the JSONL
-	// stream in Out is the run's durable record.
+	// lines passed to Record are the run's durable record.
 	Journal *pipeline.Journal
 	Resume  int
 	// Limit, when > 0, is the first rank the run does NOT process: the run
@@ -49,9 +40,10 @@ type StreamConfig struct {
 	// full-range run — what lets the distributed coordinator lease
 	// sub-ranges to workers.
 	Limit int
-	// Record, when non-nil, receives every retired rank in order (line nil
-	// for compliant chains, which emit no JSONL) — the distributed worker's
-	// tap. See difftest.Harness.Record.
+	// Record, when non-nil, receives every retired rank in order: line is
+	// the rank's difftest.RecordLine JSON, nil for compliant chains, which
+	// emit no JSONL. Commands write their out-file and ledger through it.
+	// See difftest.Harness.Record.
 	Record func(rank int, line []byte) error
 	// Reuse and Pool shape the population's chain-duplication skew
 	// (population.Config.ChainReuse / ChainPool): the fraction of domains
@@ -62,9 +54,6 @@ type StreamConfig struct {
 	// lookup instead of a full analysis and eight client path-builds. The
 	// summary and JSONL are bit-identical either way.
 	Dedup bool
-	// Ledger, when non-nil, Merkle-anchors every emitted RecordLine. See
-	// difftest.Harness.Ledger.
-	Ledger *ledger.Batcher
 }
 
 // DifferentialStreamSummary runs the §5.2 differential evaluation over a
@@ -81,17 +70,14 @@ func DifferentialStreamSummary(ctx context.Context, cfg StreamConfig) (*difftest
 		Size: cfg.Size, Seed: cfg.Seed, Workers: cfg.Workers,
 		ChainReuse: cfg.Reuse, ChainPool: cfg.Pool,
 	})
-	h := &difftest.Harness{
-		Workers: cfg.Workers, Metrics: cfg.Metrics, Out: cfg.Out,
-		Dedup: cfg.Dedup, Record: cfg.Record, Ledger: cfg.Ledger,
-	}
+	h := &difftest.Harness{Workers: cfg.Workers, Metrics: cfg.Metrics, Dedup: cfg.Dedup, Record: cfg.Record}
 	return h.RunStream(ctx, src, pipeline.Options{
 		Name:    "difftest",
 		Metrics: cfg.Metrics,
 		Journal: cfg.Journal,
 		Resume:  cfg.Resume,
 		Limit:   cfg.Limit,
-	}, cfg.Queue)
+	})
 }
 
 // DifferentialTableFromTallies renders the §5.2 overview table from the

@@ -138,8 +138,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 2s).
 	MaxDelay time.Duration
-	// Multiplier scales the delay between attempts (default 2).
-	Multiplier float64
 	// Jitter is the fraction of each delay randomized away, in [0,1]. A
 	// delay d becomes d - uniform(0, d*Jitter), derived deterministically
 	// from Seed and the attempt number.
@@ -176,8 +174,8 @@ func (p Policy) retryable(err error) bool {
 }
 
 // Delay returns the backoff after the given 0-based failed attempt:
-// BaseDelay * Multiplier^attempt, capped at MaxDelay, minus seeded jitter.
-// It is a pure function of the policy and the attempt number.
+// BaseDelay * 2^attempt, capped at MaxDelay, minus seeded jitter. It is a
+// pure function of the policy and the attempt number.
 func (p Policy) Delay(attempt int) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
@@ -187,13 +185,9 @@ func (p Policy) Delay(attempt int) time.Duration {
 	if max <= 0 {
 		max = 2 * time.Second
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(base)
 	for i := 0; i < attempt; i++ {
-		d *= mult
+		d *= 2
 		if d >= float64(max) {
 			d = float64(max)
 			break

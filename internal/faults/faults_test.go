@@ -14,7 +14,7 @@ import (
 var testEpoch = time.Date(2026, time.January, 1, 0, 0, 0, 0, time.UTC)
 
 func TestDelayCappedExponential(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2}
+	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 	want := []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
 		80 * time.Millisecond, 80 * time.Millisecond, 80 * time.Millisecond,

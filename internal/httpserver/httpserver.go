@@ -53,14 +53,10 @@ type Model struct {
 	// for the near-perfect leaf placement of Table 3.
 	ChecksPrivateKeyMatch bool
 	// ChecksDuplicateLeaf: upload is rejected when the leaf appears more
-	// than once (Azure, IIS).
+	// than once (Azure, IIS). No surveyed server of Table 4 rejects a
+	// repeated intermediate or root: the paper's duplicated-intermediate
+	// chains survive every upload check.
 	ChecksDuplicateLeaf bool
-	// ChecksDuplicateIntermediate: upload is rejected when any certificate
-	// after the leaf appears more than once. No surveyed server of Table 4
-	// sets it — the paper's duplicated-intermediate chains survive every
-	// upload check — but the flag is enforced so hypothetical-server
-	// modelling (and the chainserved admission path) can use it.
-	ChecksDuplicateIntermediate bool
 }
 
 // The five models of Table 4.
@@ -124,9 +120,6 @@ var (
 	ErrPrivateKeyMismatch = errors.New("httpserver: private key does not match first certificate")
 	// ErrDuplicateLeaf is Azure/IIS upload rejection.
 	ErrDuplicateLeaf = errors.New("httpserver: duplicate leaf certificate in upload")
-	// ErrDuplicateIntermediate is the rejection of a repeated non-leaf
-	// certificate by a model with ChecksDuplicateIntermediate.
-	ErrDuplicateIntermediate = errors.New("httpserver: duplicate intermediate certificate in upload")
 	// ErrNoCertificates: nothing to deploy.
 	ErrNoCertificates = errors.New("httpserver: no certificates supplied")
 	// ErrSchemeMismatch: a Fullchain file was supplied to a split-scheme
@@ -164,16 +157,6 @@ func (m Model) Deploy(in ConfigInput) ([]*certmodel.Certificate, error) {
 			if c.Fingerprint() == leafFP {
 				return nil, ErrDuplicateLeaf
 			}
-		}
-	}
-	if m.ChecksDuplicateIntermediate {
-		seen := make(map[certmodel.FP]bool, len(list)-1)
-		for _, c := range list[1:] {
-			fp := c.Fingerprint()
-			if seen[fp] {
-				return nil, fmt.Errorf("%w: %q", ErrDuplicateIntermediate, c.Subject)
-			}
-			seen[fp] = true
 		}
 	}
 	return list, nil

@@ -117,35 +117,21 @@ func TestDuplicateIntermediateNeverCheckedBySurveyedServers(t *testing.T) {
 	}
 }
 
-// TestDuplicateIntermediateCheck covers both branches of the
-// ChecksDuplicateIntermediate scan: a model with the check rejects any
-// repeated non-leaf fingerprint (intermediate or root), one without it
-// deploys the duplicate onto the wire.
+// TestDuplicateIntermediateCheck: Deploy has no duplicate-intermediate
+// check, so a repeated intermediate or root reaches the wire verbatim.
 func TestDuplicateIntermediateCheck(t *testing.T) {
 	f := newFixture()
-	checking := Model{Name: "Hypothetical", Scheme: SchemeFullchain, ChecksDuplicateIntermediate: true}
 	lax := Model{Name: "Lax", Scheme: SchemeFullchain}
 	cases := []struct {
-		name   string
-		model  Model
-		chain  []*certmodel.Certificate
-		reject bool
+		name  string
+		chain []*certmodel.Certificate
 	}{
-		{"checking/dup-intermediate", checking, []*certmodel.Certificate{f.inter, f.inter}, true},
-		{"checking/dup-root", checking, []*certmodel.Certificate{f.inter, f.root, f.root}, true},
-		{"checking/clean", checking, []*certmodel.Certificate{f.inter, f.root}, false},
-		{"lax/dup-intermediate", lax, []*certmodel.Certificate{f.inter, f.inter}, false},
-		{"lax/dup-root", lax, []*certmodel.Certificate{f.inter, f.root, f.root}, false},
+		{"lax/dup-intermediate", []*certmodel.Certificate{f.inter, f.inter}},
+		{"lax/dup-root", []*certmodel.Certificate{f.inter, f.root, f.root}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wire, err := tc.model.Deploy(inputFor(tc.model, f.leaf, tc.chain, f.leaf))
-			if tc.reject {
-				if !errors.Is(err, ErrDuplicateIntermediate) {
-					t.Fatalf("err = %v, want ErrDuplicateIntermediate", err)
-				}
-				return
-			}
+			wire, err := lax.Deploy(inputFor(lax, f.leaf, tc.chain, f.leaf))
 			if err != nil {
 				t.Fatalf("deploy failed: %v", err)
 			}
@@ -153,23 +139,6 @@ func TestDuplicateIntermediateCheck(t *testing.T) {
 				t.Errorf("wire length = %d, want %d", len(wire), 1+len(tc.chain))
 			}
 		})
-	}
-}
-
-// TestDuplicateIntermediateCheckIgnoresRepeatedLeaf: the intermediate scan is
-// about the tail; a leaf repeated in the tail is the duplicate-leaf check's
-// job, but a checking model still rejects it as a repeated tail fingerprint.
-func TestDuplicateIntermediateCheckIgnoresRepeatedLeaf(t *testing.T) {
-	f := newFixture()
-	m := Model{Name: "Hypothetical", Scheme: SchemeFullchain, ChecksDuplicateIntermediate: true}
-	// Leaf appears once up front and once in the tail: one tail occurrence,
-	// no repeated tail fingerprint, so the intermediate check passes.
-	wire, err := m.Deploy(inputFor(m, f.leaf, []*certmodel.Certificate{f.leaf, f.inter}, f.leaf))
-	if err != nil {
-		t.Fatalf("deploy failed: %v", err)
-	}
-	if len(wire) != 3 {
-		t.Errorf("wire length = %d, want 3", len(wire))
 	}
 }
 
@@ -233,9 +202,6 @@ func TestModelCatalog(t *testing.T) {
 		}
 		if !m.ChecksPrivateKeyMatch {
 			t.Errorf("%s must check the private key", m.Name)
-		}
-		if m.ChecksDuplicateIntermediate {
-			t.Errorf("%s claims a duplicate-intermediate check", m.Name)
 		}
 	}
 	if !AzureAppGateway().ChecksDuplicateLeaf || !IIS().ChecksDuplicateLeaf {

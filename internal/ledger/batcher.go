@@ -66,15 +66,6 @@ type Batcher struct {
 	sidecarW *bufio.Writer
 }
 
-// Seq returns the next leaf sequence number (== leaves appended so far for
-// a fresh batcher). Returns 0 on a nil batcher.
-func (b *Batcher) Seq() int {
-	if b == nil {
-		return 0
-	}
-	return b.seq
-}
-
 // Roots returns the final roots of every completed batch so far.
 func (b *Batcher) Roots() []Hash {
 	if b == nil {
@@ -171,8 +162,7 @@ func (b *Batcher) flushPartial() error {
 
 // RunRoot folds the batch roots into the run-level commitment: the Merkle
 // root of a tree whose leaves are the batch roots (each hashed as a leaf).
-// One hash therefore commits to every record of the run, and consistency
-// proofs between run roots of different lengths audit a growing ledger.
+// One hash therefore commits to every record of the run.
 func RunRoot(batchRoots []Hash) Hash {
 	leaves := make([]Hash, len(batchRoots))
 	for i, r := range batchRoots {

@@ -120,76 +120,6 @@ func rootFromPath(size, i int, leaf Hash, proof []Hash) (Hash, []Hash, bool) {
 	return NodeHash(sibling, sub), rest, ok
 }
 
-// ConsistencyProof returns the RFC 6962 consistency proof between the tree
-// over the first m leaves and the tree over all of them (0 < m <= len).
-func ConsistencyProof(leaves []Hash, m int) []Hash {
-	if m <= 0 || m > len(leaves) {
-		return nil
-	}
-	return subProof(leaves, m, true)
-}
-
-func subProof(leaves []Hash, m int, complete bool) []Hash {
-	n := len(leaves)
-	if m == n {
-		if complete {
-			return nil
-		}
-		return []Hash{RootOf(leaves)}
-	}
-	k := split(n)
-	if m <= k {
-		return append(subProof(leaves[:k], m, complete), RootOf(leaves[k:]))
-	}
-	return append(subProof(leaves[k:], m-k, false), RootOf(leaves[:k]))
-}
-
-// VerifyConsistency checks that the size-n tree with root newRoot extends
-// the size-m tree with root oldRoot, given the consistency proof between
-// them. m == n verifies with an empty proof iff the roots match.
-func VerifyConsistency(oldRoot Hash, m int, newRoot Hash, n int, proof []Hash) bool {
-	if m <= 0 || m > n {
-		return false
-	}
-	if m == n {
-		return len(proof) == 0 && oldRoot == newRoot
-	}
-	old, neu, rest, ok := consRoots(oldRoot, m, n, true, proof)
-	return ok && len(rest) == 0 && old == oldRoot && neu == newRoot
-}
-
-// consRoots mirrors subProof: it reconstructs (old tree root, new tree root)
-// for an n-leaf tree whose first m leaves form the old tree, consuming proof
-// nodes in the order subProof appended them.
-func consRoots(oldRoot Hash, m, n int, complete bool, proof []Hash) (old, neu Hash, rest []Hash, ok bool) {
-	if m == n {
-		if complete {
-			// The old tree is a complete subtree here; its root is the
-			// verifier's trusted input, not a proof node.
-			return oldRoot, oldRoot, proof, true
-		}
-		if len(proof) == 0 {
-			return Hash{}, Hash{}, nil, false
-		}
-		return proof[0], proof[0], proof[1:], true
-	}
-	k := split(n)
-	if m <= k {
-		left, leftNew, rest, ok := consRoots(oldRoot, m, k, complete, proof)
-		if !ok || len(rest) == 0 {
-			return Hash{}, Hash{}, nil, false
-		}
-		right := rest[0]
-		return left, NodeHash(leftNew, right), rest[1:], true
-	}
-	rightOld, rightNew, rest, ok := consRoots(oldRoot, m-k, n-k, false, proof)
-	if !ok || len(rest) == 0 {
-		return Hash{}, Hash{}, nil, false
-	}
-	left := rest[0]
-	return NodeHash(left, rightOld), NodeHash(left, rightNew), rest[1:], true
-}
-
 // HexHash renders a tree hash as lowercase hex — the journal anchor format.
 func HexHash(h Hash) string { return hex.EncodeToString(h[:]) }
 

@@ -88,34 +88,6 @@ func TestInclusionProofsProperty(t *testing.T) {
 	}
 }
 
-func TestConsistencyProofsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(120)
-		leaves := randomLeaves(rng, n)
-		newRoot := RootOf(leaves)
-		for m := 1; m <= n; m++ {
-			oldRoot := RootOf(leaves[:m])
-			proof := ConsistencyProof(leaves, m)
-			if !VerifyConsistency(oldRoot, m, newRoot, n, proof) {
-				t.Fatalf("m=%d n=%d: valid consistency proof rejected", m, n)
-			}
-			bad := oldRoot
-			bad[5] ^= 4
-			if VerifyConsistency(bad, m, newRoot, n, proof) {
-				t.Fatalf("m=%d n=%d: corrupted old root accepted", m, n)
-			}
-			if len(proof) > 0 {
-				j := rng.Intn(len(proof))
-				proof[j][rng.Intn(32)] ^= 1 << uint(rng.Intn(8))
-				if VerifyConsistency(oldRoot, m, newRoot, n, proof) {
-					t.Fatalf("m=%d n=%d: corrupted proof accepted", m, n)
-				}
-			}
-		}
-	}
-}
-
 func TestCompactRangeMatchesDirectRoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {

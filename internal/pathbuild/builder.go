@@ -80,13 +80,10 @@ type Builder struct {
 	// Fetcher resolves AIA URIs when the policy enables AIA.
 	Fetcher aia.Fetcher
 	// Cache is the intermediate cache consulted when the policy enables
-	// UseCache. Successful builds populate it, mirroring Firefox.
+	// UseCache: a fixed preload (Mozilla ships every CCADB-disclosed
+	// intermediate) that builds read and never write, so no measurement
+	// teaches the client what an earlier chain carried.
 	Cache *rootstore.Store
-	// CacheReadOnly stops successful builds from populating the cache —
-	// used to model a fixed preloaded cache (Mozilla ships every
-	// CCADB-disclosed intermediate) rather than one that learns during the
-	// measurement itself.
-	CacheReadOnly bool
 	// Now is the validation time; zero disables validity checks.
 	Now time.Time
 	// Revocation, when non-nil, is consulted during validation — and, for
@@ -230,15 +227,6 @@ func (b *Builder) build(list []*certmodel.Certificate, domain string) Outcome {
 	search.run(leaf)
 	out := search.out
 	search.out = Outcome{} // the caller owns the path and findings now
-
-	if out.Err == nil && len(out.Path) > 0 && out.Validation.OK && b.Policy.UseCache && b.Cache != nil && !b.CacheReadOnly {
-		// Cache the intermediates of a successfully validated path.
-		for _, c := range out.Path[1:] {
-			if c.IsCA && !c.SelfSigned() {
-				b.Cache.Add(c)
-			}
-		}
-	}
 	return out
 }
 

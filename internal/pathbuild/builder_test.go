@@ -270,35 +270,33 @@ func TestAIAFallback(t *testing.T) {
 
 func TestCacheUseAndPopulation(t *testing.T) {
 	p := newPKI("cache")
-	cache := rootstore.New("cache")
 	pol := reorderPolicy()
 	pol.UseCache = true
-	b := &Builder{Policy: pol, Roots: p.roots, Cache: cache, Now: base.AddDate(0, 1, 0)}
 
-	// Incomplete chain, cold cache: fail.
+	// Incomplete chain, empty cache: fail.
+	cold := rootstore.New("cold")
+	b := &Builder{Policy: pol, Roots: p.roots, Cache: cold, Now: base.AddDate(0, 1, 0)}
 	if out := b.Build([]*certmodel.Certificate{p.leaf, p.ca1}, ""); out.OK() {
-		t.Fatal("cold cache should not complete the chain")
+		t.Fatal("empty cache should not complete the chain")
 	}
-	// Full chain: validates and populates the cache.
+	// A validated full chain leaves the cache as it was.
 	if out := b.Build([]*certmodel.Certificate{p.leaf, p.ca1, p.ca2}, ""); !out.OK() {
 		t.Fatal("full chain failed")
 	}
-	if cache.Len() == 0 {
-		t.Fatal("cache not populated after a successful build")
-	}
-	// Incomplete chain again: now warm.
-	if out := b.Build([]*certmodel.Certificate{p.leaf, p.ca1}, ""); !out.OK() {
-		t.Error("warm cache should complete the chain")
+	if cold.Len() != 0 {
+		t.Error("a build wrote its cache")
 	}
 
-	// Read-only mode must not populate.
-	cold := rootstore.New("cold")
-	ro := &Builder{Policy: pol, Roots: p.roots, Cache: cold, CacheReadOnly: true, Now: base.AddDate(0, 1, 0)}
-	if out := ro.Build([]*certmodel.Certificate{p.leaf, p.ca1, p.ca2}, ""); !out.OK() {
-		t.Fatal("read-only full chain failed")
+	// A preload holding the missing intermediate completes the chain and
+	// stays unchanged.
+	preload := rootstore.New("preload")
+	preload.Add(p.ca2)
+	b = &Builder{Policy: pol, Roots: p.roots, Cache: preload, Now: base.AddDate(0, 1, 0)}
+	if out := b.Build([]*certmodel.Certificate{p.leaf, p.ca1}, ""); !out.OK() {
+		t.Error("preload should complete the chain")
 	}
-	if cold.Len() != 0 {
-		t.Error("read-only cache was populated")
+	if preload.Len() != 1 {
+		t.Errorf("preload holds %d certificates after a build, want 1", preload.Len())
 	}
 }
 

@@ -96,8 +96,8 @@ type Policy struct {
 	// Information Access extension.
 	AIA bool
 
-	// UseCache consults (and populates) an intermediate-certificate cache —
-	// Firefox's substitute for AIA fetching.
+	// UseCache consults an intermediate-certificate cache (Builder.Cache)
+	// — Firefox's substitute for AIA fetching.
 	UseCache bool
 
 	ValidityPref ValidityPolicy

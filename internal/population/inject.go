@@ -202,10 +202,10 @@ func (g *generator) leafAIAOptions(t *Truth, iss *ca.Issuer, incomplete bool) ca
 		return ca.LeafOptions{OmitAIA: true}
 	case x < 0.055:
 		t.AIADead = true
-		return ca.LeafOptions{AIAOverride: g.cfg.AIABase + "/dead/ca.der"}
+		return ca.LeafOptions{AIAOverride: aiaBase + "/dead/ca.der"}
 	case x < 0.0555:
 		t.AIAWrong = true
-		return ca.LeafOptions{AIAOverride: g.cfg.AIABase + "/wrong/ca.der"}
+		return ca.LeafOptions{AIAOverride: aiaBase + "/wrong/ca.der"}
 	default:
 		return ca.LeafOptions{}
 	}

@@ -36,8 +36,6 @@ type Config struct {
 	// placed around it. The zero value uses 2024-03-15, the paper's scan
 	// month.
 	Base time.Time
-	// AIABase is the URI prefix for the simulated CA repositories.
-	AIABase string
 	// Workers bounds the goroutines generating domains; <= 0 means
 	// GOMAXPROCS. Every domain derives its randomness from (Seed, rank)
 	// alone, so the population is bit-identical for any worker count.
@@ -65,15 +63,15 @@ type Config struct {
 	ScenarioRate float64
 }
 
+// aiaBase is the URI prefix for the simulated CA repositories.
+const aiaBase = "http://aia.repo.example"
+
 func (c *Config) fillDefaults() {
 	if c.Size <= 0 {
 		c.Size = 10000
 	}
 	if c.Base.IsZero() {
 		c.Base = time.Date(2024, time.March, 15, 12, 0, 0, 0, time.UTC)
-	}
-	if c.AIABase == "" {
-		c.AIABase = "http://aia.repo.example"
 	}
 	if c.ChainReuse > 0 && c.ChainPool <= 0 {
 		c.ChainPool = 3000
@@ -210,8 +208,8 @@ func domainSeed(seed int64, rank int) int64 {
 func buildHierarchies(cfg Config, repo *aia.Repository) []hierarchy {
 	var out []hierarchy
 	for _, p := range ca.Profiles() {
-		a := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: p, Base: cfg.Base.AddDate(-3, 0, 0), Tag: "a", AIABase: cfg.AIABase})
-		b := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: p, Base: cfg.Base.AddDate(-3, 0, 0), Tag: "b", AIABase: cfg.AIABase, TopNoAKID: true})
+		a := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: p, Base: cfg.Base.AddDate(-3, 0, 0), Tag: "a", AIABase: aiaBase})
+		b := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: p, Base: cfg.Base.AddDate(-3, 0, 0), Tag: "b", AIABase: aiaBase, TopNoAKID: true})
 		a.RegisterAIA(repo.Put)
 		b.RegisterAIA(repo.Put)
 		out = append(out, hierarchy{iss: a, weight: p.MarketShare * 0.73})
@@ -246,7 +244,7 @@ func buildHierarchies(cfg Config, repo *aia.Repository) []hierarchy {
 		MarketShare:  0.004,
 		Rates:        ca.MisconfigRates{Duplicate: 0.01, Reversed: 0.03, Incomplete: 0.30},
 	}
-	uiss := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: undisclosed, Base: cfg.Base.AddDate(-2, 0, 0), Tag: "u", AIABase: cfg.AIABase})
+	uiss := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: undisclosed, Base: cfg.Base.AddDate(-2, 0, 0), Tag: "u", AIABase: aiaBase})
 	uiss.RegisterAIA(repo.Put)
 	out = append(out, hierarchy{iss: uiss, weight: undisclosed.MarketShare})
 	return out

@@ -28,7 +28,7 @@ func TestSourceRangeInvariance(t *testing.T) {
 		got := map[int]string{}
 		flow := src.Flow(context.Background(), pipeline.Options{
 			Name: "poprange", Resume: resume, Limit: limit,
-		}, 2)
+		})
 		if err := flow.Drain(func(rank int, d *Domain) error {
 			got[rank] = rangeKey(d)
 			return nil

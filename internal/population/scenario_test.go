@@ -49,7 +49,7 @@ func TestScenarioInjectionRangeInvariance(t *testing.T) {
 		got := map[int]string{}
 		flow := src.Flow(context.Background(), pipeline.Options{
 			Name: "scenrange", Resume: resume, Limit: limit,
-		}, 2)
+		})
 		if err := flow.Drain(func(rank int, d *Domain) error {
 			got[rank] = rangeKey(d) + "|" + d.Scenario
 			return nil

@@ -21,7 +21,7 @@ import (
 // It owns everything the domains share — issuer hierarchies, the AIA
 // repository, the sealed vendor stores — while each domain itself is derived
 // from (Config.Seed, rank) alone, so streaming and batch generation are
-// bit-identical for any worker count, queue depth, or resume point.
+// bit-identical for any worker count or resume point.
 type Source struct {
 	cfg         Config
 	pop         *Population
@@ -73,9 +73,9 @@ func NewSource(cfg Config) *Source {
 	}
 
 	// Pre-register the shared dead and wrong AIA endpoints.
-	repo.PutError(cfg.AIABase+"/dead/ca.der", fmt.Errorf("connection refused"))
+	repo.PutError(aiaBase+"/dead/ca.der", fmt.Errorf("connection refused"))
 	wrongTarget := certmodel.SyntheticRoot("Wrong AIA Target", cfg.Base)
-	repo.Put(cfg.AIABase+"/wrong/ca.der", wrongTarget)
+	repo.Put(aiaBase+"/wrong/ca.der", wrongTarget)
 
 	for _, m := range scenarios {
 		uris, certs := m.AIAEntries()
@@ -144,19 +144,17 @@ func (g *Generator) Domain(rank int) *Domain {
 
 // Flow emits the population's domains as a pipeline flow in rank order.
 // Pipeline ranks are 0-based; the domain at pipeline rank r carries
-// Domain.Rank r+1. queue is the pipeline depth in items (<= 0 uses the
-// engine default, 64): the rank source hands the generate stage blocks of
-// up to queue/2 ranks.
-func (s *Source) Flow(ctx context.Context, opts pipeline.Options, queue int) *pipeline.Flow[*Domain] {
+// Domain.Rank r+1. The source and the generate stage take the engine's
+// default depth.
+func (s *Source) Flow(ctx context.Context, opts pipeline.Options) *pipeline.Flow[*Domain] {
 	workers := parallel.Workers(s.cfg.Workers)
 	gens := make([]*Generator, workers)
-	src := pipeline.From(ctx, opts, "ranks", queue, func(rank int) (int, bool, error) {
+	src := pipeline.From(ctx, opts, "ranks", 0, func(rank int) (int, bool, error) {
 		return rank, rank < s.cfg.Size, nil
 	})
 	return pipeline.Through(src, pipeline.Stage[int, *Domain]{
 		Name:    "generate",
 		Workers: workers,
-		Queue:   queue,
 		OnWorker: func(worker int) func() {
 			gens[worker] = s.Generator()
 			return nil
@@ -170,7 +168,7 @@ func (s *Source) Flow(ctx context.Context, opts pipeline.Options, queue int) *pi
 // Each streams every domain, in rank order, to yield without retaining them.
 // A yield error stops the stream and is returned.
 func (s *Source) Each(ctx context.Context, opts pipeline.Options, yield func(d *Domain) error) error {
-	return s.Flow(ctx, opts, 0).Drain(func(_ int, d *Domain) error {
+	return s.Flow(ctx, opts).Drain(func(_ int, d *Domain) error {
 		return yield(d)
 	})
 }

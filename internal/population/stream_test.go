@@ -26,24 +26,24 @@ func domainsEqual(t *testing.T, label string, i int, da, db *Domain) {
 }
 
 // TestSourceStreamMatchesGenerate: the streaming Source yields exactly the
-// batch population, in rank order, for several (seed, workers, queue)
+// batch population, in rank order, for several (seed, workers)
 // combinations.
 func TestSourceStreamMatchesGenerate(t *testing.T) {
 	const size = 300
 	cases := []struct {
-		seed           int64
-		workers, queue int
+		seed    int64
+		workers int
 	}{
-		{7, 1, 1},
-		{7, 4, 8},
-		{7, 16, 2},
-		{11, 8, 0},
+		{7, 1},
+		{7, 4},
+		{7, 16},
+		{11, 8},
 	}
 	for _, tc := range cases {
 		batch := Generate(Config{Size: size, Seed: tc.seed, Workers: 1})
 		s := NewSource(Config{Size: size, Seed: tc.seed, Workers: tc.workers})
 		var streamed []*Domain
-		err := s.Flow(context.Background(), pipeline.Options{}, tc.queue).
+		err := s.Flow(context.Background(), pipeline.Options{}).
 			Drain(func(_ int, d *Domain) error {
 				streamed = append(streamed, d)
 				return nil

@@ -85,29 +85,29 @@ func TestStudyDedupBitIdentical(t *testing.T) {
 }
 
 // TestStudyDedupWorkerInvariant: the dedup stream is byte-identical for any
-// (workers, concurrency, queue) configuration — the cache changes who grades
+// (workers, concurrency) configuration — the cache changes who grades
 // a chain first, never what any site's record says.
 func TestStudyDedupWorkerInvariant(t *testing.T) {
 	base := reuseStudyCfg(48)
 	base.Dedup = true
 	var first []byte
-	for _, tc := range []struct{ workers, concurrency, queue int }{
-		{1, 1, 1},
-		{4, 8, 2},
-		{8, 4, 16},
-		{2, 2, 0}, // the default depth
+	for _, tc := range []struct{ workers, concurrency int }{
+		{1, 1},
+		{4, 8},
+		{8, 4},
+		{2, 2},
 	} {
 		cfg := base
 		cfg.Workers, cfg.Concurrency = tc.workers, tc.concurrency
 		var buf bytes.Buffer
-		if _, err := RunStream(context.Background(), cfg, Stream{Out: &buf, Queue: tc.queue}); err != nil {
-			t.Fatalf("workers=%d queue=%d: %v", tc.workers, tc.queue, err)
+		if _, err := RunStream(context.Background(), cfg, Stream{Out: &buf}); err != nil {
+			t.Fatalf("workers=%d: %v", tc.workers, err)
 		}
 		if first == nil {
 			first = append([]byte(nil), buf.Bytes()...)
 		} else if !bytes.Equal(first, buf.Bytes()) {
-			t.Fatalf("workers=%d concurrency=%d queue=%d: JSONL differs from first configuration",
-				tc.workers, tc.concurrency, tc.queue)
+			t.Fatalf("workers=%d concurrency=%d: JSONL differs from first configuration",
+				tc.workers, tc.concurrency)
 		}
 	}
 }
@@ -122,7 +122,7 @@ func TestStudyDedupResume(t *testing.T) {
 	cfg.Vantages = 1
 
 	var full bytes.Buffer
-	if _, err := RunStream(context.Background(), cfg, Stream{Out: &full, Queue: 2}); err != nil {
+	if _, err := RunStream(context.Background(), cfg, Stream{Out: &full}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,7 +134,7 @@ func TestStudyDedupResume(t *testing.T) {
 	j.Every = 1
 	interrupted := errors.New("killed")
 	w := &failAfter{n: 7, errv: interrupted}
-	_, err = RunStream(context.Background(), cfg, Stream{Out: w, Queue: 2, Journal: j})
+	_, err = RunStream(context.Background(), cfg, Stream{Out: w, Journal: j})
 	if !errors.Is(err, interrupted) {
 		t.Fatalf("first run err = %v, want the injected kill", err)
 	}
@@ -150,7 +150,7 @@ func TestStudyDedupResume(t *testing.T) {
 		t.Fatalf("resume rank = %d, want 7 (seven lines were written)", resume)
 	}
 	rest := &bytes.Buffer{}
-	if _, err := RunStream(context.Background(), cfg, Stream{Out: rest, Queue: 2, Journal: j2, Resume: resume}); err != nil {
+	if _, err := RunStream(context.Background(), cfg, Stream{Out: rest, Journal: j2, Resume: resume}); err != nil {
 		t.Fatal(err)
 	}
 

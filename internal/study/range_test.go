@@ -19,7 +19,7 @@ func TestStudyStreamRangeInvariance(t *testing.T) {
 	}
 
 	var full bytes.Buffer
-	fullRep, err := RunStream(context.Background(), cfg, Stream{Out: &full, Queue: 2})
+	fullRep, err := RunStream(context.Background(), cfg, Stream{Out: &full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestStudyStreamRangeInvariance(t *testing.T) {
 	for _, r := range ranges {
 		var buf bytes.Buffer
 		rep, err := RunStream(context.Background(), cfg, Stream{
-			Out: &buf, Queue: 2, Resume: r[0], Limit: r[1],
+			Out: &buf, Resume: r[0], Limit: r[1],
 			Record: func(rank int, line []byte) error {
 				if rank < r[0] || rank >= r[1] {
 					t.Errorf("Record rank %d outside lease [%d, %d)", rank, r[0], r[1])
@@ -95,4 +95,50 @@ func TestReportTalliesRoundTrip(t *testing.T) {
 		got.Lost != fullRep.Lost {
 		t.Fatalf("merged tallies %+v differ from full report %+v", got, fullRep)
 	}
+}
+
+// TestPerClientTableStreamed: a streamed run keeps no sites, yet its
+// per-client pass table, and the table of the report merged from its
+// leases' tallies, are the batch run's.
+func TestPerClientTableStreamed(t *testing.T) {
+	cfg := Config{Sites: 16, Seed: 4, Vantages: 1, Concurrency: 4, Workers: 2}
+	batch, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := batch.Streamed - batch.Lost - batch.StreamedCompliant; bad == 0 {
+		t.Fatal("seed draws no non-compliant site")
+	}
+	want := perClientTable(t, batch)
+
+	stream, err := RunStream(context.Background(), cfg, Stream{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := map[string]int64{}
+	for _, r := range [][2]int{{0, 7}, {7, 16}} {
+		rep, err := RunStream(context.Background(), cfg, Stream{Resume: r[0], Limit: r[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range rep.Tallies() {
+			merged[k] += v
+		}
+	}
+	for name, rep := range map[string]*Report{"streamed": stream, "merged tallies": ReportFromTallies(cfg, merged)} {
+		if got := perClientTable(t, rep); got != want {
+			t.Errorf("%s per-client table:\n%s\nbatch:\n%s", name, got, want)
+		}
+	}
+}
+
+func perClientTable(t *testing.T, rep *Report) string {
+	t.Helper()
+	for _, table := range rep.Tables() {
+		if table.Title == "per-client pass rate over non-compliant sites" {
+			return table.String()
+		}
+	}
+	t.Fatal("no per-client table")
+	return ""
 }

@@ -30,7 +30,7 @@ func studyTestScenarios(t *testing.T) []population.Scenario {
 // TestStudyScenarioReplay: scenario-replay sites appear in the streamed run
 // (graded as captured without a listener or handshake), present the
 // scenario's exact chain, and the JSONL stream stays byte-identical across
-// worker/concurrency/queue configurations.
+// worker/concurrency configurations.
 func TestStudyScenarioReplay(t *testing.T) {
 	scs := studyTestScenarios(t)
 	base := Config{
@@ -45,21 +45,21 @@ func TestStudyScenarioReplay(t *testing.T) {
 
 	var firstJSONL []byte
 	for _, tc := range []struct {
-		workers, concurrency, queue int
+		workers, concurrency int
 	}{
-		{1, 1, 1},
-		{4, 8, 2},
-		{8, 4, 16},
+		{1, 1},
+		{4, 8},
+		{8, 4},
 	} {
 		cfg := base
 		cfg.Workers = tc.workers
 		cfg.Concurrency = tc.concurrency
 		var buf bytes.Buffer
 		rep, err := RunStream(context.Background(), cfg, Stream{
-			Out: &buf, Queue: tc.queue, KeepSites: true,
+			Out: &buf, KeepSites: true,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d queue=%d: %v", tc.workers, tc.queue, err)
+			t.Fatalf("workers=%d: %v", tc.workers, err)
 		}
 
 		replayed := 0
@@ -87,7 +87,7 @@ func TestStudyScenarioReplay(t *testing.T) {
 		if firstJSONL == nil {
 			firstJSONL = append([]byte(nil), buf.Bytes()...)
 		} else if !bytes.Equal(firstJSONL, buf.Bytes()) {
-			t.Fatalf("workers=%d queue=%d: JSONL stream differs from the first configuration", tc.workers, tc.queue)
+			t.Fatalf("workers=%d concurrency=%d: JSONL stream differs from the first configuration", tc.workers, tc.concurrency)
 		}
 	}
 
@@ -117,7 +117,7 @@ func TestStudyScenarioReplay(t *testing.T) {
 func TestStudyScenarioZeroIdentity(t *testing.T) {
 	run := func(cfg Config) []byte {
 		var buf bytes.Buffer
-		if _, err := RunStream(context.Background(), cfg, Stream{Out: &buf, Queue: 2}); err != nil {
+		if _, err := RunStream(context.Background(), cfg, Stream{Out: &buf}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

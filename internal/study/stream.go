@@ -39,7 +39,7 @@ type Stream struct {
 	// Out, when non-nil, receives one JSONL SiteRecord per site, in rank
 	// order. Records carry only rank-deterministic fields (never the
 	// ephemeral listener address), so two runs with the same (Seed, Sites)
-	// write byte-identical streams for any worker count or queue depth.
+	// write byte-identical streams for any worker count.
 	Out io.Writer
 	// Journal, when non-nil, checkpoints per-stage retirement watermarks so
 	// an interrupted run can resume.
@@ -66,14 +66,6 @@ type Stream struct {
 	// journal. The sink is dense — every rank emits exactly one line — so
 	// rank == leaf index. Nil is inert.
 	Ledger *ledger.Batcher
-	// Queue is the pipeline depth in items of the deploy source and of
-	// each stage. <= 0 means the engine default (64) for the scan and
-	// grade stages and 2 for the serial deploy source, which then hands
-	// off one site per block: a block runs on one worker, so multi-site
-	// blocks of freshly minted sites (a keygen and a handshake each) would
-	// keep one scan worker busy while the others wait. Listeners live only
-	// inside their scan, so the depth does not change how many are open.
-	Queue int
 	// KeepSites retains every graded *Site in Report.Sites — the batch
 	// behavior. Streaming callers leave it false: the Report then carries
 	// only the aggregate tallies and memory stays bounded.
@@ -303,14 +295,14 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		return s, true, nil
 	}
 
-	// The deploy source hands off one site per block unless the caller
-	// sets a depth (see Stream.Queue); the stages take st.Queue as it is.
-	srcQueue := st.Queue
-	if srcQueue <= 0 {
-		srcQueue = 2
-	}
+	// The deploy source has depth 2, so it hands off one site per block: a
+	// block runs on one worker, and multi-site blocks of freshly minted
+	// sites (a keygen and a handshake each) would keep one scan worker busy
+	// while the others wait. The scan and grade stages take the engine's
+	// default depth; listeners live only inside their scan, so the depth
+	// does not change how many are open.
 	opts := pipeline.Options{Name: "study", Metrics: reg, Journal: st.Journal, Resume: st.Resume, Limit: st.Limit}
-	src := pipeline.From(ctx, opts, "deploy", srcQueue, func(rank int) (deployed, bool, error) {
+	src := pipeline.From(ctx, opts, "deploy", 2, func(rank int) (deployed, bool, error) {
 		if rank >= cfg.Sites {
 			return deployed{}, false, nil
 		}
@@ -418,7 +410,6 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	scanned := pipeline.Through(src, pipeline.Stage[deployed, scannedSite]{
 		Name:    "scan",
 		Workers: cfg.Concurrency,
-		Queue:   st.Queue,
 		Fn: func(ctx context.Context, _, _ int, d deployed) (scannedSite, error) {
 			out := scannedSite{site: d.site, minted: d.minted}
 			var err error
@@ -455,7 +446,6 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	graded := pipeline.Through(scanned, pipeline.Stage[scannedSite, scannedSite]{
 		Name:    "grade",
 		Workers: len(graders),
-		Queue:   st.Queue,
 		OnWorker: func(worker int) func() {
 			graders[worker] = trust.Grader()
 			return graders[worker].Close
@@ -476,19 +466,25 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 		},
 	})
 
-	rep := &Report{Cfg: cfg}
+	rep := &Report{Cfg: cfg, Passes: make(map[string]int, len(core.Profiles))}
 	var line []byte // the record buffer, reused for every site
 	err = graded.Drain(func(rank int, g scannedSite) error {
 		if g.minted {
 			rep.LeavesGenerated++
 		}
 		rep.addScan(g.capture)
-		if g.lost {
-			rep.Lost++
-		}
 		rep.Streamed++
-		if !g.lost && g.site.Report.Compliant() {
+		switch {
+		case g.lost:
+			rep.Lost++
+		case g.site.Report.Compliant():
 			rep.StreamedCompliant++
+		default:
+			for name, ok := range g.site.Verdicts {
+				if ok {
+					rep.Passes[name]++
+				}
+			}
 		}
 		if st.KeepSites {
 			rep.Sites = append(rep.Sites, g.site)

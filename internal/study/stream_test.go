@@ -13,7 +13,7 @@ import (
 
 // TestStudyStreamMatchesBatch: the streaming study produces the same report
 // and site results as the batch path for the same seed, across several
-// (workers, queue) configurations, and the JSONL record stream is
+// (workers, concurrency) configurations, and the JSONL record stream is
 // byte-identical between configurations.
 func TestStudyStreamMatchesBatch(t *testing.T) {
 	const sites = 16
@@ -25,26 +25,26 @@ func TestStudyStreamMatchesBatch(t *testing.T) {
 
 	var firstJSONL []byte
 	for _, tc := range []struct {
-		workers, concurrency, queue int
+		workers, concurrency int
 	}{
-		{1, 1, 1},
-		{4, 8, 2},
-		{8, 4, 16},
-		{2, 2, 0}, // the default depth
+		{1, 1},
+		{4, 8},
+		{8, 4},
+		{2, 2},
 	} {
 		cfg := base
 		cfg.Workers = tc.workers
 		cfg.Concurrency = tc.concurrency
 		var buf bytes.Buffer
 		stream, err := RunStream(context.Background(), cfg, Stream{
-			Out: &buf, Queue: tc.queue, KeepSites: true,
+			Out: &buf, KeepSites: true,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d queue=%d: %v", tc.workers, tc.queue, err)
+			t.Fatalf("workers=%d: %v", tc.workers, err)
 		}
 
 		if len(stream.Sites) != len(batch.Sites) {
-			t.Fatalf("workers=%d queue=%d: %d sites, batch has %d", tc.workers, tc.queue, len(stream.Sites), len(batch.Sites))
+			t.Fatalf("workers=%d: %d sites, batch has %d", tc.workers, len(stream.Sites), len(batch.Sites))
 		}
 		for i := range stream.Sites {
 			ss, bs := stream.Sites[i], batch.Sites[i]
@@ -61,13 +61,13 @@ func TestStudyStreamMatchesBatch(t *testing.T) {
 		}
 		if stream.ScanErrors != batch.ScanErrors || stream.Rescanned != batch.Rescanned ||
 			stream.Lost != batch.Lost || stream.LeavesGenerated != batch.LeavesGenerated {
-			t.Fatalf("workers=%d queue=%d: aggregates differ: %+v vs %+v", tc.workers, tc.queue, stream, batch)
+			t.Fatalf("workers=%d: aggregates differ: %+v vs %+v", tc.workers, stream, batch)
 		}
 
 		if firstJSONL == nil {
 			firstJSONL = append([]byte(nil), buf.Bytes()...)
 		} else if !bytes.Equal(firstJSONL, buf.Bytes()) {
-			t.Fatalf("workers=%d queue=%d: JSONL stream differs from the first configuration", tc.workers, tc.queue)
+			t.Fatalf("workers=%d concurrency=%d: JSONL stream differs from the first configuration", tc.workers, tc.concurrency)
 		}
 	}
 	if len(bytes.Split(bytes.TrimSpace(firstJSONL), []byte("\n"))) != sites {
@@ -98,7 +98,7 @@ func TestStudyStreamResume(t *testing.T) {
 	cfg := Config{Sites: sites, Seed: 4, Vantages: 1, Concurrency: 4, Workers: 4}
 
 	var full bytes.Buffer
-	if _, err := RunStream(context.Background(), cfg, Stream{Out: &full, Queue: 2}); err != nil {
+	if _, err := RunStream(context.Background(), cfg, Stream{Out: &full}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,7 +110,7 @@ func TestStudyStreamResume(t *testing.T) {
 	j.Every = 1
 	interrupted := errors.New("killed")
 	w := &failAfter{n: 5, errv: interrupted}
-	_, err = RunStream(context.Background(), cfg, Stream{Out: w, Queue: 2, Journal: j})
+	_, err = RunStream(context.Background(), cfg, Stream{Out: w, Journal: j})
 	if !errors.Is(err, interrupted) {
 		t.Fatalf("first run err = %v, want the injected kill", err)
 	}
@@ -126,7 +126,7 @@ func TestStudyStreamResume(t *testing.T) {
 		t.Fatalf("resume rank = %d, want 5 (five lines were written)", resume)
 	}
 	rest := &bytes.Buffer{}
-	rep, err := RunStream(context.Background(), cfg, Stream{Out: rest, Queue: 2, Journal: j2, Resume: resume})
+	rep, err := RunStream(context.Background(), cfg, Stream{Out: rest, Journal: j2, Resume: resume})
 	if err != nil {
 		t.Fatal(err)
 	}

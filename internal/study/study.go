@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"time"
 
-	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
+	"chainchaos/internal/core"
 	"chainchaos/internal/faults"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/population"
@@ -252,6 +252,10 @@ type Report struct {
 	// len(Sites) and StreamedCompliant == CompliantCount().
 	Streamed          int
 	StreamedCompliant int
+	// Passes counts, per client name, the non-compliant sites (graded, not
+	// compliant) that client accepted. The sink tallies it on every run, so
+	// the per-client table needs no kept Sites.
+	Passes map[string]int
 	// Snapshot is the metrics export taken after the run when Cfg.Metrics
 	// was wired; nil otherwise.
 	Snapshot *obs.Snapshot
@@ -269,38 +273,32 @@ func (r *Report) SiteCount() int {
 	return r.Streamed
 }
 
-// Tables renders the study as report tables (an overview plus per-client
-// pass rates over the non-compliant sites).
+// Tables renders the study as report tables: an overview of the kept sites
+// (batch runs only; a streaming run keeps none) plus per-client pass rates
+// over the non-compliant sites and the scan failures.
 func (r *Report) Tables() []*report.Table {
-	overview := report.New(
-		fmt.Sprintf("study — %d sites scanned from %d vantages", len(r.Sites), r.Cfg.Vantages),
-		"Domain", "Injected", "Server", "Leaf", "Order OK", "Completeness", "Verdict")
-	for _, s := range r.Sites {
-		verdict := "COMPLIANT"
-		if !s.Report.Compliant() {
-			verdict = "NON-COMPLIANT"
+	var tables []*report.Table
+	if len(r.Sites) > 0 {
+		overview := report.New(
+			fmt.Sprintf("study — %d sites scanned from %d vantages", len(r.Sites), r.Cfg.Vantages),
+			"Domain", "Injected", "Server", "Leaf", "Order OK", "Completeness", "Verdict")
+		for _, s := range r.Sites {
+			verdict := "COMPLIANT"
+			if !s.Report.Compliant() {
+				verdict = "NON-COMPLIANT"
+			}
+			overview.Addf(s.Domain, s.Injected, s.Server,
+				s.Report.Leaf, report.Mark(s.Report.Order.SequentialOK),
+				s.Report.Completeness.Class, verdict)
 		}
-		overview.Addf(s.Domain, s.Injected, s.Server,
-			s.Report.Leaf, report.Mark(s.Report.Order.SequentialOK),
-			s.Report.Completeness.Class, verdict)
+		tables = append(tables, overview)
 	}
 
+	// Every site is lost, compliant or non-compliant.
+	bad := r.Streamed - r.Lost - r.StreamedCompliant
 	perClient := report.New("per-client pass rate over non-compliant sites", "Client", "Pass")
-	bad := 0
-	passes := map[string]int{}
-	for _, s := range r.Sites {
-		if s.Report.Compliant() {
-			continue
-		}
-		bad++
-		for name, ok := range s.Verdicts {
-			if ok {
-				passes[name]++
-			}
-		}
-	}
-	for _, p := range clients.All() {
-		perClient.Add(p.Name, report.Count(passes[p.Name], bad))
+	for _, p := range core.Profiles {
+		perClient.Add(p.Name, report.Count(r.Passes[p.Name], bad))
 	}
 
 	failures := report.New("scan failures by cause (all passes)", "Cause", "Failed attempts")
@@ -314,7 +312,7 @@ func (r *Report) Tables() []*report.Table {
 	failures.Addf("server faults injected", r.FaultsInjected)
 	failures.Addf("server accept retries", r.AcceptRetries)
 	failures.Addf("server deadline expiries", r.DeadlineExpiries)
-	tables := []*report.Table{overview, perClient, failures}
+	tables = append(tables, perClient, failures)
 	if r.Snapshot != nil {
 		if pt := r.Snapshot.PipelineTable(); pt != nil {
 			tables = append(tables, pt)

@@ -3,6 +3,8 @@
 // maps from every lease back into one merged Report.
 package study
 
+import "chainchaos/internal/core"
+
 // Tally keys. Kept stable: they cross the coordinator/worker wire.
 const (
 	tallyScanErrors       = "scan_errors"
@@ -18,13 +20,15 @@ const (
 	tallyLeaves           = "leaves_generated"
 	tallyStreamed         = "streamed"
 	tallyCompliant        = "streamed_compliant"
+	// tallyPass prefixes a client name: the key of Report.Passes[name].
+	tallyPass = "pass_"
 )
 
 // Tallies flattens the report's additive aggregate counts into the wire
 // form a distributed worker returns per lease. Only counts that sum across
 // disjoint rank ranges are included — Sites, Cfg, and Snapshot stay local.
 func (r *Report) Tallies() map[string]int64 {
-	return map[string]int64{
+	t := map[string]int64{
 		tallyScanErrors:       int64(r.ScanErrors),
 		tallyErrDial:          int64(r.ScanErrorCauses.Dial),
 		tallyErrHandshake:     int64(r.ScanErrorCauses.Handshake),
@@ -39,11 +43,19 @@ func (r *Report) Tallies() map[string]int64 {
 		tallyStreamed:         int64(r.Streamed),
 		tallyCompliant:        int64(r.StreamedCompliant),
 	}
+	for name, n := range r.Passes {
+		t[tallyPass+name] = int64(n)
+	}
+	return t
 }
 
 // ReportFromTallies rebuilds the merged aggregate Report from the summed
 // tally maps of every lease of a distributed run.
 func ReportFromTallies(cfg Config, t map[string]int64) *Report {
+	passes := make(map[string]int, len(core.Profiles))
+	for _, p := range core.Profiles {
+		passes[p.Name] = int(t[tallyPass+p.Name])
+	}
 	return &Report{
 		Cfg:        cfg,
 		ScanErrors: int(t[tallyScanErrors]),
@@ -61,5 +73,6 @@ func ReportFromTallies(cfg Config, t map[string]int64) *Report {
 		LeavesGenerated:   int(t[tallyLeaves]),
 		Streamed:          int(t[tallyStreamed]),
 		StreamedCompliant: int(t[tallyCompliant]),
+		Passes:            passes,
 	}
 }

@@ -46,10 +46,6 @@ type Node struct {
 	relevant bool // reachable from the leaf; set by the path walk
 }
 
-// Label renders the node in the paper's notation: "4" for a first
-// occurrence; duplicates are described via Occurrences.
-func (n *Node) Label() string { return fmt.Sprintf("%d", n.Index) }
-
 // Graph is the folded issuance topology of a certificate list. A Graph is
 // immutable after Build; the path enumeration and the relevance marks it
 // leaves are computed once, so the compliance analyzers and difftest

@@ -118,9 +118,6 @@ type Options struct {
 	Now time.Time
 	// Domain, when non-empty, must match the leaf.
 	Domain string
-	// SkipSignatures disables pairwise signature verification (used by the
-	// ablation benchmarks to isolate signature cost).
-	SkipSignatures bool
 	// Revocation, when non-nil, is consulted for every certificate on the
 	// path.
 	Revocation *revocation.List
@@ -228,7 +225,7 @@ func Path(path []*certmodel.Certificate, opts Options) Result {
 			b = append(b, "'s name constraints"...)
 			res.add(i, ProblemNameConstraintViolation, string(b))
 		}
-		if !opts.SkipSignatures && !path[i-1].SignatureVerifiedBy(cert) {
+		if !path[i-1].SignatureVerifiedBy(cert) {
 			b := strconv.AppendQuote(buf[:0], cert.Subject.CommonName)
 			b = append(b, " does not verify "...)
 			b = strconv.AppendQuote(b, path[i-1].Subject.CommonName)

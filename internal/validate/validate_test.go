@@ -160,22 +160,6 @@ func TestUntrustedAnchor(t *testing.T) {
 	}
 }
 
-func TestSkipSignatures(t *testing.T) {
-	f := newFixture()
-	// Break the chain: ca2 does not actually issue the leaf.
-	path := []*certmodel.Certificate{f.leaf, f.ca2, f.root}
-	res := Path(path, f.opts())
-	if res.OK || !res.Has(ProblemBadSignature) {
-		t.Errorf("bad signature not flagged: %+v", res.Findings)
-	}
-	opts := f.opts()
-	opts.SkipSignatures = true
-	res = Path(path, opts)
-	if res.Has(ProblemBadSignature) {
-		t.Error("SkipSignatures ignored")
-	}
-}
-
 func TestFindingsAccumulate(t *testing.T) {
 	// An expired chain with a hostname mismatch and no anchor: every
 	// problem must surface, not just the first.
