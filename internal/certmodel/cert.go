@@ -136,6 +136,10 @@ type Certificate struct {
 	// the same intermediates concurrently). Racing initializers compute
 	// identical values, so last-store-wins is benign.
 	fingerprint atomic.Pointer[FP]
+
+	// subjectKey and issuerKey cache the name keys of Subject and Issuer;
+	// zero means not yet computed (see keys.go).
+	subjectKey, issuerKey atomic.Uint64
 }
 
 // Fingerprint returns the SHA-256 digest of Raw. It is computed lazily and

@@ -94,32 +94,42 @@ func nameWithinConstraint(host, constraint string) bool {
 
 // NamesAllowedBy reports whether every DNS identity of c satisfies the name
 // constraints carried by ca: inside some permitted subtree (when any is
-// declared) and outside every excluded subtree.
+// declared) and outside every excluded subtree. Without SANs, a CN that
+// looks like a domain is the identity.
 func (c *Certificate) NamesAllowedBy(ca *Certificate) bool {
 	if !ca.HasNameConstraints() {
 		return true
 	}
-	names := append([]string(nil), c.DNSNames...)
-	if len(names) == 0 && c.Subject.CommonName != "" && LooksLikeDomain(c.Subject.CommonName) {
-		names = append(names, c.Subject.CommonName)
+	if len(c.DNSNames) == 0 {
+		cn := c.Subject.CommonName
+		return cn == "" || !LooksLikeDomain(cn) || nameAllowedBy(cn, ca)
 	}
-	for _, name := range names {
-		if len(ca.PermittedDNSDomains) > 0 {
-			ok := false
-			for _, p := range ca.PermittedDNSDomains {
-				if nameWithinConstraint(name, p) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
+	for _, name := range c.DNSNames {
+		if !nameAllowedBy(name, ca) {
+			return false
+		}
+	}
+	return true
+}
+
+// nameAllowedBy reports whether one DNS name satisfies ca's name
+// constraints.
+func nameAllowedBy(name string, ca *Certificate) bool {
+	if len(ca.PermittedDNSDomains) > 0 {
+		ok := false
+		for _, p := range ca.PermittedDNSDomains {
+			if nameWithinConstraint(name, p) {
+				ok = true
+				break
 			}
 		}
-		for _, x := range ca.ExcludedDNSDomains {
-			if nameWithinConstraint(name, x) {
-				return false
-			}
+		if !ok {
+			return false
+		}
+	}
+	for _, x := range ca.ExcludedDNSDomains {
+		if nameWithinConstraint(name, x) {
+			return false
 		}
 	}
 	return true

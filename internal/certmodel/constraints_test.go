@@ -120,3 +120,51 @@ func TestNamesAllowedBy(t *testing.T) {
 		t.Error("constrained CA not flagged")
 	}
 }
+
+// TestNamesAllowedByTable pins NamesAllowedBy's answers, and that checking
+// a leaf's SANs against a constrained CA allocates nothing (the CN fallback
+// allocates inside LooksLikeDomain).
+func TestNamesAllowedByTable(t *testing.T) {
+	caKey := NewSyntheticKey("nct-ca")
+	ca := NewSynthetic(SyntheticConfig{
+		Subject: Name{CommonName: "NCT CA"}, Issuer: Name{CommonName: "NCT Root"},
+		Serial: "ca", NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
+		Key: caKey, SignedBy: NewSyntheticKey("nct-root"),
+		IsCA: true, BasicConstraintsValid: true,
+		PermittedDNSDomains: []string{"corp.example"},
+		ExcludedDNSDomains:  []string{"secret.corp.example"},
+	})
+	cases := []struct {
+		name string
+		cn   string
+		sans []string
+		want bool
+	}{
+		{"permitted", "www.corp.example", []string{"www.corp.example", "api.corp.example"}, true},
+		{"outside-permitted", "www.corp.example", []string{"www.corp.example", "www.other.example"}, false},
+		{"excluded", "www.corp.example", []string{"db.secret.corp.example"}, false},
+		{"sans-over-cn", "www.other.example", []string{"www.corp.example"}, true},
+		{"no-sans-domain-cn-permitted", "mail.corp.example", nil, true},
+		{"no-sans-domain-cn-outside", "mail.other.example", nil, false},
+		{"no-sans-domain-cn-excluded", "x.secret.corp.example", nil, false},
+		{"no-sans-non-domain-cn", "Internal Test Cert", nil, true},
+		{"no-sans-empty-cn", "", nil, true},
+	}
+	for _, tc := range cases {
+		leaf := NewSynthetic(SyntheticConfig{
+			Subject: Name{CommonName: tc.cn}, Issuer: ca.Subject,
+			Serial: tc.name, NotBefore: base, NotAfter: base.AddDate(1, 0, 0),
+			Key: NewSyntheticKey("nct-" + tc.name), SignedBy: caKey,
+			DNSNames: tc.sans,
+		})
+		if got := leaf.NamesAllowedBy(ca); got != tc.want {
+			t.Errorf("%s: NamesAllowedBy = %v, want %v", tc.name, got, tc.want)
+		}
+		if len(tc.sans) == 0 {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { leaf.NamesAllowedBy(ca) }); allocs != 0 {
+			t.Errorf("%s: NamesAllowedBy allocates %.1f times", tc.name, allocs)
+		}
+	}
+}

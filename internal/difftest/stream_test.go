@@ -8,12 +8,15 @@ import (
 
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
+	"chainchaos/internal/validate"
 )
 
 // verdictsEqual compares two verdict lists from different population
 // generations: every field except the certificate pointers by value, the
-// constructed paths certificate by certificate (lazily-cached certificate
-// internals rule out reflect.DeepEqual across runs).
+// constructed paths certificate by certificate and the findings by their
+// observable fields (lazily-cached certificate internals, which a finding
+// reaches through the certificate its text names, rule out
+// reflect.DeepEqual across runs).
 func verdictsEqual(t *testing.T, i int, name string, a, b []ClientVerdict) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -27,7 +30,7 @@ func verdictsEqual(t *testing.T, i int, name string, a, b []ClientVerdict) {
 		oa, ob := va.Outcome, vb.Outcome
 		if fmt.Sprint(oa.Err) != fmt.Sprint(ob.Err) ||
 			oa.Validation.OK != ob.Validation.OK ||
-			!reflect.DeepEqual(oa.Validation.Findings, ob.Validation.Findings) ||
+			!findingsEqual(oa.Validation.Findings, ob.Validation.Findings) ||
 			oa.CandidatesConsidered != ob.CandidatesConsidered ||
 			oa.PathsTried != ob.PathsTried || oa.AIAFetches != ob.AIAFetches {
 			t.Fatalf("record %d (%s) %s outcome differs:\nstream: %+v\nbatch:  %+v", i, name, va.Client, oa, ob)
@@ -41,6 +44,19 @@ func verdictsEqual(t *testing.T, i int, name string, a, b []ClientVerdict) {
 			}
 		}
 	}
+}
+
+// findingsEqual compares findings by index, problem and rendered text.
+func findingsEqual(a, b []validate.Finding) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Index != b[i].Index || a[i].Problem != b[i].Problem || a[i].Detail() != b[i].Detail() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRunStreamMatchesBatch: the streaming differential evaluation — domains

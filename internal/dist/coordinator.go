@@ -55,10 +55,6 @@ type Config struct {
 	// small enough to bound the redo window and rebalance stragglers,
 	// large enough to amortize the per-lease range-replay cost.
 	LeaseSize int
-	// Window bounds how far past the head lease grants may run (in leases);
-	// <= 0 means 2·Workers. It is what bounds the coordinator's reorder
-	// buffer: at most Window leases of lines are ever held in memory.
-	Window int
 	// Out receives the merged result lines, in global rank order.
 	Out io.Writer
 	// Journal, when non-nil, receives sink watermarks (under
@@ -77,11 +73,6 @@ type Config struct {
 	// Poll is the deadline-check cadence; <= 0 means LeaseTimeout/4 capped
 	// at 500ms.
 	Poll time.Duration
-	// MaxRespawns bounds consecutive failed launches per slot; <= 0 means 5.
-	MaxRespawns int
-	// MaxLeaseAttempts bounds executions of one lease before the run is
-	// declared failed; <= 0 means 5.
-	MaxLeaseAttempts int
 	// Ledger, when non-nil, folds worker-shipped Merkle subtree roots into
 	// journal-anchored batch roots — lease grants announce Ledger.Size and
 	// workers hash their own lines. Dense sinks only (rank == leaf index):
@@ -212,9 +203,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.LeaseSize = 64
 		}
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 2 * cfg.Workers
-	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 2 * time.Minute
 	}
@@ -223,12 +211,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if cfg.Poll > 500*time.Millisecond {
 			cfg.Poll = 500 * time.Millisecond
 		}
-	}
-	if cfg.MaxRespawns <= 0 {
-		cfg.MaxRespawns = 5
-	}
-	if cfg.MaxLeaseAttempts <= 0 {
-		cfg.MaxLeaseAttempts = 5
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -315,6 +297,19 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // failed launch up to 2 s, with no jitter.
 var respawnBackoff = faults.Policy{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 
+const (
+	// maxRespawns bounds consecutive failed launches per slot.
+	maxRespawns = 5
+	// maxLeaseAttempts bounds executions of one lease before the run is
+	// declared failed.
+	maxLeaseAttempts = 5
+	// windowPerWorker bounds how far past the head lease grants may run,
+	// in leases per worker. It is what bounds the coordinator's reorder
+	// buffer: at most windowPerWorker·Workers leases of lines are ever
+	// held in memory.
+	windowPerWorker = 2
+)
+
 // manage owns one worker slot's lifecycle: launch, forward messages, and
 // respawn (with respawnBackoff) after death, until the run context ends.
 // The end of the run context closes the current conn, which is what
@@ -337,7 +332,7 @@ func (c *coord) manage(ctx context.Context, slot int, events chan<- event) {
 		conn, err := c.cfg.Launch.Start(ctx, slot, gen)
 		if err != nil {
 			failures++
-			if failures > c.cfg.MaxRespawns {
+			if failures > maxRespawns {
 				post(event{kind: evFatal, slot: slot, err: fmt.Errorf("dist: worker %d: launch: %w", slot, err)})
 				return
 			}
@@ -461,7 +456,7 @@ func (c *coord) handleMsg(slot int, m *message) {
 	case msgFail:
 		c.failed.Inc()
 		c.cfg.Journal.Lease("fail", l.id, l.lo, l.hi, l.epoch)
-		if l.epoch+1 >= c.cfg.MaxLeaseAttempts {
+		if l.epoch+1 >= maxLeaseAttempts {
 			c.runErr = fmt.Errorf("dist: lease %d [%d,%d) failed %d times: %s", l.id, l.lo, l.hi, l.epoch+1, m.Err)
 			return
 		}
@@ -534,7 +529,7 @@ func (c *coord) grantNext(slot int) {
 	if !c.idle[slot] || c.procs[slot] == nil {
 		return
 	}
-	limit := c.head + c.cfg.Window
+	limit := c.head + windowPerWorker*c.cfg.Workers
 	for _, l := range c.leases[c.head:] {
 		if l.id >= limit {
 			return // outside the reorder window; the slot stays idle

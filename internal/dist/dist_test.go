@@ -250,7 +250,6 @@ func TestWorkerDeathReassignsLease(t *testing.T) {
 	res, err := Run(context.Background(), Config{
 		Workers: 2, Total: 400, LeaseSize: 50, Out: &out,
 		SinkStage: "test", Launch: launcher, Metrics: reg,
-		MaxLeaseAttempts: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

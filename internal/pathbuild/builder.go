@@ -2,7 +2,6 @@ package pathbuild
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -68,10 +67,11 @@ func (o Outcome) OK() bool { return o.Err == nil && o.Validation.OK }
 // Builder constructs certification paths under a Policy.
 //
 // A Builder owns reusable construction scratch (candidate pool, pool index,
-// search stacks, the Outcome under construction), so calling Build
-// repeatedly on one Builder allocates only the Outcome's path and findings;
-// the differential harness keeps one Builder per (shard, profile) for
-// exactly this reason. A Builder is therefore NOT safe for concurrent use —
+// search stacks, the findings buffers attempts validate into, the Outcome
+// under construction), so calling Build repeatedly on one Builder allocates
+// only the Outcome's path and findings; the differential harness keeps one
+// Builder per (shard, profile) for exactly this reason. A Builder is
+// therefore NOT safe for concurrent use —
 // share certificates and (sealed) stores across goroutines, not Builders.
 type Builder struct {
 	Policy Policy
@@ -214,7 +214,7 @@ func (b *Builder) build(list []*certmodel.Certificate, domain string) Outcome {
 		return Outcome{Err: ErrEmptyList}
 	}
 	if b.Policy.MaxInputList > 0 && len(list) > b.Policy.MaxInputList {
-		return Outcome{Err: fmt.Errorf("%w: %d > %d", ErrInputListTooLong, len(list), b.Policy.MaxInputList)}
+		return Outcome{Err: &limitError{ErrInputListTooLong, len(list), b.Policy.MaxInputList}}
 	}
 
 	leaf := list[0]
@@ -229,6 +229,23 @@ func (b *Builder) build(list []*certmodel.Certificate, domain string) Outcome {
 	search.out = Outcome{} // the caller owns the path and findings now
 	return out
 }
+
+// limitError is a construction error that names a limit. It renders the
+// text fmt.Errorf("%w: …") rendered, on read, and unwraps to its sentinel.
+type limitError struct {
+	sentinel error
+	got      int // the presented length; negative when only the limit is named
+	limit    int
+}
+
+func (e *limitError) Error() string {
+	if e.got < 0 {
+		return e.sentinel.Error() + ": limit " + strconv.Itoa(e.limit)
+	}
+	return e.sentinel.Error() + ": " + strconv.Itoa(e.got) + " > " + strconv.Itoa(e.limit)
+}
+
+func (e *limitError) Unwrap() error { return e.sentinel }
 
 // poolEntry is one usable certificate from the presented list.
 type poolEntry struct {
@@ -305,6 +322,7 @@ type searcher struct {
 	indexed bool
 
 	// out is the Outcome under construction; Build returns it by value.
+	// Its Path and Findings are always fresh copies, never scratch.
 	out Outcome
 
 	// Reusable scratch.
@@ -316,8 +334,8 @@ type searcher struct {
 	// bySubject/bySKID head per-key chains threaded through nextSubject/
 	// nextSKID, indexing pool entries so candidate lookup touches only
 	// entries that can match (see indexPool).
-	bySubject   map[certmodel.Name]int32
-	bySKID      map[skidKey]int32
+	bySubject   map[uint64]int32
+	bySKID      map[certmodel.KeyIDPrefix]int32
 	nextSubject []int32
 	nextSKID    []int32
 	// path is the DFS stack of the partial path; used marks the
@@ -331,12 +349,16 @@ type searcher struct {
 	// Safe to share across the roots and cache lookups within one step:
 	// each is fully consumed (copied into cands) before the other runs.
 	issuerBuf []*certmodel.Certificate
+	// findings is the buffer every attempt validates into.
+	findings []validate.Finding
+	// firstPath/firstFindings keep a backtracking build's first failed
+	// attempt, reported when no attempt validates; firstPath is empty
+	// until there is one.
+	firstPath     []*certmodel.Certificate
+	firstFindings []validate.Finding
 
-	// Per-Build results.
-	firstPath       []*certmodel.Certificate
-	firstValidation validate.Result
-	haveFirst       bool
-	done            bool
+	// done is set when the search stops.
+	done bool
 }
 
 // begin resets the searcher for a new Build call: per-call results are
@@ -350,9 +372,7 @@ func (s *searcher) begin(list []*certmodel.Certificate, domain string) {
 		s.maxTry = defaultMaxAttempts
 	}
 	s.path = s.path[:0]
-	s.firstPath = nil
-	s.firstValidation = validate.Result{}
-	s.haveFirst = false
+	s.firstPath = s.firstPath[:0]
 	s.done = false
 	s.indexed = len(list) > scanMax
 	s.buildPool(list)
@@ -402,47 +422,52 @@ func (s *searcher) run(leaf *certmodel.Certificate) {
 	}
 	// Nothing validated. Report the first complete attempt, or a length
 	// failure if even that was impossible.
-	if s.haveFirst {
-		s.out.Path = s.firstPath
-		s.out.Validation = s.firstValidation
+	if len(s.firstPath) > 0 {
+		s.report(s.firstPath, validate.Result{Findings: s.firstFindings})
 		return
 	}
 	if s.builder.Policy.MaxPathLen > 0 {
-		s.out.Err = fmt.Errorf("%w: limit %d", ErrPathTooLong, s.builder.Policy.MaxPathLen)
+		s.out.Err = &limitError{ErrPathTooLong, -1, s.builder.Policy.MaxPathLen}
 	}
 }
 
-// finish validates a complete candidate path and records it. It returns true
-// when the search should stop. The recorded paths are fresh copies — the
-// live path slice is builder-owned scratch and must never escape.
+// finish validates a complete candidate path into scratch and records it.
+// It returns true when the search should stop. Only the attempt Build
+// reports is copied out: the live path and the findings buffer are
+// builder-owned scratch and must never escape.
 func (s *searcher) finish(path []*certmodel.Certificate) bool {
 	s.out.PathsTried++
-	res := validate.Path(path, validate.Options{
+	res := validate.PathInto(s.findings, path, validate.Options{
 		Roots:      s.builder.Roots,
 		Now:        s.builder.Now,
 		Domain:     s.domain,
 		Revocation: s.builder.Revocation,
 	})
 	if res.OK && !s.effectiveLengthOK(path) {
-		res = validate.Result{Findings: []validate.Finding{{
-			Index:   -1,
-			Problem: validate.ProblemPathLenExceeded,
-			Detail:  "client limit " + strconv.Itoa(s.builder.Policy.MaxPathLen),
-		}}}
+		res = validate.Result{Findings: append(res.Findings, validate.ClientLimit(s.builder.Policy.MaxPathLen))}
 	}
+	s.findings = res.Findings
 	s.recordAttempt(path, res)
 	if res.OK || !s.builder.Policy.Backtrack || s.out.PathsTried >= s.maxTry {
-		s.out.Path = append([]*certmodel.Certificate(nil), path...)
-		s.out.Validation = res
+		s.report(path, res)
 		s.done = true
 		return true
 	}
-	if !s.haveFirst {
-		s.firstPath = append([]*certmodel.Certificate(nil), path...)
-		s.firstValidation = res
-		s.haveFirst = true
+	if len(s.firstPath) == 0 {
+		s.firstPath = append(s.firstPath, path...)
+		s.firstFindings = append(s.firstFindings[:0], res.Findings...)
 	}
 	return false
+}
+
+// report copies an attempt out of scratch into the Outcome: the path, and
+// the findings when there are any, so a valid path keeps nil findings.
+func (s *searcher) report(path []*certmodel.Certificate, res validate.Result) {
+	s.out.Path = append([]*certmodel.Certificate(nil), path...)
+	s.out.Validation = validate.Result{OK: res.OK}
+	if len(res.Findings) > 0 {
+		s.out.Validation.Findings = append([]validate.Finding(nil), res.Findings...)
+	}
 }
 
 // withinLengthLimit reports whether a path of n certificates is acceptable.

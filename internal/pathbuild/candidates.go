@@ -97,19 +97,6 @@ func kidStatus(parent, child *certmodel.Certificate) int {
 	return 2
 }
 
-// skidKey is the fixed-size map key for the SKID chain: the first 8 bytes
-// of the identifier (zero-padded). Using a prefix instead of the full
-// variable-length SKID keeps index construction allocation-free — a
-// map[string] insert would copy the byte slice on every pool entry. Prefix
-// collisions merely lengthen a chain; every chain entry is re-checked with
-// NameIndicatesIssuance (which compares the full identifiers) before use.
-type skidKey [8]byte
-
-func skidKeyOf(id []byte) (k skidKey) {
-	copy(k[:], id)
-	return k
-}
-
 // indexPool (re)builds the pool index for a list longer than scanMax: a
 // subject-DN chain and an SKID chain over the pool entries, so candidate
 // lookup touches only the entries that can satisfy NameIndicatesIssuance
@@ -119,13 +106,19 @@ func skidKeyOf(id []byte) (k skidKey) {
 // every chain iterates in ascending pool position, the same visit order as a
 // front-to-back sequential scan.
 //
+// The maps are keyed by fixed-size keys, the subject's cached name key and
+// the SKID's first 8 bytes, so building the index hashes and copies no
+// string. Entries that merely share a key lengthen a chain; every chain
+// entry is re-checked with NameIndicatesIssuance, which compares the full
+// names and identifiers, before use.
+//
 // Zero-subject entries never enter the subject chain (the DN criterion
 // requires a non-empty issuer name), and SKID-less entries never enter the
 // SKID chain, mirroring the guards inside NameIndicatesIssuance.
 func (s *searcher) indexPool() {
 	if s.bySubject == nil {
-		s.bySubject = make(map[certmodel.Name]int32, len(s.pool))
-		s.bySKID = make(map[skidKey]int32, len(s.pool))
+		s.bySubject = make(map[uint64]int32, len(s.pool))
+		s.bySKID = make(map[certmodel.KeyIDPrefix]int32, len(s.pool))
 	}
 	clear(s.bySubject)
 	clear(s.bySKID)
@@ -141,13 +134,14 @@ func (s *searcher) indexPool() {
 		s.nextSubject[i] = -1
 		s.nextSKID[i] = -1
 		if !c.Subject.IsZero() {
-			if head, ok := s.bySubject[c.Subject]; ok {
+			k := c.SubjectKey()
+			if head, ok := s.bySubject[k]; ok {
 				s.nextSubject[i] = head
 			}
-			s.bySubject[c.Subject] = int32(i)
+			s.bySubject[k] = int32(i)
 		}
 		if len(c.SubjectKeyID) > 0 {
-			k := skidKeyOf(c.SubjectKeyID)
+			k := certmodel.KeyIDPrefixOf(c.SubjectKeyID)
 			if head, ok := s.bySKID[k]; ok {
 				s.nextSKID[i] = head
 			}
@@ -284,7 +278,7 @@ func (s *searcher) indexedListCandidates(cands []candidate, current *certmodel.C
 		s.out.CandidatesConsidered += len(s.pool) - first
 	}
 	if !current.Issuer.IsZero() {
-		if head, ok := s.bySubject[current.Issuer]; ok {
+		if head, ok := s.bySubject[current.IssuerKey()]; ok {
 			for i := head; i >= 0; i = s.nextSubject[i] {
 				entry := s.pool[i]
 				if !reorder && entry.pos <= lastPos {
@@ -297,7 +291,7 @@ func (s *searcher) indexedListCandidates(cands []candidate, current *certmodel.C
 		}
 	}
 	if len(current.AuthorityKeyID) > 0 {
-		if head, ok := s.bySKID[skidKeyOf(current.AuthorityKeyID)]; ok {
+		if head, ok := s.bySKID[certmodel.KeyIDPrefixOf(current.AuthorityKeyID)]; ok {
 			for i := head; i >= 0; i = s.nextSKID[i] {
 				entry := s.pool[i]
 				if !reorder && entry.pos <= lastPos {

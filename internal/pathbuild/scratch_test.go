@@ -3,6 +3,7 @@ package pathbuild
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -301,18 +302,21 @@ func TestScratchReuseMatchesFreshBuilder(t *testing.T) {
 
 // TestBuildAllocs: on a reused Builder, a build allocates only what it
 // returns. A validating build allocates its path and nothing else, whether
-// the searcher scans the list or indexes it; a build that ends in one
-// untrusted finding adds the findings slice and the finding's Detail, which
-// quotes the terminal's subject string: at most 4 in all.
+// the searcher scans the list or indexes it. A build that ends in one
+// untrusted finding adds the findings slice, whose text is rendered only
+// when read: 2 in all. So does a backtracking build whose every attempt
+// fails, which keeps its first attempt in scratch until it reports it.
 func TestBuildAllocs(t *testing.T) {
 	for _, pol := range oraclePolicies() {
 		topologies := figureTopologies(pol.Name + "-allocs")
+		empty := rootstore.NewWith("allocs-empty")
 		cases := []struct {
 			name  string
 			list  []*certmodel.Certificate
 			roots *rootstore.Store
 		}{
-			{"fig2a-untrusted", topologies[0].list, rootstore.NewWith("allocs-empty")},
+			{"fig2a-untrusted", topologies[0].list, empty},
+			{"fig2c-all-fail", topologies[2].list, empty},
 		}
 		for _, tc := range topologies {
 			switch tc.name {
@@ -326,8 +330,11 @@ func TestBuildAllocs(t *testing.T) {
 			b.Roots = tc.roots
 			out := b.Build(tc.list, "")
 			allocs := testing.AllocsPerRun(50, func() { b.Build(tc.list, "") })
-			label := fmt.Sprintf("%s/%s (%d entries)", pol.Name, tc.name, len(tc.list))
+			label := fmt.Sprintf("%s/%s (%d entries, %d tried)", pol.Name, tc.name, len(tc.list), out.PathsTried)
 			t.Logf("%s: %.0f allocations", label, allocs)
+			if out.PathsTried > 1 && !out.OK() {
+				seen["backtracked"]++
+			}
 			switch f := out.Validation.Findings; {
 			case out.OK():
 				seen["valid"]++
@@ -336,8 +343,8 @@ func TestBuildAllocs(t *testing.T) {
 				}
 			case out.Err == nil && len(f) == 1 && f[0].Problem == validate.ProblemUntrusted:
 				seen["untrusted"]++
-				if allocs > 4 {
-					t.Errorf("%s: untrusted build allocates %.1f times, want at most 4", label, allocs)
+				if allocs > 2 {
+					t.Errorf("%s: untrusted build allocates %.1f times, want at most 2", label, allocs)
 				}
 			default:
 				t.Fatalf("%s: unexpected outcome: err=%v findings=%v", label, out.Err, f)
@@ -345,6 +352,9 @@ func TestBuildAllocs(t *testing.T) {
 		}
 		if seen["valid"] == 0 || seen["untrusted"] == 0 {
 			t.Fatalf("%s: %d validating and %d untrusted builds; want both", pol.Name, seen["valid"], seen["untrusted"])
+		}
+		if pol.Backtrack && seen["backtracked"] == 0 {
+			t.Fatalf("%s: no build tried a second path and failed; want one", pol.Name)
 		}
 	}
 }
@@ -376,5 +386,57 @@ func TestBuildOutcomePathIsIndependent(t *testing.T) {
 	}
 	if first.Err != nil && !errors.Is(first.Err, ErrPathTooLong) {
 		t.Fatalf("unexpected error: %v", first.Err)
+	}
+}
+
+// TestOutcomeSurvivesLaterBuilds: attempts validate into builder scratch,
+// so an Outcome must copy out its path and findings. Every failing Outcome
+// (a wrong domain, an untrusted path, a backtracking build whose every
+// attempt fails) must read the same path, findings and rendered text after
+// the same Builder has built every topology under other domains and stores.
+func TestOutcomeSurvivesLaterBuilds(t *testing.T) {
+	type snapshot struct {
+		path     []certmodel.FP
+		findings []string
+	}
+	take := func(o Outcome) snapshot {
+		var s snapshot
+		for _, c := range o.Path {
+			s.path = append(s.path, c.Fingerprint())
+		}
+		for _, f := range o.Validation.Findings {
+			s.findings = append(s.findings, fmt.Sprintf("%d %d %s | %s", f.Index, f.Problem, f.Detail(), f))
+		}
+		return s
+	}
+	for _, pol := range oraclePolicies() {
+		topologies := figureTopologies(pol.Name + "-survive")
+		empty := rootstore.NewWith("survive-empty")
+		b := &Builder{Policy: pol, Now: base.AddDate(0, 1, 0)}
+		var outs []Outcome
+		var snaps []snapshot
+		for _, tc := range topologies {
+			for _, roots := range []*rootstore.Store{tc.roots, empty} {
+				b.Roots = roots
+				out := b.Build(tc.list, "first.invalid")
+				if out.OK() || len(out.Validation.Findings) == 0 {
+					t.Fatalf("%s/%s: want a failed validation, got ok=%v err=%v", pol.Name, tc.name, out.OK(), out.Err)
+				}
+				outs = append(outs, out)
+				snaps = append(snaps, take(out))
+			}
+		}
+		for _, tc := range topologies {
+			for _, roots := range []*rootstore.Store{tc.roots, empty} {
+				b.Roots = roots
+				b.Build(tc.list, "")
+				b.Build(tc.list, "later.invalid")
+			}
+		}
+		for i, out := range outs {
+			if got := take(out); !reflect.DeepEqual(got, snaps[i]) {
+				t.Errorf("%s: outcome %d changed after later builds:\nbefore %v\nafter  %v", pol.Name, i, snaps[i], got)
+			}
+		}
 	}
 }

@@ -13,24 +13,31 @@ import (
 	"chainchaos/internal/certmodel"
 )
 
-// Store is a set of trusted root certificates, indexed the two ways chain
+// Store is a set of trusted root certificates, indexed the three ways chain
 // completion needs: by certificate identity (is this exact cert trusted?),
 // by subject key identifier (does any root's SKID match this AKID?), and by
 // subject DN (candidate roots for an orphan whose AKID is absent).
+//
+// The SKID and subject indexes are keyed by fixed-size keys: the SKID's
+// first 8 bytes (certmodel.KeyIDPrefix) and the subject's cached 64-bit
+// name key (Certificate.SubjectKey), so a lookup hashes 8 bytes instead of
+// an identifier string or four name strings. Each hit is confirmed on the full identifier or name,
+// and a key's list keeps insertion order, so a lookup returns what an index
+// keyed by the full value would, in the same order; a shared key only
+// lengthens a list.
 //
 // Stores follow a write-once-then-read-many lifecycle: populate with Add,
 // then call Seal before handing the store to concurrent readers. Sealed
 // stores answer every read without touching the mutex and without copying,
 // which keeps the path-building hot loop allocation-free; unsealed stores
-// remain fully mutex-guarded (the Firefox-style learning intermediate cache
-// stays unsealed because successful builds keep feeding it).
+// remain fully mutex-guarded.
 type Store struct {
 	mu        sync.RWMutex
 	sealed    atomic.Bool
 	name      string
 	byFP      map[certmodel.FP]*certmodel.Certificate
-	bySKID    map[string][]*certmodel.Certificate
-	bySubject map[certmodel.Name][]*certmodel.Certificate
+	bySKID    map[certmodel.KeyIDPrefix][]*certmodel.Certificate
+	bySubject map[uint64][]*certmodel.Certificate // keyed by SubjectKey
 }
 
 // New creates an empty named store.
@@ -38,8 +45,8 @@ func New(name string) *Store {
 	return &Store{
 		name:      name,
 		byFP:      make(map[certmodel.FP]*certmodel.Certificate),
-		bySKID:    make(map[string][]*certmodel.Certificate),
-		bySubject: make(map[certmodel.Name][]*certmodel.Certificate),
+		bySKID:    make(map[certmodel.KeyIDPrefix][]*certmodel.Certificate),
+		bySubject: make(map[uint64][]*certmodel.Certificate),
 	}
 }
 
@@ -83,10 +90,11 @@ func (s *Store) Add(root *certmodel.Certificate) {
 	}
 	s.byFP[fp] = root
 	if len(root.SubjectKeyID) > 0 {
-		k := string(root.SubjectKeyID)
+		k := certmodel.KeyIDPrefixOf(root.SubjectKeyID)
 		s.bySKID[k] = append(s.bySKID[k], root)
 	}
-	s.bySubject[root.Subject] = append(s.bySubject[root.Subject], root)
+	k := root.SubjectKey()
+	s.bySubject[k] = append(s.bySubject[k], root)
 }
 
 // Contains reports whether this exact certificate (bit-for-bit) is trusted.
@@ -104,30 +112,35 @@ func (s *Store) Contains(cert *certmodel.Certificate) bool {
 
 // FindBySKID returns the trusted roots whose SKID equals akid — the store
 // lookup the paper performs for the AKID of a path's last certificate.
-// Sealed stores return an internal slice that callers must not mutate;
-// unsealed stores return a copy.
+// Sealed stores return an internal slice that callers must not mutate,
+// unless another root's SKID shares akid's first 8 bytes; then, as for
+// unsealed stores, the result is a fresh slice.
 func (s *Store) FindBySKID(akid []byte) []*certmodel.Certificate {
 	if len(akid) == 0 {
 		return nil
 	}
-	if s.sealed.Load() {
-		return s.bySKID[string(akid)]
+	sealed := s.sealed.Load()
+	if !sealed {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*certmodel.Certificate(nil), s.bySKID[string(akid)]...)
-}
-
-// FindBySubject returns the trusted roots with the given subject DN. Sealed
-// stores return an internal slice that callers must not mutate; unsealed
-// stores return a copy.
-func (s *Store) FindBySubject(subject certmodel.Name) []*certmodel.Certificate {
-	if s.sealed.Load() {
-		return s.bySubject[subject]
+	roots := s.bySKID[certmodel.KeyIDPrefixOf(akid)]
+	for i, root := range roots {
+		if !bytes.Equal(root.SubjectKeyID, akid) {
+			// A prefix neighbour: keep only the exact matches.
+			out := append([]*certmodel.Certificate(nil), roots[:i]...)
+			for _, r := range roots[i+1:] {
+				if bytes.Equal(r.SubjectKeyID, akid) {
+					out = append(out, r)
+				}
+			}
+			return out
+		}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*certmodel.Certificate(nil), s.bySubject[subject]...)
+	if sealed {
+		return roots
+	}
+	return append([]*certmodel.Certificate(nil), roots...)
 }
 
 // FindIssuers returns the trusted roots that actually issued cert under the
@@ -154,13 +167,16 @@ func (s *Store) AppendIssuers(dst []*certmodel.Certificate, cert *certmodel.Cert
 	if len(cert.AuthorityKeyID) > 0 {
 		// A root appears at most once per chain, so no dedup is needed
 		// within the SKID pass.
-		for _, root := range s.bySKID[string(cert.AuthorityKeyID)] {
-			if certmodel.Issued(root, cert) {
+		for _, root := range s.bySKID[certmodel.KeyIDPrefixOf(cert.AuthorityKeyID)] {
+			if bytes.Equal(root.SubjectKeyID, cert.AuthorityKeyID) && certmodel.Issued(root, cert) {
 				dst = append(dst, root)
 			}
 		}
 	}
-	for _, root := range s.bySubject[cert.Issuer] {
+	for _, root := range s.bySubject[cert.IssuerKey()] {
+		if root.Subject != cert.Issuer {
+			continue
+		}
 		dup := false
 		for _, have := range dst[base:] {
 			if have == root {
@@ -186,14 +202,14 @@ func (s *Store) HasIssuer(cert *certmodel.Certificate) bool {
 		defer s.mu.RUnlock()
 	}
 	if len(cert.AuthorityKeyID) > 0 {
-		for _, root := range s.bySKID[string(cert.AuthorityKeyID)] {
-			if certmodel.Issued(root, cert) {
+		for _, root := range s.bySKID[certmodel.KeyIDPrefixOf(cert.AuthorityKeyID)] {
+			if bytes.Equal(root.SubjectKeyID, cert.AuthorityKeyID) && certmodel.Issued(root, cert) {
 				return true
 			}
 		}
 	}
-	for _, root := range s.bySubject[cert.Issuer] {
-		if certmodel.Issued(root, cert) {
+	for _, root := range s.bySubject[cert.IssuerKey()] {
+		if root.Subject == cert.Issuer && certmodel.Issued(root, cert) {
 			return true
 		}
 	}

@@ -33,9 +33,6 @@ func TestAddAndLookup(t *testing.T) {
 	if got := s.FindBySKID(nil); got != nil {
 		t.Errorf("FindBySKID(nil) = %v", got)
 	}
-	if got := s.FindBySubject(root.Subject); len(got) != 1 {
-		t.Errorf("FindBySubject = %v", got)
-	}
 	if got := s.FindIssuers(inter); len(got) != 1 || !got[0].Equal(root) {
 		t.Errorf("FindIssuers = %v", got)
 	}
@@ -151,7 +148,7 @@ func TestConcurrentAccess(t *testing.T) {
 				r := certmodel.SyntheticRoot("RS Conc "+string(rune('A'+i)), base)
 				s.Add(r)
 				s.Contains(r)
-				s.FindBySubject(r.Subject)
+				s.HasIssuer(r)
 				s.FindBySKID(r.SubjectKeyID)
 				s.All()
 			}

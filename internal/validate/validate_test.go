@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/revocation"
@@ -175,12 +176,22 @@ func TestFindingsAccumulate(t *testing.T) {
 }
 
 func TestProblemAndFindingStrings(t *testing.T) {
-	for p := ProblemExpired; p <= ProblemEmptyPath; p++ {
-		if s := p.String(); s == "" || strings.HasPrefix(s, "problem(") {
+	names := map[string]Problem{}
+	for p := ProblemExpired; p <= ProblemDeprecatedCrypto; p++ {
+		s := p.String()
+		if s == "" || strings.HasPrefix(s, "problem(") {
 			t.Errorf("problem %d renders %q", int(p), s)
 		}
+		if q, dup := names[s]; dup {
+			t.Errorf("problems %d and %d both render %q", int(q), int(p), s)
+		}
+		names[s] = p
 	}
-	f := Finding{Index: 2, Problem: ProblemExpired, Detail: "x"}
+	// A problem added after the last one covered above must extend the loop.
+	if s := (ProblemDeprecatedCrypto + 1).String(); !strings.HasPrefix(s, "problem(") {
+		t.Errorf("problem %d renders %q; cover it above", int(ProblemDeprecatedCrypto+1), s)
+	}
+	f := Finding{Index: 2, Problem: ProblemExpired, text: "x"}
 	if !strings.Contains(f.String(), "cert[2]") {
 		t.Errorf("finding string = %q", f)
 	}
@@ -191,6 +202,11 @@ func TestProblemAndFindingStrings(t *testing.T) {
 	var empty Result
 	if empty.FirstProblem() != Problem(-1) {
 		t.Error("FirstProblem on empty result")
+	}
+	// A finding that renders on read is no larger than the one that held
+	// its text: two 32-bit fields, a pointer and one string.
+	if size := unsafe.Sizeof(Finding{}); size > 32 {
+		t.Errorf("Finding is %d bytes, want at most 32", size)
 	}
 }
 
@@ -240,12 +256,73 @@ func TestDetailsMatchFmt(t *testing.T) {
 	got := map[Problem]string{}
 	for _, f := range res.Findings {
 		if _, ok := want[f.Problem]; ok {
-			got[f.Problem] = f.Detail
+			got[f.Problem] = f.Detail()
 		}
+		checkFindingString(t, f)
 	}
 	for p, w := range want {
 		if got[p] != w {
 			t.Errorf("%s: Detail %q, want %q", p, got[p], w)
 		}
+	}
+
+	// The fixed texts: a weakly signed leaf outside serverAuth under a CA
+	// that can sign neither certificates nor for servers; the empty path;
+	// and a builder's client limit.
+	weakLeaf := certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: certmodel.Name{CommonName: "weak.example"}, Issuer: caAName, Serial: "w",
+		NotBefore: base, NotAfter: base.AddDate(1, 0, 0),
+		Key: certmodel.NewSyntheticKey("detail weak leaf"), SignedBy: caAKey,
+		ExtKeyUsages: []certmodel.ExtKeyUsage{certmodel.EKUClientAuth}, WeakSignature: true,
+	})
+	clientCA := certmodel.NewSynthetic(certmodel.SyntheticConfig{
+		Subject: caAName, Issuer: caBName, Serial: "c",
+		NotBefore: base, NotAfter: base.AddDate(5, 0, 0),
+		Key: caAKey, SignedBy: caBKey, IsCA: true, BasicConstraintsValid: true,
+		KeyUsage: certmodel.KeyUsageDigitalSignature, HasKeyUsage: true,
+		ExtKeyUsages: []certmodel.ExtKeyUsage{certmodel.EKUClientAuth},
+	})
+	type at struct {
+		index int32
+		p     Problem
+	}
+	fixed := map[at]string{
+		{0, ProblemBadEKU}:           "leaf EKU set excludes serverAuth",
+		{0, ProblemDeprecatedCrypto}: "certificate signed with a deprecated algorithm",
+		{1, ProblemBadKeyUsage}:      "KeyUsage lacks certSign",
+		{1, ProblemBadEKU}:           "EKU set excludes serverAuth",
+	}
+	findings := Path([]*certmodel.Certificate{weakLeaf, clientCA}, Options{Now: now}).Findings
+	findings = append(findings, Path(nil, Options{}).Findings...)
+	fixed[at{-1, ProblemEmptyPath}] = "no certificates"
+	findings = append(findings, ClientLimit(13))
+	fixed[at{-1, ProblemPathLenExceeded}] = fmt.Sprintf("client limit %d", 13)
+	seen := map[at]bool{}
+	for _, f := range findings {
+		k := at{f.Index, f.Problem}
+		if w, ok := fixed[k]; ok {
+			seen[k] = true
+			if f.Detail() != w {
+				t.Errorf("%s at %d: Detail %q, want %q", f.Problem, f.Index, f.Detail(), w)
+			}
+		}
+		checkFindingString(t, f)
+	}
+	for k := range fixed {
+		if !seen[k] {
+			t.Errorf("no %s finding at %d", k.p, k.index)
+		}
+	}
+}
+
+// checkFindingString: a finding renders as fmt renders its fields.
+func checkFindingString(t *testing.T, f Finding) {
+	t.Helper()
+	want := fmt.Sprintf("cert[%d]: %s: %s", f.Index, f.Problem, f.Detail())
+	if f.Index < 0 {
+		want = fmt.Sprintf("%s: %s", f.Problem, f.Detail())
+	}
+	if f.String() != want {
+		t.Errorf("String %q, want %q", f.String(), want)
 	}
 }
