@@ -12,9 +12,10 @@ test:
 # users, plus the network layer (scanner retries, server accept loops, the
 # faults clock) that runs goroutines against real sockets, certmodel,
 # whose process-wide signature memo every grading goroutine shares, core,
-# whose verdict memo every grader shares, and the run harness, whose
-# coordinator and workers share one record path.
-RACE_PKGS = ./internal/certmodel/... ./internal/core/... ./internal/pipeline/... ./internal/run/... ./internal/difftest/... ./internal/parallel/... ./internal/experiments/... ./internal/study/... ./internal/population/... ./internal/faults/... ./internal/tlsserve/... ./internal/tlsscan/... ./internal/aia/... ./internal/obs/... ./internal/verdictcache/... ./internal/dist/... ./internal/chainserved/... ./internal/divfuzz/... ./internal/ledger/... ./internal/grid/...
+# whose verdict memo every grader shares, the run harness, whose
+# coordinator and workers share one record path, and rootstore and
+# pathbuild, whose sealed stores every builder reads without a lock.
+RACE_PKGS = ./internal/certmodel/... ./internal/rootstore/... ./internal/pathbuild/... ./internal/core/... ./internal/pipeline/... ./internal/run/... ./internal/difftest/... ./internal/parallel/... ./internal/experiments/... ./internal/study/... ./internal/population/... ./internal/faults/... ./internal/tlsserve/... ./internal/tlsscan/... ./internal/aia/... ./internal/obs/... ./internal/verdictcache/... ./internal/dist/... ./internal/chainserved/... ./internal/divfuzz/... ./internal/ledger/... ./internal/grid/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

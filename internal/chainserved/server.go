@@ -497,7 +497,7 @@ func (s *Server) compute(ctx context.Context, list []*certmodel.Certificate, dom
 	// bounded pool.
 	var t verdictTail
 	matrix, err := parallel.Map(ctx, s.cfg.Workers, core.Profiles, func(i int, p clients.Profile) ClientVerdict {
-		return ClientVerdict{Client: p.Name, Kind: p.Kind.String(), OK: g.Build(i, list, domain).OK()}
+		return ClientVerdict{Client: p.Name, Kind: p.Kind.String(), OK: g.Class(i, list, domain) == core.VerdictOK}
 	})
 	if err == nil {
 		// A cancelled fan-out leaves no matrix; the memo discards the

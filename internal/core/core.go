@@ -48,8 +48,10 @@ func (v VerdictClass) String() string {
 }
 
 // Classify maps an outcome onto its verdict class, mirroring how the paper
-// groups browser error messages.
-func Classify(out pathbuild.Outcome) VerdictClass {
+// groups browser error messages. It is VerdictOK exactly when out.OK().
+func Classify(out pathbuild.Outcome) VerdictClass { return classify(&out) }
+
+func classify(out *pathbuild.Outcome) VerdictClass {
 	if out.Err != nil {
 		return VerdictRejectedList
 	}

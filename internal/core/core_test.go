@@ -3,16 +3,19 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"chainchaos/internal/aia"
+	"chainchaos/internal/certgen"
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/pathbuild"
+	"chainchaos/internal/population"
 	"chainchaos/internal/revocation"
 	"chainchaos/internal/rootstore"
 )
@@ -352,5 +355,79 @@ func TestMemoConcurrentOneKey(t *testing.T) {
 	}
 	if got := cn["core.vcache.hits"] + cn["core.vcache.misses"]; got != n {
 		t.Errorf("lookups = %d, want %d", got, n)
+	}
+}
+
+// TestClassMatchesBuild: the verdict route, which reads each builder's
+// scratch, gives the class of the Outcome Build copies out, for every
+// profile, with and without hostname checks. The lists are a population
+// sample, each also reversed below the leaf, cut to the leaf, and padded
+// past GnuTLS's input limit, under the domain and under a wrong one; and
+// the Table 2 capability scenarios in their own trust contexts. Class and
+// Build alternate on the same Grader, so a Class that left scratch in a
+// state the next build reads would show.
+func TestClassMatchesBuild(t *testing.T) {
+	type grading struct {
+		trust  Trust
+		list   []*certmodel.Certificate
+		domain string
+	}
+	var cases []grading
+	pop := population.Generate(population.Config{Size: 150, Seed: 29})
+	popTrust := Trust{Roots: pop.Roots(), Vendors: pop.Vendors, Fetcher: pop.Repo, Now: pop.Cfg.Base}
+	for _, d := range pop.Domains {
+		list := d.List
+		reversed := append([]*certmodel.Certificate{list[0]}, list[1:]...)
+		slices.Reverse(reversed[1:])
+		padded := append([]*certmodel.Certificate(nil), list...)
+		for len(padded) <= 17 {
+			padded = append(padded, list[len(list)-1])
+		}
+		for _, l := range [][]*certmodel.Certificate{list, reversed, list[:1], padded} {
+			cases = append(cases, grading{popTrust, l, d.Name}, grading{popTrust, l, "wrong.invalid"})
+		}
+	}
+	set, err := clients.NewScenarioSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []*clients.Scenario{set.OrderReorganization, set.RedundancyElimination, set.AIACompletion,
+		set.Validity, set.KID, set.KeyUsage, set.BasicConstraints, set.SelfSigned} {
+		tr := Trust{Roots: sc.Roots, Fetcher: sc.Fetcher, Now: certgen.Reference}
+		cases = append(cases, grading{tr, sc.List, sc.Domain}, grading{tr, sc.List, "wrong.invalid"})
+	}
+
+	classes := map[VerdictClass]int{}
+	for _, hostname := range []bool{false, true} {
+		graders := map[*rootstore.Store]*Grader{}
+		for _, c := range cases {
+			g := graders[c.trust.Roots]
+			if g == nil {
+				tr := c.trust
+				tr.Hostname = hostname
+				g = tr.Grader()
+				graders[c.trust.Roots] = g
+			}
+			for i, p := range Profiles {
+				want := Classify(g.Build(i, c.list, c.domain))
+				if got := g.Class(i, c.list, c.domain); got != want {
+					t.Fatalf("hostname=%v %s on %d-entry list for %s: Class %v, Classify(Build) %v",
+						hostname, p.Name, len(c.list), c.domain, got, want)
+				}
+				if again := Classify(g.Build(i, c.list, c.domain)); again != want {
+					t.Fatalf("hostname=%v %s: Build after Class gives %v, before %v", hostname, p.Name, again, want)
+				}
+				classes[want]++
+			}
+		}
+	}
+	t.Logf("classes: %v", classes)
+	for v := VerdictOK; v <= VerdictOtherFailure; v++ {
+		if v == VerdictRevoked {
+			continue // no trust here carries a revocation list
+		}
+		if classes[v] == 0 {
+			t.Errorf("no grading was %v; classes seen: %v", v, classes)
+		}
 	}
 }

@@ -93,7 +93,9 @@ func (t Trust) Grader() *Grader {
 
 // Grader is one goroutine's grading state: the compliance analyzer and one
 // reusable builder per profile. Builds for different clients may run at the
-// same time; nothing else may.
+// same time; nothing else may. Class reads a verdict straight from the
+// builder's scratch and copies nothing out; Build returns the whole Outcome,
+// copied out, for callers that keep it.
 type Grader struct {
 	hostname bool
 	analyzer compliance.Analyzer
@@ -112,6 +114,16 @@ func (g *Grader) Build(i int, list []*certmodel.Certificate, domain string) path
 		domain = ""
 	}
 	return g.builders[i].Build(list, domain)
+}
+
+// Class returns client i's verdict class for the list: Classify of what
+// Build would return, without copying the Outcome out of the builder's
+// scratch.
+func (g *Grader) Class(i int, list []*certmodel.Certificate, domain string) VerdictClass {
+	if !g.hostname {
+		domain = ""
+	}
+	return classify(g.builders[i].BuildScratch(list, domain))
 }
 
 // Close publishes the builders' last batch of construction metrics.

@@ -47,6 +47,21 @@ func testRunner(mod int) RangeRunner {
 	}
 }
 
+// after runs runner once ready is closed. A fault test gives every worker
+// but the faulty one this runner, so the faulty worker is sure to hold a
+// lease: otherwise a fast worker can finish every lease before the faulty
+// one says hello, and the fault never happens.
+func after(ready <-chan struct{}, runner RangeRunner) RangeRunner {
+	return func(ctx context.Context, lo, hi int, emit func(rank int, line []byte) error) (map[string]int64, error) {
+		select {
+		case <-ready:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return runner(ctx, lo, hi, emit)
+	}
+}
+
 // expectOutput is the byte stream a single-process run over [resume, total)
 // would produce.
 func expectOutput(resume, total, mod int) string {
@@ -223,16 +238,18 @@ func TestByteIdentityNoLeak(t *testing.T) {
 // byte-identical.
 func TestWorkerDeathReassignsLease(t *testing.T) {
 	var killed atomic.Bool
+	died := make(chan struct{})
 	launcher := &pipeLauncher{}
 	launcher.setup = func(slot, spawn int) Setup {
 		return func(json.RawMessage) (RangeRunner, *obs.Registry, error) {
-			runner := testRunner(1)
+			runner := after(died, testRunner(1))
 			if slot == 0 && spawn == 0 {
 				// First instance of worker 0: die abruptly partway into the
 				// first lease, after some lines are already streamed.
 				return func(ctx context.Context, lo, hi int, emit func(int, []byte) error) (map[string]int64, error) {
 					for rank := lo; rank < hi; rank++ {
 						if rank-lo == 5 && killed.CompareAndSwap(false, true) {
+							close(died)
 							return nil, io.ErrUnexpectedEOF // Serve ends; wire closes without a done
 						}
 						if err := emit(rank, testLine(rank)); err != nil {
@@ -269,7 +286,7 @@ func TestWorkerDeathReassignsLease(t *testing.T) {
 // the lease is reassigned and the run completes byte-identically.
 func TestWedgedWorkerLeaseExpires(t *testing.T) {
 	clock := faults.NewFakeClock(time.Unix(0, 0))
-	granted := make(chan struct{}, 1)
+	granted := make(chan struct{})
 	var wedged atomic.Bool
 	launcher := &pipeLauncher{}
 	launcher.setup = func(slot, spawn int) Setup {
@@ -277,17 +294,14 @@ func TestWedgedWorkerLeaseExpires(t *testing.T) {
 			if slot == 0 && spawn == 0 {
 				return func(ctx context.Context, lo, hi int, emit func(int, []byte) error) (map[string]int64, error) {
 					if wedged.CompareAndSwap(false, true) {
-						select {
-						case granted <- struct{}{}:
-						default:
-						}
+						close(granted)
 						<-ctx.Done() // wedge until killed
 						return nil, ctx.Err()
 					}
 					return testRunner(1)(ctx, lo, hi, emit)
 				}, nil, nil
 			}
-			return testRunner(1), nil, nil
+			return after(granted, testRunner(1)), nil, nil
 		}
 	}
 	reg := obs.NewRegistry()

@@ -94,7 +94,7 @@ func (o *Oracle) Evaluate(list []*certmodel.Certificate) Vector {
 	}
 	v := make(Vector, len(core.Profiles))
 	for i := range v {
-		v[i] = core.Classify(o.g.Build(i, list, ""))
+		v[i] = o.g.Class(i, list, "")
 	}
 	if o.cache != nil {
 		o.cache.Put(key, v)

@@ -68,8 +68,10 @@ func (o Outcome) OK() bool { return o.Err == nil && o.Validation.OK }
 //
 // A Builder owns reusable construction scratch (candidate pool, pool index,
 // search stacks, the findings buffers attempts validate into, the Outcome
-// under construction), so calling Build repeatedly on one Builder allocates
-// only the Outcome's path and findings; the differential harness keeps one
+// under construction). BuildScratch returns that Outcome in place and,
+// on a reused Builder, allocates nothing unless a shortlist holds more
+// than eight candidates; Build copies out its path and findings, and
+// allocates only those besides. The differential harness keeps one
 // Builder per (shard, profile) for exactly this reason. A Builder is
 // therefore NOT safe for concurrent use —
 // share certificates and (sealed) stores across goroutines, not Builders.
@@ -202,32 +204,54 @@ func (b *Builder) searcher() *searcher {
 }
 
 // Build constructs and validates a path for the presented list. domain, when
-// non-empty, is checked against the leaf during validation.
+// non-empty, is checked against the leaf during validation. The Outcome is
+// the caller's: its path, findings and error are copies no later build
+// touches.
 func (b *Builder) Build(list []*certmodel.Certificate, domain string) Outcome {
-	out := b.build(list, domain)
-	b.metrics().record(&out)
+	out := *b.BuildScratch(list, domain)
+	out.Path = append([]*certmodel.Certificate(nil), out.Path...)
+	if len(out.Validation.Findings) > 0 {
+		out.Validation.Findings = append([]validate.Finding(nil), out.Validation.Findings...)
+	}
+	if e, ok := out.Err.(*limitError); ok {
+		own := *e
+		out.Err = &own
+	}
 	return out
 }
 
-func (b *Builder) build(list []*certmodel.Certificate, domain string) Outcome {
-	if len(list) == 0 {
-		return Outcome{Err: ErrEmptyList}
-	}
-	if b.Policy.MaxInputList > 0 && len(list) > b.Policy.MaxInputList {
-		return Outcome{Err: &limitError{ErrInputListTooLong, len(list), b.Policy.MaxInputList}}
-	}
-
-	leaf := list[0]
-	if leaf.SelfSigned() && !b.Policy.AllowSelfSignedLeaf {
-		return Outcome{Err: ErrSelfSignedLeaf}
-	}
-
-	search := b.searcher()
-	search.begin(list, domain)
-	search.run(leaf)
-	out := search.out
-	search.out = Outcome{} // the caller owns the path and findings now
+// BuildScratch is Build without the copy: the Outcome, its path, findings
+// and error are the builder's scratch, valid only until the builder's next
+// build. It records the same metrics as Build. Callers that read a verdict
+// and keep nothing of the Outcome use it.
+func (b *Builder) BuildScratch(list []*certmodel.Certificate, domain string) *Outcome {
+	out := b.build(list, domain)
+	b.metrics().record(out)
 	return out
+}
+
+func (b *Builder) build(list []*certmodel.Certificate, domain string) *Outcome {
+	s := b.searcher()
+	s.out = Outcome{}
+	switch {
+	case len(list) == 0:
+		s.out.Err = ErrEmptyList
+	case b.Policy.MaxInputList > 0 && len(list) > b.Policy.MaxInputList:
+		s.refuse(ErrInputListTooLong, len(list), b.Policy.MaxInputList)
+	case list[0].SelfSigned() && !b.Policy.AllowSelfSignedLeaf:
+		s.out.Err = ErrSelfSignedLeaf
+	default:
+		s.begin(list, domain)
+		s.run(list[0])
+	}
+	return &s.out
+}
+
+// refuse reports a construction error that names a limit, rendered from
+// the searcher's own limitError.
+func (s *searcher) refuse(sentinel error, got, limit int) {
+	s.limit = limitError{sentinel, got, limit}
+	s.out.Err = &s.limit
 }
 
 // limitError is a construction error that names a limit. It renders the
@@ -321,9 +345,11 @@ type searcher struct {
 	// used tracks the path. Shorter lists scan the pool and the path instead.
 	indexed bool
 
-	// out is the Outcome under construction; Build returns it by value.
-	// Its Path and Findings are always fresh copies, never scratch.
-	out Outcome
+	// out is the Outcome under construction. BuildScratch returns it in
+	// place; its Path and Findings are scratch buffers below, and a limit
+	// error points at limit.
+	out   Outcome
+	limit limitError
 
 	// Reusable scratch.
 
@@ -361,12 +387,11 @@ type searcher struct {
 	done bool
 }
 
-// begin resets the searcher for a new Build call: per-call results are
-// zeroed, the candidate pool is rebuilt into the reusable buffers, and, for
-// a list longer than scanMax, the pool index is rewired.
+// begin resets the searcher for a new search: the candidate pool is
+// rebuilt into the reusable buffers, and, for a list longer than scanMax,
+// the pool index is rewired.
 func (s *searcher) begin(list []*certmodel.Certificate, domain string) {
 	s.domain = domain
-	s.out = Outcome{}
 	s.maxTry = s.builder.Policy.MaxAttempts
 	if s.maxTry <= 0 {
 		s.maxTry = defaultMaxAttempts
@@ -427,14 +452,12 @@ func (s *searcher) run(leaf *certmodel.Certificate) {
 		return
 	}
 	if s.builder.Policy.MaxPathLen > 0 {
-		s.out.Err = &limitError{ErrPathTooLong, -1, s.builder.Policy.MaxPathLen}
+		s.refuse(ErrPathTooLong, -1, s.builder.Policy.MaxPathLen)
 	}
 }
 
 // finish validates a complete candidate path into scratch and records it.
-// It returns true when the search should stop. Only the attempt Build
-// reports is copied out: the live path and the findings buffer are
-// builder-owned scratch and must never escape.
+// It returns true when the search should stop.
 func (s *searcher) finish(path []*certmodel.Certificate) bool {
 	s.out.PathsTried++
 	res := validate.PathInto(s.findings, path, validate.Options{
@@ -460,13 +483,15 @@ func (s *searcher) finish(path []*certmodel.Certificate) bool {
 	return false
 }
 
-// report copies an attempt out of scratch into the Outcome: the path, and
-// the findings when there are any, so a valid path keeps nil findings.
+// report makes an attempt the Outcome's, in place: its path, and its
+// findings when there are any, so a valid path keeps nil findings. The
+// path is the search stack or firstPath, and no certificate is pushed
+// after the search stops, so the path stays intact until the next build.
 func (s *searcher) report(path []*certmodel.Certificate, res validate.Result) {
-	s.out.Path = append([]*certmodel.Certificate(nil), path...)
+	s.out.Path = path
 	s.out.Validation = validate.Result{OK: res.OK}
 	if len(res.Findings) > 0 {
-		s.out.Validation.Findings = append([]validate.Finding(nil), res.Findings...)
+		s.out.Validation.Findings = res.Findings
 	}
 }
 
@@ -496,7 +521,9 @@ func (s *searcher) effectiveLengthOK(path []*certmodel.Certificate) bool {
 // extend grows s.path upward from its last certificate. lastPos is the
 // list position of the most recently consumed in-list certificate, used by
 // forward-only (non-reordering) policies. The path stack is pushed/popped in
-// place; finish copies whatever escapes into the Outcome.
+// place. The reported attempt stays where it is, in s.path or firstPath:
+// nothing is pushed once s.done is set, so it is intact until the next
+// build, and only Build copies it out.
 func (s *searcher) extend(lastPos int) {
 	if s.done {
 		return
@@ -514,7 +541,7 @@ func (s *searcher) extend(lastPos int) {
 
 	tried := false
 	for i := range cands {
-		cand := cands[i]
+		cand := &cands[i]
 		if s.done {
 			return
 		}

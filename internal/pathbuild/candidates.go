@@ -9,7 +9,7 @@ import (
 
 // candSource identifies where a candidate issuer came from; lower values are
 // preferred when the same certificate is reachable several ways.
-type candSource int
+type candSource uint8
 
 const (
 	sourceRoots candSource = iota
@@ -18,71 +18,53 @@ const (
 	sourceAIA
 )
 
-// candidate is one potential issuer of the current certificate.
+// candidate is one potential issuer of the current certificate. It carries
+// no priority key: most shortlists hold one candidate, and a key is
+// computed only for a shortlist with rivals (see rankCandidates).
 type candidate struct {
 	cert   *certmodel.Certificate
-	pos    int // original list position; -1 for out-of-list sources
+	pos    int32 // original list position; -1 for out-of-list sources
 	source candSource
 	// terminal marks trust-store candidates: appending one completes the
 	// path even if the certificate is not self-signed (cross-signed roots).
 	terminal bool
-
-	rank rank
 }
 
 // nextLastPos computes the forward-only cursor after consuming this
 // candidate: in-list candidates advance it, out-of-list ones leave it.
-func (c candidate) nextLastPos(lastPos int) int {
-	if c.source == sourceList && c.pos > lastPos {
-		return c.pos
+func (c *candidate) nextLastPos(lastPos int) int {
+	if c.source == sourceList && int(c.pos) > lastPos {
+		return int(c.pos)
 	}
 	return lastPos
 }
 
-// rank is the composite priority key. Fields are compared in order; smaller
-// wins. The precedence — KID agreement, KeyUsage, Basic Constraints, trust
-// anchor preference, validity, presented position — follows the empirical
-// ordering observed in Chromium (§3.2: KID match first, self-signed next,
-// validity last), with each component collapsing to zero when the policy
-// disables it.
-type rank struct {
-	kid      int
-	keyUsage int
-	basic    int
-	trusted  int
-	validity validityKey
-	pos      int
-}
-
-type validityKey struct {
-	invalid  int   // 0 = valid at build time
-	recency  int64 // negated NotBefore (VP2 only)
+// rankKey is a candidate's composite priority key; smaller wins. The
+// precedence — KID agreement, KeyUsage, Basic Constraints, trust anchor
+// preference, validity, recency, validity span, presented position —
+// follows the empirical ordering observed in Chromium (§3.2: KID match
+// first, self-signed next, validity last), with each component collapsing
+// to zero when the policy disables it. The five small components are
+// packed into flags, most significant first, so one comparison orders
+// them as comparing them one by one would.
+type rankKey struct {
+	flags    uint32 // kid<<4 | keyUsage<<3 | basic<<2 | trusted<<1 | invalid
+	pos      int32
+	recency  int64 // negated NotBefore in Unix seconds (VP2 only)
 	duration int64 // negated validity span (VP2 only)
 }
 
-func (r rank) less(o rank) bool {
-	if r.kid != o.kid {
-		return r.kid < o.kid
+func (k *rankKey) less(o *rankKey) bool {
+	if k.flags != o.flags {
+		return k.flags < o.flags
 	}
-	if r.keyUsage != o.keyUsage {
-		return r.keyUsage < o.keyUsage
+	if k.recency != o.recency {
+		return k.recency < o.recency
 	}
-	if r.basic != o.basic {
-		return r.basic < o.basic
+	if k.duration != o.duration {
+		return k.duration < o.duration
 	}
-	if r.trusted != o.trusted {
-		return r.trusted < o.trusted
-	}
-	if r.validity.invalid != o.validity.invalid {
-		return r.validity.invalid < o.validity.invalid
-	}
-	if r.validity.recency != o.validity.recency {
-		return r.validity.recency < o.validity.recency
-	}
-	if r.validity.duration != o.validity.duration {
-		return r.validity.duration < o.validity.duration
-	}
-	return r.pos < o.pos
+	return k.pos < o.pos
 }
 
 // kidStatus classifies the AKID/SKID agreement between child and candidate
@@ -182,7 +164,7 @@ func (s *searcher) addCandidate(cands []candidate, current, cert *certmodel.Cert
 			return cands
 		}
 	}
-	return append(cands, candidate{cert: cert, pos: pos, source: source, terminal: terminal})
+	return append(cands, candidate{cert: cert, pos: int32(pos), source: source, terminal: terminal})
 }
 
 // candBuf returns the reusable candidate buffer for a search depth, length
@@ -252,10 +234,7 @@ func (s *searcher) collectCandidates(current *certmodel.Certificate, lastPos, de
 		}
 	}
 
-	for i := range cands {
-		cands[i].rank = s.rankCandidate(current, cands[i], depth)
-	}
-	sortCandidates(cands)
+	s.rankCandidates(current, cands, depth)
 	s.candStack[depth] = cands
 	return cands
 }
@@ -263,7 +242,8 @@ func (s *searcher) collectCandidates(current *certmodel.Certificate, lastPos, de
 // indexedListCandidates appends the pool entries the index links to
 // current. The subject chain is visited before the SKID chain, so the
 // shortlist is not in pool order until it is ranked: the position, the
-// ranking's last key, orders it as a scan would. CandidatesConsidered keeps
+// ranking's last key, orders it as a scan would. (A lone candidate needs
+// no order.) CandidatesConsidered keeps
 // the sequential-scan semantics —
 // every pool entry a front-to-back scanner would visit counts, whether or
 // not the index touches it: reordering policies scan the whole pool,
@@ -306,36 +286,48 @@ func (s *searcher) indexedListCandidates(cands []candidate, current *certmodel.C
 	return cands
 }
 
-// sortCandidates orders the shortlist by rank, keeping equal ranks in
-// collection order. A shortlist holds a handful of issuers, so an insertion
-// sort suffices, and unlike sort.SliceStable it allocates nothing.
-func sortCandidates(cands []candidate) {
+// rankCandidates orders a shortlist of two or more candidates by rankKey,
+// keeping equal keys in collection order; a shorter one is left as it is.
+// A shortlist holds a handful of issuers, so the keys go in a stack buffer
+// (append moves them to the heap only past eight) and an insertion sort
+// orders keys and candidates in tandem, where sort.SliceStable would
+// allocate on every call.
+func (s *searcher) rankCandidates(current *certmodel.Certificate, cands []candidate, depth int) {
+	if len(cands) < 2 {
+		return
+	}
+	var local [8]rankKey
+	keys := local[:0]
+	for i := range cands {
+		keys = append(keys, s.priority(current, &cands[i], depth))
+	}
 	for i := 1; i < len(cands); i++ {
-		c := cands[i]
+		c, k := cands[i], keys[i]
 		j := i
-		for ; j > 0 && c.rank.less(cands[j-1].rank); j-- {
-			cands[j] = cands[j-1]
+		for ; j > 0 && k.less(&keys[j-1]); j-- {
+			cands[j], keys[j] = cands[j-1], keys[j-1]
 		}
-		cands[j] = c
+		cands[j], keys[j] = c, k
 	}
 }
 
-// rankCandidate computes the policy-dependent priority key.
-func (s *searcher) rankCandidate(current *certmodel.Certificate, cand candidate, depth int) rank {
+// priority computes the policy-dependent rankKey of cand, which would sit
+// at path index depth.
+func (s *searcher) priority(current *certmodel.Certificate, cand *candidate, depth int) rankKey {
 	b := s.builder
-	var r rank
+	var kid, keyUsage, basic, trusted, invalid uint32
 
 	switch b.Policy.KIDPref {
 	case KIDMatchFirst:
-		r.kid = kidStatus(cand.cert, current)
+		kid = uint32(kidStatus(cand.cert, current))
 	case KIDMatchOrAbsentFirst:
 		if kidStatus(cand.cert, current) == 2 {
-			r.kid = 1
+			kid = 1
 		}
 	}
 
 	if b.Policy.KeyUsagePref && !cand.cert.CanSignCertificates() {
-		r.keyUsage = 1
+		keyUsage = 1
 	}
 
 	if b.Policy.BasicConstraintsPref {
@@ -346,36 +338,34 @@ func (s *searcher) rankCandidate(current *certmodel.Certificate, cand candidate,
 			ok = cand.cert.MaxPathLen >= depth-1
 		}
 		if !ok {
-			r.basic = 1
+			basic = 1
 		}
 	}
 
-	if b.Policy.PreferTrustedRoot {
-		trusted := cand.terminal || cand.cert.SelfSigned()
-		if !trusted {
-			r.trusted = 1
-		}
+	if b.Policy.PreferTrustedRoot && !cand.terminal && !cand.cert.SelfSigned() {
+		trusted = 1
 	}
 
+	var k rankKey
 	switch b.Policy.ValidityPref {
 	case ValidityFirstValid:
 		if !b.Now.IsZero() && !cand.cert.ValidAt(b.Now) {
-			r.validity.invalid = 1
+			invalid = 1
 		}
 	case ValidityMostRecent:
 		if !b.Now.IsZero() && !cand.cert.ValidAt(b.Now) {
-			r.validity.invalid = 1
+			invalid = 1
 		}
-		r.validity.recency = -cand.cert.NotBefore.Unix()
-		r.validity.duration = -int64(cand.cert.NotAfter.Sub(cand.cert.NotBefore))
+		k.recency = -cand.cert.NotBefore.Unix()
+		k.duration = -int64(cand.cert.NotAfter.Sub(cand.cert.NotBefore))
 	}
+	k.flags = kid<<4 | keyUsage<<3 | basic<<2 | trusted<<1 | invalid
 
-	if cand.pos >= 0 {
-		r.pos = cand.pos
-	} else {
+	k.pos = cand.pos
+	if cand.pos < 0 {
 		// Out-of-list sources sort after in-list candidates of equal
 		// priority, in source order.
-		r.pos = len(s.pool) + int(cand.source)
+		k.pos = int32(len(s.pool)) + int32(cand.source)
 	}
-	return r
+	return k
 }

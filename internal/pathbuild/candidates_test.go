@@ -44,60 +44,85 @@ func TestKIDStatus(t *testing.T) {
 	}
 }
 
-func randomRank(r *rand.Rand) rank {
-	return rank{
-		kid:      r.Intn(3),
-		keyUsage: r.Intn(2),
-		basic:    r.Intn(2),
-		trusted:  r.Intn(2),
-		validity: validityKey{
-			invalid:  r.Intn(2),
-			recency:  int64(r.Intn(5)),
-			duration: int64(r.Intn(5)),
-		},
-		pos: r.Intn(8),
+// randomKey draws a rankKey from small component ranges, so draws often
+// tie on some components and differ on later ones.
+func randomKey(r *rand.Rand) rankKey {
+	return keyOf(r.Intn(3), r.Intn(2), r.Intn(2), r.Intn(2), r.Intn(2),
+		int64(r.Intn(5)), int64(r.Intn(5)), r.Intn(8))
+}
+
+// keyOf packs the components of a reference rank into a rankKey.
+func keyOf(kid, keyUsage, basic, trusted, invalid int, recency, duration int64, pos int) rankKey {
+	return rankKey{
+		flags:    uint32(kid<<4 | keyUsage<<3 | basic<<2 | trusted<<1 | invalid),
+		recency:  recency,
+		duration: duration,
+		pos:      int32(pos),
 	}
 }
 
-// TestQuickRankStrictWeakOrder: less() must be irreflexive, asymmetric and
-// transitive — otherwise sort.SliceStable's behaviour is undefined and
-// candidate priority becomes nondeterministic.
+// TestQuickRankStrictWeakOrder: rankKey.less must be a strict weak order —
+// irreflexive, asymmetric and transitive, with transitive equivalence
+// (neither less) — or the insertion sort's result would depend on the
+// order candidates were collected in beyond ties. It must also order
+// packed keys as the reference rank orders their components.
 func TestQuickRankStrictWeakOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b, c := randomRank(r), randomRank(r), randomRank(r)
-		if a.less(a) {
+		a, b, c := randomKey(r), randomKey(r), randomKey(r)
+		if a.less(&a) {
 			return false
 		}
-		if a.less(b) && b.less(a) {
+		if a.less(&b) && b.less(&a) {
 			return false
 		}
-		if a.less(b) && b.less(c) && !a.less(c) {
+		if a.less(&b) && b.less(&c) && !a.less(&c) {
 			return false
 		}
-		// Totality on distinct ranks: equal-compare means neither less.
-		if !a.less(b) && !b.less(a) && !a.less(c) && !c.less(a) && (b.less(c) != (!c.less(b) && (b != c))) {
-			// Weak consistency check only; exact equivalence classes are
-			// allowed to tie.
-			_ = c
+		equiv := func(x, y rankKey) bool { return !x.less(&y) && !y.less(&x) }
+		if equiv(a, b) && equiv(b, c) && !equiv(a, c) {
+			return false
 		}
-		return true
+		return a.less(&b) == refRank(a).less(refRank(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
+// refRank unpacks a rankKey into the reference rank.
+func refRank(k rankKey) rank {
+	return rank{
+		kid: int(k.flags >> 4), keyUsage: int(k.flags >> 3 & 1), basic: int(k.flags >> 2 & 1),
+		trusted:  int(k.flags >> 1 & 1),
+		validity: validityKey{invalid: int(k.flags & 1), recency: k.recency, duration: k.duration},
+		pos:      int(k.pos),
+	}
+}
+
 func TestRankPrecedence(t *testing.T) {
-	// KID outranks everything below it; position is the final tiebreak.
-	better := rank{kid: 0, keyUsage: 1, basic: 1, trusted: 1, validity: validityKey{invalid: 1}, pos: 9}
-	worse := rank{kid: 1, keyUsage: 0, basic: 0, trusted: 0, validity: validityKey{}, pos: 0}
-	if !better.less(worse) {
+	// Each component outranks every component below it; position is the
+	// final tiebreak.
+	better := keyOf(0, 1, 1, 1, 1, 9, 9, 9)
+	worse := keyOf(1, 0, 0, 0, 0, 0, 0, 0)
+	if !better.less(&worse) {
 		t.Error("KID rank must dominate")
 	}
-	a := rank{pos: 1}
-	b := rank{pos: 2}
-	if !a.less(b) || b.less(a) {
+	for i, pair := range [][2]rankKey{
+		{keyOf(0, 0, 1, 1, 1, 9, 9, 9), keyOf(0, 1, 0, 0, 0, 0, 0, 0)},
+		{keyOf(0, 0, 0, 1, 1, 9, 9, 9), keyOf(0, 0, 1, 0, 0, 0, 0, 0)},
+		{keyOf(0, 0, 0, 0, 1, 9, 9, 9), keyOf(0, 0, 0, 1, 0, 0, 0, 0)},
+		{keyOf(0, 0, 0, 0, 0, 9, 9, 9), keyOf(0, 0, 0, 0, 1, 0, 0, 0)},
+		{keyOf(0, 0, 0, 0, 0, -1, 9, 9), keyOf(0, 0, 0, 0, 0, 0, 0, 0)},
+		{keyOf(0, 0, 0, 0, 0, 0, -1, 9), keyOf(0, 0, 0, 0, 0, 0, 0, 0)},
+	} {
+		if !pair[0].less(&pair[1]) || pair[1].less(&pair[0]) {
+			t.Errorf("component %d does not outrank the components below it", i+1)
+		}
+	}
+	a := keyOf(0, 0, 0, 0, 0, 0, 0, 1)
+	b := keyOf(0, 0, 0, 0, 0, 0, 0, 2)
+	if !a.less(&b) || b.less(&a) {
 		t.Error("position tiebreak wrong")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"chainchaos/internal/certmodel"
@@ -90,9 +89,9 @@ func oraclePolicies() []Policy {
 }
 
 // linearCollectOracle reimplements candidate collection as a plain
-// sequential scan: fresh seen maps, full front-to-back pool walk, then
-// ranking with sort.SliceStable. It is the test oracle for collectCandidates
-// in both its scanned and its indexed mode.
+// sequential scan: fresh seen maps, full front-to-back pool walk, then a
+// stable sort by the reference rank (rank_test.go). It is the test oracle
+// for collectCandidates in both its scanned and its indexed mode.
 func linearCollectOracle(s *searcher, current *certmodel.Certificate, lastPos, depth int) ([]candidate, int) {
 	b := s.builder
 	var cands []candidate
@@ -123,7 +122,7 @@ func linearCollectOracle(s *searcher, current *certmodel.Certificate, lastPos, d
 			}
 		}
 		seen[fp] = true
-		cands = append(cands, candidate{cert: cert, pos: pos, source: source, terminal: terminal})
+		cands = append(cands, candidate{cert: cert, pos: int32(pos), source: source, terminal: terminal})
 	}
 
 	if b.Roots != nil {
@@ -145,20 +144,16 @@ func linearCollectOracle(s *searcher, current *certmodel.Certificate, lastPos, d
 			add(cached, -1, sourceCache, false)
 		}
 	}
-	for i := range cands {
-		cands[i].rank = s.rankCandidate(current, cands[i], depth)
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].rank.less(cands[j].rank) })
-	return cands, considered
+	return referenceOrder(s, current, cands, depth), considered
 }
 
 // TestCandidateCollectionOracle: on every Figure 2/3/4 topology — lists the
 // searcher scans and one it indexes — under every policy family, for every
 // path tip and forward-only cursor, collectCandidates must return the same
-// ranked slice, and account the same CandidatesConsidered, as the plain
-// sequential scan. The path holds the leaf and a bit-identical copy of the
-// list's second certificate under another pointer, which must still count
-// as on the path.
+// shortlist in the same order, and account the same CandidatesConsidered,
+// as the plain sequential scan ranked by the reference. The path holds the
+// leaf and a bit-identical copy of the list's second certificate under
+// another pointer, which must still count as on the path.
 func TestCandidateCollectionOracle(t *testing.T) {
 	modes := map[bool]int{}
 	for _, pol := range oraclePolicies() {
@@ -186,11 +181,11 @@ func TestCandidateCollectionOracle(t *testing.T) {
 					}
 					for i := range got {
 						g, w := got[i], want[i]
-						if g.cert != w.cert || g.pos != w.pos || g.source != w.source || g.terminal != w.terminal || g.rank != w.rank {
-							t.Fatalf("%s: candidate %d = {%s pos=%d src=%d term=%v %+v}, linear scan {%s pos=%d src=%d term=%v %+v}",
+						if g.cert != w.cert || g.pos != w.pos || g.source != w.source || g.terminal != w.terminal {
+							t.Fatalf("%s: candidate %d = {%s pos=%d src=%d term=%v}, linear scan {%s pos=%d src=%d term=%v}",
 								label, i,
-								g.cert.Subject.CommonName, g.pos, g.source, g.terminal, g.rank,
-								w.cert.Subject.CommonName, w.pos, w.source, w.terminal, w.rank)
+								g.cert.Subject.CommonName, g.pos, g.source, g.terminal,
+								w.cert.Subject.CommonName, w.pos, w.source, w.terminal)
 						}
 					}
 				}
@@ -289,6 +284,10 @@ func TestScratchReuseMatchesFreshBuilder(t *testing.T) {
 				got := reused.Build(tc.list, "")
 				fresh := &Builder{Policy: pol, Roots: tc.roots, Now: base.AddDate(0, 1, 0)}
 				want := fresh.Build(tc.list, "")
+				if view := reused.BuildScratch(tc.list, ""); !outcomesEqual(*view, want) {
+					t.Errorf("%s/%s round %d: BuildScratch outcome diverges from Build: path=%d ok=%v cand=%d tried=%d err=%v",
+						pol.Name, tc.name, round, len(view.Path), view.Validation.OK, view.CandidatesConsidered, view.PathsTried, view.Err)
+				}
 				if !outcomesEqual(got, want) {
 					t.Errorf("%s/%s round %d: reused builder outcome diverges from fresh builder\nreused: path=%d ok=%v cand=%d tried=%d err=%v\nfresh:  path=%d ok=%v cand=%d tried=%d err=%v",
 						pol.Name, tc.name, round,
@@ -306,6 +305,8 @@ func TestScratchReuseMatchesFreshBuilder(t *testing.T) {
 // untrusted finding adds the findings slice, whose text is rendered only
 // when read: 2 in all. So does a backtracking build whose every attempt
 // fails, which keeps its first attempt in scratch until it reports it.
+// BuildScratch, which copies nothing out, allocates nothing in any of
+// these cases, nor when it refuses a list over the input limit.
 func TestBuildAllocs(t *testing.T) {
 	for _, pol := range oraclePolicies() {
 		topologies := figureTopologies(pol.Name + "-allocs")
@@ -332,6 +333,9 @@ func TestBuildAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(50, func() { b.Build(tc.list, "") })
 			label := fmt.Sprintf("%s/%s (%d entries, %d tried)", pol.Name, tc.name, len(tc.list), out.PathsTried)
 			t.Logf("%s: %.0f allocations", label, allocs)
+			if scratch := testing.AllocsPerRun(50, func() { b.BuildScratch(tc.list, "") }); scratch != 0 {
+				t.Errorf("%s: BuildScratch allocates %.1f times, want 0", label, scratch)
+			}
 			if out.PathsTried > 1 && !out.OK() {
 				seen["backtracked"]++
 			}
@@ -356,6 +360,20 @@ func TestBuildAllocs(t *testing.T) {
 		if pol.Backtrack && seen["backtracked"] == 0 {
 			t.Fatalf("%s: no build tried a second path and failed; want one", pol.Name)
 		}
+	}
+
+	// A refused list: Build copies its limit error out, BuildScratch
+	// points at the searcher's own.
+	limited := &Builder{Policy: Policy{Name: "limited", Reorder: true, MaxInputList: 2}}
+	list := figureTopologies("allocs-limit")[0].list
+	if out := limited.Build(list, ""); !errors.Is(out.Err, ErrInputListTooLong) {
+		t.Fatalf("limited build: err = %v, want ErrInputListTooLong", out.Err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { limited.Build(list, "") }); allocs != 1 {
+		t.Errorf("refused Build allocates %.1f times, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { limited.BuildScratch(list, "") }); allocs != 0 {
+		t.Errorf("refused BuildScratch allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -393,7 +411,10 @@ func TestBuildOutcomePathIsIndependent(t *testing.T) {
 // so an Outcome must copy out its path and findings. Every failing Outcome
 // (a wrong domain, an untrusted path, a backtracking build whose every
 // attempt fails) must read the same path, findings and rendered text after
-// the same Builder has built every topology under other domains and stores.
+// the same Builder has built every topology under other domains and stores,
+// through Build and through BuildScratch, whose outcomes live in the very
+// scratch the earlier ones were copied out of. A refused list's error must
+// survive too.
 func TestOutcomeSurvivesLaterBuilds(t *testing.T) {
 	type snapshot struct {
 		path     []certmodel.FP
@@ -415,7 +436,7 @@ func TestOutcomeSurvivesLaterBuilds(t *testing.T) {
 		b := &Builder{Policy: pol, Now: base.AddDate(0, 1, 0)}
 		var outs []Outcome
 		var snaps []snapshot
-		for _, tc := range topologies {
+		for i, tc := range topologies {
 			for _, roots := range []*rootstore.Store{tc.roots, empty} {
 				b.Roots = roots
 				out := b.Build(tc.list, "first.invalid")
@@ -424,19 +445,35 @@ func TestOutcomeSurvivesLaterBuilds(t *testing.T) {
 				}
 				outs = append(outs, out)
 				snaps = append(snaps, take(out))
+				next := topologies[(i+1)%len(topologies)]
+				b.BuildScratch(next.list, "between.invalid")
 			}
 		}
+		// The refused list is fig3-long, 16 entries; the later refusals
+		// name other lengths, so a refusal still pointing at scratch
+		// would read differently.
+		limited := &Builder{Policy: pol, Now: b.Now}
+		limited.Policy.MaxInputList = 2
+		refused := limited.Build(topologies[4].list, "")
+		refusal := refused.Err.Error()
 		for _, tc := range topologies {
 			for _, roots := range []*rootstore.Store{tc.roots, empty} {
 				b.Roots = roots
 				b.Build(tc.list, "")
+				b.BuildScratch(tc.list, "scratch.invalid")
 				b.Build(tc.list, "later.invalid")
+				b.BuildScratch(tc.list, "")
 			}
+			limited.BuildScratch(tc.list, "")
+			limited.BuildScratch(tc.list[:1], "")
 		}
 		for i, out := range outs {
 			if got := take(out); !reflect.DeepEqual(got, snaps[i]) {
 				t.Errorf("%s: outcome %d changed after later builds:\nbefore %v\nafter  %v", pol.Name, i, snaps[i], got)
 			}
+		}
+		if got := refused.Err.Error(); got != refusal {
+			t.Errorf("%s: refusal %q changed after later builds to %q", pol.Name, refusal, got)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func (s *searcher) recordStep(current *certmodel.Certificate, depth int, cands [
 			Subject:  c.cert.Subject,
 			Serial:   c.cert.SerialNumber,
 			Source:   sourceName(c.source),
-			Position: c.pos,
+			Position: int(c.pos),
 			Chosen:   i == 0,
 		})
 	}

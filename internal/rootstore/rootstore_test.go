@@ -1,6 +1,7 @@
 package rootstore
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -157,5 +158,50 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 8 {
 		t.Errorf("len = %d, want 8", s.Len())
+	}
+
+	// A sealed store, large enough to have rebuilt its index several
+	// times, read lock-free by 8 goroutines through every lookup.
+	sealed := New("conc-sealed")
+	var roots, children []*certmodel.Certificate
+	for i := 0; i < 40; i++ {
+		r := certmodel.SyntheticRoot(fmt.Sprintf("RS Sealed %d", i), base)
+		roots = append(roots, r)
+		children = append(children, certmodel.SyntheticIntermediate(fmt.Sprintf("RS Sealed CA %d", i), r, base))
+		sealed.Add(r)
+	}
+	sealed.Seal()
+	stranger := certmodel.SyntheticIntermediate("RS Sealed Stranger", certmodel.SyntheticRoot("RS Unsealed", base), base)
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]*certmodel.Certificate, 0, 2)
+			for j := 0; j < 50; j++ {
+				i := (g*7 + j) % len(roots)
+				buf = sealed.AppendIssuers(buf[:0], children[i])
+				switch {
+				case len(buf) != 1 || buf[0] != roots[i]:
+					errs <- fmt.Errorf("AppendIssuers(child %d) = %v", i, buf)
+				case !sealed.HasIssuer(children[i]) || sealed.HasIssuer(stranger):
+					errs <- fmt.Errorf("HasIssuer wrong for child %d", i)
+				case !sealed.Contains(roots[i]) || sealed.Contains(children[i]):
+					errs <- fmt.Errorf("Contains wrong for root %d", i)
+				case len(sealed.FindBySKID(roots[i].SubjectKeyID)) != 1:
+					errs <- fmt.Errorf("FindBySKID(root %d) = %v", i, sealed.FindBySKID(roots[i].SubjectKeyID))
+				case len(sealed.All()) != len(roots):
+					errs <- fmt.Errorf("All holds %d roots", len(sealed.All()))
+				default:
+					continue
+				}
+				return
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -457,7 +457,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 					rep := gr.Analyze(sc.list, domain)
 					verdicts := make(map[string]bool, len(core.Profiles))
 					for i, p := range core.Profiles {
-						verdicts[p.Name] = gr.Build(i, sc.list, domain).OK()
+						verdicts[p.Name] = gr.Class(i, sc.list, domain) == core.VerdictOK
 					}
 					return rep, verdicts
 				})
