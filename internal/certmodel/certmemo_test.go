@@ -97,3 +97,16 @@ func TestCertMemoRepeatedBlock(t *testing.T) {
 		t.Fatalf("repeated block parsed to %v", got)
 	}
 }
+
+// TestCertMemoHitAllocs: a bundle of canonical blocks whose certificates the
+// memo holds allocates only its result slice.
+func TestCertMemoHitAllocs(t *testing.T) {
+	bundle := pemOf(t, selfSignedDER(t, 1), selfSignedDER(t, 2), selfSignedDER(t, 3))
+	var memo CertMemo
+	if _, err := memo.ParsePEMBundle(bundle); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { memo.ParsePEMBundle(bundle) }); allocs != 1 {
+		t.Errorf("a bundle of three memo hits allocates %.0f times, want 1", allocs)
+	}
+}

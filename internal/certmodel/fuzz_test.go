@@ -9,7 +9,10 @@ import (
 // successful parses must yield internally consistent certificates, and a
 // DER memo must change nothing: the input parsed without a memo and twice
 // through one memo (a parse, then hits) gives the same error text, or the
-// same certificates, position by position.
+// same certificates, position by position. The memo decodes blocks in
+// pem.EncodeToMemory's form itself and leaves the rest to pem.Decode, so the
+// seeds sit on both sides of that form; its certificates must not alias the
+// input, which is overwritten after each parse.
 func FuzzParsePEMBundle(f *testing.F) {
 	f.Add([]byte("-----BEGIN CERTIFICATE-----\nAAAA\n-----END CERTIFICATE-----\n"))
 	f.Add([]byte("not pem"))
@@ -19,11 +22,22 @@ func FuzzParsePEMBundle(f *testing.F) {
 	f.Add(one)
 	f.Add(append(append(append([]byte{}, one...), other...), one...))
 	f.Add(append(append([]byte{}, one...), "-----BEGIN CERTIFICATE-----\nAAAA\n-----END CERTIFICATE-----\n"...))
+	crlf := bytes.ReplaceAll(other, []byte("\n"), []byte("\r\n"))
+	f.Add(crlf)
+	f.Add(bytes.Replace(one, []byte("-----END CERTIFICATE-----"), []byte("-----END CERTIFICATE-----  "), 1))
+	f.Add(one[:len(one)-1])
+	padded := bytes.Clone(one)
+	padded[len(pemCertBegin)+1+10] = '='
+	f.Add(padded)
+	f.Add([]byte("-----BEGIN CERTIFICATE-----\nAAA\n-----END CERTIFICATE-----\n"))
+	f.Add(append(append([]byte{}, one...), crlf...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		certs, err := ParsePEMBundle(data)
 		var memo CertMemo
 		for round := 0; round < 2; round++ {
-			got, gotErr := memo.ParsePEMBundle(data)
+			input := bytes.Clone(data)
+			got, gotErr := memo.ParsePEMBundle(input)
+			clear(input)
 			if (err == nil) != (gotErr == nil) || (err != nil && err.Error() != gotErr.Error()) {
 				t.Fatalf("memo round %d: err %v, without the memo %v", round, gotErr, err)
 			}

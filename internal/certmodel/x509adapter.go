@@ -1,6 +1,7 @@
 package certmodel
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/pem"
@@ -99,10 +100,27 @@ func ParsePEMBundle(data []byte) ([]*Certificate, error) {
 
 // ParsePEMBundle parses data as the package function ParsePEMBundle does,
 // with the same certificates and the same errors, answering each CERTIFICATE
-// block whose DER the memo holds from the memo.
+// block whose DER the memo holds from the memo. A block in the form
+// pem.EncodeToMemory writes, at the start of the remaining input, is decoded
+// on the stack, so its memo hit allocates nothing; every other block, and
+// every block of the package function, goes through pem.Decode. The
+// certificates never alias data.
 func (m *CertMemo) ParsePEMBundle(data []byte) ([]*Certificate, error) {
-	var out []*Certificate
+	// Every CERTIFICATE block holds its own copy of the begin line, so the
+	// count bounds the result.
+	out := make([]*Certificate, 0, bytes.Count(data, []byte(pemCertBegin)))
 	for len(data) > 0 {
+		if m != nil {
+			c, rest, ok, err := m.parseCanonical(data)
+			if ok {
+				if err != nil {
+					return nil, fmt.Errorf("certmodel: bundle block %d: %w", len(out), err)
+				}
+				out = append(out, c)
+				data = rest
+				continue
+			}
+		}
 		var block *pem.Block
 		block, data = pem.Decode(data)
 		if block == nil {

@@ -16,6 +16,10 @@
 //     per repair configuration. Only domain-independent outputs are
 //     cached, already encoded; leaf placement is recomputed per request.
 //     The memos keep learning new chains for the daemon's whole lifetime.
+//   - A request body in canonical form (the form json.Marshal writes for
+//     a pasted chain) is decoded in one pass over a pooled buffer, its PEM
+//     unescaped in place; any other body is decoded by encoding/json,
+//     whose answers are the reference (decode.go).
 //   - Pasted certificates are parsed through a bounded per-server memo of
 //     DER fingerprints (certmodel.CertMemo), so a repeated chain costs a
 //     fingerprint and a lookup per certificate, not a parse.
@@ -339,9 +343,10 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		<-s.sem
 	}()
 
-	var req VerdictRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer buf.release()
+	req, pem, err := decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), buf)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
@@ -351,7 +356,7 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed JSON: "+err.Error())
 		return
 	}
-	if (req.PEM == "") == (req.Target == "") {
+	if (len(pem) == 0) == (req.Target == "") {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			`exactly one of "pem" and "target" must be set`)
 		return
@@ -359,9 +364,8 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 
 	var list []*certmodel.Certificate
 	source := "pem"
-	if req.PEM != "" {
-		var err error
-		list, err = s.certs.ParsePEMBundle([]byte(req.PEM))
+	if len(pem) > 0 {
+		list, err = s.certs.ParsePEMBundle(pem)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadPEM, err.Error())
 			return

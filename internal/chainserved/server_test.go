@@ -599,15 +599,18 @@ func TestConcurrentVerdicts(t *testing.T) {
 // TestVerdictCachedAllocs is the allocation sentinel for the commonest
 // request: a cached two-certificate chain, leaf and intermediate. Each
 // certificate sits in one of its set's two ways, so the two never evict each
-// other and the count cannot flake on a fingerprint collision. One lost DER
-// memo hit costs about 60 allocations; the bound sits midway between the
-// count before the DER memo and the stored answer encoding (163) and the
-// count with them (45).
+// other and the counts cannot flake on a fingerprint collision. Decoding the
+// body through encoding/json and its PEM through pem.Decode cost 47
+// allocations and 15,689 bytes, with the recorder's; the canonical decoders
+// bring that to 25 and 7,696. Each bound sits about midway: a request whose
+// body misses the canonical decoder fails the byte bound, and one lost DER
+// memo hit (about 60 allocations) fails both. certmodel's
+// TestCertMemoHitAllocs guards the canonical PEM blocks.
 func TestVerdictCachedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
 	}
-	const bound = 104
+	const allocBound, byteBound = 37, 11700
 	f := newFixture(t)
 	h := f.server(Config{}).Handler()
 	req := []byte(body(t, VerdictRequest{Domain: "served.example", PEM: f.pem(t, f.leaf.Cert, f.ca1.Cert)}))
@@ -615,9 +618,25 @@ func TestVerdictCachedAllocs(t *testing.T) {
 		t.Fatalf("status %d, body %s", w.Code, w.Body)
 	}
 	allocs := testing.AllocsPerRun(100, func() { postRaw(t, h, req) })
-	if allocs > bound {
-		t.Errorf("a cached request allocates %.0f times, bound %d", allocs, bound)
+	if allocs > allocBound {
+		t.Errorf("a cached request allocates %.0f times, bound %d", allocs, allocBound)
 	}
+
+	// Bytes as AllocsPerRun counts allocations: on one P, after a warm-up.
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	postRaw(t, h, req)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		postRaw(t, h, req)
+	}
+	runtime.ReadMemStats(&after)
+	perRequest := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perRequest > byteBound {
+		t.Errorf("a cached request allocates %d bytes, bound %d", perRequest, byteBound)
+	}
+	t.Logf("a cached request: %.0f allocations, %d bytes", allocs, perRequest)
 }
 
 // BenchmarkVerdictCached serves one cached three-certificate request through
