@@ -337,7 +337,8 @@ type LeafOptions struct {
 }
 
 // IssueLeaf creates a leaf certificate for domain valid [notBefore,
-// notAfter].
+// notAfter]. Given opts.Serial and at most one caIssuers URI it allocates
+// three times: the serial, and the leaf's two (certmodel.SyntheticLeaf).
 func (iss *Issuer) IssueLeaf(domain string, notBefore, notAfter time.Time, opts LeafOptions) *certmodel.Certificate {
 	var serial string
 	if opts.Serial != "" {
@@ -346,28 +347,14 @@ func (iss *Issuer) IssueLeaf(domain string, notBefore, notAfter time.Time, opts 
 		iss.serial++
 		serial = fmt.Sprintf("%s-%s-%06d", iss.Profile.Name, iss.Tag, iss.serial)
 	}
-	var aiaList []string
+	aiaList := iss.leafAIA
 	switch {
 	case opts.AIAOverride != "":
 		aiaList = []string{opts.AIAOverride}
-	case !opts.OmitAIA:
-		aiaList = iss.leafAIA
+	case opts.OmitAIA:
+		aiaList = nil
 	}
-	key := certmodel.NewSyntheticKey("leaf:" + domain + ":" + serial)
-	return certmodel.NewSynthetic(certmodel.SyntheticConfig{
-		Subject:               certmodel.Name{CommonName: domain},
-		Issuer:                iss.IssuingCA().Subject,
-		Serial:                serial,
-		NotBefore:             notBefore,
-		NotAfter:              notAfter,
-		Key:                   key,
-		SignedBy:              certmodel.KeyOf(iss.IssuingCA()),
-		KeyUsage:              certmodel.KeyUsageDigitalSignature | certmodel.KeyUsageKeyEncipherment,
-		HasKeyUsage:           true,
-		BasicConstraintsValid: true,
-		DNSNames:              []string{domain},
-		AIAIssuerURLs:         aiaList,
-	})
+	return certmodel.SyntheticLeaf(domain, serial, iss.IssuingCA(), notBefore, notAfter, aiaList...)
 }
 
 // Issue creates the leaf and assembles the delivery files according to the

@@ -130,27 +130,46 @@ type Certificate struct {
 	// real DER, nil otherwise.
 	X509 *x509.Certificate
 
-	// fingerprint caches the digest behind an atomic pointer so
-	// Certificates can be shared across goroutines (the population
-	// generator, experiment environment, and differential harness all hash
-	// the same intermediates concurrently). Racing initializers compute
-	// identical values, so last-store-wins is benign.
-	fingerprint atomic.Pointer[FP]
+	// fp caches the digest, inline, once fpState reads fpReady. The
+	// population generator, experiment environment and differential harness
+	// all hash the same intermediates concurrently, so the cache is
+	// published race-free: see setFingerprint.
+	fp      FP
+	fpState atomic.Uint32
 
 	// subjectKey and issuerKey cache the name keys of Subject and Issuer;
 	// zero means not yet computed (see keys.go).
 	subjectKey, issuerKey atomic.Uint64
 }
 
+// The states of a certificate's fingerprint cache.
+const (
+	fpUnset uint32 = iota
+	fpWriting
+	fpReady
+)
+
 // Fingerprint returns the SHA-256 digest of Raw. It is computed lazily and
 // cached; callers must not mutate Raw after the first call.
 func (c *Certificate) Fingerprint() FP {
-	if fp := c.fingerprint.Load(); fp != nil {
-		return *fp
+	if c.fpState.Load() == fpReady {
+		return c.fp
 	}
 	fp := FP(sha256.Sum256(c.Raw))
-	c.fingerprint.Store(&fp)
+	c.setFingerprint(fp)
 	return fp
+}
+
+// setFingerprint caches fp, the digest of Raw, unless another call has
+// claimed the cache. The first claim writes fp and only then marks it
+// ready, so a reader that sees it ready reads a whole digest, and no two
+// calls ever write it. A call that loses the claim to a racing one has
+// computed the same digest and simply returns it.
+func (c *Certificate) setFingerprint(fp FP) {
+	if c.fpState.CompareAndSwap(fpUnset, fpWriting) {
+		c.fp = fp
+		c.fpState.Store(fpReady)
+	}
 }
 
 // Equal reports whether the two certificates are bit-for-bit identical,

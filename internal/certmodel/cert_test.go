@@ -3,6 +3,7 @@ package certmodel
 import (
 	"bytes"
 	"crypto/sha256"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,6 +23,51 @@ func TestFingerprintStableAndCached(t *testing.T) {
 	other := SyntheticRoot("FP Root 2", base)
 	if other.Fingerprint() == fp1 {
 		t.Error("distinct certs share a fingerprint")
+	}
+}
+
+// TestFingerprintConcurrentFirstUse: goroutines that touch a certificate's
+// fingerprint for the first time together all read its digest — a
+// synthetic certificate, a parsed one, and the one a shared CertMemo stores
+// and hands out while the others race to parse the same block. Every
+// certificate holds its fingerprint inline, so the race detector (CI runs
+// this under -race) reports a digest read before it is written.
+func TestFingerprintConcurrentFirstUse(t *testing.T) {
+	der := selfSignedDER(t, 7)
+	bundle := pemOf(t, der)
+	for round := 0; round < 50; round++ {
+		synthetic := SyntheticRoot("Race Root", base.AddDate(0, 0, round))
+		parsed, err := ParseDER(der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certs := []*Certificate{synthetic, parsed}
+		want := []FP{sha256.Sum256(synthetic.Raw), sha256.Sum256(der)}
+		var memo CertMemo
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i, c := range certs {
+					if got := c.Fingerprint(); got != want[i] {
+						t.Errorf("round %d, certificate %d: fingerprint %x, want %x", round, i, got, want[i])
+					}
+				}
+				stored, err := memo.ParsePEMBundle(bundle)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := stored[0].Fingerprint(); got != want[1] {
+					t.Errorf("round %d, memo: fingerprint %x, want %x", round, got, want[1])
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 }
 

@@ -31,8 +31,9 @@ import (
 // table, and two certificates that share a set never evict each other. A
 // parsed P-256 leaf with its x509.Certificate keeps about 3.9 KB alive, so a
 // full memo retains about 1 MB. Entries are immutable and published through
-// atomic pointers: readers take no lock, and racing inserts may drop an
-// entry but never mix two.
+// atomic pointers, with their fingerprints cached before they are published:
+// readers take no lock, and racing inserts may drop an entry but never mix
+// two.
 //
 // Capacity, not policy, sets the miss rate: perfbench's serve workload sends
 // about 1,035 distinct leaves in a run to these 256 entries and misses about
@@ -42,17 +43,11 @@ import (
 //
 // The zero value is an empty memo; a nil *CertMemo stores nothing.
 type CertMemo struct {
-	sets [certMemoSets][2]atomic.Pointer[certMemoEntry]
+	sets [certMemoSets][2]atomic.Pointer[Certificate]
 }
 
 // certMemoSets is the memo's fixed set count (two ways each, 256 entries).
 const certMemoSets = 128
-
-// certMemoEntry is one remembered parse.
-type certMemoEntry struct {
-	fp   FP
-	cert *Certificate
-}
 
 // lookup returns the certificate the memo holds for der, or nil, and der's
 // fingerprint either way. It allocates nothing and keeps no reference to der.
@@ -60,8 +55,8 @@ func (m *CertMemo) lookup(der []byte) (*Certificate, FP) {
 	fp := FP(sha256.Sum256(der))
 	set := &m.sets[binary.LittleEndian.Uint64(fp[:8])&(certMemoSets-1)]
 	for i := range set {
-		if e := set[i].Load(); e != nil && e.fp == fp && bytes.Equal(e.cert.Raw, der) {
-			return e.cert, fp
+		if c := set[i].Load(); c != nil && c.Fingerprint() == fp && bytes.Equal(c.Raw, der) {
+			return c, fp
 		}
 	}
 	return nil, fp
@@ -76,11 +71,10 @@ func (m *CertMemo) store(fp FP, der []byte) (*Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &certMemoEntry{fp: fp, cert: c}
-	c.fingerprint.Store(&e.fp)
+	c.setFingerprint(fp)
 	set := &m.sets[binary.LittleEndian.Uint64(fp[:8])&(certMemoSets-1)]
 	set[1].Store(set[0].Load())
-	set[0].Store(e)
+	set[0].Store(c)
 	return c, nil
 }
 

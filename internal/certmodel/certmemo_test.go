@@ -72,7 +72,7 @@ func TestCertMemoEviction(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c.fingerprint.Load() == nil {
+				if c.fpState.Load() != fpReady {
 					t.Fatalf("round %d, certificate %d: fingerprint not cached at parse", round, lo+i)
 				}
 				if !bytes.Equal(c.Raw, fresh.Raw) || c.Fingerprint() != fresh.Fingerprint() ||

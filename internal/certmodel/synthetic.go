@@ -16,23 +16,65 @@ import (
 // built with the same subject Key but different SignedBy keys share a
 // PublicKeyID (and hence an SKID) while chaining to different parents —
 // exactly the USERTrust topology of the paper's Figure 2c.
+//
+// A key derived from a name holds its identifier inline, so deriving one
+// allocates nothing; a key wrapping an existing identifier (KeyOf,
+// KeyFromID) refers to it.
 type SyntheticKey struct {
-	name string
-	id   []byte
+	derived bool
+	sum     [keyIDLen]byte // the identifier of a derived key
+	id      []byte         // the identifier of a wrapped key
 }
+
+// keyIDLen is the length of a derived key identifier.
+const keyIDLen = 20
 
 // NewSyntheticKey derives a key identity from a name. The same name always
 // yields the same identity.
 func NewSyntheticKey(name string) SyntheticKey {
-	sum := sha256.Sum256([]byte("key:" + name))
-	return SyntheticKey{name: name, id: sum[:20]}
+	var buf [128]byte
+	return deriveKey(append(append(buf[:0], "key:"...), name...))
 }
 
-// ID returns the 20-byte key identifier.
-func (k SyntheticKey) ID() []byte { return k.id }
+// leafKey returns NewSyntheticKey("leaf:" + domain + ":" + serial), the key
+// of a minted leaf, without building the name.
+func leafKey(domain, serial string) SyntheticKey {
+	var buf [128]byte
+	b := append(buf[:0], "key:leaf:"...)
+	b = append(append(append(b, domain...), ':'), serial...)
+	return deriveKey(b)
+}
+
+// deriveKey returns the key whose identifier is the first keyIDLen bytes of
+// the SHA-256 of text.
+func deriveKey(text []byte) SyntheticKey {
+	sum := sha256.Sum256(text)
+	k := SyntheticKey{derived: true}
+	copy(k.sum[:], sum[:])
+	return k
+}
+
+// ID returns the key identifier: a derived key's 20 bytes as a new slice, or
+// the identifier a wrapped key refers to.
+func (k SyntheticKey) ID() []byte {
+	if k.derived {
+		return append([]byte(nil), k.sum[:]...)
+	}
+	return k.id
+}
 
 // IsZero reports whether the key is the zero value (no identity).
-func (k SyntheticKey) IsZero() bool { return len(k.id) == 0 }
+func (k SyntheticKey) IsZero() bool { return !k.derived && len(k.id) == 0 }
+
+// idIn returns the identifier a certificate holds for k: a derived key's
+// copied into dst, a wrapped key's shared.
+func (k *SyntheticKey) idIn(dst *[keyIDLen]byte) []byte {
+	if !k.derived {
+		return k.id
+	}
+	*dst = k.sum
+	return dst[:]
+}
 
 // SyntheticConfig describes a synthetic certificate. The zero value of each
 // field means "absent": no SKID/AKID extension unless a key is given, no
@@ -85,12 +127,37 @@ type SyntheticConfig struct {
 	WeakSignature bool
 }
 
+// blockStrings is how many strings of a synthetic certificate's name, URI
+// and constraint lists fit in its own allocation: a minted leaf's DNS name
+// and caIssuers URI.
+const blockStrings = 2
+
+// syntheticBlock is one allocation holding a synthetic certificate and the
+// room its derived key identifiers and short string lists are carved from.
+type syntheticBlock struct {
+	cert    Certificate
+	keyIDs  [2][keyIDLen]byte
+	strings [blockStrings]string
+}
+
 // NewSynthetic builds a synthetic certificate. Raw is a canonical text
 // encoding of every field, so two certificates built from identical configs
 // are bit-for-bit duplicates and any field difference changes the encoding —
 // the properties the duplicate detector relies on.
+//
+// The certificate owns copies of the config's lists. It takes two
+// allocations when its lists hold at most blockStrings strings and no
+// extended key usage or AKID override: the certificate with its key
+// identifiers and lists, and Raw.
 func NewSynthetic(cfg SyntheticConfig) *Certificate {
-	c := &Certificate{
+	return newSynthetic(&cfg, cfg.DNSNames)
+}
+
+// newSynthetic is NewSynthetic with dns in place of cfg.DNSNames. It reads
+// dns only to copy it, so a caller whose config carries no DNS names can
+// keep dns on its stack, which a slice inside the config escapes.
+func newSynthetic(cfg *SyntheticConfig, dns []string) *Certificate {
+	b := &syntheticBlock{cert: Certificate{
 		Subject:               cfg.Subject,
 		Issuer:                cfg.Issuer,
 		SerialNumber:          cfg.Serial,
@@ -101,30 +168,47 @@ func NewSynthetic(cfg SyntheticConfig) *Certificate {
 		IsCA:                  cfg.IsCA,
 		BasicConstraintsValid: cfg.BasicConstraintsValid,
 		MaxPathLen:            MaxPathLenUnset,
-		DNSNames:              append([]string(nil), cfg.DNSNames...),
-		IPAddresses:           append([]string(nil), cfg.IPAddresses...),
-		AIAIssuerURLs:         append([]string(nil), cfg.AIAIssuerURLs...),
 		ExtKeyUsages:          append([]ExtKeyUsage(nil), cfg.ExtKeyUsages...),
-		PermittedDNSDomains:   append([]string(nil), cfg.PermittedDNSDomains...),
-		ExcludedDNSDomains:    append([]string(nil), cfg.ExcludedDNSDomains...),
 		WeakSignature:         cfg.WeakSignature,
-		PublicKeyID:           cfg.Key.ID(),
-		SignedByKeyID:         cfg.SignedBy.ID(),
-	}
+	}}
+	c := &b.cert
+	room := b.strings[:0]
+	c.DNSNames = carve(&room, dns)
+	c.IPAddresses = carve(&room, cfg.IPAddresses)
+	c.AIAIssuerURLs = carve(&room, cfg.AIAIssuerURLs)
+	c.PermittedDNSDomains = carve(&room, cfg.PermittedDNSDomains)
+	c.ExcludedDNSDomains = carve(&room, cfg.ExcludedDNSDomains)
+	c.PublicKeyID = cfg.Key.idIn(&b.keyIDs[0])
+	c.SignedByKeyID = cfg.SignedBy.idIn(&b.keyIDs[1])
 	if cfg.HasPathLen {
 		c.MaxPathLen = cfg.MaxPathLen
 	}
 	if !cfg.OmitSKID && !cfg.Key.IsZero() {
-		c.SubjectKeyID = cfg.Key.ID()
+		c.SubjectKeyID = c.PublicKeyID
 	}
 	switch {
 	case cfg.AKIDOverride != nil:
 		c.AuthorityKeyID = append([]byte(nil), cfg.AKIDOverride...)
 	case !cfg.OmitAKID && !cfg.SignedBy.IsZero():
-		c.AuthorityKeyID = cfg.SignedBy.ID()
+		c.AuthorityKeyID = c.SignedByKeyID
 	}
 	c.Raw = encodeSynthetic(c)
 	return c
+}
+
+// carve returns a copy of ss, capped at its length, taken from the free room
+// of *room when it fits and from a new array when it does not. An empty list
+// copies to nil.
+func carve(room *[]string, ss []string) []string {
+	r := *room
+	if len(ss) == 0 {
+		return nil
+	}
+	if len(ss) > cap(r)-len(r) {
+		return append([]string(nil), ss...)
+	}
+	*room = append(r, ss...)
+	return (*room)[len(r):len(*room):len(*room)]
 }
 
 // encodeSynthetic renders every semantic field into a canonical byte string.
@@ -238,7 +322,7 @@ func SyntheticIntermediate(subjectCN string, parent *Certificate, base time.Time
 		NotBefore:             base,
 		NotAfter:              base.AddDate(5, 0, 0),
 		Key:                   key,
-		SignedBy:              SyntheticKey{name: "", id: parent.PublicKeyID},
+		SignedBy:              KeyOf(parent),
 		KeyUsage:              KeyUsageCertSign | KeyUsageCRLSign,
 		HasKeyUsage:           true,
 		IsCA:                  true,
@@ -246,29 +330,31 @@ func SyntheticIntermediate(subjectCN string, parent *Certificate, base time.Time
 	})
 }
 
-// SyntheticLeaf builds an end-entity certificate for domain issued by parent.
-func SyntheticLeaf(domain, serial string, parent *Certificate, notBefore, notAfter time.Time) *Certificate {
-	key := NewSyntheticKey("leaf:" + domain + ":" + serial)
-	return NewSynthetic(SyntheticConfig{
+// SyntheticLeaf builds an end-entity certificate for domain issued by
+// parent, with the caIssuers URIs aia. With at most one URI it takes the two
+// allocations of NewSynthetic: minting a leaf costs those and the serial.
+func SyntheticLeaf(domain, serial string, parent *Certificate, notBefore, notAfter time.Time, aia ...string) *Certificate {
+	dns := [1]string{domain}
+	return newSynthetic(&SyntheticConfig{
 		Subject:               Name{CommonName: domain},
 		Issuer:                parent.Subject,
 		Serial:                serial,
 		NotBefore:             notBefore,
 		NotAfter:              notAfter,
-		Key:                   key,
-		SignedBy:              SyntheticKey{name: "", id: parent.PublicKeyID},
+		Key:                   leafKey(domain, serial),
+		SignedBy:              KeyOf(parent),
 		KeyUsage:              KeyUsageDigitalSignature | KeyUsageKeyEncipherment,
 		HasKeyUsage:           true,
 		BasicConstraintsValid: true,
-		DNSNames:              []string{domain},
-	})
+		AIAIssuerURLs:         aia,
+	}, dns[:])
 }
 
 // KeyOf returns a SyntheticKey referring to cert's existing public key,
 // letting callers sign further synthetic certificates with it (used for
 // cross-signing and for crafting AKID-correct variants).
 func KeyOf(cert *Certificate) SyntheticKey {
-	return SyntheticKey{name: "", id: cert.PublicKeyID}
+	return SyntheticKey{id: cert.PublicKeyID}
 }
 
 // KeyFromID wraps a raw key identifier (a PublicKeyID or SignedByKeyID taken

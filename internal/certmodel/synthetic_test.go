@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,7 +140,80 @@ func TestEncodeSyntheticMatchesReference(t *testing.T) {
 		WeakSignature:       true,
 	})
 	check(SyntheticConfig{Subject: Name{Country: "US"}, AKIDOverride: []byte{0, 0xff}, ExtKeyUsages: []ExtKeyUsage{}})
+
+	// A leaf minted by SyntheticLeaf, which passes its DNS name beside the
+	// config, is the certificate NewSynthetic makes of the whole config.
+	parent := SyntheticRoot("Leaf Parent", base)
+	for _, aia := range [][]string{nil, {"http://aia.example/ca.der"}, {"http://a", "http://b", "http://c"}} {
+		leaf := SyntheticLeaf("leaf.example", "7", parent, base, base.AddDate(1, 0, 0), aia...)
+		check(SyntheticConfigOf(leaf))
+		whole := NewSynthetic(SyntheticConfig{
+			Subject: Name{CommonName: "leaf.example"}, Issuer: parent.Subject, Serial: "7",
+			NotBefore: base, NotAfter: base.AddDate(1, 0, 0),
+			Key: NewSyntheticKey("leaf:leaf.example:7"), SignedBy: KeyOf(parent),
+			KeyUsage: KeyUsageDigitalSignature | KeyUsageKeyEncipherment, HasKeyUsage: true,
+			BasicConstraintsValid: true, DNSNames: []string{"leaf.example"}, AIAIssuerURLs: aia,
+		})
+		if !bytes.Equal(leaf.Raw, whole.Raw) {
+			t.Fatalf("SyntheticLeaf with %d URIs:\n got %q\nwant %q", len(aia), leaf.Raw, whole.Raw)
+		}
+	}
 }
+
+// TestSyntheticListsOwned: a synthetic certificate's lists and key
+// identifiers are its own, whether carved from its allocation or, past
+// blockStrings strings, copied on their own. Changing the config after
+// construction changes nothing, and an append to one list writes into no
+// other.
+func TestSyntheticListsOwned(t *testing.T) {
+	for _, n := range []int{1, blockStrings, blockStrings + 1} {
+		dns := make([]string, n)
+		for i := range dns {
+			dns[i] = fmt.Sprintf("host-%d.example", i)
+		}
+		cfg := SyntheticConfig{
+			Subject: Name{CommonName: "owned.example"}, Serial: "1",
+			Key: NewSyntheticKey("owned"), SignedBy: NewSyntheticKey("owner"),
+			DNSNames: dns, AIAIssuerURLs: []string{"http://aia.example"},
+			PermittedDNSDomains: []string{".example"},
+		}
+		c := NewSynthetic(cfg)
+		raw := bytes.Clone(c.Raw)
+		for _, ss := range [][]string{c.DNSNames, c.AIAIssuerURLs, c.PermittedDNSDomains} {
+			if cap(ss) != len(ss) {
+				t.Fatalf("%d names: a list of %d has capacity %d", n, len(ss), cap(ss))
+			}
+		}
+		_ = append(c.DNSNames, "appended.example")
+		_ = append(c.AIAIssuerURLs, "http://appended")
+		_ = append(c.SubjectKeyID, 0xff)
+		dns[0], cfg.AIAIssuerURLs[0], cfg.PermittedDNSDomains[0] = "changed", "changed", "changed"
+		if got := encodeSynthetic(c); !bytes.Equal(got, raw) {
+			t.Fatalf("%d names: certificate changed after construction:\n got %q\nwant %q", n, got, raw)
+		}
+		if !bytes.Equal(c.SubjectKeyID, cfg.Key.ID()) || !bytes.Equal(c.AuthorityKeyID, cfg.SignedBy.ID()) {
+			t.Fatalf("%d names: key identifiers %x/%x, want %x/%x", n, c.SubjectKeyID, c.AuthorityKeyID, cfg.Key.ID(), cfg.SignedBy.ID())
+		}
+	}
+}
+
+// TestLeafAllocs: a minted leaf takes three allocations — the serial its
+// caller builds, the certificate with its key identifiers and lists, and
+// Raw — with its caIssuers URI.
+func TestLeafAllocs(t *testing.T) {
+	parent := SyntheticRoot("Alloc Parent", base)
+	aia := []string{"http://aia.example/ca.der"}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		n++
+		sinkCert = SyntheticLeaf("alloc.example", strconv.Itoa(1000+n), parent, base, base.AddDate(1, 0, 0), aia...)
+	})
+	if allocs > 3 {
+		t.Errorf("a minted leaf allocates %.0f times, want at most 3", allocs)
+	}
+}
+
+var sinkCert *Certificate
 
 // TestQuickSerialChangesBytes: any serial difference changes the encoding.
 func TestQuickSerialChangesBytes(t *testing.T) {

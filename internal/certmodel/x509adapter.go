@@ -72,20 +72,6 @@ func ParseDER(der []byte) (*Certificate, error) {
 	return FromX509(cert), nil
 }
 
-// ParseDERList parses the ordered DER list captured from a TLS Certificate
-// message (the form ZGrab2 records).
-func ParseDERList(ders [][]byte) ([]*Certificate, error) {
-	out := make([]*Certificate, 0, len(ders))
-	for i, der := range ders {
-		c, err := ParseDER(der)
-		if err != nil {
-			return nil, fmt.Errorf("certmodel: list entry %d: %w", i, err)
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
 // ErrNoCertificates is returned by ParsePEMBundle when the input contains no
 // CERTIFICATE blocks.
 var ErrNoCertificates = errors.New("certmodel: no CERTIFICATE blocks in PEM input")

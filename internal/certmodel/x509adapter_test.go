@@ -37,12 +37,6 @@ func TestParseDERErrors(t *testing.T) {
 	if _, err := ParseDER([]byte{0x30, 0x00}); err == nil {
 		t.Error("garbage DER parsed")
 	}
-	if _, err := ParseDERList([][]byte{{0x00}}); err == nil {
-		t.Error("garbage DER list parsed")
-	}
-	if out, err := ParseDERList(nil); err != nil || len(out) != 0 {
-		t.Error("empty DER list should parse to empty slice")
-	}
 }
 
 func TestKeyUsageRoundTrip(t *testing.T) {

@@ -91,20 +91,24 @@ func (t Trust) Grader() *Grader {
 	return g
 }
 
-// Grader is one goroutine's grading state: the compliance analyzer and one
-// reusable builder per profile. Builds for different clients may run at the
-// same time; nothing else may. Class reads a verdict straight from the
-// builder's scratch and copies nothing out; Build returns the whole Outcome,
-// copied out, for callers that keep it.
+// Grader is one goroutine's grading state: the compliance analyzer, the
+// topology graph it rebuilds for every list, and one reusable builder per
+// profile. Builds for different clients may run at the same time; nothing
+// else may. Class reads a verdict straight from the builder's scratch and
+// copies nothing out; Build returns the whole Outcome, copied out, for
+// callers that keep it.
 type Grader struct {
 	hostname bool
 	analyzer compliance.Analyzer
+	graph    topo.Graph
 	builders []*pathbuild.Builder
 }
 
-// Analyze grades how the list was deployed for domain.
+// Analyze grades how the list was deployed for domain. The report holds
+// nothing of the topology graph, which the next Analyze rebuilds in place.
 func (g *Grader) Analyze(list []*certmodel.Certificate, domain string) compliance.Report {
-	return g.analyzer.Analyze(domain, topo.Build(list))
+	g.graph.Rebuild(list)
+	return g.analyzer.Analyze(domain, &g.graph)
 }
 
 // Build runs client i (Profiles[i]) over the list. The domain reaches

@@ -198,13 +198,14 @@ func TestManifestGolden(t *testing.T) {
 // set, and 21.7 (1,826 B) with them. Path builds that validate into
 // builder scratch, with findings rendered only when read, took it to 14.2
 // (1,079 B). Grading through the builders' scratch, which copies no
-// outcome out, took it to 6.49 (796 B); the bound fails at the 14.2 of
-// verdicts read from copied outcomes.
+// outcome out, took it to 6.49 (796 B), and rebuilding a mutated
+// certificate in one block with its key identifiers and lists to 6.09
+// (796 B); the bound fails with one allocation per mutant added back.
 func TestCampaignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
 	}
-	const bound = 9.0
+	const bound = 7.0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := Run(context.Background(), Config{Seed: 103, Generations: 40, Dedup: true, Workers: 1})

@@ -33,6 +33,11 @@ type generator struct {
 	// templates of the chain-reuse pool use it to mint wildcard leaves. The
 	// tld draw still happens, so the override never shifts the rng stream.
 	nameOverride string
+	// chain and full are the scratch a domain's list is assembled in: the
+	// certificate bundle after the leaf, and the fullchain file handed to
+	// the server model. The model's Deploy copies out the list the domain
+	// keeps, so nothing of the scratch outlives the domain's generation.
+	chain, full []*certmodel.Certificate
 }
 
 // Server population shares. The overall mix skews toward Apache and Nginx as
@@ -163,7 +168,8 @@ func (g *generator) domain(rank int) *Domain {
 
 	// Assemble the intermediate block in correct order: issuing CA first,
 	// then upward, root last when included.
-	inters := correctOrder(iss, t.IncludesRoot)
+	inters := correctOrder(g.chain[:0], iss, t.IncludesRoot)
+	g.chain = inters[:0]
 
 	// The CA may itself omit an intermediate (TAIWAN-CA).
 	forceIncomplete := iss.Profile.OmitsIntermediate && g.rng.Float64() < 0.8
@@ -211,15 +217,16 @@ func (g *generator) leafAIAOptions(t *Truth, iss *ca.Issuer, incomplete bool) ca
 	}
 }
 
-func correctOrder(iss *ca.Issuer, includeRoot bool) []*certmodel.Certificate {
-	var out []*certmodel.Certificate
+// correctOrder appends the issuer's certificates to dst in correct order:
+// issuing CA first, then upward, root last when included.
+func correctOrder(dst []*certmodel.Certificate, iss *ca.Issuer, includeRoot bool) []*certmodel.Certificate {
 	for i := len(iss.Intermediates) - 1; i >= 0; i-- {
-		out = append(out, iss.Intermediates[i])
+		dst = append(dst, iss.Intermediates[i])
 	}
 	if includeRoot {
-		out = append(out, iss.Root)
+		dst = append(dst, iss.Root)
 	}
-	return out
+	return dst
 }
 
 func reverse(s []*certmodel.Certificate) {
@@ -352,10 +359,9 @@ func (g *generator) appendIrrelevant(t *Truth, iss *ca.Issuer, leafName string, 
 
 // deploy pushes the assembled files through the HTTP server model,
 // reproducing the duplicate-leaf mechanism (split-file confusion) and the
-// servers' checks.
-func (g *generator) deploy(t *Truth, model httpserver.Model, leaf *certmodel.Certificate, inters []*certmodel.Certificate, wantDup bool) []*certmodel.Certificate {
-	chain := append([]*certmodel.Certificate(nil), inters...)
-
+// servers' checks. It may append to chain, the domain's own bundle; the list
+// it returns shares nothing with chain or the generator's scratch.
+func (g *generator) deploy(t *Truth, model httpserver.Model, leaf *certmodel.Certificate, chain []*certmodel.Certificate, wantDup bool) []*certmodel.Certificate {
 	if wantDup {
 		switch r := g.rng.Float64(); {
 		case r < 0.70:
@@ -395,12 +401,14 @@ func (g *generator) deploy(t *Truth, model httpserver.Model, leaf *certmodel.Cer
 	}
 
 	in := httpserver.ConfigInput{PrivateKeyFor: leaf}
+	certFile := [1]*certmodel.Certificate{leaf}
 	switch model.Scheme {
 	case httpserver.SchemeSplit:
-		in.CertFile = []*certmodel.Certificate{leaf}
+		in.CertFile = certFile[:]
 		in.ChainFile = chain
 	default:
-		in.Fullchain = append([]*certmodel.Certificate{leaf}, chain...)
+		g.full = append(append(g.full[:0], leaf), chain...)
+		in.Fullchain = g.full
 	}
 
 	list, err := model.Deploy(in)

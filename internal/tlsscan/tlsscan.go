@@ -43,7 +43,10 @@ const (
 	// out (resets, stalls, protocol errors).
 	CauseHandshake
 	// CauseParse: the handshake delivered bytes that do not parse as DER
-	// certificates — a finding about the endpoint, never retried.
+	// certificates — a finding about the endpoint, never retried. crypto/tls
+	// refuses such a handshake itself, so a scan reports it as
+	// CauseHandshake; the cause keeps its place in the taxonomy the reports
+	// and metrics print.
 	CauseParse
 	// CauseCancelled: the scan context was cancelled.
 	CauseCancelled
@@ -266,17 +269,19 @@ func (s *Scanner) scanOnce(ctx context.Context, target Target) Result {
 		return res
 	}
 	m.handshakeLat.ObserveDuration(clock.Now().Sub(hsStart))
-	res.Version = conn.ConnectionState().Version
+	state := conn.ConnectionState()
+	res.Version = state.Version
 	conn.Close()
 
-	list, err := certmodel.ParseDERList(res.Raw)
-	if err != nil {
-		res.Cause = CauseParse
-		res.Err = err
-		return res
+	// The list is crypto/tls's own parse of the Certificate message: the
+	// client parses every certificate, with x509.ParseCertificate, before
+	// it calls VerifyPeerCertificate, and fails the handshake on one it
+	// cannot parse, so these are the certificates of Raw, in order.
+	res.List = make([]*certmodel.Certificate, len(state.PeerCertificates))
+	for i, c := range state.PeerCertificates {
+		res.List[i] = certmodel.FromX509(c)
 	}
-	res.List = list
-	res.Digest = certmodel.ListDigest(list)
+	res.Digest = certmodel.ListDigest(res.List)
 	s.throttle(ctx, res.Bytes)
 	return res
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 // fingerprint map folds duplicates, every node and edge slice is allocated
 // on its own, and paths are enumerated by a recursive closure with an
 // on-path map. Its relevance is the union of the enumerated paths, so it is
-// cut by maxPaths. TestGraphMatchesReference and FuzzTopoBuild compare Build
-// with it.
+// cut by maxPaths. TestGraphMatchesReference and FuzzTopoBuild compare Build,
+// and a graph rebuilt in place, with it.
 
 type refNode struct {
 	Index       int
@@ -164,12 +165,18 @@ func (g *refGraph) String() string {
 }
 
 // diffReference returns the first difference between Build's graph and the
-// reference graph of the same list, or "" when they agree. Irrelevant nodes
-// must agree exactly when the reference enumerated fewer than maxPaths
-// paths; past the cap Build's relevance is reachability, so its irrelevant
-// set may only be a subset of the reference's.
+// reference graph of the same list, or "" when they agree.
 func diffReference(list []*certmodel.Certificate) string {
-	g, r := Build(list), refBuild(list)
+	return diffGraph(Build(list), list)
+}
+
+// diffGraph returns the first difference between g, built or rebuilt from
+// list, and the reference graph of list, or "" when they agree. Irrelevant
+// nodes must agree exactly when the reference enumerated fewer than maxPaths
+// paths; past the cap g's relevance is reachability, so its irrelevant set
+// may only be a subset of the reference's.
+func diffGraph(g *Graph, list []*certmodel.Certificate) string {
+	r := refBuild(list)
 	if len(g.Nodes) != len(r.Nodes) {
 		return fmt.Sprintf("nodes: %d, reference %d", len(g.Nodes), len(r.Nodes))
 	}
@@ -330,6 +337,19 @@ func TestGraphMatchesReference(t *testing.T) {
 			t.Errorf("%s: %s", name, d)
 		}
 	}
+	// One graph rebuilt in place: a long list, a short one whose stray root
+	// sits where the long one had a relevant node, one with duplicates, one
+	// past maxPaths, then back down the same way. Each rebuild must answer as
+	// a fresh build does, with no relevance mark, path memo or Occurrences
+	// run left behind by the list before it.
+	var g Graph
+	order := []string{"deep1024", "fig2b", "fig2d", "ladder", "fig2a", "fig2d", "fig2b", "empty", "fig2c", "distinct1024", "cycle"}
+	for _, name := range order {
+		g.Rebuild(lists[name])
+		if d := diffGraph(&g, lists[name]); d != "" {
+			t.Errorf("rebuilt as %s: %s", name, d)
+		}
+	}
 	for _, cfg := range []population.Config{
 		{Size: 5000, Seed: 1},
 		{Size: 5000, Seed: 1, ChainReuse: 0.9, ChainPool: 64},
@@ -343,7 +363,8 @@ func TestGraphMatchesReference(t *testing.T) {
 }
 
 // FuzzTopoBuild compares Build with the reference on lists of up to 40
-// entries drawn from fuzzPool, one input byte per entry.
+// entries drawn from fuzzPool, one input byte per entry, and a graph rebuilt
+// in place over that list, then its first half, then its reverse.
 func FuzzTopoBuild(f *testing.F) {
 	pool := fuzzPool(f)
 	all := make([]byte, len(pool))
@@ -365,6 +386,15 @@ func FuzzTopoBuild(f *testing.F) {
 		}
 		if d := diffReference(list); d != "" {
 			t.Fatal(d)
+		}
+		reversed := slices.Clone(list)
+		slices.Reverse(reversed)
+		var g Graph
+		for i, l := range [][]*certmodel.Certificate{list, list[:len(list)/2], reversed} {
+			g.Rebuild(l)
+			if d := diffGraph(&g, l); d != "" {
+				t.Fatalf("rebuild %d: %s", i, d)
+			}
 		}
 	})
 }

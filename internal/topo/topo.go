@@ -46,12 +46,20 @@ type Node struct {
 	relevant bool // reachable from the leaf; set by the path walk
 }
 
-// Graph is the folded issuance topology of a certificate list. A Graph is
-// immutable after Build; the path enumeration and the relevance marks it
-// leaves are computed once, so the compliance analyzers and difftest
-// grading that each interrogate the same graph several times per chain pay
-// for the walk once. Use Graphs by pointer — the memoization state makes
-// them non-copyable.
+// Graph is the folded issuance topology of a certificate list. Its path
+// enumeration, and the relevance marks the walk leaves, are computed once
+// per build, so the compliance analyzers and difftest grading that each
+// interrogate the same graph several times per chain pay for the walk once.
+//
+// A graph is built by Build, or rebuilt in place by Rebuild over its own
+// node, occurrence and pointer arrays (the last holding the path walk's
+// room) and its path list, so a graph rebuilt for every chain (each
+// core.Grader keeps one) allocates only when a list outgrows the largest it
+// has held. Between builds a graph is immutable and
+// its queries are safe for concurrent use; a rebuild invalidates every
+// node, path and slice the previous build returned, so a rebuilt graph
+// belongs to one owner until its next Rebuild. Use Graphs by pointer — the
+// memoization state makes them non-copyable.
 type Graph struct {
 	// List is the original server-provided order, including duplicates.
 	List []*certmodel.Certificate
@@ -62,13 +70,28 @@ type Graph struct {
 	// Env grade precomputed graphs from worker pools).
 	pathsOnce sync.Once
 	paths     [][]*Node
+
+	// The buffers a rebuild reuses: the node array, every Occurrences run,
+	// and the pointer array of Nodes, every Issuers and Children run and
+	// the path walk (see Rebuild). paths keeps its capacity the same way.
+	nodeBuf []Node
+	occBuf  []int
+	ptrBuf  []*Node
 }
 
 // edge is one issuance link, by node position.
 type edge struct{ child, parent int }
 
-// Build folds duplicates and wires issuance edges. It accepts an empty list,
-// producing an empty graph.
+// Build folds duplicates and wires issuance edges into a new graph. It
+// accepts an empty list, producing an empty graph.
+func Build(list []*certmodel.Certificate) *Graph {
+	g := new(Graph)
+	g.Rebuild(list)
+	return g
+}
+
+// Rebuild makes g the graph of list in place, reusing the buffers of its
+// earlier builds; see Graph for what a rebuild invalidates.
 //
 // The nodes live in one array. Duplicates are folded by a linear scan of the
 // nodes so far, by the SHA-256 fingerprint of Raw a map would key on: each
@@ -76,10 +99,11 @@ type edge struct{ child, parent int }
 // whole digest. So a crafted list cannot make a step slow, as a byte compare
 // of two long encodings that differ at the end would be. The scan is
 // quadratic in the distinct count, as the edge loop below is.
-func Build(list []*certmodel.Certificate) *Graph {
-	g := &Graph{List: list}
+func (g *Graph) Rebuild(list []*certmodel.Certificate) {
+	g.List, g.Nodes = list, nil
+	g.pathsOnce, g.paths = sync.Once{}, g.paths[:0]
 	if len(list) == 0 {
-		return g
+		return
 	}
 
 	// keys[j] is the first eight bytes of node j's fingerprint; owner[i] is
@@ -87,7 +111,7 @@ func Build(list []*certmodel.Certificate) *Graph {
 	var keyBuf [stackNodes]uint64
 	var ownerBuf [stackNodes]int
 	keys, owner := keyBuf[:0], ownerBuf[:0]
-	nodes := make([]Node, 0, len(list))
+	nodes := reuse(g.nodeBuf, len(list))
 	for i, cert := range list {
 		fp := cert.Fingerprint()
 		key := binary.LittleEndian.Uint64(fp[:8])
@@ -104,7 +128,8 @@ func Build(list []*certmodel.Certificate) *Graph {
 
 	// Occurrences: count each node's copies into occ, carve each node its
 	// run of occ, then fill the runs in list order.
-	occ := make([]int, len(list))
+	occ := reuse(g.occBuf, len(list))[:len(list)]
+	clear(occ)
 	for _, j := range owner {
 		occ[j]++
 	}
@@ -130,9 +155,10 @@ func Build(list []*certmodel.Certificate) *Graph {
 	}
 
 	// One pointer array holds Nodes, then every Issuers run, then every
-	// Children run.
+	// Children run, then the path walk's room: 2n pointers (see
+	// computePaths).
 	n, e := len(nodes), len(edges)
-	ptrs := make([]*Node, n+2*e)
+	ptrs := reuse(g.ptrBuf, 3*n+2*e)[:3*n+2*e]
 	g.Nodes = ptrs[:n:n]
 	for j := range nodes {
 		g.Nodes[j] = &nodes[j]
@@ -149,7 +175,7 @@ func Build(list []*certmodel.Certificate) *Graph {
 	}
 	// A parent's children arrive in child order; owner, no longer needed,
 	// counts them per parent.
-	children := ptrs[n+e:]
+	children := ptrs[n+e : n+2*e]
 	count := owner[:n]
 	clear(count)
 	for _, ed := range edges {
@@ -166,7 +192,16 @@ func Build(list []*certmodel.Certificate) *Graph {
 		p := &nodes[ed.parent]
 		p.Children = append(p.Children, &nodes[ed.child])
 	}
-	return g
+	g.nodeBuf, g.occBuf, g.ptrBuf = nodes, occ, ptrs
+}
+
+// reuse returns buf emptied when it holds n elements, or a new slice with
+// room for n.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
 }
 
 // Leaf returns the node of the first certificate in the list — the position
@@ -229,11 +264,13 @@ func (g *Graph) computePaths() [][]*Node {
 	if leaf == nil {
 		return nil
 	}
-	// A path holds each node at most once, so acc never outgrows the first
-	// half of buf; store starts in the second half.
+	// The walk's room is the last 2n pointers of the pointer array. A path
+	// holds each node at most once, so acc never outgrows the first n;
+	// store starts in the second n and moves to the heap only for lists
+	// whose paths hold more than n nodes in all.
 	n := len(g.Nodes)
-	buf := make([]*Node, 2*n)
-	w := walker{acc: buf[:0:n], store: buf[n:n]}
+	room := g.ptrBuf[len(g.ptrBuf)-2*n:]
+	w := walker{acc: room[:0:n], store: room[n:n], paths: g.paths}
 	w.walk(leaf)
 	if len(w.paths) >= maxPaths {
 		// An uncapped walk visits exactly the nodes reachable from the
