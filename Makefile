@@ -12,10 +12,10 @@ test:
 # users, plus the network layer (scanner retries, server accept loops, the
 # faults clock) that runs goroutines against real sockets, certmodel,
 # whose process-wide signature memo every grading goroutine shares, core,
-# whose verdict memo every grader shares, the run harness, whose
-# coordinator and workers share one record path, and rootstore and
-# pathbuild, whose sealed stores every builder reads without a lock.
-RACE_PKGS = ./internal/certmodel/... ./internal/rootstore/... ./internal/pathbuild/... ./internal/core/... ./internal/pipeline/... ./internal/run/... ./internal/difftest/... ./internal/parallel/... ./internal/experiments/... ./internal/study/... ./internal/population/... ./internal/faults/... ./internal/tlsserve/... ./internal/tlsscan/... ./internal/aia/... ./internal/obs/... ./internal/verdictcache/... ./internal/dist/... ./internal/chainserved/... ./internal/divfuzz/... ./internal/ledger/... ./internal/grid/...
+# whose verdict memo every grader shares, the run harness, whose record
+# path a pipeline's sink feeds, and rootstore and pathbuild, whose sealed
+# stores every builder reads without a lock.
+RACE_PKGS = ./internal/certmodel/... ./internal/rootstore/... ./internal/pathbuild/... ./internal/core/... ./internal/pipeline/... ./internal/run/... ./internal/difftest/... ./internal/parallel/... ./internal/experiments/... ./internal/study/... ./internal/population/... ./internal/faults/... ./internal/tlsserve/... ./internal/tlsscan/... ./internal/aia/... ./internal/obs/... ./internal/verdictcache/... ./internal/chainserved/... ./internal/divfuzz/... ./internal/ledger/... ./internal/grid/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -35,14 +35,13 @@ check:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# bench-json writes BENCH_<pr>.json (PR=pr7 by default) by driving cmd/grid
+# bench-json writes BENCH_<pr>.json (PR=pr10 by default) by driving cmd/grid
 # over the committed spec in scripts/grids/<pr>.json. PR=pr6 reproduces the
-# dedup-off/on and 10M-site record; PR=pr7 the distributed scaling table
-# (outputs byte-identical to the single-process baseline); PR=pr8 the
-# chainserved sustained-load + graceful-drain record; PR=pr9 the
-# divergence-fuzzer campaign record (worker-invariant manifest, ledgered
-# divergence records, scenario replay); PR=pr10 the Merkle-ledger overhead
-# record (off vs on, audited roots, <5% wall gate).
+# dedup-off/on and 10M-site record; PR=pr8 the chainserved sustained-load +
+# graceful-drain record; PR=pr9 the divergence-fuzzer campaign record
+# (worker-invariant manifest, ledgered divergence records, scenario replay);
+# PR=pr10 the Merkle-ledger overhead record (off vs on, audited roots, <5%
+# wall gate).
 bench-json:
 	bash scripts/bench_json.sh
 

@@ -3,14 +3,14 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
 // TestMain lets the test binary stand in for the command: with
-// EXPERIMENTS_MAIN=1 it runs main on its arguments, which is also how the
-// -distribute coordinator's fork/exec'd -worker copies of it start.
+// EXPERIMENTS_MAIN=1 it runs main on its arguments.
 func TestMain(m *testing.M) {
 	if os.Getenv("EXPERIMENTS_MAIN") == "1" {
 		main()
@@ -35,23 +35,26 @@ func command(t *testing.T, args ...string) string {
 	return string(out)
 }
 
-// TestStdoutSameInBothModes: without -out, -stream and -distribute print the
-// same report — no verdict JSONL in either — differing only in the header's
-// mode suffix and the timing line.
+// TestStdoutSameInBothModes: -stream alone and -stream with a checkpoint and
+// an out-file print the same report, differing only in the timing line, and
+// neither prints the verdict JSONL, which goes to -out or nowhere.
 func TestStdoutSameInBothModes(t *testing.T) {
-	normalize := strings.NewReplacer(" (streaming)", "", " (distributed over 2 workers)", "")
 	timing := regexp.MustCompile(`\[d1 took [^\]]*\]`)
-	stream := command(t, "-size", "600", "-stream")
-	distributed := command(t, "-size", "600", "-distribute", "2")
-	if !strings.Contains(stream, "(streaming)") || !strings.Contains(distributed, "(distributed over 2 workers)") {
-		t.Fatalf("missing mode suffix:\n%s\n%s", stream, distributed)
+	dir := t.TempDir()
+	out := filepath.Join(dir, "verdicts.jsonl")
+	stream := timing.ReplaceAllString(command(t, "-size", "600", "-stream"), "")
+	recorded := timing.ReplaceAllString(command(t, "-size", "600", "-stream",
+		"-checkpoint", filepath.Join(dir, "d1.ckpt"), "-out", out), "")
+	if !strings.Contains(stream, "(streaming)") {
+		t.Fatalf("missing mode suffix:\n%s", stream)
 	}
-	a := timing.ReplaceAllString(normalize.Replace(stream), "")
-	b := timing.ReplaceAllString(normalize.Replace(distributed), "")
-	if a != b {
-		t.Fatalf("stdout differs between modes:\n--- -stream\n%s\n--- -distribute 2\n%s", a, b)
+	if stream != recorded {
+		t.Fatalf("stdout differs between modes:\n--- -stream\n%s\n--- -stream -checkpoint -out\n%s", stream, recorded)
 	}
-	if strings.Contains(a, `{"rank"`) {
-		t.Fatalf("verdict JSONL on stdout without -out:\n%s", a)
+	if strings.Contains(stream, `{"rank"`) {
+		t.Fatalf("verdict JSONL on stdout without -out:\n%s", stream)
+	}
+	if lines, err := os.ReadFile(out); err != nil || !strings.Contains(string(lines), `{"rank"`) {
+		t.Fatalf("no verdict JSONL in -out (%v)", err)
 	}
 }

@@ -8,13 +8,13 @@
 // Usage:
 //
 //	grid -spec scripts/grids/pr10.json
-//	grid -spec scripts/grids/pr7.json -set sites=100000 -set reuse=0.9995
+//	grid -spec scripts/grids/pr6.json -set sites=100000 -set reuse=0.9995
 //	grid -spec scripts/grids/ci_smoke.json -repeats 2 -work grid-work -out smoke.json
 //
 // Spec format (JSON): see internal/grid and the
 // committed specs under scripts/grids/. scripts/bench_json.sh is a thin
-// wrapper mapping the historical PR=pr6..pr10 env-var invocations onto
-// these specs.
+// wrapper mapping the historical PR=pr6, pr8, pr9 and pr10 env-var
+// invocations onto these specs.
 package main
 
 import (

@@ -1,25 +1,18 @@
-// Tally flattening for distributed runs: a worker ships its sub-range
-// Summary as a flat counter map over the dist wire, and the coordinator
-// folds the maps from every lease back into one merged Summary. Only
-// additive counts cross the wire — Records stay local (the JSONL stream is
-// the durable per-chain record).
+// Tally flattening: a Summary's additive counts as one flat counter map,
+// the form in which two runs' summaries compare key by key.
 package difftest
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
-// Prefixed tally keys for the map-valued summary fields. Kept stable: they
-// cross the coordinator/worker wire.
+// Prefixed tally keys for the map-valued summary fields.
 const (
 	tallyCausePrefix     = "cause."
 	tallyPassPrefix      = "pass."
 	tallyBuildFailPrefix = "buildfail."
 )
 
-// Tallies flattens the summary's additive counts into the wire form a
-// distributed worker returns per lease.
+// Tallies flattens the summary's additive counts into one counter map.
+// Records stay out: the JSONL stream is the durable per-chain record.
 func (s *Summary) Tallies() map[string]int64 {
 	t := map[string]int64{
 		"total":                    int64(s.Total),
@@ -41,32 +34,4 @@ func (s *Summary) Tallies() map[string]int64 {
 		t[tallyBuildFailPrefix+name] = int64(n)
 	}
 	return t
-}
-
-// SummaryFromTallies rebuilds the merged Summary from the summed tally maps
-// of every lease of a distributed run. Records is empty — per-chain detail
-// lives in the merged JSONL stream.
-func SummaryFromTallies(t map[string]int64) *Summary {
-	s := newSummary()
-	s.Total = int(t["total"])
-	s.NonCompliant = int(t["noncompliant"])
-	s.AllBrowsersPass = int(t["all_browsers_pass"])
-	s.AllLibrariesPass = int(t["all_libraries_pass"])
-	s.BrowserDiscrepant = int(t["browser_discrepant"])
-	s.LibraryDiscrepant = int(t["library_discrepant"])
-	s.BrowserClassDiscrepant = int(t["browser_class_discrepant"])
-	s.LibraryClassDiscrepant = int(t["library_class_discrepant"])
-	for k, v := range t {
-		switch {
-		case strings.HasPrefix(k, tallyCausePrefix):
-			if c, err := strconv.Atoi(k[len(tallyCausePrefix):]); err == nil {
-				s.CauseCounts[Cause(c)] = int(v)
-			}
-		case strings.HasPrefix(k, tallyPassPrefix):
-			s.PerClientPass[k[len(tallyPassPrefix):]] = int(v)
-		case strings.HasPrefix(k, tallyBuildFailPrefix):
-			s.PerClientBuildFail[k[len(tallyBuildFailPrefix):]] = int(v)
-		}
-	}
-	return s
 }

@@ -119,8 +119,8 @@ func TestSeedGenerationTimedOnce(t *testing.T) {
 }
 
 // TestManifestWorkerInvariance: the manifest bytes are identical for 1, 4,
-// and 8 workers — the determinism contract the distributed corpus scheduler
-// rests on.
+// and 8 workers — the determinism contract that lets two hosts compare
+// their campaigns' manifests byte for byte.
 func TestManifestWorkerInvariance(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 4, 8} {

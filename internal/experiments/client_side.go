@@ -208,13 +208,13 @@ func (e *Env) CaseValidityPriority() (*report.Table, error) {
 func (e *Env) DifferentialOverview() *report.Table {
 	pop := e.Population()
 	sum := (&difftest.Harness{Workers: e.Workers, Metrics: e.Metrics}).RunAnalyzed(pop, e.Reports())
-	return differentialTable(sum)
+	return DifferentialTable(sum)
 }
 
-// differentialTable renders a differential Summary as the §5.2 overview
-// table — shared by the batch path above and the streaming path in
-// stream.go.
-func differentialTable(sum *difftest.Summary) *report.Table {
+// DifferentialTable renders a differential Summary as the §5.2 overview
+// table — shared by the batch path above and the streaming path
+// (DifferentialStreamSummary).
+func DifferentialTable(sum *difftest.Summary) *report.Table {
 	t := report.New("§5.2 — Differential testing overview", "Metric", "Value")
 	t.Addf("chains analyzed", sum.Total)
 	t.Add("non-compliant chains", report.Count(sum.NonCompliant, sum.Total))

@@ -15,7 +15,6 @@ import (
 	"chainchaos/internal/obs"
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
-	"chainchaos/internal/report"
 )
 
 // StreamConfig parameterizes DifferentialStreamSummary.
@@ -28,18 +27,13 @@ type StreamConfig struct {
 	// Metrics, when non-nil, instruments every pipeline stage.
 	Metrics *obs.Registry
 	// Journal and Resume checkpoint the run: Journal records retired ranks,
-	// Resume skips ranks a previous run already retired. A resumed run's
+	// Resume skips ranks a previous run already retired. The population
+	// source is rank-deterministic, so a resumed run's records are
+	// byte-identical to the same ranks of a full run. A resumed run's
 	// summary covers only the ranks processed by this invocation; the JSONL
 	// lines passed to Record are the run's durable record.
 	Journal *pipeline.Journal
 	Resume  int
-	// Limit, when > 0, is the first rank the run does NOT process: the run
-	// covers exactly [Resume, Limit) of the Size-domain population. The
-	// population source is rank-deterministic, so the records of a
-	// range-restricted run are byte-identical to the same ranks of a
-	// full-range run — what lets the distributed coordinator lease
-	// sub-ranges to workers.
-	Limit int
 	// Record, when non-nil, receives every retired rank in order: line is
 	// the rank's difftest.RecordLine JSON, nil for compliant chains, which
 	// emit no JSONL. Commands write their out-file and ledger through it.
@@ -57,11 +51,10 @@ type StreamConfig struct {
 }
 
 // DifferentialStreamSummary runs the §5.2 differential evaluation over a
-// streaming population source and returns the raw summary — the form
-// distributed workers ship (as Summary.Tallies) so the coordinator can merge
-// leases before rendering one table (DifferentialTableFromTallies). The
-// summary is bit-identical to Env.DifferentialOverview's for the same
-// (size, seed) when the run is not resumed partway.
+// streaming population source and returns the raw summary, which
+// DifferentialTable renders. The summary is bit-identical to
+// Env.DifferentialOverview's for the same (size, seed) when the run is not
+// resumed partway.
 func DifferentialStreamSummary(ctx context.Context, cfg StreamConfig) (*difftest.Summary, error) {
 	if cfg.Size <= 0 {
 		cfg.Size = 100000
@@ -76,12 +69,5 @@ func DifferentialStreamSummary(ctx context.Context, cfg StreamConfig) (*difftest
 		Metrics: cfg.Metrics,
 		Journal: cfg.Journal,
 		Resume:  cfg.Resume,
-		Limit:   cfg.Limit,
 	})
-}
-
-// DifferentialTableFromTallies renders the §5.2 overview table from the
-// merged tally maps of a distributed run.
-func DifferentialTableFromTallies(t map[string]int64) *report.Table {
-	return differentialTable(difftest.SummaryFromTallies(t))
 }

@@ -1,7 +1,7 @@
 // Variable substitution for spec strings: ${name} references a binding, and
 // ${a/b}, ${a*b}, ${a+b}, ${a-b} compute simple integer (or float, when
 // either operand is one) arithmetic over bindings or literals — enough for
-// derived knobs like -dist-lease ${sites/workers} without a template engine.
+// derived knobs like -sites ${sites*10} without a template engine.
 package grid
 
 import (
@@ -164,7 +164,7 @@ func arith(a, b float64, op string) (any, error) {
 		r = a / b
 	}
 	// Integer operands with an integral result stay integers, so command
-	// lines read -dist-lease 12500, not -dist-lease 12500.000000.
+	// lines read -sites 12500, not -sites 12500.000000.
 	if a == float64(int64(a)) && b == float64(int64(b)) {
 		if op == "/" {
 			return float64(int64(a) / int64(b)), nil

@@ -176,111 +176,25 @@ func TestBatcherDivergenceDetected(t *testing.T) {
 	}
 }
 
-// TestFolderMatchesBatcher is the cross-worker invariance property: any
-// partition of the leaf span into leases, arriving in any order, must anchor
-// the same roots a serial Batcher over the same lines would.
-func TestFolderMatchesBatcher(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const size = 16
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(300)
-		all := lines(n)
-
-		var want []Anchor
-		b := &Batcher{Size: size, Emit: func(a Anchor) error { want = append(want, a); return nil }}
-		for _, l := range all {
-			b.Append(l) //nolint:errcheck
-		}
-		wantRoot, _, _ := b.Close()
-
-		// Random lease partition, as 1/4/8 workers would produce.
-		var leases [][2]int
-		for lo := 0; lo < n; {
-			hi := lo + 1 + rng.Intn(60)
-			if hi > n {
-				hi = n
-			}
-			leases = append(leases, [2]int{lo, hi})
-			lo = hi
-		}
-		// Each lease ships one wire range per batch span, as runLease does.
-		var wires []WireRange
-		for _, lease := range leases {
-			for lo := lease[0]; lo < lease[1]; {
-				batch := lo / size
-				hi := (batch + 1) * size
-				if hi > lease[1] {
-					hi = lease[1]
-				}
-				seg := NewCompactRange(lo - batch*size)
-				for i := lo; i < hi; i++ {
-					seg.AppendLeaf(LeafHash(all[i]))
-				}
-				wires = append(wires, seg.Wire(batch))
-				lo = hi
-			}
-		}
-		rng.Shuffle(len(wires), func(i, j int) { wires[i], wires[j] = wires[j], wires[i] })
-
-		var got []Anchor
-		f := &Folder{Size: size, Emit: func(a Anchor) error { got = append(got, a); return nil }}
-		for _, w := range wires {
-			if err := f.Add(w); err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-		}
-		gotRoot, leaves, err := f.Close(n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if leaves != n || gotRoot != wantRoot {
-			t.Fatalf("n=%d: folded run root diverges from serial batcher", n)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: %d anchors vs %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: anchor %d: %+v vs %+v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestFolderRejectsOverlap(t *testing.T) {
-	seg := NewCompactRange(0)
-	seg.AppendLeaf(LeafHash([]byte("a")))
-	seg.AppendLeaf(LeafHash([]byte("b")))
-	f := &Folder{Size: 8}
-	if err := f.Add(seg.Wire(0)); err != nil {
-		t.Fatal(err)
-	}
-	dup := NewCompactRange(1)
-	dup.AppendLeaf(LeafHash([]byte("b")))
-	if err := f.Add(dup.Wire(0)); err == nil {
-		t.Fatal("overlapping segment accepted")
-	}
-}
-
-type appendFunc func([]byte) error
-
-func (f appendFunc) Append(line []byte) error { return f(line) }
-
 func TestReplayFeedsRecoveredLines(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.tsv")
 	if err := os.WriteFile(path, []byte("h1\tcol\nr0\nr1\nr2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var fed []string
-	collect := appendFunc(func(line []byte) error { fed = append(fed, string(line)); return nil })
-	if err := Replay(collect, path, 1, 2); err != nil {
+	// The sidecar lists the leaf hash of every line the batcher was fed.
+	var fed strings.Builder
+	b := &Batcher{Sidecar: &fed}
+	if err := Replay(b, path, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(fed) != 2 || fed[0] != "r0" || fed[1] != "r1" {
-		t.Fatalf("fed = %v", fed)
+	if _, _, err := b.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := Replay(collect, path, 1, 9); err == nil {
+	if want := HexHash(LeafHash([]byte("r0"))) + "\n" + HexHash(LeafHash([]byte("r1"))) + "\n"; fed.String() != want {
+		t.Fatalf("fed leaves %q, want r0 and r1", fed.String())
+	}
+	if err := Replay(&Batcher{}, path, 1, 9); err == nil {
 		t.Fatal("short file accepted")
 	}
 }

@@ -11,9 +11,8 @@
 // separation prefix, interior nodes under 0x01, and the tree over n leaves
 // splits at the largest power of two strictly less than n. That shape is a
 // pure function of the leaf sequence — no balancing state, no insertion
-// timing — which is what lets a distributed run fold per-lease subtree
-// roots (CompactRange) into byte-identical anchors, and lets a resumed run
-// re-anchor exactly the roots an uninterrupted run would have written.
+// timing — which is what lets a resumed run re-anchor exactly the roots an
+// uninterrupted run would have written.
 package ledger
 
 import (

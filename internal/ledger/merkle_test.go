@@ -87,69 +87,3 @@ func TestInclusionProofsProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestCompactRangeMatchesDirectRoot(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		leaves := randomLeaves(rng, n)
-		want := RootOf(leaves)
-
-		// Split the leaf span at random points, build a compact range per
-		// segment, merge in order: the fold must be split-point invariant.
-		cuts := []int{0}
-		for p := 1; p < n; p++ {
-			if rng.Intn(3) == 0 {
-				cuts = append(cuts, p)
-			}
-		}
-		cuts = append(cuts, n)
-		full := NewCompactRange(0)
-		for c := 0; c+1 < len(cuts); c++ {
-			seg := NewCompactRange(cuts[c])
-			for i := cuts[c]; i < cuts[c+1]; i++ {
-				seg.AppendLeaf(leaves[i])
-			}
-			// Round-trip through the wire form, as dist does.
-			back, err := FromWire(seg.Wire(0))
-			if err != nil {
-				t.Fatalf("wire round-trip: %v", err)
-			}
-			if err := full.Merge(back); err != nil {
-				t.Fatalf("merge: %v", err)
-			}
-		}
-		got, ok := full.Root()
-		if !ok || got != want {
-			t.Fatalf("n=%d cuts=%v: folded root mismatch", n, cuts)
-		}
-	}
-}
-
-func TestFromWireRejectsMalformed(t *testing.T) {
-	seg := NewCompactRange(4)
-	for i := 0; i < 4; i++ {
-		seg.AppendLeaf(LeafHash([]byte{byte(i)}))
-	}
-	w := seg.Wire(0)
-	if _, err := FromWire(w); err != nil {
-		t.Fatalf("valid wire rejected: %v", err)
-	}
-	bad := w
-	bad.Hi++
-	if _, err := FromWire(bad); err == nil {
-		t.Error("span/coverage mismatch accepted")
-	}
-	bad = w
-	bad.Nodes = append([]WireNode(nil), w.Nodes...)
-	bad.Nodes[0].Hash = "zz"
-	if _, err := FromWire(bad); err == nil {
-		t.Error("malformed hash accepted")
-	}
-	bad = w
-	bad.Nodes = append([]WireNode(nil), w.Nodes...)
-	bad.Nodes[0].Start++
-	if _, err := FromWire(bad); err == nil {
-		t.Error("misaligned node accepted")
-	}
-}

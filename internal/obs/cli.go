@@ -34,27 +34,6 @@ type CLI struct {
 	// unconditionally. It is only exported when -metrics names a file.
 	Metrics *Registry
 
-	// Distribute is the -distribute value once parsed: the number of worker
-	// processes a distributed run fans out to (0 = single-process).
-	Distribute int
-	// Worker is true when this process was started as a -worker: it speaks
-	// the dist wire protocol on stdin/stdout (or the -connect address) and
-	// must write nothing else to stdout.
-	Worker bool
-	// Connect is the coordinator address a -worker dials; empty means the
-	// worker was fork/exec'd and serves on stdio.
-	Connect string
-	// DistListen, when set on a coordinator, accepts workers on this TCP
-	// address instead of fork/exec'ing them — remote workers run the same
-	// command with -worker -connect <addr>.
-	DistListen string
-	// DistLease is the -dist-lease value: ranks per lease (0 = auto,
-	// span/(8·workers) capped below at 64). Larger leases amortize per-lease
-	// substrate setup — under -dedup every lease re-deploys and re-scans the
-	// distinct-chain pool it encounters — at the cost of a coarser redo unit
-	// when a worker dies.
-	DistLease int
-
 	// LedgerBatch is the -ledger-batch value: leaves per anchored Merkle
 	// batch in a checkpointed run (0 disables the ledger entirely).
 	LedgerBatch int
@@ -91,18 +70,6 @@ func (c *CLI) BindRetries(def int, usage string) {
 	flag.IntVar(&c.Retries, "retries", def, usage)
 }
 
-// BindDistribute registers the distributed-execution trio: -distribute N
-// runs the command as a coordinator fanning out to N worker processes,
-// -worker marks a process as one of those workers, and -connect points a
-// worker at a remote coordinator's TCP listener instead of stdio.
-func (c *CLI) BindDistribute() {
-	flag.IntVar(&c.Distribute, "distribute", 0, "fan the run out to this many worker processes (0 = single-process)")
-	flag.BoolVar(&c.Worker, "worker", false, "serve as a distributed worker (stdout is the wire protocol)")
-	flag.StringVar(&c.Connect, "connect", "", "coordinator address a -worker dials (empty = stdio to the parent)")
-	flag.StringVar(&c.DistListen, "dist-listen", "", "accept -distribute workers on this TCP address instead of spawning them locally")
-	flag.IntVar(&c.DistLease, "dist-lease", 0, "ranks per lease in a distributed run (0 = auto; larger leases amortize per-lease setup, smaller ones bound the redo window)")
-}
-
 // BindLedger registers the tamper-evident ledger trio. The ledger is active
 // whenever the run checkpoints (-checkpoint) and -ledger-batch is non-zero:
 // every emitted record line becomes a Merkle leaf, batch roots anchor into
@@ -120,32 +87,9 @@ func (c *CLI) BindObs() {
 	flag.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address for the run's duration")
 }
 
-// Validate rejects contradictory or orphaned distributed-flag combinations.
-// Each of the five flags has a governing mode: -distribute marks a
-// coordinator, -worker marks a worker, and the two are mutually exclusive;
-// -connect is meaningful only on a worker, -dist-listen and -dist-lease only
-// on a coordinator. Silently accepting a stray flag (the pre-PR-8 behaviour)
-// meant, e.g., `-worker -distribute 4` ran as a worker that never fanned out,
-// with nothing telling the operator which half of the command line won.
+// Validate rejects ledger flag values the run could not honour: a negative
+// batch size or latency, and a sidecar with the ledger switched off.
 func (c *CLI) Validate() error {
-	if c.Distribute < 0 {
-		return fmt.Errorf("-distribute %d: worker count cannot be negative", c.Distribute)
-	}
-	if c.DistLease < 0 {
-		return fmt.Errorf("-dist-lease %d: lease size cannot be negative", c.DistLease)
-	}
-	if c.Worker && c.Distribute > 0 {
-		return errors.New("-worker and -distribute are mutually exclusive (a process is a coordinator or a worker, never both)")
-	}
-	if c.Connect != "" && !c.Worker {
-		return fmt.Errorf("-connect %s requires -worker (only a worker dials a coordinator)", c.Connect)
-	}
-	if c.DistListen != "" && c.Distribute == 0 {
-		return fmt.Errorf("-dist-listen %s requires -distribute (only a coordinator accepts workers)", c.DistListen)
-	}
-	if c.DistLease > 0 && c.Distribute == 0 {
-		return fmt.Errorf("-dist-lease %d requires -distribute (lease size is a coordinator knob)", c.DistLease)
-	}
 	if c.LedgerBatch < 0 {
 		return fmt.Errorf("-ledger-batch %d: batch size cannot be negative", c.LedgerBatch)
 	}
@@ -160,8 +104,7 @@ func (c *CLI) Validate() error {
 
 // Start performs the post-Parse setup (flag validation, then the pprof
 // listener), exiting with a diagnostic on failure so every command reports
-// errors the same way. Commands that branch into -worker mode before Start
-// must call Validate themselves — the worker path returns early.
+// errors the same way.
 func (c *CLI) Start() {
 	if err := c.Validate(); err != nil {
 		c.Fatal(err)

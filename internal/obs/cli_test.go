@@ -3,11 +3,12 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestCLIValidate covers every distributed-flag combination the commands can
-// see: each contradictory or orphaned combination is rejected with a
-// diagnostic naming the offending flag, and every legitimate mode passes.
+// TestCLIValidate: each ledger flag value the run could not honour is
+// rejected with a diagnostic naming the offending flag, and every usable
+// combination passes.
 func TestCLIValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -15,23 +16,11 @@ func TestCLIValidate(t *testing.T) {
 		wantErr string // substring of the diagnostic; empty = valid
 	}{
 		{"zero-value", CLI{}, ""},
-		{"coordinator", CLI{Distribute: 4}, ""},
-		{"coordinator-listen", CLI{Distribute: 4, DistListen: "127.0.0.1:9999"}, ""},
-		{"coordinator-lease", CLI{Distribute: 4, DistLease: 5000}, ""},
-		{"coordinator-listen-lease", CLI{Distribute: 2, DistListen: ":0", DistLease: 64}, ""},
-		{"worker-stdio", CLI{Worker: true}, ""},
-		{"worker-connect", CLI{Worker: true, Connect: "127.0.0.1:9999"}, ""},
+		{"ledger", CLI{LedgerBatch: 64, LedgerLatency: time.Second, LedgerSidecar: "leaves"}, ""},
 
-		{"worker-and-distribute", CLI{Worker: true, Distribute: 4}, "mutually exclusive"},
-		{"worker-and-distribute-connect", CLI{Worker: true, Distribute: 4, Connect: "x:1"}, "mutually exclusive"},
-		{"connect-without-worker", CLI{Connect: "127.0.0.1:9999"}, "-connect"},
-		{"connect-on-coordinator", CLI{Distribute: 4, Connect: "127.0.0.1:9999"}, "-connect"},
-		{"dist-listen-without-distribute", CLI{DistListen: ":7000"}, "-dist-listen"},
-		{"dist-listen-on-worker", CLI{Worker: true, DistListen: ":7000"}, "-dist-listen"},
-		{"dist-lease-without-distribute", CLI{DistLease: 1000}, "-dist-lease"},
-		{"dist-lease-on-worker", CLI{Worker: true, DistLease: 1000}, "-dist-lease"},
-		{"negative-distribute", CLI{Distribute: -1}, "-distribute"},
-		{"negative-lease", CLI{Distribute: 2, DistLease: -5}, "-dist-lease"},
+		{"negative-ledger-batch", CLI{LedgerBatch: -1}, "-ledger-batch"},
+		{"negative-ledger-latency", CLI{LedgerBatch: 64, LedgerLatency: -time.Second}, "-ledger-latency"},
+		{"sidecar-without-ledger", CLI{LedgerSidecar: "leaves"}, "-ledger-sidecar"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,6 +21,8 @@ func FuzzOpenJournal(f *testing.F) {
 		`{"stage":"grade.sink","rank":-7}` + "\n" + `{"stage":"grade","rank":3}` + "\n",
 		`{"stage":"lease","rank":9,"event":"grant","lease":1,"lo":0,"hi":10,"epoch":1}` + "\n",
 		`{"stage":"grade.sink","rank":63,"event":"anchor","batch":0,"lo":0,"hi":64,"root":"ab"}` + "\n",
+		`{"stage":"grade.sink","rank":63}` + "\n" + legacyLease + "\n" +
+			`{"stage":"grade","rank":63,"event":"anchor","hi":64,"root":"ab"}` + "\n" + `{"stage":"grade.sink","rank":127}` + "\n",
 	} {
 		f.Add([]byte(seed))
 	}

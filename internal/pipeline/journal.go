@@ -7,11 +7,10 @@
 //
 // Multi-writer safety: the file is opened O_APPEND and every record is
 // appended with a single write(2) under an advisory flock, so several
-// processes (a distributed coordinator and its workers, or per-worker
-// shards later merged) can share one journal without tearing each other's
-// lines. A distributed run additionally appends lease records — grant,
-// done, expire events for each leased rank range — interleaved with the
-// stage watermarks; the watermark loader skips them.
+// handles on one journal, in one process or several, never tear each
+// other's lines. The watermark loader skips every line that carries an
+// event: ledger anchors, run roots, and the lease records that journals
+// written by older versions hold.
 package pipeline
 
 import (
@@ -23,23 +22,20 @@ import (
 )
 
 // journalEntry is one JSONL line of the shard journal. Stage watermarks use
-// only (Stage, Rank); lease and ledger-anchor records carry the extra fields
-// and a non-empty Event, which is what the watermark loader keys off to skip
+// only (Stage, Rank); ledger-anchor records carry the extra fields and a
+// non-empty Event, which is what the watermark loader keys off to skip
 // them.
 type journalEntry struct {
 	Stage string `json:"stage"`
 	Rank  int    `json:"rank"`
 
-	Event string `json:"event,omitempty"`
-	Lease int    `json:"lease,omitempty"`
-	Lo    int    `json:"lo,omitempty"`
-	Hi    int    `json:"hi,omitempty"`
-	Epoch int    `json:"epoch,omitempty"`
-
-	// Ledger anchor fields (Event "anchor" / "runroot"): Batch is the batch
-	// index (the batch count for a runroot), Root the Merkle root in hex,
-	// Partial marks a latency flush of an incomplete batch. Anchors reuse
-	// Lo/Hi for the leaf span and Rank for Hi-1.
+	// Ledger anchor fields (Event "anchor" / "runroot"): [Lo, Hi) is the
+	// leaf span and Rank is Hi-1, Batch the batch index (the batch count
+	// for a runroot), Root the Merkle root in hex, and Partial marks a
+	// latency flush of an incomplete batch.
+	Event   string `json:"event,omitempty"`
+	Lo      int    `json:"lo,omitempty"`
+	Hi      int    `json:"hi,omitempty"`
 	Batch   int    `json:"batch,omitempty"`
 	Root    string `json:"root,omitempty"`
 	Partial bool   `json:"partial,omitempty"`
@@ -55,17 +51,6 @@ type AnchorRecord struct {
 	Lo, Hi  int
 	Root    string
 	Partial bool
-}
-
-// LeaseRecord is one lease event of a distributed run, as read back from a
-// journal: the coordinator granted, completed, or expired the lease covering
-// ranks [Lo, Hi). Epoch counts reassignments of the same range.
-type LeaseRecord struct {
-	Event string
-	Lease int
-	Lo    int
-	Hi    int
-	Epoch int
 }
 
 // Journal is an append-only JSONL watermark file shared by every stage of a
@@ -129,7 +114,7 @@ func OpenJournal(path string) (*Journal, error) {
 			continue
 		}
 		if e.Event != "" {
-			continue // lease or runroot record, not a watermark
+			continue // a runroot, or an older version's lease record
 		}
 		if e.Rank < 0 {
 			continue // no stage retires a negative rank: a garbled line
@@ -156,30 +141,6 @@ func Checkpoint(path, stage string) (*Journal, int, error) {
 		return nil, 0, err
 	}
 	return j, j.Last(SinkName(stage)) + 1, nil
-}
-
-// ReadLeases returns every lease record in the journal at path, in append
-// order. A missing file returns no records; torn lines are skipped.
-func ReadLeases(path string) ([]LeaseRecord, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: read leases: %w", err)
-	}
-	defer f.Close()
-	var out []LeaseRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		var e journalEntry
-		if json.Unmarshal(sc.Bytes(), &e) != nil || e.Event == "" || e.Event == "anchor" || e.Event == "runroot" {
-			continue
-		}
-		out = append(out, LeaseRecord{Event: e.Event, Lease: e.Lease, Lo: e.Lo, Hi: e.Hi, Epoch: e.Epoch})
-	}
-	return out, sc.Err()
 }
 
 // Last returns the highest journaled rank for the stage, or -1 if the stage
@@ -216,19 +177,6 @@ func (j *Journal) Retire(stage string, rank int) {
 	if j.since[stage] >= every {
 		j.writeLocked(journalEntry{Stage: stage, Rank: j.high[stage]})
 	}
-}
-
-// Lease appends one lease record: event is "grant", "done", or "expire";
-// the lease covers ranks [lo, hi) and epoch counts reassignments. Lease
-// records are written through immediately — they are the audit trail a
-// failure analysis reads, not a cadence-batched watermark. No-op on nil.
-func (j *Journal) Lease(event string, lease, lo, hi, epoch int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.writeLocked(journalEntry{Stage: "lease", Rank: hi - 1, Event: event, Lease: lease, Lo: lo, Hi: hi, Epoch: epoch})
 }
 
 // Anchor appends one ledger anchor record for the stage's sink: the Merkle

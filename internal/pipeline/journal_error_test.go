@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -33,31 +35,40 @@ func TestJournalSurfacesWriteErrors(t *testing.T) {
 	}
 }
 
-// TestJournalLeaseAndAnchorRecordsCoexist: lease readers must not surface
-// anchor records and vice versa — they share the journal file.
+// legacyLease is a lease-grant line as the distributed runs of older
+// versions journaled it, among the watermarks and anchors.
+const legacyLease = `{"stage":"lease","rank":249,"event":"grant","lease":1,"lo":125,"hi":250,"epoch":1}`
+
+// TestJournalLeaseAndAnchorRecordsCoexist: a journal an older version wrote,
+// with lease records among its watermarks and anchors, still resumes at the
+// right rank and still yields its anchors.
 func TestJournalLeaseAndAnchorRecordsCoexist(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.journal")
-	j, err := OpenJournal(path)
+	journal := strings.Join([]string{
+		`{"stage":"lease","rank":124,"event":"grant","hi":125}`,
+		legacyLease,
+		`{"stage":"grade.sink","rank":63}`,
+		`{"stage":"lease","rank":124,"event":"done","hi":125}`,
+		`{"stage":"grade","rank":63,"event":"anchor","hi":64,"root":"aa"}`,
+		`{"stage":"grade.sink","rank":127}`,
+		`{"stage":"lease","rank":299,"event":"grant","lease":2,"lo":250,"hi":300}`,
+		`{"stage":"grade","rank":127,"event":"runroot","hi":128,"batch":1,"root":"bb"}`,
+	}, "\n") + "\n"
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, resume, err := Checkpoint(path, "grade")
 	if err != nil {
-		t.Fatal(err)
-	}
-	j.Lease("grant", 0, 0, 100, 0)
-	if err := j.Anchor("grade", 0, 0, 64, "aa", false); err != nil {
-		t.Fatal(err)
-	}
-	j.Lease("done", 0, 0, 100, 0)
-	if err := j.RunRoot("grade", 1, 64, "bb"); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	leases, err := ReadLeases(path)
-	if err != nil {
-		t.Fatal(err)
+	if resume != 128 {
+		t.Fatalf("resume rank = %d, want 128 (lease records must not disturb watermarks)", resume)
 	}
-	if len(leases) != 2 || leases[0].Event != "grant" || leases[1].Event != "done" {
-		t.Fatalf("leases = %+v", leases)
+	if root, ok := j.AnchorRoot("grade", 0); !ok || root != "aa" {
+		t.Fatalf("anchor of batch 0 = %q, %v", root, ok)
 	}
 	anchors, err := ReadAnchors(path)
 	if err != nil {

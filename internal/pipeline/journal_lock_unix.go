@@ -8,9 +8,10 @@ import (
 )
 
 // lockFile takes the file's advisory exclusive lock (flock). Appends are
-// single write(2) calls, so the lock's job is only to serialize appenders
-// from different processes sharing one journal; EINTR is retried, any other
-// failure degrades to the O_APPEND atomicity small writes already have.
+// single write(2) calls and Journal.mu serializes one handle's appenders,
+// so the lock's job is only to serialize the appends of separate handles
+// on one file; EINTR is retried, any other failure degrades to the
+// O_APPEND atomicity small writes already have.
 func lockFile(f *os.File) {
 	for {
 		err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX)

@@ -9,9 +9,8 @@ import (
 )
 
 // TestJournalConcurrentAppenders: several Journal handles open on the same
-// path (the distributed coordinator plus any future co-writers) append
-// concurrently without tearing lines — every handle's final watermark is
-// recoverable, and every line in the file parses.
+// path append concurrently without tearing lines — every handle's final
+// watermark is recoverable, and every line in the file parses.
 func TestJournalConcurrentAppenders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.ckpt")
 	const writers = 4
@@ -60,57 +59,5 @@ func TestJournalConcurrentAppenders(t *testing.T) {
 		if got := j.Last(stage); got != ranks {
 			t.Fatalf("stage %s watermark = %d, want %d", stage, got, ranks)
 		}
-	}
-}
-
-// TestJournalLeaseRecordsInterleaved: lease events written between stage
-// watermarks are invisible to watermark recovery (Checkpoint resumes at the
-// right rank) but fully recoverable via ReadLeases — the coordinator's
-// audit trail and the pipeline's resume logic share one file without
-// stepping on each other.
-func TestJournalLeaseRecordsInterleaved(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "leases.ckpt")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Every = 1
-	sink := SinkName("grade")
-	j.Lease("grant", 0, 0, 100, 0)
-	for r := 0; r < 50; r++ {
-		j.Retire(sink, r)
-		if r == 20 {
-			j.Lease("expire", 1, 100, 200, 0)
-			j.Lease("grant", 1, 100, 200, 1)
-		}
-	}
-	j.Lease("done", 0, 0, 100, 0)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, resume, err := Checkpoint(path, "grade")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if resume != 50 {
-		t.Fatalf("resume rank = %d, want 50 (lease records must not disturb watermarks)", resume)
-	}
-
-	leases, err := ReadLeases(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []string
-	for _, lr := range leases {
-		events = append(events, lr.Event)
-	}
-	want := "grant,expire,grant,done"
-	if got := strings.Join(events, ","); got != want {
-		t.Fatalf("lease events = %q, want %q", got, want)
-	}
-	if leases[2].Lease != 1 || leases[2].Lo != 100 || leases[2].Hi != 200 || leases[2].Epoch != 1 {
-		t.Fatalf("reassigned lease record wrong: %+v", leases[2])
 	}
 }

@@ -66,11 +66,6 @@ type Options struct {
 	// Resume is the first rank the source emits (0 is a full run). Callers
 	// resuming from a Journal pass Last(sinkStage)+1.
 	Resume int
-	// Limit, when > 0, is the first rank the source does NOT emit: the run
-	// covers exactly [Resume, Limit). It is how a distributed worker executes
-	// a leased sub-range of the population — per-rank seeding makes the
-	// leased ranks bit-identical to the same ranks of a full-range run.
-	Limit int
 }
 
 // defaultQueue is the depth, in items, of a source or stage whose queue is
@@ -305,7 +300,7 @@ func From[T any](ctx context.Context, opts Options, name string, queue int, next
 		// waiting and delay the first record; small ones set every stage
 		// running as soon as one-item hand-offs would.
 		limit := 1
-		for rank := opts.Resume; opts.Limit <= 0 || rank < opts.Limit; rank++ {
+		for rank := opts.Resume; ; rank++ {
 			if r.stopped() {
 				return
 			}

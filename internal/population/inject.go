@@ -19,7 +19,7 @@ import (
 // strictly per-worker — never the global source, never shared across
 // goroutines — so there is no Rand data race, and the per-rank reseed makes
 // every draw a pure function of (Seed, rank) regardless of worker count or
-// -distribute lease shape. Its source is the lazily seeded replica of
+// resume point. Its source is the lazily seeded replica of
 // rand.NewSource (rng.go), whose package-level tables are read-only after
 // initialization.
 type generator struct {

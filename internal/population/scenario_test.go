@@ -35,21 +35,19 @@ func testScenarios(t *testing.T) []Scenario {
 }
 
 // TestScenarioInjectionRangeInvariance: with scenarios loaded, a Flow
-// restricted to [Resume, Limit) still emits bit-identical domains to the same
-// ranks of a full-range flow — injection decisions are per-rank streams, so a
-// distributed worker's lease replays the same scenarios at the same ranks.
+// resumed at rank r still emits bit-identical domains to the same ranks of a
+// full flow — injection decisions are per-rank streams, so a resumed run
+// replays the same scenarios at the same ranks.
 func TestScenarioInjectionRangeInvariance(t *testing.T) {
 	cfg := Config{
 		Size: 120, Seed: 3, Workers: 4,
 		Scenarios: testScenarios(t), ScenarioRate: 0.15,
 	}
 
-	collect := func(resume, limit int) map[int]string {
+	collect := func(resume int) map[int]string {
 		src := NewSource(cfg)
 		got := map[int]string{}
-		flow := src.Flow(context.Background(), pipeline.Options{
-			Name: "scenrange", Resume: resume, Limit: limit,
-		})
+		flow := src.Flow(context.Background(), pipeline.Options{Name: "scenrange", Resume: resume})
 		if err := flow.Drain(func(rank int, d *Domain) error {
 			got[rank] = rangeKey(d) + "|" + d.Scenario
 			return nil
@@ -59,7 +57,7 @@ func TestScenarioInjectionRangeInvariance(t *testing.T) {
 		return got
 	}
 
-	full := collect(0, 0)
+	full := collect(0)
 	if len(full) != cfg.Size {
 		t.Fatalf("full flow emitted %d domains, want %d", len(full), cfg.Size)
 	}
@@ -73,12 +71,15 @@ func TestScenarioInjectionRangeInvariance(t *testing.T) {
 		t.Fatalf("no rank drew the scenario coin at rate %v over %d sites", cfg.ScenarioRate, cfg.Size)
 	}
 
-	for _, r := range [][2]int{{0, 30}, {30, 31}, {25, 90}, {90, cfg.Size}} {
-		sub := collect(r[0], r[1])
+	for _, resume := range []int{1, 30, 90, cfg.Size - 1} {
+		sub := collect(resume)
+		if len(sub) != cfg.Size-resume {
+			t.Fatalf("resume %d: emitted %d domains, want %d", resume, len(sub), cfg.Size-resume)
+		}
 		for rank, key := range sub {
 			if key != full[rank] {
-				t.Fatalf("range [%d, %d): rank %d differs from full run:\nsub:  %s\nfull: %s",
-					r[0], r[1], rank, key, full[rank])
+				t.Fatalf("resume %d: rank %d differs from full run:\nresumed: %s\nfull:    %s",
+					resume, rank, key, full[rank])
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 // Package run is the record path every record-emitting command shares:
-// checkpoint journal → output recovery → out-file → Merkle ledger →
-// single-process or distributed execution. A command describes its record
-// format (Records) and supplies the function that runs a rank range
-// (RangeFunc); the harness does the rest, the same way for every command.
+// checkpoint journal → output recovery → out-file → Merkle ledger. A
+// command describes its record format (Records), opens the path (Open),
+// runs its pipeline from Output.Resume over Output.Journal, hands each
+// retired rank's record to Output.Emit, and closes the path (Close); the
+// harness does the rest, the same way for every command.
 //
 // The order of the steps is the crash-safety argument. A record line is
 // written to the out-file (one write call, unbuffered) before the ledger
@@ -57,9 +58,8 @@ func (r *Records) Bind(out, outUsage, checkpoint, checkpointUsage string) {
 }
 
 // check rejects a -ledger-sidecar the run could never write, naming the
-// missing flag: the ledger anchors into the journal, audits the out-file,
-// and a coordinator folds only dense streams (a worker cannot know where
-// its sparse lines land in the merged file).
+// missing flag: the ledger anchors into the journal and audits the
+// out-file.
 func (r *Records) check(cli *obs.CLI) error {
 	if cli.LedgerSidecar == "" {
 		return nil
@@ -73,8 +73,6 @@ func (r *Records) check(cli *obs.CLI) error {
 		return fmt.Errorf("-ledger-sidecar requires -%s (the ledger anchors into the journal)", checkpoint)
 	case r.Out == "":
 		return fmt.Errorf("-ledger-sidecar requires -%s (the ledger audits the out-file)", out)
-	case cli.Distribute > 0 && r.Rank != nil:
-		return errors.New("-ledger-sidecar requires a single-process run (a distributed run ledgers dense records only)")
 	}
 	return nil
 }
@@ -91,25 +89,21 @@ type Output struct {
 	file    *os.File        // the out-file; nil when records go to stdout or nowhere
 	w       io.Writer       // where records go; nil means nowhere
 	sidecar *os.File        // the ledger's leaf-hash sidecar
-	batcher *ledger.Batcher // the ledger of a single-process run
-	folder  *ledger.Folder  // the ledger of a coordinator
-	total   int             // ranks of a distributed run, which the folder seals over
+	batcher *ledger.Batcher // the ledger; nil when it is off
 }
 
 // Open opens the record path of one run of cli's command: it opens the
 // checkpoint journal, reconciles the out-file with it, opens the out-file
 // (truncated on a fresh run, appended to on a checkpointed one), writes the
-// header on a fresh run, and attaches the ledger — a journal-anchored
-// Batcher in one process, a Folder on a -distribute coordinator — replaying
-// the recovered lines through it.
+// header on a fresh run, and attaches the ledger — a Batcher anchoring into
+// the journal — replaying the recovered lines through it.
 //
 // Records go to the out-file when one is named. Without one, a dense
 // stream is the run's output and goes to stdout; a sparse stream lists only
-// some ranks, so it is written to a named out-file or not at all. The rule
-// is the same for a single-process run and a coordinator.
+// some ranks, so it is written to a named out-file or not at all.
 //
 // The ledger is on when the run has both a journal and an out-file and
-// -ledger-batch is non-zero; a coordinator ledgers dense streams only.
+// -ledger-batch is non-zero.
 func Open(cli *obs.CLI, r Records) (o *Output, err error) {
 	if err := r.check(cli); err != nil {
 		return nil, err
@@ -152,7 +146,7 @@ func Open(cli *obs.CLI, r Records) (o *Output, err error) {
 			return o, err
 		}
 	}
-	if o.Journal == nil || o.file == nil || cli.LedgerBatch == 0 || (cli.Distribute > 0 && r.Rank != nil) {
+	if o.Journal == nil || o.file == nil || cli.LedgerBatch == 0 {
 		return o, nil
 	}
 	var side io.Writer
@@ -170,21 +164,14 @@ func Open(cli *obs.CLI, r Records) (o *Output, err error) {
 	if r.Rank != nil {
 		replay = -1
 	}
-	var a ledger.Appender
-	if cli.Distribute > 0 {
-		o.folder = ledger.JournalFolder(o.Journal, r.Stage, cli.LedgerBatch, side)
-		a = o.folder
-	} else {
-		o.batcher = ledger.JournalBatcher(o.Journal, r.Stage, cli.LedgerBatch, cli.LedgerLatency, nil, side)
-		a = o.batcher
-	}
-	return o, ledger.Replay(a, r.Out, len(r.Header), replay)
+	o.batcher = ledger.JournalBatcher(o.Journal, r.Stage, cli.LedgerBatch, cli.LedgerLatency, nil, side)
+	return o, ledger.Replay(o.batcher, r.Out, len(r.Header), replay)
 }
 
 // Emit writes one record line (without its trailing newline) and hashes it
 // into the ledger. A nil line is a rank with no record (a sparse stream)
-// and writes nothing. It has Span.Emit's shape; the rank goes unused
-// because a single process retires its ranks in order.
+// and writes nothing. It has the shape of the pipelines' Record taps; the
+// rank goes unused because the pipeline retires its ranks in order.
 func (o *Output) Emit(_ int, line []byte) error {
 	if line == nil {
 		return nil
@@ -205,8 +192,6 @@ func (o *Output) Close() error {
 	var err error
 	if o.batcher != nil {
 		_, _, err = ledger.Seal(o.batcher, o.Journal, o.stage)
-	} else if o.folder != nil {
-		_, _, err = ledger.SealFolder(o.folder, o.Journal, o.stage, o.total)
 	}
 	return errors.Join(err, o.closeFiles())
 }

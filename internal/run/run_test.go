@@ -7,13 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"chainchaos/internal/dist"
 	"chainchaos/internal/ledger"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/pipeline"
@@ -24,10 +20,10 @@ const (
 	batchSize = 16
 )
 
-// testJob is the config the test range function runs: a sparse stream
-// emits a record for every third rank only.
+// testJob is the record stream a test run emits: a sparse stream emits a
+// record for every third rank only.
 type testJob struct {
-	Sparse bool `json:"sparse"`
+	Sparse bool
 }
 
 // line is rank's record, or nil when a sparse stream has none for it. The
@@ -51,27 +47,23 @@ func lineRank(line []byte) (int, bool) {
 
 var errCrash = errors.New("simulated crash")
 
-// ranges stands in for a command's pipeline: it emits each rank's record,
-// then retires the rank through the journal, and stops dead before rank
-// crashAt (a kill -9 mid-run when crashAt >= 0).
-func ranges(stage string, crashAt int) RangeFunc[testJob] {
-	return func(ctx context.Context, j testJob, s Span) (map[string]int64, error) {
-		lines := int64(0)
-		for rank := s.Lo; rank < s.Hi; rank++ {
-			if rank == crashAt {
-				return nil, errCrash
-			}
-			line := j.line(rank)
-			if err := s.Emit(rank, line); err != nil {
-				return nil, err
-			}
-			if line != nil {
-				lines++
-			}
-			s.Journal.Retire(pipeline.SinkName(stage), rank)
+// feed runs ranks [o.Resume, total) of j through a pipeline into o, as a
+// command does: the sink hands each retired rank's record to o.Emit, then
+// the pipeline retires the rank through the journal. The sink fails at rank
+// crashAt (a kill -9 mid-run when crashAt >= 0). It returns how many ranks
+// the sink emitted.
+func feed(o *Output, stage string, j testJob, crashAt int) (int, error) {
+	emitted := 0
+	src := pipeline.From(context.Background(), pipeline.Options{Journal: o.Journal, Resume: o.Resume}, stage, 0,
+		func(rank int) ([]byte, bool, error) { return j.line(rank), rank < total, nil })
+	err := src.Drain(func(rank int, line []byte) error {
+		if rank == crashAt {
+			return errCrash
 		}
-		return map[string]int64{"ranks": int64(s.Hi - s.Lo), "lines": lines}, nil
-	}
+		emitted++
+		return o.Emit(rank, line)
+	})
+	return emitted, err
 }
 
 // want is an uninterrupted run's out-file, sidecar and ledger run root.
@@ -159,7 +151,7 @@ func TestRecordPath(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := Ranks(context.Background(), cli, o, total, Job[testJob]{Config: f.job}, ranges(r.Stage, c.crashAt)); !errors.Is(err, errCrash) {
+					if _, err := feed(o, r.Stage, f.job, c.crashAt); !errors.Is(err, errCrash) {
 						t.Fatalf("crash run: %v", err)
 					}
 					// A kill -9 flushes nothing: the journal keeps only its
@@ -180,15 +172,15 @@ func TestRecordPath(t *testing.T) {
 				if c.crashAt >= 0 && (o.Resume == 0 || o.Resume > c.crashAt) {
 					t.Fatalf("resume rank %d after a crash at %d", o.Resume, c.crashAt)
 				}
-				tallies, err := Ranks(context.Background(), cli, o, total, Job[testJob]{Config: f.job}, ranges(r.Stage, -1))
+				emitted, err := feed(o, r.Stage, f.job, -1)
 				if err == nil {
 					err = o.Close()
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := tallies["ranks"]; got != int64(total-o.Resume) {
-					t.Fatalf("ranks tally %d, want %d", got, total-o.Resume)
+				if emitted != total-o.Resume {
+					t.Fatalf("emitted %d ranks, want %d", emitted, total-o.Resume)
 				}
 				check(t, r, cli.LedgerSidecar, f.job)
 			})
@@ -201,27 +193,23 @@ func TestRecordPath(t *testing.T) {
 func TestSidecarNeedsItsFlags(t *testing.T) {
 	divfuzz := Records{Stage: "divergence", outFlag: "records", checkpointFlag: "records-journal"}
 	cases := []struct {
-		name       string
-		r          Records
-		out, ckpt  bool
-		distribute int
-		want       string
+		name      string
+		r         Records
+		out, ckpt bool
+		want      string
 	}{
-		{"study -out, no -checkpoint", Records{Stage: "grade"}, true, false, 0, "requires -checkpoint"},
-		{"study -checkpoint to stdout", Records{Stage: "grade"}, false, true, 0, "requires -out"},
-		{"experiments -stream", Records{Stage: "verdict", Rank: lineRank}, false, false, 0, "requires -checkpoint"},
-		{"experiments -distribute", Records{Stage: "verdict", Rank: lineRank}, true, true, 2, "requires a single-process run"},
-		{"divfuzz -records, no journal", divfuzz, true, false, 0, "requires -records-journal"},
-		{"divfuzz -records-journal, no records", divfuzz, false, true, 0, "requires -records ("},
-		{"study ledgered", Records{Stage: "grade"}, true, true, 0, ""},
-		{"study distributed", Records{Stage: "grade"}, true, true, 4, ""},
-		{"experiments ledgered", Records{Stage: "verdict", Rank: lineRank}, true, true, 0, ""},
+		{"study -out, no -checkpoint", Records{Stage: "grade"}, true, false, "requires -checkpoint"},
+		{"study -checkpoint to stdout", Records{Stage: "grade"}, false, true, "requires -out"},
+		{"experiments -stream", Records{Stage: "verdict", Rank: lineRank}, false, false, "requires -checkpoint"},
+		{"divfuzz -records, no journal", divfuzz, true, false, "requires -records-journal"},
+		{"divfuzz -records-journal, no records", divfuzz, false, true, "requires -records ("},
+		{"study ledgered", Records{Stage: "grade"}, true, true, ""},
+		{"experiments ledgered", Records{Stage: "verdict", Rank: lineRank}, true, true, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cli := testCLI(dir)
-			cli.Distribute = c.distribute
 			r := c.r
 			if c.out {
 				r.Out = filepath.Join(dir, "out")
@@ -250,21 +238,19 @@ func TestSidecarNeedsItsFlags(t *testing.T) {
 }
 
 // TestWhereRecordsGo: without an out-file a dense stream goes to stdout and
-// a sparse one nowhere, in one process and on a coordinator alike.
+// a sparse one nowhere.
 func TestWhereRecordsGo(t *testing.T) {
-	for _, distribute := range []int{0, 2} {
-		cli := &obs.CLI{Prog: "test", Metrics: obs.NewRegistry(), Distribute: distribute}
-		dense, err := Open(cli, Records{Stage: "dense"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, err := Open(cli, Records{Stage: "sparse", Rank: lineRank})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dense.w != os.Stdout || sparse.w != nil {
-			t.Fatalf("-distribute %d: dense records go to %v, sparse to %v", distribute, dense.w, sparse.w)
-		}
+	cli := &obs.CLI{Prog: "test", Metrics: obs.NewRegistry()}
+	dense, err := Open(cli, Records{Stage: "dense"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := Open(cli, Records{Stage: "sparse", Rank: lineRank})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.w != os.Stdout || sparse.w != nil {
+		t.Fatalf("dense records go to %v, sparse to %v", dense.w, sparse.w)
 	}
 }
 
@@ -285,99 +271,8 @@ func TestWriteErrorsFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Ranks(context.Background(), cli, o, total, Job[testJob]{}, ranges("dense", -1)); err == nil {
+	if _, err := feed(o, "dense", testJob{}, -1); err == nil {
 		t.Fatal("records written to /dev/full did not fail")
 	}
 	o.Close() //nolint:errcheck
-}
-
-// TestDistributedTCP: a coordinator over TCP with in-process workers, the
-// first of which drops its connection mid-lease (Job.KillAfter), writes
-// what a single process writes: the same bytes, sidecar and run root for a
-// dense stream, the same bytes for a sparse one. Every worker's first lease
-// waits until all three are running one, so the armed worker always gets a
-// lease to die in, however late it connects.
-func TestDistributedTCP(t *testing.T) {
-	killSelf = runtime.Goexit // the worker's serve loop ends and its connection closes
-	t.Cleanup(func() { killSelf = dist.KillSelf })
-	for _, f := range []struct {
-		name string
-		job  testJob
-		r    Records
-	}{
-		{"dense", testJob{}, Records{Stage: "dense"}},
-		{"sparse", testJob{Sparse: true}, Records{Stage: "sparse", Rank: lineRank}},
-	} {
-		t.Run(f.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cli := testCLI(dir)
-			cli.Distribute, cli.DistLease = 3, 40
-			r := f.r
-			r.Out, r.Checkpoint = filepath.Join(dir, "out"), filepath.Join(dir, "ckpt")
-			if f.job.Sparse {
-				cli.LedgerSidecar = "" // a coordinator does not ledger sparse streams
-			}
-			o, err := Open(cli, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l, err := dist.ListenTCP("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			var served []error
-			var leases atomic.Int32
-			allRunning := make(chan struct{})
-			work := ranges(r.Stage, -1)
-			fn := func(ctx context.Context, j testJob, s Span) (map[string]int64, error) {
-				if leases.Add(1) == int32(cli.Distribute) {
-					close(allRunning)
-				}
-				<-allRunning
-				return work(ctx, j, s)
-			}
-			l.Spawn = func(slot, spawn int) error {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					err := Serve(context.Background(), &obs.CLI{Worker: true, Connect: l.Addr()}, fn)
-					mu.Lock()
-					served = append(served, err)
-					mu.Unlock()
-				}()
-				return nil
-			}
-			reg := cli.Metrics
-			tallies, err := coordinate(context.Background(), cli, o, total, Job[testJob]{Config: f.job, KillAfter: 20}, l)
-			if err == nil {
-				err = o.Close()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Wait()
-			for _, err := range served {
-				if err != nil {
-					t.Fatalf("worker: %v", err)
-				}
-			}
-			if reg.Counter("dist.lease_reassigned").Value() == 0 {
-				t.Fatal("no lease was reassigned: the armed worker never dropped")
-			}
-			if tallies["ranks"] != total {
-				t.Fatalf("ranks tally %d, want %d", tallies["ranks"], total)
-			}
-			if !f.job.Sparse {
-				check(t, r, cli.LedgerSidecar, f.job)
-				return
-			}
-			wantOut, _, _ := want(t, f.job, nil)
-			if got, err := os.ReadFile(r.Out); err != nil || string(got) != wantOut {
-				t.Fatalf("merged output differs from a single-process run (%d vs %d bytes, %v)", len(got), len(wantOut), err)
-			}
-		})
-	}
 }

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// TestStudyStreamRangeInvariance: a range-restricted run over [Resume, Limit)
-// emits exactly the bytes ranks Resume..Limit-1 of a full run emit — the
-// property the distributed coordinator leans on when leasing sub-ranges to
-// workers. The concatenation of disjoint sub-range runs is byte-identical to
-// one full run, including under chain reuse (slot sites) and dedup.
+// TestStudyStreamRangeInvariance: a run resumed at rank r emits exactly the
+// bytes ranks r..Sites-1 of a full run emit, the property resume rests on.
+// It holds under chain reuse (slot sites) and dedup, where a resumed run
+// materializes each slot at the first of its sites it reaches.
 func TestStudyStreamRangeInvariance(t *testing.T) {
 	const sites = 24
 	cfg := Config{
@@ -23,83 +22,41 @@ func TestStudyStreamRangeInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := bytes.SplitAfter(full.Bytes(), []byte("\n"))
+	if fullRep.Streamed != sites || len(lines) != sites+1 {
+		t.Fatalf("full run streamed %d sites in %d lines, want %d", fullRep.Streamed, len(lines)-1, sites)
+	}
 
-	// Three disjoint leases covering [0, sites), run out of order — each must
-	// reproduce its slice of the full stream regardless of execution order.
-	ranges := [][2]int{{9, 17}, {0, 9}, {17, sites}}
-	parts := make(map[[2]int][]byte, len(ranges))
-	sumStreamed := 0
-	var recorded int
-	for _, r := range ranges {
+	for _, resume := range []int{1, 9, 17, sites - 1} {
 		var buf bytes.Buffer
+		recorded := 0
 		rep, err := RunStream(context.Background(), cfg, Stream{
-			Out: &buf, Resume: r[0], Limit: r[1],
+			Out: &buf, Resume: resume,
 			Record: func(rank int, line []byte) error {
-				if rank < r[0] || rank >= r[1] {
-					t.Errorf("Record rank %d outside lease [%d, %d)", rank, r[0], r[1])
+				if rank != resume+recorded {
+					t.Errorf("resume %d: Record rank %d, want %d", resume, rank, resume+recorded)
 				}
 				if len(line) == 0 {
-					t.Errorf("Record rank %d: empty line", rank)
+					t.Errorf("resume %d: Record rank %d: empty line", resume, rank)
 				}
 				recorded++
 				return nil
 			},
 		})
 		if err != nil {
-			t.Fatalf("range [%d, %d): %v", r[0], r[1], err)
+			t.Fatalf("resume %d: %v", resume, err)
 		}
-		parts[r] = append([]byte(nil), buf.Bytes()...)
-		sumStreamed += rep.Streamed
-	}
-	if recorded != sites {
-		t.Fatalf("Record hook fired %d times, want %d", recorded, sites)
-	}
-	if sumStreamed != fullRep.Streamed {
-		t.Fatalf("sub-range Streamed sums to %d, full run %d", sumStreamed, fullRep.Streamed)
-	}
-
-	var combined []byte
-	for _, r := range [][2]int{{0, 9}, {9, 17}, {17, sites}} {
-		combined = append(combined, parts[r]...)
-	}
-	if !bytes.Equal(combined, full.Bytes()) {
-		t.Fatalf("concatenated sub-range output differs from the full run:\ncombined:\n%s\nfull:\n%s", combined, full.Bytes())
-	}
-}
-
-// TestReportTalliesRoundTrip: the wire tallies carry every additive
-// aggregate, and merging the tallies of disjoint sub-ranges reproduces the
-// full run's aggregate report.
-func TestReportTalliesRoundTrip(t *testing.T) {
-	cfg := Config{Sites: 12, Seed: 7, Vantages: 1, Concurrency: 4, Workers: 2}
-	fullRep, err := RunStream(context.Background(), cfg, Stream{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	merged := map[string]int64{}
-	for _, r := range [][2]int{{0, 5}, {5, 12}} {
-		rep, err := RunStream(context.Background(), cfg, Stream{Resume: r[0], Limit: r[1]})
-		if err != nil {
-			t.Fatal(err)
+		if recorded != sites-resume || rep.Streamed != sites-resume {
+			t.Fatalf("resume %d: Record fired %d times and %d sites streamed, want %d", resume, recorded, rep.Streamed, sites-resume)
 		}
-		for k, v := range rep.Tallies() {
-			merged[k] += v
+		if want := bytes.Join(lines[resume:], nil); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("resume %d: output differs from the full run's ranks:\nresumed:\n%s\nfull:\n%s", resume, buf.Bytes(), want)
 		}
-	}
-	got := ReportFromTallies(cfg, merged)
-	if got.Streamed != fullRep.Streamed ||
-		got.StreamedCompliant != fullRep.StreamedCompliant ||
-		got.LeavesGenerated != fullRep.LeavesGenerated ||
-		got.ScanErrors != fullRep.ScanErrors ||
-		got.Lost != fullRep.Lost {
-		t.Fatalf("merged tallies %+v differ from full report %+v", got, fullRep)
 	}
 }
 
 // TestPerClientTableStreamed: a streamed run keeps no sites, yet its
-// per-client pass table, and the table of the report merged from its
-// leases' tallies, are the batch run's.
+// per-client pass table is the batch run's.
 func TestPerClientTableStreamed(t *testing.T) {
 	cfg := Config{Sites: 16, Seed: 4, Vantages: 1, Concurrency: 4, Workers: 2}
 	batch, err := Run(cfg)
@@ -109,26 +66,12 @@ func TestPerClientTableStreamed(t *testing.T) {
 	if bad := batch.Streamed - batch.Lost - batch.StreamedCompliant; bad == 0 {
 		t.Fatal("seed draws no non-compliant site")
 	}
-	want := perClientTable(t, batch)
-
 	stream, err := RunStream(context.Background(), cfg, Stream{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := map[string]int64{}
-	for _, r := range [][2]int{{0, 7}, {7, 16}} {
-		rep, err := RunStream(context.Background(), cfg, Stream{Resume: r[0], Limit: r[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range rep.Tallies() {
-			merged[k] += v
-		}
-	}
-	for name, rep := range map[string]*Report{"streamed": stream, "merged tallies": ReportFromTallies(cfg, merged)} {
-		if got := perClientTable(t, rep); got != want {
-			t.Errorf("%s per-client table:\n%s\nbatch:\n%s", name, got, want)
-		}
+	if got, want := perClientTable(t, stream), perClientTable(t, batch); got != want {
+		t.Errorf("streamed per-client table:\n%s\nbatch:\n%s", got, want)
 	}
 }
 

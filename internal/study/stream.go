@@ -46,20 +46,15 @@ type Stream struct {
 	Journal *pipeline.Journal
 	// Resume is the first site rank to deploy; a resuming caller passes
 	// Journal.Last(pipeline.SinkName("grade"))+1. Ranks below Resume are
-	// skipped entirely (every per-rank assignment is salted by (Seed, rank),
-	// so the remaining sites are identical to a full run's).
+	// skipped entirely: every per-rank assignment is salted by (Seed, rank),
+	// so the remaining sites, and their records, are byte-identical to the
+	// same ranks of a full run.
 	Resume int
-	// Limit, when > 0, is the first rank the run does NOT process: the run
-	// covers exactly [Resume, Limit) of a cfg.Sites-site study. Because
-	// every per-rank decision is salted by (Seed, rank), the records of a
-	// range-restricted run are byte-identical to the same ranks of a full
-	// run — the property the distributed coordinator leans on when leasing
-	// sub-ranges to workers.
-	Limit int
 	// Record, when non-nil, receives each site's JSONL record (without
-	// trailing newline) in rank order — the distributed worker's tap. It
-	// runs in addition to Out, before it. line is valid only during the
-	// call: the sink reuses its buffer for the next record.
+	// trailing newline) in rank order — the tap commands write their
+	// out-file and ledger through. It runs in addition to Out, before it.
+	// line is valid only during the call: the sink reuses its buffer for
+	// the next record.
 	Record func(rank int, line []byte) error
 	// Ledger, when non-nil, receives each emitted record line as a Merkle
 	// leaf after it is written, so batch roots anchor into the checkpoint
@@ -301,15 +296,15 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	// while the others wait. The scan and grade stages take the engine's
 	// default depth; listeners live only inside their scan, so the depth
 	// does not change how many are open.
-	opts := pipeline.Options{Name: "study", Metrics: reg, Journal: st.Journal, Resume: st.Resume, Limit: st.Limit}
+	opts := pipeline.Options{Name: "study", Metrics: reg, Journal: st.Journal, Resume: st.Resume}
 	src := pipeline.From(ctx, opts, "deploy", 2, func(rank int) (deployed, bool, error) {
 		if rank >= cfg.Sites {
 			return deployed{}, false, nil
 		}
 		// Each rank's defect and server-model assignment comes from its own
-		// salted splitmix64 stream, so a resumed or range-restricted run needs
-		// no replay: rank r draws the same pair in every run shape. Shared
-		// sites take their assignment from the slot instead.
+		// salted splitmix64 stream, so a resumed run needs no replay: rank r
+		// draws the same pair in every run shape. Shared sites take their
+		// assignment from the slot instead.
 		inj := defects[population.Pick(len(defects), cfg.Seed, rank, siteDefectSalt)]
 		model := servers[population.Pick(len(servers), cfg.Seed, rank, siteServerSalt)]
 
@@ -527,7 +522,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 // newline, to b: the bytes json.Marshal gives for the site's SiteRecord
 // (field order, omitempty, sorted verdict keys, HTML-safe escaping), written
 // without reflection. The record excludes every nondeterministic field, so
-// the byte stream depends only on (Seed, Sites, Resume, Limit).
+// the byte stream depends only on (Seed, Sites, Resume).
 func appendSiteRecord(b []byte, rank int, g scannedSite) []byte {
 	s := g.site
 	b = strconv.AppendInt(append(b, `{"rank":`...), int64(rank), 10)

@@ -8,15 +8,11 @@
 # byte-identity and JSON gates the old shell encoded as cmp/jq pipelines,
 # and writes BENCH_<pr>.json plus a per-(cell, repeat, step) CSV beside it.
 #
-# Modes (env PR, default pr7):
+# Modes (env PR, default pr10):
 #
 #   PR=pr6   harness benchmark + 100k-site dedup off/on study + 10M-site
 #            study under GOMEMLIMIT=64MiB       (knobs: STUDY_SITES,
 #            BIG_SITES, REUSE, POOL)
-#   PR=pr7   distributed scaling: single-process baseline, then auto/coarse
-#            lease modes x worker counts, outputs byte-identical to the
-#            baseline                           (knobs: STUDY_SITES, REUSE,
-#            POOL, WORKER_COUNTS)
 #   PR=pr8   chainserved daemon under sustained load, SIGTERM drain with
 #            admitted == completed              (knobs: LOAD_QPS,
 #            LOAD_SECONDS)
@@ -34,7 +30,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PR=${PR:-pr7}
+PR=${PR:-pr10}
 OUT=${OUT:-BENCH_${PR}.json}
 SPEC=scripts/grids/${PR}.json
 [ -f "$SPEC" ] || { echo "bench-json: unknown PR mode '$PR' (no $SPEC)" >&2; exit 1; }
@@ -52,15 +48,6 @@ case "$PR" in
     map big_sites BIG_SITES
     map reuse REUSE
     map pool POOL
-    ;;
-  pr7)
-    map sites STUDY_SITES
-    map reuse REUSE
-    map pool POOL
-    # WORKER_COUNTS ("1 4") narrows the fixed 1/2/4/8 axis via a cell filter.
-    if [ -n "${WORKER_COUNTS:-}" ]; then
-      CELLS=${CELLS:-"workers=($(echo "$WORKER_COUNTS" | tr -s ' ' '|'))$"}
-    fi
     ;;
   pr8)
     map qps LOAD_QPS
