@@ -562,28 +562,17 @@ func BenchmarkPipelineDifftest(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineStudy compares the streaming study — sites deployed,
-// scanned, and graded through the bounded deploy→scan→grade pipeline with a
-// JSONL sink — against the batch adapter that additionally retains every
-// graded Site.
+// BenchmarkPipelineStudy is the study end to end: sites deployed, scanned,
+// and graded through the bounded deploy→scan→grade pipeline into a JSONL
+// sink.
 func BenchmarkPipelineStudy(b *testing.B) {
 	cfg := study.Config{Sites: 200, Seed: 4, Vantages: 1}
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := study.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := study.RunStream(context.Background(), cfg, study.Stream{Out: io.Discard}); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := study.RunStream(context.Background(), cfg, study.Stream{Out: io.Discard}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // --- Path building per client model on a reversed chain ---

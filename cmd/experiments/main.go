@@ -4,20 +4,22 @@
 // Usage:
 //
 //	experiments [-size 100000] [-seed 1] [-run t3,t9,d1] [-workers 0]
-//	            [-stream] [-out verdicts.jsonl] [-checkpoint diff.ckpt]
+//	            [-out verdicts.jsonl] [-checkpoint diff.ckpt]
+//	            [-reuse 0.9995] [-pool 3000] [-dedup]
 //	            [-metrics metrics.json] [-pprof localhost:6060]
 //
 // Experiment ids: t1 t3 t4 t5 t6 t7 t8 t9 t10 t11 f2 f3 f4 f5 d1 d2 d3 (default:
 // all, in paper order).
 //
-// With -stream the differential evaluation (d1) runs over the streaming
-// population source — domains are generated, analyzed, and graded in flight
-// with bounded memory, which is how the paper-scale 906,336-chain run fits —
-// writing one JSON line per non-compliant chain to -out and checkpointing
-// progress to -checkpoint. The other experiments need the materialized
-// population, so -stream runs d1 only. The verdict JSONL goes only to -out:
-// it is sparse, one line per non-compliant chain, and stdout carries the
-// tables.
+// When the differential evaluation (d1) is the only experiment — -run d1, or
+// any of its own flags -out, -checkpoint, -reuse, -pool and -dedup — it runs
+// over the streaming population source: domains are generated, analyzed,
+// and graded in flight with bounded memory, which is how the paper-scale
+// 906,336-chain run fits, writing one JSON line per non-compliant chain to
+// -out and checkpointing progress to -checkpoint. The verdict JSONL goes
+// only to -out: it is sparse, one line per non-compliant chain, and stdout
+// carries the table. The other experiments share one materialized
+// population, and a run of several of them grades d1 over its analyses.
 package main
 
 import (
@@ -53,13 +55,12 @@ func main() {
 	flag.IntVar(&sc.Size, "size", 100000, "population size (906336 = paper scale)")
 	flag.Int64Var(&sc.Seed, "seed", 1, "population seed")
 	runIDs := flag.String("run", "", "comma-separated experiment ids (default all)")
-	stream := flag.Bool("stream", false, "run the differential evaluation (d1) over the streaming source with bounded memory")
 	rec := run.Records{Stage: "verdict", Rank: verdictRank}
-	rec.Bind("out", "with -stream: write per-chain verdict JSONL here",
-		"checkpoint", "with -stream: journal progress to this file and resume from it")
-	flag.Float64Var(&sc.Reuse, "reuse", 0, "with -stream: fraction of domains presenting a pooled (duplicate) chain")
-	flag.IntVar(&sc.Pool, "pool", 0, "with -stream: distinct-chain pool size under -reuse (0 = default 3000)")
-	flag.BoolVar(&sc.Dedup, "dedup", false, "with -stream: memoize verdicts per distinct chain (bit-identical output, duplicate chains cost a lookup)")
+	rec.Bind("out", "d1 only: write per-chain verdict JSONL here",
+		"checkpoint", "d1 only: journal progress to this file and resume from it")
+	flag.Float64Var(&sc.Reuse, "reuse", 0, "d1 only: fraction of domains presenting a pooled (duplicate) chain")
+	flag.IntVar(&sc.Pool, "pool", 0, "d1 only: distinct-chain pool size under -reuse (0 = default 3000)")
+	flag.BoolVar(&sc.Dedup, "dedup", false, "d1 only: memoize verdicts per distinct chain (bit-identical output, duplicate chains cost a lookup)")
 	cli.BindWorkers("parallel workers for generation/analysis/difftest (0 = GOMAXPROCS)")
 	cli.BindLedger()
 	cli.BindObs()
@@ -67,15 +68,29 @@ func main() {
 	cli.Start()
 	sc.Workers, sc.Metrics = cli.Workers, cli.Metrics
 
-	if *stream || rec.Out != "" || rec.Checkpoint != "" {
-		if *runIDs != "" && strings.TrimSpace(strings.ToLower(*runIDs)) != "d1" {
-			cli.Fatal(errors.New("-stream runs the differential evaluation only; drop -run or pass -run d1"))
+	want := map[string]bool{}
+	if *runIDs != "" {
+		for _, id := range strings.Split(*runIDs, ",") {
+			want[strings.TrimSpace(strings.ToLower(id))] = true
 		}
+	}
+	// d1 alone streams: named by -run, or implied by a flag only d1 reads.
+	d1Only, d1Flags := len(want) == 1 && want["d1"], false
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "out", "checkpoint", "reuse", "pool", "dedup":
+			d1Flags = true
+		}
+	})
+	if d1Flags && len(want) > 0 && !d1Only {
+		cli.Fatal(errors.New("-out, -checkpoint, -reuse, -pool and -dedup apply to the differential evaluation only; drop -run or pass -run d1"))
+	}
+	if d1Only || d1Flags {
 		out, err := run.Open(cli, rec)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		fmt.Printf("population: %d domains, seed %d (streaming)\n\n", sc.Size, sc.Seed)
+		fmt.Printf("population: %d domains, seed %d\n\n", sc.Size, sc.Seed)
 		start := time.Now()
 		sc.Journal, sc.Resume, sc.Record = out.Journal, out.Resume, out.Emit
 		sum, err := experiments.DifferentialStreamSummary(context.Background(), sc)
@@ -119,13 +134,6 @@ func main() {
 		{"d1", str(func() fmt.Stringer { return env.DifferentialOverview() })},
 		{"d2", str(func() fmt.Stringer { return env.PrioritizationStats() })},
 		{"d3", str(func() fmt.Stringer { return env.CapabilityAblation() })},
-	}
-
-	want := map[string]bool{}
-	if *runIDs != "" {
-		for _, id := range strings.Split(*runIDs, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
-		}
 	}
 
 	fmt.Printf("population: %d domains, seed %d\n\n", sc.Size, sc.Seed)

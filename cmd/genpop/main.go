@@ -6,11 +6,10 @@
 //
 //	genpop -size 10000 -seed 1 > population.tsv
 //	genpop -size 10000 -summary
-//	genpop -size 1000000 -stream -out population.tsv -checkpoint population.ckpt
+//	genpop -size 1000000 -out population.tsv -checkpoint population.ckpt
 //
-// With -stream, rows are written as domains are generated — peak memory is
-// bounded by the worker pool, not the population — and the bytes are
-// identical to the batch path. -checkpoint journals progress so an
+// Rows are written as domains are generated, so peak memory is bounded by
+// the worker pool, not the population. -checkpoint journals progress so an
 // interrupted generation resumes where it stopped, appending to -out.
 package main
 
@@ -18,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"slices"
 
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/obs"
@@ -36,10 +36,9 @@ func main() {
 	summary := flag.Bool("summary", false, "print aggregate statistics instead of the TSV")
 	flag.Float64Var(&cfg.ChainReuse, "reuse", 0, "fraction of domains presenting a pooled (duplicate) chain — the paper's hosting-provider skew")
 	flag.IntVar(&cfg.ChainPool, "pool", 0, "distinct-chain pool size under -reuse (0 = default 3000)")
-	stream := flag.Bool("stream", false, "emit rows as domains are generated instead of materializing the population")
 	rec := run.Records{Stage: "generate", Header: []string{header}}
-	rec.Bind("out", "write the TSV here (default stdout; implies -stream)",
-		"checkpoint", "journal progress to this file and resume an interrupted run from it (implies -stream)")
+	rec.Bind("out", "write the TSV here (default stdout)",
+		"checkpoint", "journal progress to this file and resume an interrupted run from it")
 	scenarioFile := flag.String("scenario-file", "", "inject fuzzer-discovered chain topologies from this scenario file (cmd/divfuzz -scenarios)")
 	flag.Float64Var(&cfg.ScenarioRate, "scenario-rate", 0.01, "fraction of domains presenting an injected scenario under -scenario-file")
 	cli.BindWorkers("parallel workers for generation (0 = GOMAXPROCS)")
@@ -57,7 +56,6 @@ func main() {
 		}
 		cfg.Scenarios = scs
 	}
-	streaming := *stream || rec.Out != "" || rec.Checkpoint != ""
 	if *summary {
 		// A summary writes no TSV: no header, and -out is left alone.
 		rec.Header, rec.Out = nil, ""
@@ -74,20 +72,9 @@ func main() {
 		}
 		return out.Emit(d.Rank-1, row(d))
 	}
-	var pop *population.Population
-	if streaming {
-		src := population.NewSource(cfg)
-		pop = src.Population()
-		opts := pipeline.Options{Name: "genpop", Metrics: cli.Metrics, Journal: out.Journal, Resume: out.Resume}
-		err = src.Each(context.Background(), opts, each)
-	} else {
-		pop = population.Generate(cfg)
-		for _, d := range pop.Domains {
-			if err = each(d); err != nil {
-				break
-			}
-		}
-	}
+	src := population.NewSource(cfg)
+	opts := pipeline.Options{Name: "genpop", Metrics: cli.Metrics, Journal: out.Journal, Resume: out.Resume}
+	err = src.Each(context.Background(), opts, each)
 	if err == nil {
 		err = out.Close()
 	}
@@ -95,7 +82,7 @@ func main() {
 		cli.Fatal(err)
 	}
 	if *summary {
-		st.print(pop)
+		st.print(src.Population())
 	}
 }
 
@@ -110,7 +97,7 @@ func row(d *population.Domain) []byte {
 }
 
 // stats accumulates the -summary aggregates one domain at a time, so the
-// streaming path never holds the population.
+// run never holds the population.
 type stats struct {
 	n                                          int
 	dup, irr, multi, rev, inc, mismatch, other int
@@ -177,11 +164,22 @@ func (s *stats) print(pop *population.Population) {
 	fmt.Printf("issuer hierarchies:   %d, AIA repository entries: %d\n", len(pop.Issuers), pop.Repo.Len())
 	fmt.Printf("union root store:     %d roots\n", pop.Roots().Len())
 	fmt.Println("\nby CA:")
-	for name, c := range s.byCA {
-		fmt.Printf("  %-22s %s\n", name, pct(c))
+	for _, name := range sortedNames(s.byCA) {
+		fmt.Printf("  %-22s %s\n", name, pct(s.byCA[name]))
 	}
 	fmt.Println("by server:")
-	for name, c := range s.byServer {
-		fmt.Printf("  %-38s %s\n", name, pct(c))
+	for _, name := range sortedNames(s.byServer) {
+		fmt.Printf("  %-38s %s\n", name, pct(s.byServer[name]))
 	}
+}
+
+// sortedNames returns counts' keys in order, so -summary prints the same
+// bytes on every run.
+func sortedNames(counts map[string]int) []string {
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

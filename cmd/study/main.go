@@ -8,20 +8,20 @@
 //
 //	study [-sites 60] [-seed 1] [-vantages 2] [-workers 0] [-retries 2] [-chaos]
 //	      [-reuse 0.9995] [-distinct 3000] [-dedup]
-//	      [-stream] [-out sites.jsonl] [-checkpoint study.ckpt]
+//	      [-out sites.jsonl] [-checkpoint study.ckpt]
 //	      [-ledger-batch 1024] [-ledger-latency 0] [-ledger-sidecar sites.leaves]
 //	      [-metrics metrics.json] [-pprof localhost:6060]
+//
+// The run holds only in-flight sites in memory and writes one JSON line per
+// site to -out (stdout by default), then prints the per-client and
+// scan-failure tables; -checkpoint journals progress so an interrupted run
+// resumes where it stopped, appending to the same -out file.
 //
 // A run with both -out and -checkpoint is tamper-evident by default: every
 // record line becomes a Merkle leaf, batch roots anchor into the checkpoint
 // journal as they complete, and cmd/ledgerverify audits the output against
 // them afterwards (-ledger-batch 0 opts out). internal/run owns this wiring
 // for every record-emitting command.
-//
-// With -stream the run holds only in-flight sites in memory and writes one
-// JSON line per site to -out (stdout by default); -checkpoint journals
-// progress so an interrupted run resumes where it stopped, appending to the
-// same -out file.
 //
 // -reuse makes that fraction of sites serve a chain drawn from a pool of
 // -distinct slot chains (the paper's shared-hosting skew) and -dedup memoizes
@@ -53,10 +53,9 @@ func main() {
 	flag.Float64Var(&cfg.Reuse, "reuse", 0, "fraction of sites serving a pooled (duplicate) chain")
 	flag.IntVar(&cfg.DistinctChains, "distinct", 0, "distinct-chain pool size under -reuse (0 = default 3000)")
 	flag.BoolVar(&cfg.Dedup, "dedup", false, "share listeners, scans, and verdicts per distinct chain (bit-identical records, duplicate chains cost a lookup)")
-	stream := flag.Bool("stream", false, "stream results site by site instead of materializing the run (bounded memory)")
 	rec := run.Records{Stage: "grade"}
-	rec.Bind("out", "write per-site JSONL records here (default stdout; implies -stream)",
-		"checkpoint", "journal progress to this file and resume an interrupted run from it (implies -stream)")
+	rec.Bind("out", "write per-site JSONL records here (default stdout)",
+		"checkpoint", "journal progress to this file and resume an interrupted run from it")
 	scenarioFile := flag.String("scenario-file", "", "replay fuzzer-discovered chain topologies from this scenario file (cmd/divfuzz -scenarios)")
 	flag.Float64Var(&cfg.ScenarioRate, "scenario-rate", 0.02, "fraction of sites replaying an injected scenario under -scenario-file")
 	cli.BindWorkers("parallel workers for the grading loop (0 = GOMAXPROCS)")
@@ -79,13 +78,7 @@ func main() {
 	}
 
 	start := time.Now()
-	var rep *study.Report
-	var err error
-	if *stream || rec.Out != "" || rec.Checkpoint != "" {
-		rep, err = streamed(cli, cfg, rec)
-	} else {
-		rep, err = study.Run(cfg)
-	}
+	rep, err := runStudy(cli, cfg, rec)
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -94,23 +87,28 @@ func main() {
 	}
 	cli.Finish()
 	fmt.Printf("%d/%d sites compliant, %d scan errors (dial %d / handshake %d / parse %d / cancelled %d), %d rescanned, %d lost, %v elapsed\n",
-		rep.CompliantCount(), rep.SiteCount(), rep.ScanErrors,
+		rep.StreamedCompliant, rep.Streamed, rep.ScanErrors,
 		rep.ScanErrorCauses.Dial, rep.ScanErrorCauses.Handshake,
 		rep.ScanErrorCauses.Parse, rep.ScanErrorCauses.Cancelled,
 		rep.Rescanned, rep.Lost, time.Since(start).Round(time.Millisecond))
 	if rep.Snapshot != nil {
-		if hits, misses := rep.Snapshot.Counters["study.vcache.hits"], rep.Snapshot.Counters["study.vcache.misses"]; hits+misses > 0 {
-			fmt.Printf("verdict cache: %d hits / %d misses (%.2f%% hit rate, %d distinct chains graded)\n",
-				hits, misses, 100*float64(hits)/float64(hits+misses), misses)
+		// Hits and misses race: two grade workers can both miss one chain
+		// before either stores it. Lookups (one per graded site) and inserts
+		// (one per distinct chain) are exact; hits and misses stay in
+		// -metrics.
+		c := rep.Snapshot.Counters
+		if lookups, inserts := c["study.vcache.hits"]+c["study.vcache.misses"], c["study.vcache.inserts"]; lookups > 0 {
+			fmt.Printf("verdict cache: %d distinct chains graded for %d sites (%.2f%% of sites reused a grading)\n",
+				inserts, lookups, 100*float64(lookups-inserts)/float64(lookups))
 		}
 	}
 }
 
-// streamed runs the study from the record path's resume rank, writing each
+// runStudy runs the study from the record path's resume rank, writing each
 // site's record through it, and returns the report of the ranks it ran. A
 // failed run leaves the path as a kill would, for a rerun to resume: Close
 // would seal the ledger over a partial run.
-func streamed(cli *obs.CLI, cfg study.Config, rec run.Records) (*study.Report, error) {
+func runStudy(cli *obs.CLI, cfg study.Config, rec run.Records) (*study.Report, error) {
 	out, err := run.Open(cli, rec)
 	if err != nil {
 		return nil, err

@@ -8,17 +8,22 @@ import (
 	"chainchaos/internal/population"
 )
 
-// runNamed runs the harness over a 1-domain population whose chain has been
-// replaced by the given list-mutating function, returning the single record.
+// runMutated grades the single domain of a 1-domain population, its chain
+// changed by mutate, as the harness's verdict stage does: through a Grader
+// of the harness's Trust. It returns the domain's record.
 func runMutated(t *testing.T, seed int64, mutate func(d *population.Domain)) *ChainRecord {
 	t.Helper()
 	pop := population.Generate(population.Config{Size: 1, Seed: seed})
-	mutate(pop.Domains[0])
-	sum := (&Harness{KeepRecords: true}).Run(pop)
-	if sum.NonCompliant != 1 || len(sum.Records) != 1 {
-		t.Fatalf("mutation did not yield one non-compliant record (got %d)", sum.NonCompliant)
+	d := pop.Domains[0]
+	mutate(d)
+	g := Trust(pop, DefaultWarmCache(pop), nil).Grader()
+	defer g.Close()
+	rep := g.Analyze(d.List, d.Name)
+	if rep.Compliant() {
+		t.Fatal("mutation did not yield a non-compliant chain")
 	}
-	return sum.Records[0]
+	m := grade(g, d, rep)
+	return &ChainRecord{Domain: d, Report: rep, Verdicts: m.Verdicts, Causes: m.Causes}
 }
 
 func hasCause(rec *ChainRecord, c Cause) bool {

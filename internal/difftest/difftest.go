@@ -158,8 +158,6 @@ type Summary struct {
 	CauseCounts            map[Cause]int
 	PerClientPass          map[string]int // over non-compliant chains
 	PerClientBuildFail     map[string]int // construction-phase errors
-
-	Records []*ChainRecord
 }
 
 // Harness wires client models to a population.
@@ -170,9 +168,6 @@ type Harness struct {
 	// eight client path-builds. Summaries and record streams are
 	// bit-identical with the cache on or off.
 	Dedup bool
-	// KeepRecords retains per-chain records (memory-heavy on large
-	// populations).
-	KeepRecords bool
 	// Workers shards the population across goroutines; <= 0 means
 	// GOMAXPROCS. Per-worker summaries are merged in shard order, so the
 	// Summary is bit-identical to a serial run for any worker count.
@@ -185,12 +180,12 @@ type Harness struct {
 	Metrics *obs.Registry
 	// Record, when non-nil, is called by the single sink goroutine for
 	// every retired rank in rank order — the tap through which commands
-	// write their out-file and ledger, without KeepRecords. line is the
-	// rank's RecordLine JSON without a trailing newline, or nil for ranks
-	// that produce no output (compliant chains): the harness is a sparse
-	// sink, and the nil calls let the caller track progress through silent
-	// ranks. The lines are deterministic for a (seed, population) pair
-	// regardless of worker count.
+	// write their out-file and ledger. line is the rank's RecordLine JSON
+	// without a trailing newline, or nil for ranks that produce no output
+	// (compliant chains): the harness is a sparse sink, and the nil calls
+	// let the caller track progress through silent ranks. The lines are
+	// deterministic for a (seed, population) pair regardless of worker
+	// count.
 	Record func(rank int, line []byte) error
 }
 
@@ -321,7 +316,7 @@ func (h *Harness) drainSummary(f *pipeline.Flow[*ChainRecord]) (*Summary, error)
 	err := f.Drain(func(rank int, rec *ChainRecord) error {
 		sum.Total++
 		if rec != nil {
-			sum.absorb(rec, h.KeepRecords)
+			sum.absorb(rec)
 		}
 		if h.Record == nil {
 			return nil
@@ -401,8 +396,8 @@ func newSummary() *Summary {
 }
 
 // absorb folds one non-compliant chain record into the summary. The sink
-// calls it in rank order, so counts and Records match a serial run exactly.
-func (s *Summary) absorb(rec *ChainRecord, keepRecords bool) {
+// calls it in rank order, so the counts match a serial run exactly.
+func (s *Summary) absorb(rec *ChainRecord) {
 	s.NonCompliant++
 	for _, v := range rec.Verdicts {
 		if v.OK() {
@@ -432,9 +427,6 @@ func (s *Summary) absorb(rec *ChainRecord, keepRecords bool) {
 	}
 	for _, c := range rec.Causes {
 		s.CauseCounts[c]++
-	}
-	if keepRecords {
-		s.Records = append(s.Records, rec)
 	}
 }
 

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -11,8 +12,7 @@ import (
 
 func TestDifferentialShape(t *testing.T) {
 	pop := population.Generate(population.Config{Size: 20000, Seed: 3})
-	h := &Harness{KeepRecords: true}
-	sum := h.Run(pop)
+	sum := (&Harness{}).Run(pop)
 
 	if sum.Total != 20000 {
 		t.Fatalf("total = %d", sum.Total)
@@ -60,27 +60,21 @@ func TestDifferentialShape(t *testing.T) {
 }
 
 // TestParallelMatchesSerial is the regression guard for the sharded engine:
-// with KeepRecords on, a serial run and an 8-worker run over the same
-// population must produce bit-identical summaries — same counts, same cause
-// attribution, and Records in pop.Domains order.
+// a serial run and multi-worker runs over the same population must produce
+// bit-identical summaries and record streams — same counts, same cause
+// attribution, and records in pop.Domains order.
 func TestParallelMatchesSerial(t *testing.T) {
 	pop := population.Generate(population.Config{Size: 8000, Seed: 3})
-	serial := (&Harness{KeepRecords: true, Workers: 1}).Run(pop)
-	parallel8 := (&Harness{KeepRecords: true, Workers: 8}).Run(pop)
-
-	if !reflect.DeepEqual(serial, parallel8) {
-		t.Errorf("serial and 8-worker summaries differ:\nserial:   %+v\nparallel: %+v", headline(serial), headline(parallel8))
-		for i := range serial.Records {
-			if i >= len(parallel8.Records) || serial.Records[i].Domain != parallel8.Records[i].Domain {
-				t.Fatalf("record %d: domain order diverges", i)
-			}
-		}
-	}
-
+	serial, serialOut, _ := runOnce(t, pop, false, 1)
 	// Odd worker counts exercise the remainder shard.
-	parallel3 := (&Harness{KeepRecords: true, Workers: 3}).Run(pop)
-	if !reflect.DeepEqual(serial, parallel3) {
-		t.Error("serial and 3-worker summaries differ")
+	for _, workers := range []int{8, 3} {
+		sum, out, _ := runOnce(t, pop, false, workers)
+		if !reflect.DeepEqual(serial, sum) {
+			t.Errorf("serial and %d-worker summaries differ:\nserial:   %+v\nparallel: %+v", workers, headline(serial), headline(sum))
+		}
+		if !bytes.Equal(serialOut, out) {
+			t.Errorf("serial and %d-worker record streams differ (%d vs %d bytes)", workers, len(serialOut), len(out))
+		}
 	}
 	// More workers than domains must also be safe and identical.
 	tiny := population.Generate(population.Config{Size: 3, Seed: 3})
@@ -90,7 +84,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestRunAnalyzedMatchesRun: handing the harness precomputed reports must
-// not change the outcome in any way.
+// not change the summary or the record stream in any way.
 func TestRunAnalyzedMatchesRun(t *testing.T) {
 	pop := population.Generate(population.Config{Size: 6000, Seed: 13})
 	analyzer := &compliance.Analyzer{Completeness: compliance.CompletenessConfig{
@@ -101,10 +95,14 @@ func TestRunAnalyzedMatchesRun(t *testing.T) {
 	for i, d := range pop.Domains {
 		reports[i] = analyzer.Analyze(d.Name, topo.Build(d.List))
 	}
-	plain := (&Harness{KeepRecords: true, Workers: 4}).Run(pop)
-	reused := (&Harness{KeepRecords: true, Workers: 4}).RunAnalyzed(pop, reports)
+	var plainOut, reusedOut bytes.Buffer
+	plain := (&Harness{Workers: 4, Record: collect(&plainOut)}).Run(pop)
+	reused := (&Harness{Workers: 4, Record: collect(&reusedOut)}).RunAnalyzed(pop, reports)
 	if !reflect.DeepEqual(plain, reused) {
 		t.Errorf("precomputed-analysis run differs from plain run:\nplain:  %+v\nreused: %+v", headline(plain), headline(reused))
+	}
+	if !bytes.Equal(plainOut.Bytes(), reusedOut.Bytes()) {
+		t.Errorf("precomputed-analysis record stream differs from plain run (%d vs %d bytes)", reusedOut.Len(), plainOut.Len())
 	}
 }
 
@@ -117,25 +115,18 @@ func headline(s *Summary) map[string]int {
 		"AllLibrariesPass":  s.AllLibrariesPass,
 		"BrowserDiscrepant": s.BrowserDiscrepant,
 		"LibraryDiscrepant": s.LibraryDiscrepant,
-		"Records":           len(s.Records),
 	}
 }
 
 func TestCauseI2LongList(t *testing.T) {
-	// Force a long-list chain through the harness and confirm GnuTLS's
-	// verdict carries the input-limit error while others pass.
-	pop := population.Generate(population.Config{Size: 1, Seed: 9})
-	d := pop.Domains[0]
-	// Inflate the list beyond 16 with duplicates of its intermediates.
-	for len(d.List) <= 16 {
-		d.List = append(d.List, d.List[len(d.List)-1])
-	}
-	h := &Harness{KeepRecords: true}
-	sum := h.Run(pop)
-	if sum.NonCompliant != 1 {
-		t.Fatalf("expected the inflated chain to be non-compliant, got %d", sum.NonCompliant)
-	}
-	rec := sum.Records[0]
+	// Force a long-list chain through the harness's grading and confirm
+	// GnuTLS's verdict carries the input-limit error while others pass.
+	rec := runMutated(t, 9, func(d *population.Domain) {
+		// Inflate the list beyond 16 with duplicates of its intermediates.
+		for len(d.List) <= 16 {
+			d.List = append(d.List, d.List[len(d.List)-1])
+		}
+	})
 	v, ok := rec.verdictOf("GnuTLS")
 	if !ok {
 		t.Fatal("no GnuTLS verdict")
@@ -143,13 +134,7 @@ func TestCauseI2LongList(t *testing.T) {
 	if v.OK() {
 		t.Error("GnuTLS should reject a 17-cert list")
 	}
-	found := false
-	for _, c := range rec.Causes {
-		if c == CauseI2InputLimit {
-			found = true
-		}
-	}
-	if !found {
+	if !hasCause(rec, CauseI2InputLimit) {
 		t.Errorf("causes = %v, want I-2", rec.Causes)
 	}
 }

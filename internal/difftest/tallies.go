@@ -12,7 +12,6 @@ const (
 )
 
 // Tallies flattens the summary's additive counts into one counter map.
-// Records stay out: the JSONL stream is the durable per-chain record.
 func (s *Summary) Tallies() map[string]int64 {
 	t := map[string]int64{
 		"total":                    int64(s.Total),

@@ -10,7 +10,7 @@ import (
 var raceEnabled bool
 
 // TestDifferentialStreamAllocs bounds the allocations per domain of the
-// streamed differential evaluation, the path of cmd/experiments -stream and
+// streamed differential evaluation, the path of cmd/experiments -run d1 and
 // of the perfbench differential workload, at one worker. It measured 25.3
 // before a domain allocated only what outlives it (a grader-owned topology
 // graph, a one-block synthetic leaf with its key hashed on the stack, an

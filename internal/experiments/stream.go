@@ -1,10 +1,10 @@
 // The streaming path of the differential evaluation: at paper scale
-// (906,336 chains) the batch experiments cannot hold the population, its
-// analyses, and every verdict at once, so cmd/experiments -stream routes
-// §5.2 through the population Source and the difftest pipeline instead —
-// domains are generated, analyzed, and graded in flight with peak memory
-// O(workers · queue), and per-chain results leave through the Record tap
-// rather than accumulating in a Summary's Records.
+// (906,336 chains) the shared Env cannot hold the population, its analyses,
+// and every verdict at once, so when d1 is the only experiment
+// cmd/experiments routes §5.2 through the population Source and the
+// difftest pipeline instead — domains are generated, analyzed, and graded
+// in flight with peak memory O(workers · queue), and per-chain results
+// leave through the Record tap.
 
 package experiments
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 )
 
@@ -274,4 +275,24 @@ func compare(got any, op string, want any) (bool, error) {
 		return gs != ws, nil
 	}
 	return false, fmt.Errorf("op %q needs numeric operands (%v, %v)", op, got, want)
+}
+
+// toFloat reads a captured or expected value as a number.
+func toFloat(v any) (float64, error) {
+	switch x := v.(type) {
+	case float64:
+		return x, nil
+	case int:
+		return float64(x), nil
+	case int64:
+		return float64(x), nil
+	case string:
+		n, err := strconv.ParseFloat(x, 64)
+		if err != nil {
+			return 0, fmt.Errorf("grid: %q is not numeric", x)
+		}
+		return n, nil
+	default:
+		return 0, fmt.Errorf("grid: %v is not numeric", v)
+	}
 }

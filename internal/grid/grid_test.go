@@ -12,21 +12,17 @@ import (
 func TestSubstitution(t *testing.T) {
 	vars := map[string]any{
 		"sites": float64(100000), "workers": float64(8),
-		"rate": 0.5, "name": "pr7", "lease": "${sites/workers}",
+		"rate": 0.5, "name": "pr7", "lease": "${sites}/${workers}",
 	}
 	cases := []struct {
 		in   string
 		want string
 	}{
 		{"${sites}", "100000"},
-		{"${sites/workers}", "12500"},
-		{"${sites*2}", "200000"},
-		{"${workers+1}", "9"},
-		{"${workers-1}", "7"},
 		{"w${workers}.jsonl", "w8.jsonl"},
 		{"${name}-${workers}", "pr7-8"},
 		{"${rate}", "0.5"},
-		{"${lease}", "12500"}, // nested reference resolves
+		{"${lease}", "100000/8"}, // nested references resolve
 	}
 	for _, c := range cases {
 		got, err := substString(c.in, vars)

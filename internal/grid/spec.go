@@ -291,7 +291,7 @@ func formatValue(v any) string {
 }
 
 // ParseSet parses one -set k=v override, keeping numeric and boolean types
-// so substituted arithmetic works on them.
+// as the spec's own JSON vars carry them.
 func ParseSet(kv string) (string, any, error) {
 	k, v, ok := strings.Cut(kv, "=")
 	if !ok || k == "" {

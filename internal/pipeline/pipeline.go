@@ -2,11 +2,11 @@
 // feeding a chain of stages feeding a Sink, every hop a bounded channel, so a
 // run over millions of ranks holds O(workers · queue depth) items in memory
 // instead of the whole corpus. The population generator, the study
-// orchestrator, and the differential-testing harness are all built on it —
-// their batch APIs are thin wrappers that attach a collecting sink.
+// orchestrator, and the differential-testing harness are all built on it;
+// population.Generate and the harness's RunAnalyzed, which the experiments'
+// shared population needs, drain it into memory.
 //
-// The engine keeps the guarantees internal/parallel established for the
-// batch paths:
+// The engine keeps the guarantees internal/parallel established:
 //
 //   - Determinism. Work is identified by a dense rank (0, 1, 2, ...); stage
 //     functions derive any randomness from (seed, rank) alone, and a reorder

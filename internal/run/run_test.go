@@ -200,7 +200,7 @@ func TestSidecarNeedsItsFlags(t *testing.T) {
 	}{
 		{"study -out, no -checkpoint", Records{Stage: "grade"}, true, false, "requires -checkpoint"},
 		{"study -checkpoint to stdout", Records{Stage: "grade"}, false, true, "requires -out"},
-		{"experiments -stream", Records{Stage: "verdict", Rank: lineRank}, false, false, "requires -checkpoint"},
+		{"experiments -run d1", Records{Stage: "verdict", Rank: lineRank}, false, false, "requires -checkpoint"},
 		{"divfuzz -records, no journal", divfuzz, true, false, "requires -records-journal"},
 		{"divfuzz -records-journal, no records", divfuzz, false, true, "requires -records ("},
 		{"study ledgered", Records{Stage: "grade"}, true, true, ""},

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -18,12 +19,12 @@ import (
 func TestStudyMetricsReconcile(t *testing.T) {
 	const sites = 10
 	reg := obs.NewRegistry()
-	rep, err := Run(Config{
+	rep, err := RunStream(context.Background(), Config{
 		Sites: sites, Seed: 4, Vantages: 2, Concurrency: 4,
 		Faults:  tlsserve.FaultConfig{FailFirst: 2},
 		Clock:   faults.NewFakeClock(time.Now()),
 		Metrics: reg,
-	})
+	}, Stream{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestStudyMetricsReconcile(t *testing.T) {
 
 	// The engine timed every stage once per site: the deploy source hands
 	// off one site per block. The snapshot ships as valid JSON with the
-	// pipeline table rendered from those pairs (the fourth table).
+	// pipeline table rendered from those pairs (the third table).
 	for _, stage := range []string{"study.deploy", "study.scan", "study.grade"} {
 		if got := snap.Histograms[stage+".latency"].Count; got != sites {
 			t.Errorf("%s.latency count = %d, want %d", stage, got, sites)
@@ -101,8 +102,8 @@ func TestStudyMetricsReconcile(t *testing.T) {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
 	tables := rep.Tables()
-	if len(tables) != 4 {
-		t.Fatalf("tables = %d, want 4 (overview, per-client, failures, pipeline)", len(tables))
+	if len(tables) != 3 {
+		t.Fatalf("tables = %d, want 3 (per-client, failures, pipeline)", len(tables))
 	}
 }
 
@@ -112,20 +113,17 @@ func TestStudyMetricsReconcile(t *testing.T) {
 // and still mints exactly one certificate per site. Seed 8 draws four
 // stale-leaf sites among its 24.
 func TestStudyStaleLeafServedDirectly(t *testing.T) {
-	rep, err := Run(Config{Sites: 24, Seed: 8, Vantages: 1, Concurrency: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LeavesGenerated != len(rep.Sites) {
-		t.Fatalf("leaves generated = %d for %d sites", rep.LeavesGenerated, len(rep.Sites))
+	rep, _, recs := runStudy(t, Config{Sites: 24, Seed: 8, Vantages: 1, Concurrency: 8})
+	if rep.LeavesGenerated != len(recs) {
+		t.Fatalf("leaves generated = %d for %d sites", rep.LeavesGenerated, len(recs))
 	}
 	var stale int
-	for _, s := range rep.Sites {
-		if s.Injected != defectStaleLeaf {
+	for _, s := range recs {
+		if s.Injected != defectStaleLeaf.String() {
 			continue
 		}
 		stale++
-		if s.Verdicts == nil {
+		if !s.Scanned || s.Verdicts == nil {
 			t.Fatalf("%s: never graded", s.Domain)
 		}
 		for client, ok := range s.Verdicts {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"chainchaos/internal/core"
+	"chainchaos/internal/report"
 )
 
 // TestStudyStreamRangeInvariance: a run resumed at rank r emits exactly the
@@ -55,23 +58,31 @@ func TestStudyStreamRangeInvariance(t *testing.T) {
 	}
 }
 
-// TestPerClientTableStreamed: a streamed run keeps no sites, yet its
-// per-client pass table is the batch run's.
+// TestPerClientTableStreamed: the per-client table the sink tallies is the
+// one recounted from the run's records.
 func TestPerClientTableStreamed(t *testing.T) {
-	cfg := Config{Sites: 16, Seed: 4, Vantages: 1, Concurrency: 4, Workers: 2}
-	batch, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	rep, _, recs := runStudy(t, Config{Sites: 16, Seed: 4, Vantages: 1, Concurrency: 4, Workers: 2})
+	passes, bad := map[string]int{}, 0
+	for _, r := range recs {
+		if !r.Scanned || r.Compliant {
+			continue
+		}
+		bad++
+		for name, ok := range r.Verdicts {
+			if ok {
+				passes[name]++
+			}
+		}
 	}
-	if bad := batch.Streamed - batch.Lost - batch.StreamedCompliant; bad == 0 {
+	if bad == 0 {
 		t.Fatal("seed draws no non-compliant site")
 	}
-	stream, err := RunStream(context.Background(), cfg, Stream{})
-	if err != nil {
-		t.Fatal(err)
+	want := report.New("per-client pass rate over non-compliant sites", "Client", "Pass")
+	for _, p := range core.Profiles {
+		want.Add(p.Name, report.Count(passes[p.Name], bad))
 	}
-	if got, want := perClientTable(t, stream), perClientTable(t, batch); got != want {
-		t.Errorf("streamed per-client table:\n%s\nbatch:\n%s", got, want)
+	if got := perClientTable(t, rep); got != want.String() {
+		t.Errorf("per-client table:\n%s\nrecounted from the records:\n%s", got, want)
 	}
 }
 

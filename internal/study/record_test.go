@@ -53,8 +53,8 @@ type recordArgs struct {
 	verdictBits              uint64
 }
 
-func (a recordArgs) site() scannedSite {
-	g := scannedSite{site: &Site{
+func (a recordArgs) scanned() scannedSite {
+	g := scannedSite{site: &site{
 		Domain: a.domain, Server: a.server, Scenario: a.scenario,
 		Injected: defect(a.injected % 8), // every defect, and one past the last
 	}}
@@ -95,11 +95,7 @@ func recordSeeds(t testing.TB, jsonl []byte) []recordArgs {
 		injected[d.String()] = uint8(d)
 	}
 	var seeds []recordArgs
-	for _, line := range bytes.Split(bytes.TrimSpace(jsonl), []byte("\n")) {
-		var rec SiteRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range decodeRecords(t, jsonl) {
 		a := recordArgs{
 			rank: rec.Rank, domain: rec.Domain, server: rec.Server, scenario: rec.Scenario,
 			injected: injected[rec.Injected], leaf: leaves[rec.Leaf], class: classes[rec.Completeness],
@@ -161,7 +157,7 @@ func FuzzSiteRecord(f *testing.F) {
 			injected: injected, leaf: leaf, class: class,
 			lost: lost, orderOK: orderOK, orderBad: orderBad, scanErrors: scanErrors, rescanned: rescanned,
 			hasVerdicts: hasVerdicts, verdictKeys: verdictKeys, verdictBits: verdictBits,
-		}.site()
+		}.scanned()
 		want, err := marshalSiteRecord(rank, g)
 		if err != nil {
 			t.Fatal(err)

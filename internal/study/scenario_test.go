@@ -3,7 +3,6 @@ package study
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -54,29 +53,22 @@ func TestStudyScenarioReplay(t *testing.T) {
 		cfg := base
 		cfg.Workers = tc.workers
 		cfg.Concurrency = tc.concurrency
-		var buf bytes.Buffer
-		rep, err := RunStream(context.Background(), cfg, Stream{
-			Out: &buf, KeepSites: true,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", tc.workers, err)
-		}
-
+		_, jsonl, recs := runStudy(t, cfg)
 		replayed := 0
-		for i, s := range rep.Sites {
+		for _, s := range recs {
 			if s.Scenario == "" {
 				continue
 			}
 			replayed++
-			if s.Injected != defectScenario || s.Server != "scenario" {
-				t.Fatalf("site %d: scenario site tagged injected=%v server=%q", i, s.Injected, s.Server)
+			if s.Injected != defectScenario.String() || s.Server != "scenario" || !s.Scanned {
+				t.Fatalf("rank %d: scenario site tagged injected=%q server=%q scanned=%v", s.Rank, s.Injected, s.Server, s.Scanned)
 			}
 			domain, ok := wantDomain[s.Scenario]
 			if !ok {
-				t.Fatalf("site %d replays unknown scenario %q", i, s.Scenario)
+				t.Fatalf("rank %d replays unknown scenario %q", s.Rank, s.Scenario)
 			}
 			if s.Domain != domain {
-				t.Fatalf("site %d: scenario %q served domain %q, want %q", i, s.Scenario, s.Domain, domain)
+				t.Fatalf("rank %d: scenario %q served domain %q, want %q", s.Rank, s.Scenario, s.Domain, domain)
 			}
 		}
 		if replayed == 0 {
@@ -85,29 +77,10 @@ func TestStudyScenarioReplay(t *testing.T) {
 		}
 
 		if firstJSONL == nil {
-			firstJSONL = append([]byte(nil), buf.Bytes()...)
-		} else if !bytes.Equal(firstJSONL, buf.Bytes()) {
+			firstJSONL = jsonl
+		} else if !bytes.Equal(firstJSONL, jsonl) {
 			t.Fatalf("workers=%d concurrency=%d: JSONL stream differs from the first configuration", tc.workers, tc.concurrency)
 		}
-	}
-
-	// Scenario records stream as scanned sites carrying the scenario name.
-	scanned := 0
-	for _, line := range bytes.Split(bytes.TrimSpace(firstJSONL), []byte("\n")) {
-		var rec SiteRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Scenario == "" {
-			continue
-		}
-		if rec.Injected != "scenario" || !rec.Scanned {
-			t.Fatalf("rank %d: scenario record injected=%q scanned=%v", rec.Rank, rec.Injected, rec.Scanned)
-		}
-		scanned++
-	}
-	if scanned == 0 {
-		t.Fatal("JSONL stream holds no scenario records")
 	}
 }
 

@@ -11,18 +11,12 @@ import (
 	"chainchaos/internal/pipeline"
 )
 
-// TestStudyStreamMatchesBatch: the streaming study produces the same report
-// and site results as the batch path for the same seed, across several
-// (workers, concurrency) configurations, and the JSONL record stream is
-// byte-identical between configurations.
-func TestStudyStreamMatchesBatch(t *testing.T) {
+// TestStudyWorkerInvariant: the JSONL record stream and every tally of the
+// report are identical for several (workers, concurrency) configurations.
+func TestStudyWorkerInvariant(t *testing.T) {
 	const sites = 16
 	base := Config{Sites: sites, Seed: 4, Vantages: 2, Concurrency: 8}
-	batch, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	var first *Report
 	var firstJSONL []byte
 	for _, tc := range []struct {
 		workers, concurrency int
@@ -35,39 +29,16 @@ func TestStudyStreamMatchesBatch(t *testing.T) {
 		cfg := base
 		cfg.Workers = tc.workers
 		cfg.Concurrency = tc.concurrency
-		var buf bytes.Buffer
-		stream, err := RunStream(context.Background(), cfg, Stream{
-			Out: &buf, KeepSites: true,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", tc.workers, err)
+		rep, jsonl, _ := runStudy(t, cfg)
+		if first == nil {
+			first, firstJSONL = rep, jsonl
+			continue
 		}
-
-		if len(stream.Sites) != len(batch.Sites) {
-			t.Fatalf("workers=%d: %d sites, batch has %d", tc.workers, len(stream.Sites), len(batch.Sites))
-		}
-		for i := range stream.Sites {
-			ss, bs := stream.Sites[i], batch.Sites[i]
-			if ss.Domain != bs.Domain || ss.Injected != bs.Injected || ss.Server != bs.Server {
-				t.Fatalf("site %d assignment differs: %s/%v/%s vs %s/%v/%s",
-					i, ss.Domain, ss.Injected, ss.Server, bs.Domain, bs.Injected, bs.Server)
-			}
-			if ss.Report.Compliant() != bs.Report.Compliant() {
-				t.Fatalf("site %d compliance differs", i)
-			}
-			if !reflect.DeepEqual(ss.Verdicts, bs.Verdicts) {
-				t.Fatalf("site %d verdicts differ: %v vs %v", i, ss.Verdicts, bs.Verdicts)
-			}
-		}
-		if stream.ScanErrors != batch.ScanErrors || stream.Rescanned != batch.Rescanned ||
-			stream.Lost != batch.Lost || stream.LeavesGenerated != batch.LeavesGenerated {
-			t.Fatalf("workers=%d: aggregates differ: %+v vs %+v", tc.workers, stream, batch)
-		}
-
-		if firstJSONL == nil {
-			firstJSONL = append([]byte(nil), buf.Bytes()...)
-		} else if !bytes.Equal(firstJSONL, buf.Bytes()) {
+		if !bytes.Equal(firstJSONL, jsonl) {
 			t.Fatalf("workers=%d concurrency=%d: JSONL stream differs from the first configuration", tc.workers, tc.concurrency)
+		}
+		if !reflect.DeepEqual(rep, first) {
+			t.Fatalf("workers=%d concurrency=%d: tallies differ:\n%+v\n%+v", tc.workers, tc.concurrency, rep, first)
 		}
 	}
 	if len(bytes.Split(bytes.TrimSpace(firstJSONL), []byte("\n"))) != sites {

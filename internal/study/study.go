@@ -12,7 +12,6 @@
 package study
 
 import (
-	"fmt"
 	"time"
 
 	"chainchaos/internal/compliance"
@@ -160,8 +159,10 @@ func (d defect) String() string {
 	}
 }
 
-// Site is one deployed site.
-type Site struct {
+// site is one deployed site as it moves through the stages: the deploy
+// source names it, the grade stage fills in its report and verdicts, and the
+// sink writes its record.
+type site struct {
 	Domain   string
 	Injected defect
 	Server   string
@@ -213,11 +214,33 @@ func (r *Report) addScan(c capture) {
 	r.DeadlineExpiries += c.faults.deadlineExpiries
 }
 
-// Report is a completed study.
-type Report struct {
-	Cfg   Config
-	Sites []*Site
+// tally folds one retired site into the run totals: the leaf it minted, its
+// scan, and its grade — lost, compliant, or non-compliant with a pass for
+// each client that accepted it.
+func (r *Report) tally(g scannedSite) {
+	if g.minted {
+		r.LeavesGenerated++
+	}
+	r.addScan(g.capture)
+	r.Streamed++
+	switch {
+	case g.lost:
+		r.Lost++
+	case g.site.Report.Compliant():
+		r.StreamedCompliant++
+	default:
+		for name, ok := range g.site.Verdicts {
+			if ok {
+				r.Passes[name]++
+			}
+		}
+	}
+}
 
+// Report is a completed study: the sink's tallies over the ranks the run
+// retired. Per-site results leave the run as JSONL records (Stream), never
+// through the Report.
+type Report struct {
 	// ScanErrors is the total number of failed scan results across every
 	// vantage and re-scan pass (a site recovered by a later pass still
 	// counts its earlier failures here).
@@ -242,58 +265,26 @@ type Report struct {
 	// LeavesGenerated counts end-entity certificates minted for the farm.
 	// Exactly one leaf is generated per site — stale-leaf sites mint their
 	// expired leaf directly instead of minting a fresh one first and
-	// discarding it — so without Cfg.Reuse this always equals len(Sites).
+	// discarding it — so without Config.Reuse this always equals Streamed.
 	// Under Reuse, slot sites share their slot's wildcard leaf, so it
 	// equals unique sites + slots materialized.
 	LeavesGenerated int
-	// Streamed and StreamedCompliant tally sites as they retire through the
-	// pipeline sink, so a streaming run that does not keep Sites still
-	// reports how many it graded compliant. When Sites are kept, Streamed ==
-	// len(Sites) and StreamedCompliant == CompliantCount().
+	// Streamed counts the sites the run retired through the pipeline sink,
+	// and StreamedCompliant those of them graded compliant.
 	Streamed          int
 	StreamedCompliant int
 	// Passes counts, per client name, the non-compliant sites (graded, not
-	// compliant) that client accepted. The sink tallies it on every run, so
-	// the per-client table needs no kept Sites.
+	// compliant) that client accepted.
 	Passes map[string]int
 	// Snapshot is the metrics export taken after the run when Cfg.Metrics
 	// was wired; nil otherwise.
 	Snapshot *obs.Snapshot
 }
 
-// CompliantCount returns how many scanned sites graded compliant. It is
-// meaningful for streaming runs too, where Sites themselves are not kept.
-func (r *Report) CompliantCount() int {
-	return r.StreamedCompliant
-}
-
-// SiteCount returns how many sites the run processed — len(Sites) when they
-// were kept, the sink tally otherwise.
-func (r *Report) SiteCount() int {
-	return r.Streamed
-}
-
-// Tables renders the study as report tables: an overview of the kept sites
-// (batch runs only; a streaming run keeps none) plus per-client pass rates
-// over the non-compliant sites and the scan failures.
+// Tables renders the study as report tables: per-client pass rates over the
+// non-compliant sites and the scan failures, plus the pipeline stage table
+// when the run was instrumented.
 func (r *Report) Tables() []*report.Table {
-	var tables []*report.Table
-	if len(r.Sites) > 0 {
-		overview := report.New(
-			fmt.Sprintf("study — %d sites scanned from %d vantages", len(r.Sites), r.Cfg.Vantages),
-			"Domain", "Injected", "Server", "Leaf", "Order OK", "Completeness", "Verdict")
-		for _, s := range r.Sites {
-			verdict := "COMPLIANT"
-			if !s.Report.Compliant() {
-				verdict = "NON-COMPLIANT"
-			}
-			overview.Addf(s.Domain, s.Injected, s.Server,
-				s.Report.Leaf, report.Mark(s.Report.Order.SequentialOK),
-				s.Report.Completeness.Class, verdict)
-		}
-		tables = append(tables, overview)
-	}
-
 	// Every site is lost, compliant or non-compliant.
 	bad := r.Streamed - r.Lost - r.StreamedCompliant
 	perClient := report.New("per-client pass rate over non-compliant sites", "Client", "Pass")
@@ -312,7 +303,7 @@ func (r *Report) Tables() []*report.Table {
 	failures.Addf("server faults injected", r.FaultsInjected)
 	failures.Addf("server accept retries", r.AcceptRetries)
 	failures.Addf("server deadline expiries", r.DeadlineExpiries)
-	tables = append(tables, perClient, failures)
+	tables := []*report.Table{perClient, failures}
 	if r.Snapshot != nil {
 		if pt := r.Snapshot.PipelineTable(); pt != nil {
 			tables = append(tables, pt)

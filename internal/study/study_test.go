@@ -1,6 +1,9 @@
 package study
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -8,37 +11,60 @@ import (
 	"chainchaos/internal/tlsserve"
 )
 
-func TestStudyEndToEnd(t *testing.T) {
-	rep, err := Run(Config{Sites: 24, Seed: 4, Vantages: 2, Concurrency: 8})
+// runStudy runs cfg with its records written to a buffer, returning the
+// report, the JSONL bytes and the decoded records.
+func runStudy(t *testing.T, cfg Config) (*Report, []byte, []SiteRecord) {
+	t.Helper()
+	var buf bytes.Buffer
+	rep, err := RunStream(context.Background(), cfg, Stream{Out: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Sites) != 24 {
-		t.Fatalf("sites = %d", len(rep.Sites))
+	return rep, buf.Bytes(), decodeRecords(t, buf.Bytes())
+}
+
+// decodeRecords decodes a JSONL stream of site records.
+func decodeRecords(t testing.TB, jsonl []byte) []SiteRecord {
+	t.Helper()
+	var recs []SiteRecord
+	for _, line := range bytes.Split(bytes.TrimSpace(jsonl), []byte("\n")) {
+		var rec SiteRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+func TestStudyEndToEnd(t *testing.T) {
+	rep, _, recs := runStudy(t, Config{Sites: 24, Seed: 4, Vantages: 2, Concurrency: 8})
+	if len(recs) != 24 || rep.Streamed != 24 {
+		t.Fatalf("%d records, %d sites streamed", len(recs), rep.Streamed)
 	}
 	if rep.ScanErrors != 0 {
 		t.Errorf("scan errors = %d", rep.ScanErrors)
 	}
 
 	var sawDefect, sawCompliant bool
-	for _, s := range rep.Sites {
-		if s.Verdicts == nil {
+	for _, s := range recs {
+		if !s.Scanned || s.Verdicts == nil {
 			t.Fatalf("%s: never scanned", s.Domain)
 		}
 		switch s.Injected {
-		case defectNone:
+		case defectNone.String():
 			sawCompliant = true
-			if !s.Report.Compliant() {
-				t.Errorf("%s: clean deployment graded non-compliant (%+v)", s.Domain, s.Report.Order)
+			if !s.Compliant {
+				t.Errorf("%s: clean deployment graded non-compliant (order ok %v)", s.Domain, s.OrderOK)
 			}
 			for client, ok := range s.Verdicts {
 				if !ok {
 					t.Errorf("%s: %s rejected a compliant chain", s.Domain, client)
 				}
 			}
-		case defectReversed:
+		case defectReversed.String():
 			sawDefect = true
-			if s.Report.Compliant() {
+			if s.Compliant {
 				t.Errorf("%s: reversed deployment graded compliant", s.Domain)
 			}
 			if s.Verdicts["MbedTLS"] {
@@ -47,7 +73,7 @@ func TestStudyEndToEnd(t *testing.T) {
 			if !s.Verdicts["Chrome"] {
 				t.Errorf("%s: Chrome rejected a reorderable chain", s.Domain)
 			}
-		case defectIncomplete:
+		case defectIncomplete.String():
 			sawDefect = true
 			if s.Verdicts["OpenSSL"] {
 				t.Errorf("%s: OpenSSL accepted an incomplete chain", s.Domain)
@@ -62,7 +88,7 @@ func TestStudyEndToEnd(t *testing.T) {
 	}
 
 	tables := rep.Tables()
-	if len(tables) != 3 {
+	if len(tables) != 2 {
 		t.Fatalf("tables = %d", len(tables))
 	}
 	for i, table := range tables {
@@ -81,15 +107,12 @@ func TestStudyEndToEnd(t *testing.T) {
 // clean run — zero lost sites, zero residual errors.
 func TestStudyFaultsRecoveredByRetry(t *testing.T) {
 	clock := faults.NewFakeClock(time.Now())
-	rep, err := Run(Config{
+	rep, _, recs := runStudy(t, Config{
 		Sites: 10, Seed: 4, Vantages: 2, Concurrency: 4,
 		Retries: 3,
 		Faults:  tlsserve.FaultConfig{FailFirst: 1},
 		Clock:   clock,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.ScanErrors != 0 {
 		t.Errorf("scan errors = %d (%+v); retries should have absorbed the resets",
 			rep.ScanErrors, rep.ScanErrorCauses)
@@ -97,8 +120,8 @@ func TestStudyFaultsRecoveredByRetry(t *testing.T) {
 	if rep.Lost != 0 {
 		t.Errorf("lost sites = %d", rep.Lost)
 	}
-	for _, s := range rep.Sites {
-		if s.Verdicts == nil {
+	for _, s := range recs {
+		if !s.Scanned {
 			t.Errorf("%s: never graded", s.Domain)
 		}
 	}
@@ -113,14 +136,11 @@ func TestStudyFaultsRecoveredByRetry(t *testing.T) {
 // handshake cause (TCP connected, TLS reset).
 func TestStudyFaultsRecoveredByRescan(t *testing.T) {
 	const sites = 8
-	rep, err := Run(Config{
+	rep, _, recs := runStudy(t, Config{
 		Sites: sites, Seed: 4, Vantages: 2, Concurrency: 4,
 		Faults: tlsserve.FaultConfig{FailFirst: 2},
 		Clock:  faults.NewFakeClock(time.Now()),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.ScanErrors != 2*sites {
 		t.Errorf("scan errors = %d, want %d (two reset vantages per site)", rep.ScanErrors, 2*sites)
 	}
@@ -136,8 +156,8 @@ func TestStudyFaultsRecoveredByRescan(t *testing.T) {
 	if rep.Lost != 0 {
 		t.Errorf("lost sites = %d, want 0", rep.Lost)
 	}
-	for _, s := range rep.Sites {
-		if s.Verdicts == nil {
+	for _, s := range recs {
+		if !s.Scanned {
 			t.Errorf("%s: lost despite re-scan", s.Domain)
 		}
 	}
@@ -146,7 +166,7 @@ func TestStudyFaultsRecoveredByRescan(t *testing.T) {
 // TestStudySlowAndStallFaults: every FaultConfig mode that still completes a
 // handshake (slow write, short stall) must cost wall patience, not sites.
 func TestStudySlowAndStallFaults(t *testing.T) {
-	rep, err := Run(Config{
+	rep, _, recs := runStudy(t, Config{
 		Sites: 6, Seed: 2, Vantages: 1, Concurrency: 6,
 		Retries: 2,
 		Faults: tlsserve.FaultConfig{
@@ -154,14 +174,11 @@ func TestStudySlowAndStallFaults(t *testing.T) {
 			SlowWrite:      time.Millisecond,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.Lost != 0 {
 		t.Errorf("lost sites = %d under stall+slow-write", rep.Lost)
 	}
-	for _, s := range rep.Sites {
-		if s.Verdicts == nil {
+	for _, s := range recs {
+		if !s.Scanned {
 			t.Errorf("%s: never graded", s.Domain)
 		}
 	}
