@@ -104,7 +104,7 @@ func BenchmarkTable7Completeness(b *testing.B) {
 
 func BenchmarkTable8RootStoreAIA(b *testing.B) {
 	pop, graphs := benchSetup(b)
-	cfg := compliance.CompletenessConfig{Roots: pop.Vendors.Mozilla}
+	cfg := compliance.CompletenessConfig{Roots: pop.Vendors.Store(rootstore.Mozilla)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		compliance.AnalyzeCompleteness(graphs[i%len(graphs)], cfg)

@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -68,11 +69,45 @@ func main() {
 	cli.Start()
 	sc.Workers, sc.Metrics = cli.Workers, cli.Metrics
 
+	env := experiments.NewEnv(sc.Size, sc.Seed)
+	env.Workers = cli.Workers
+	env.Metrics = cli.Metrics
+	type exp struct {
+		id string
+		fn func() (fmt.Stringer, error)
+	}
+	str := func(f func() fmt.Stringer) func() (fmt.Stringer, error) {
+		return func() (fmt.Stringer, error) { return f(), nil }
+	}
+	all := []exp{
+		{"t1", func() (fmt.Stringer, error) { return env.CapabilityComparison() }},
+		{"t3", str(func() fmt.Stringer { return env.LeafPlacement() })},
+		{"t4", str(func() fmt.Stringer { return env.HTTPServerCharacteristics() })},
+		{"t5", str(func() fmt.Stringer { return env.IssuanceOrder() })},
+		{"t6", str(func() fmt.Stringer { return env.CADeliveryCharacteristics() })},
+		{"t7", str(func() fmt.Stringer { return env.Completeness() })},
+		{"t8", str(func() fmt.Stringer { return env.RootStoreAIA() })},
+		{"t9", func() (fmt.Stringer, error) { return env.ClientCapabilities() }},
+		{"t10", str(func() fmt.Stringer { return env.HTTPServerBreakdown() })},
+		{"t11", str(func() fmt.Stringer { return env.CABreakdown() })},
+		{"f2", str(func() fmt.Stringer { return env.TopologyGallery() })},
+		{"f3", func() (fmt.Stringer, error) { return env.CaseLongChain() }},
+		{"f4", func() (fmt.Stringer, error) { return env.CaseBacktracking() }},
+		{"f5", func() (fmt.Stringer, error) { return env.CaseValidityPriority() }},
+		{"d1", str(func() fmt.Stringer { return env.DifferentialOverview() })},
+		{"d2", str(func() fmt.Stringer { return env.PrioritizationStats() })},
+		{"d3", str(func() fmt.Stringer { return env.CapabilityAblation() })},
+	}
+
 	want := map[string]bool{}
-	if *runIDs != "" {
-		for _, id := range strings.Split(*runIDs, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
+	for _, id := range strings.Split(*runIDs, ",") {
+		if id = strings.TrimSpace(strings.ToLower(id)); id == "" {
+			continue
 		}
+		if !slices.ContainsFunc(all, func(e exp) bool { return e.id == id }) {
+			cli.Fatal(fmt.Errorf("unknown experiment id %q", id))
+		}
+		want[id] = true
 	}
 	// d1 alone streams: named by -run, or implied by a flag only d1 reads.
 	d1Only, d1Flags := len(want) == 1 && want["d1"], false
@@ -104,36 +139,6 @@ func main() {
 		fmt.Printf("[d1 took %v]\n\n", time.Since(start).Round(time.Millisecond))
 		cli.Finish()
 		return
-	}
-
-	env := experiments.NewEnv(sc.Size, sc.Seed)
-	env.Workers = cli.Workers
-	env.Metrics = cli.Metrics
-	type exp struct {
-		id string
-		fn func() (fmt.Stringer, error)
-	}
-	str := func(f func() fmt.Stringer) func() (fmt.Stringer, error) {
-		return func() (fmt.Stringer, error) { return f(), nil }
-	}
-	all := []exp{
-		{"t1", func() (fmt.Stringer, error) { return env.CapabilityComparison() }},
-		{"t3", str(func() fmt.Stringer { return env.LeafPlacement() })},
-		{"t4", str(func() fmt.Stringer { return env.HTTPServerCharacteristics() })},
-		{"t5", str(func() fmt.Stringer { return env.IssuanceOrder() })},
-		{"t6", str(func() fmt.Stringer { return env.CADeliveryCharacteristics() })},
-		{"t7", str(func() fmt.Stringer { return env.Completeness() })},
-		{"t8", str(func() fmt.Stringer { return env.RootStoreAIA() })},
-		{"t9", func() (fmt.Stringer, error) { return env.ClientCapabilities() }},
-		{"t10", str(func() fmt.Stringer { return env.HTTPServerBreakdown() })},
-		{"t11", str(func() fmt.Stringer { return env.CABreakdown() })},
-		{"f2", str(func() fmt.Stringer { return env.TopologyGallery() })},
-		{"f3", func() (fmt.Stringer, error) { return env.CaseLongChain() }},
-		{"f4", func() (fmt.Stringer, error) { return env.CaseBacktracking() }},
-		{"f5", func() (fmt.Stringer, error) { return env.CaseValidityPriority() }},
-		{"d1", str(func() fmt.Stringer { return env.DifferentialOverview() })},
-		{"d2", str(func() fmt.Stringer { return env.PrioritizationStats() })},
-		{"d3", str(func() fmt.Stringer { return env.CapabilityAblation() })},
 	}
 
 	fmt.Printf("population: %d domains, seed %d\n\n", sc.Size, sc.Seed)

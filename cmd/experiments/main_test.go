@@ -19,8 +19,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// execute runs the command on args and returns its stdout and exit error.
-func execute(t *testing.T, args ...string) (string, error) {
+// execute runs the command on args and returns its stdout, its stderr and
+// its exit error.
+func execute(t *testing.T, args ...string) (string, string, error) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -28,18 +29,19 @@ func execute(t *testing.T, args ...string) (string, error) {
 	}
 	cmd := exec.Command(exe, args...)
 	cmd.Env = append(os.Environ(), "EXPERIMENTS_MAIN=1")
-	cmd.Stderr = os.Stderr
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
 	out, err := cmd.Output()
-	return string(out), err
+	return string(out), stderr.String(), err
 }
 
 // command runs the command on args and returns its stdout, failing the test
 // if it exits non-zero.
 func command(t *testing.T, args ...string) string {
 	t.Helper()
-	out, err := execute(t, args...)
+	out, stderr, err := execute(t, args...)
 	if err != nil {
-		t.Fatalf("experiments %s: %v", strings.Join(args, " "), err)
+		t.Fatalf("experiments %s: %v\n%s", strings.Join(args, " "), err, stderr)
 	}
 	return out
 }
@@ -81,7 +83,7 @@ func TestD1FlagsNeedD1(t *testing.T) {
 		{"-checkpoint", filepath.Join(dir, "d1.ckpt")},
 	} {
 		args := append([]string{"-size", "600", "-run", "t3"}, flags...)
-		if out, err := execute(t, args...); err == nil {
+		if out, _, err := execute(t, args...); err == nil {
 			t.Errorf("experiments %s exited 0:\n%s", strings.Join(args, " "), out)
 		}
 	}
@@ -94,5 +96,22 @@ func TestReuseShapesD1(t *testing.T) {
 	reused := timing.ReplaceAllString(command(t, "-size", "600", "-run", "d1", "-reuse", "0.9"), "")
 	if plain == reused {
 		t.Fatalf("-reuse 0.9 left the d1 table unchanged:\n%s", plain)
+	}
+}
+
+// TestUnknownExperimentID: an id outside the experiment list fails the run
+// and is named, instead of yielding an empty report that exits 0.
+func TestUnknownExperimentID(t *testing.T) {
+	for _, ids := range []string{"t99", "t3,t99", "d1,t99"} {
+		out, stderr, err := execute(t, "-size", "600", "-run", ids)
+		if err == nil {
+			t.Errorf("experiments -run %s exited 0:\n%s", ids, out)
+		}
+		if !strings.Contains(stderr, `"t99"`) {
+			t.Errorf("experiments -run %s does not name the unknown id: %q", ids, stderr)
+		}
+		if out != "" {
+			t.Errorf("experiments -run %s printed a report:\n%s", ids, out)
+		}
 	}
 }

@@ -86,10 +86,9 @@ func main() {
 		fmt.Println(t)
 	}
 	cli.Finish()
-	fmt.Printf("%d/%d sites compliant, %d scan errors (dial %d / handshake %d / parse %d / cancelled %d), %d rescanned, %d lost, %v elapsed\n",
+	fmt.Printf("%d/%d sites compliant, %d scan errors (dial %d / handshake %d / cancelled %d), %d rescanned, %d lost, %v elapsed\n",
 		rep.StreamedCompliant, rep.Streamed, rep.ScanErrors,
-		rep.ScanErrorCauses.Dial, rep.ScanErrorCauses.Handshake,
-		rep.ScanErrorCauses.Parse, rep.ScanErrorCauses.Cancelled,
+		rep.ScanErrorCauses.Dial, rep.ScanErrorCauses.Handshake, rep.ScanErrorCauses.Cancelled,
 		rep.Rescanned, rep.Lost, time.Since(start).Round(time.Millisecond))
 	if rep.Snapshot != nil {
 		// Hits and misses race: two grade workers can both miss one chain

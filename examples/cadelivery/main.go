@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"chainchaos/internal/ca"
@@ -24,18 +25,16 @@ import (
 func main() {
 	base := time.Date(2024, time.March, 1, 0, 0, 0, 0, time.UTC)
 
-	var goget, letsEncrypt ca.Profile
-	for _, p := range ca.Profiles() {
-		switch p.Name {
-		case "GoGetSSL":
-			goget = p
-		case "Let's Encrypt":
-			letsEncrypt = p
-		}
-	}
+	// The first reseller whose ca-bundle comes reversed, and the first
+	// automated CA that delivers a fullchain file.
+	profiles := ca.Profiles()
+	reseller := profiles[slices.IndexFunc(profiles, func(p ca.Profile) bool { return p.BundleReversed })]
+	automated := profiles[slices.IndexFunc(profiles, func(p ca.Profile) bool {
+		return p.AutomaticManagement && p.ProvidesFullchain
+	})]
 
 	fmt.Println("--- Case 1: reseller delivers the ca-bundle in reverse order ---")
-	iss := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: goget, Base: base, Tag: "demo"})
+	iss := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: reseller, Base: base, Tag: "demo"})
 	delivery := iss.Issue("shop.example", base, base.AddDate(1, 0, 0), ca.LeafOptions{})
 
 	fmt.Println("files received from the CA:")
@@ -63,7 +62,7 @@ func main() {
 	verdicts(wire, "shop.example", roots, base)
 
 	fmt.Println("\n--- Case 2: duplicate leaf on Apache vs Azure ---")
-	iss2 := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: letsEncrypt, Base: base, Tag: "demo2"})
+	iss2 := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: automated, Base: base, Tag: "demo2"})
 	d2 := iss2.Issue("blog.example", base, base.AddDate(0, 3, 0), ca.LeafOptions{})
 	// The admin misreads SF1 and pastes the leaf into the chain file too.
 	// Each model gets the upload in its own file scheme (Deploy rejects a

@@ -63,7 +63,7 @@ func main() {
 			why = out.Validation.Findings[0].String()
 		case out.AIAFetches > 0:
 			why = "completed via AIA"
-		case p.Name == "Firefox":
+		case p.Policy.UseCache:
 			why = "completed from intermediate cache"
 		}
 		result := "PASS"

@@ -33,7 +33,6 @@ type Repository struct {
 	mu       sync.RWMutex
 	certs    map[string]*certmodel.Certificate
 	failures map[string]error
-	fetches  int
 
 	mFetches *obs.Counter // aia.fetches
 	mHits    *obs.Counter // aia.hits: a certificate was published at the URI
@@ -79,10 +78,6 @@ func (r *Repository) PutError(uri string, err error) {
 
 // Fetch implements Fetcher.
 func (r *Repository) Fetch(uri string) (*certmodel.Certificate, error) {
-	r.mu.Lock()
-	r.fetches++
-	r.mu.Unlock()
-
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	r.mFetches.Inc()
@@ -96,14 +91,6 @@ func (r *Repository) Fetch(uri string) (*certmodel.Certificate, error) {
 	}
 	r.mMisses.Inc()
 	return nil, fmt.Errorf("aia: fetch %s: %w", uri, ErrNotFound)
-}
-
-// FetchCount returns how many fetches have been issued, for resource-cost
-// accounting in the benchmarks.
-func (r *Repository) FetchCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.fetches
 }
 
 // Len returns the number of published certificates.

@@ -64,6 +64,9 @@ type Profile struct {
 	// intermediate (TAIWAN-CA's missing cross-signed root CA).
 	OmitsIntermediate bool
 	InstallGuide      GuideLevel
+	// Undisclosed: the CA's intermediates are missing from CCADB, so
+	// Firefox's intermediate preload, built from CCADB, lacks them.
+	Undisclosed bool
 
 	// MarketShare weights population assignment; Rates calibrate
 	// misconfiguration injection (both from Table 11).
@@ -107,9 +110,9 @@ func Profiles() []Profile {
 		},
 		{
 			Name: "TAIWAN-CA", ProvidesCABundle: true, OmitsIntermediate: true,
-			InstallGuide: GuidePartial,
-			MarketShare:  0.00054,
-			Rates:        MisconfigRates{Duplicate: 0.014, Irrelevant: 0.016, Reversed: 0.096, Incomplete: 0.419},
+			InstallGuide: GuidePartial, Undisclosed: true,
+			MarketShare: 0.00054,
+			Rates:       MisconfigRates{Duplicate: 0.014, Irrelevant: 0.016, Reversed: 0.096, Incomplete: 0.419},
 		},
 		{
 			Name: "cyber_Folks S.A.", ProvidesCABundle: true, ProvidesRoot: true,

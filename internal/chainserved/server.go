@@ -278,7 +278,6 @@ const (
 	CodeOverloaded   = "overloaded"
 	CodeScanDial     = "scan_dial"
 	CodeScanShake    = "scan_handshake"
-	CodeScanParse    = "scan_parse"
 	CodeCancelled    = "cancelled"
 )
 
@@ -423,12 +422,10 @@ func scanError(cause tlsscan.ErrorCause) (string, int) {
 	switch cause {
 	case tlsscan.CauseDial:
 		return CodeScanDial, http.StatusBadGateway
-	case tlsscan.CauseHandshake:
-		return CodeScanShake, http.StatusBadGateway
 	case tlsscan.CauseCancelled:
 		return CodeCancelled, 499
 	default:
-		return CodeScanParse, http.StatusBadGateway
+		return CodeScanShake, http.StatusBadGateway
 	}
 }
 

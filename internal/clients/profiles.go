@@ -8,6 +8,7 @@ package clients
 
 import (
 	"chainchaos/internal/pathbuild"
+	"chainchaos/internal/rootstore"
 )
 
 // Kind distinguishes libraries from browsers, the split that drives the
@@ -27,10 +28,12 @@ func (k Kind) String() string {
 	return "library"
 }
 
-// Profile couples a named client model with its kind.
+// Profile couples a named client model with its kind, the root program
+// whose store it trusts as deployed, and its path-building policy.
 type Profile struct {
 	Name   string
 	Kind   Kind
+	Vendor rootstore.Vendor
 	Policy pathbuild.Policy
 }
 
@@ -43,7 +46,7 @@ type Profile struct {
 
 // OpenSSL (v3.0.2 in the paper).
 func OpenSSL() Profile {
-	return Profile{Name: "OpenSSL", Kind: Library, Policy: pathbuild.Policy{
+	return Profile{Name: "OpenSSL", Kind: Library, Vendor: rootstore.Mozilla, Policy: pathbuild.Policy{
 		Name:                "OpenSSL",
 		Reorder:             true,
 		EliminateDuplicates: true,
@@ -54,7 +57,7 @@ func OpenSSL() Profile {
 
 // GnuTLS (v3.7.3).
 func GnuTLS() Profile {
-	return Profile{Name: "GnuTLS", Kind: Library, Policy: pathbuild.Policy{
+	return Profile{Name: "GnuTLS", Kind: Library, Vendor: rootstore.Mozilla, Policy: pathbuild.Policy{
 		Name:                "GnuTLS",
 		Reorder:             true,
 		EliminateDuplicates: true,
@@ -65,7 +68,7 @@ func GnuTLS() Profile {
 
 // MbedTLS (v3.5.2).
 func MbedTLS() Profile {
-	return Profile{Name: "MbedTLS", Kind: Library, Policy: pathbuild.Policy{
+	return Profile{Name: "MbedTLS", Kind: Library, Vendor: rootstore.Mozilla, Policy: pathbuild.Policy{
 		Name:                 "MbedTLS",
 		Reorder:              false, // forward-only scan: finding I-1
 		EliminateDuplicates:  false, // duplicates are rescanned every step
@@ -80,7 +83,7 @@ func MbedTLS() Profile {
 
 // CryptoAPI (Windows, v10.0.19041).
 func CryptoAPI() Profile {
-	return Profile{Name: "CryptoAPI", Kind: Library, Policy: pathbuild.Policy{
+	return Profile{Name: "CryptoAPI", Kind: Library, Vendor: rootstore.Microsoft, Policy: pathbuild.Policy{
 		Name:                 "CryptoAPI",
 		Reorder:              true,
 		EliminateDuplicates:  true,
@@ -97,7 +100,7 @@ func CryptoAPI() Profile {
 
 // Chrome (v128).
 func Chrome() Profile {
-	return Profile{Name: "Chrome", Kind: Browser, Policy: pathbuild.Policy{
+	return Profile{Name: "Chrome", Kind: Browser, Vendor: rootstore.Chrome, Policy: pathbuild.Policy{
 		Name:                 "Chrome",
 		Reorder:              true,
 		EliminateDuplicates:  true,
@@ -111,11 +114,12 @@ func Chrome() Profile {
 	}}
 }
 
-// Edge (v128); shares the Chromium engine but enforces a path-length limit
-// of 21.
+// Edge (v128); shares the Chromium engine but trusts Microsoft's root store
+// and enforces a path-length limit of 21.
 func Edge() Profile {
 	p := Chrome()
 	p.Name = "Edge"
+	p.Vendor = rootstore.Microsoft
 	p.Policy.Name = "Edge"
 	p.Policy.MaxPathLen = 21
 	return p
@@ -123,7 +127,7 @@ func Edge() Profile {
 
 // Safari (v17.4).
 func Safari() Profile {
-	return Profile{Name: "Safari", Kind: Browser, Policy: pathbuild.Policy{
+	return Profile{Name: "Safari", Kind: Browser, Vendor: rootstore.Apple, Policy: pathbuild.Policy{
 		Name:                 "Safari",
 		Reorder:              true,
 		EliminateDuplicates:  true,
@@ -140,7 +144,7 @@ func Safari() Profile {
 
 // Firefox (v126): no AIA, but a populated intermediate cache substitutes.
 func Firefox() Profile {
-	return Profile{Name: "Firefox", Kind: Browser, Policy: pathbuild.Policy{
+	return Profile{Name: "Firefox", Kind: Browser, Vendor: rootstore.Mozilla, Policy: pathbuild.Policy{
 		Name:                 "Firefox",
 		Reorder:              true,
 		EliminateDuplicates:  true,

@@ -126,18 +126,13 @@ func TestGraderHostname(t *testing.T) {
 // when Vendors is set, and against Roots otherwise; the warm preload is
 // wired read-only.
 func TestTrustBuilderStores(t *testing.T) {
-	v := &rootstore.VendorSet{
-		Mozilla:   rootstore.New("mozilla"),
-		Chrome:    rootstore.New("chrome"),
-		Microsoft: rootstore.New("microsoft"),
-		Apple:     rootstore.New("apple"),
-		Union:     rootstore.New("union"),
-	}
+	v := rootstore.NewVendorSet(nil, nil)
 	want := map[string]*rootstore.Store{
-		"OpenSSL": v.Mozilla, "GnuTLS": v.Mozilla, "MbedTLS": v.Mozilla, "Firefox": v.Mozilla,
-		"CryptoAPI": v.Microsoft, "Edge": v.Microsoft,
-		"Safari": v.Apple,
-		"Chrome": v.Chrome,
+		"OpenSSL": v.Store(rootstore.Mozilla), "GnuTLS": v.Store(rootstore.Mozilla),
+		"MbedTLS": v.Store(rootstore.Mozilla), "Firefox": v.Store(rootstore.Mozilla),
+		"CryptoAPI": v.Store(rootstore.Microsoft), "Edge": v.Store(rootstore.Microsoft),
+		"Safari": v.Store(rootstore.Apple),
+		"Chrome": v.Store(rootstore.Chrome),
 	}
 	warm := rootstore.New("warm")
 	vendored := Trust{Roots: v.Union, Vendors: v, Warm: warm}
@@ -152,6 +147,25 @@ func TestTrustBuilderStores(t *testing.T) {
 		if b := vendored.Builder(p); b.Cache != warm {
 			t.Errorf("%s: warm preload not wired", p.Name)
 		}
+	}
+}
+
+// TestProfileOf: every client of the matrix is found by its name, in
+// place and without allocating; any other name has no profile.
+func TestProfileOf(t *testing.T) {
+	for i := range Profiles {
+		if got := ProfileOf(Profiles[i].Name); got != &Profiles[i] {
+			t.Errorf("ProfileOf(%q) = %p, want &Profiles[%d]", Profiles[i].Name, got, i)
+		}
+	}
+	for _, name := range []string{"", "firefox", "Opera"} {
+		if got := ProfileOf(name); got != nil {
+			t.Errorf("ProfileOf(%q) = %s, want nil", name, got.Name)
+		}
+	}
+	last := Profiles[len(Profiles)-1].Name
+	if n := testing.AllocsPerRun(100, func() { ProfileOf(last) }); n != 0 {
+		t.Errorf("ProfileOf allocates %.0f times per call", n)
 	}
 }
 

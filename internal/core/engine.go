@@ -19,6 +19,17 @@ import (
 // models in Table 9 order. A Grader's client i is Profiles[i].
 var Profiles = clients.All()
 
+// ProfileOf returns the profile in Profiles named client, or nil when no
+// model has that name. The profile is shared: callers read it only.
+func ProfileOf(client string) *clients.Profile {
+	for i := range Profiles {
+		if Profiles[i].Name == client {
+			return &Profiles[i]
+		}
+	}
+	return nil
+}
+
 // Trust is the context the client models are judged in. A differential
 // verdict means something only when every client sees the same roots,
 // fetcher, preload and clock, so every grading derives its builders here.
@@ -26,9 +37,8 @@ type Trust struct {
 	// Roots anchors the compliance analysis, and every client's path
 	// construction unless Vendors is set.
 	Roots *rootstore.Store
-	// Vendors, when non-nil, gives each client its vendor's store, as
-	// deployed: CryptoAPI and Edge use Microsoft's, Safari Apple's, Chrome
-	// its own, and the NSS/OpenSSL family Mozilla's.
+	// Vendors, when non-nil, gives each client the store of its profile's
+	// Vendor, as deployed.
 	Vendors *rootstore.VendorSet
 	// Fetcher resolves AIA URIs for the analysis and the AIA-capable
 	// clients; nil models a network without AIA.
@@ -46,28 +56,19 @@ type Trust struct {
 	Metrics *obs.Registry
 }
 
-// roots returns the store client name validates against.
-func (t Trust) roots(name string) *rootstore.Store {
+// roots returns the store client p validates against.
+func (t Trust) roots(p clients.Profile) *rootstore.Store {
 	if t.Vendors == nil {
 		return t.Roots
 	}
-	switch name {
-	case "CryptoAPI", "Edge":
-		return t.Vendors.Microsoft
-	case "Safari":
-		return t.Vendors.Apple
-	case "Chrome":
-		return t.Vendors.Chrome
-	default:
-		return t.Vendors.Mozilla
-	}
+	return t.Vendors.Store(p.Vendor)
 }
 
 // Builder wires profile p into a path builder judged in t.
 func (t Trust) Builder(p clients.Profile) *pathbuild.Builder {
 	return &pathbuild.Builder{
 		Policy:  p.Policy,
-		Roots:   t.roots(p.Name),
+		Roots:   t.roots(p),
 		Fetcher: t.Fetcher,
 		Cache:   t.Warm,
 		Now:     t.Now,

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"slices"
 	"testing"
 
 	"chainchaos/internal/clients"
@@ -26,6 +27,18 @@ func runMutated(t *testing.T, seed int64, mutate func(d *population.Domain)) *Ch
 	return &ChainRecord{Domain: d, Report: rep, Verdicts: m.Verdicts, Causes: m.Causes}
 }
 
+// verdictOf returns the named client's verdict on the record.
+func verdictOf(t *testing.T, rec *ChainRecord, name string) ClientVerdict {
+	t.Helper()
+	for _, v := range rec.Verdicts {
+		if v.Client == name {
+			return v
+		}
+	}
+	t.Fatalf("no %s verdict", name)
+	return ClientVerdict{}
+}
+
 func hasCause(rec *ChainRecord, c Cause) bool {
 	for _, got := range rec.Causes {
 		if got == c {
@@ -36,22 +49,14 @@ func hasCause(rec *ChainRecord, c Cause) bool {
 }
 
 func TestCauseI1Reversal(t *testing.T) {
-	rec := runMutated(t, 31, func(d *population.Domain) {
-		// Reverse everything after the leaf.
-		tail := d.List[1:]
-		for i, j := 0, len(tail)-1; i < j; i, j = i+1, j-1 {
-			tail[i], tail[j] = tail[j], tail[i]
-		}
-	})
+	rec := runMutated(t, 31, reverseTail)
 	if !hasCause(rec, CauseI1Reorder) {
 		t.Errorf("causes = %v, want I-1", rec.Causes)
 	}
-	v, _ := rec.verdictOf("MbedTLS")
-	if v.OK() {
+	if verdictOf(t, rec, "MbedTLS").OK() {
 		t.Error("MbedTLS should fail the reversed chain")
 	}
-	o, _ := rec.verdictOf("OpenSSL")
-	if !o.OK() {
+	if !verdictOf(t, rec, "OpenSSL").OK() {
 		t.Error("OpenSSL should pass the reversed chain")
 	}
 }
@@ -63,11 +68,11 @@ func TestCauseI4Incomplete(t *testing.T) {
 	if !hasCause(rec, CauseI4AIA) {
 		t.Errorf("causes = %v, want I-4", rec.Causes)
 	}
-	cv, _ := rec.verdictOf("CryptoAPI")
+	cv := verdictOf(t, rec, "CryptoAPI")
 	if !cv.OK() {
 		t.Error("CryptoAPI should complete via AIA")
 	}
-	ov, _ := rec.verdictOf("OpenSSL")
+	ov := verdictOf(t, rec, "OpenSSL")
 	if ov.OK() {
 		t.Error("OpenSSL should fail without AIA")
 	}
@@ -97,10 +102,53 @@ func TestCauseStringCoverage(t *testing.T) {
 			t.Errorf("cause %d renders empty", int(c))
 		}
 	}
-	if CauseNames(nil) != "-" {
-		t.Error("empty cause list rendering")
+}
+
+// reverseTail reverses everything after the leaf.
+func reverseTail(d *population.Domain) {
+	tail := d.List[1:]
+	for i, j := 0, len(tail)-1; i < j; i, j = i+1, j-1 {
+		tail[i], tail[j] = tail[j], tail[i]
 	}
-	if CauseNames([]Cause{CauseI1Reorder, CauseI4AIA}) == "" {
-		t.Error("cause list rendering")
+}
+
+// TestCausesReadProfiles: I-1 blames a failing client whose profile lacks
+// reordering. Give the failing verdicts names outside core.Profiles and
+// there is no policy to read, so nobody is blamed; give every profile
+// reordering and nobody lacks it.
+func TestCausesReadProfiles(t *testing.T) {
+	rec := runMutated(t, 31, reverseTail)
+	if !hasCause(rec, CauseI1Reorder) {
+		t.Fatalf("causes = %v, want I-1", rec.Causes)
+	}
+
+	renamed := *rec
+	renamed.Verdicts = slices.Clone(rec.Verdicts)
+	for i, v := range renamed.Verdicts {
+		if !v.OK() {
+			renamed.Verdicts[i].Client = "Unmodelled " + v.Client
+		}
+	}
+	if causes := AttributeCauses(&renamed); slices.Contains(causes, CauseI1Reorder) {
+		t.Errorf("causes = %v: a client with no profile was blamed for lacking reordering", causes)
+	}
+
+	for i := range core.Profiles {
+		if p := &core.Profiles[i]; !p.Policy.Reorder {
+			p.Policy.Reorder = true
+			defer func() { p.Policy.Reorder = false }()
+		}
+	}
+	if causes := AttributeCauses(rec); slices.Contains(causes, CauseI1Reorder) {
+		t.Errorf("causes = %v with reordering in every profile, want no I-1", causes)
+	}
+}
+
+// TestAttributeCausesAllocs: attribution allocates only the slice of causes
+// it returns; finding each client's profile costs nothing.
+func TestAttributeCausesAllocs(t *testing.T) {
+	rec := runMutated(t, 31, reverseTail)
+	if n := testing.AllocsPerRun(100, func() { AttributeCauses(rec) }); n > float64(len(rec.Causes)) {
+		t.Errorf("AttributeCauses allocates %.0f times for %d causes", n, len(rec.Causes))
 	}
 }

@@ -127,11 +127,7 @@ func TestCauseI2LongList(t *testing.T) {
 			d.List = append(d.List, d.List[len(d.List)-1])
 		}
 	})
-	v, ok := rec.verdictOf("GnuTLS")
-	if !ok {
-		t.Fatal("no GnuTLS verdict")
-	}
-	if v.OK() {
+	if v := verdictOf(t, rec, "GnuTLS"); v.OK() {
 		t.Error("GnuTLS should reject a 17-cert list")
 	}
 	if !hasCause(rec, CauseI2InputLimit) {

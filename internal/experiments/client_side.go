@@ -23,8 +23,11 @@ func (e *Env) ClientCapabilities() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := report.New("Table 9 — Capabilities of TLS implementations",
-		"Type", "OpenSSL", "GnuTLS", "MbedTLS", "CryptoAPI", "Chrome", "Edge", "Safari", "Firefox")
+	headers := []string{"Type"}
+	for _, r := range reports {
+		headers = append(headers, r.Profile.Name)
+	}
+	t := report.New("Table 9 — Capabilities of TLS implementations", headers...)
 	row := func(label string, cell func(clients.CapabilityReport) string) {
 		cells := []string{label}
 		for _, r := range reports {

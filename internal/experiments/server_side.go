@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chainchaos/internal/compliance"
+	"chainchaos/internal/population"
 	"chainchaos/internal/report"
 )
 
@@ -151,10 +152,10 @@ func (e *Env) HTTPServerBreakdown() *report.Table {
 	pop := e.Population()
 	reports := e.Reports()
 
-	servers := []string{"Apache", "Nginx", "Microsoft-Azure-Application-Gateway", "cloudflare", "IIS", "AWS ELB", "Other"}
+	servers := population.ServerProfiles()
 	idx := map[string]int{}
 	for i, s := range servers {
-		idx[s] = i
+		idx[s.Name] = i
 	}
 	types := []string{"Overview", "Duplicate Certificates", "Duplicate Leaf", "Irrelevant Certificates", "Multiple Paths", "Reversed Sequences", "Incomplete Chain"}
 	counts := make([][]int, len(types))
@@ -164,7 +165,7 @@ func (e *Env) HTTPServerBreakdown() *report.Table {
 	bump := func(row int, server string) {
 		col, ok := idx[server]
 		if !ok {
-			col = idx["Other"]
+			col = len(servers) - 1 // the long tail
 		}
 		counts[row][col]++
 		counts[row][len(servers)]++
@@ -194,7 +195,11 @@ func (e *Env) HTTPServerBreakdown() *report.Table {
 		}
 	}
 
-	headers := append([]string{"Non-compliant Type"}, append(shortNames(servers), "Total")...)
+	headers := []string{"Non-compliant Type"}
+	for i := range servers {
+		headers = append(headers, servers[i].Column())
+	}
+	headers = append(headers, "Total")
 	t := report.New("Table 10 — HTTP servers of non-compliant chains", headers...)
 	for i, ty := range types {
 		row := []string{ty}
@@ -206,17 +211,6 @@ func (e *Env) HTTPServerBreakdown() *report.Table {
 		t.Add(row...)
 	}
 	return t
-}
-
-func shortNames(servers []string) []string {
-	out := make([]string, len(servers))
-	for i, s := range servers {
-		if s == "Microsoft-Azure-Application-Gateway" {
-			s = "Azure"
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // CABreakdown reproduces Table 11: non-compliant chains by issuing CA or

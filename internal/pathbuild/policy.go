@@ -77,7 +77,7 @@ func (k KIDPolicy) String() string {
 
 // Policy is the complete behavioural description of a chain-building client.
 type Policy struct {
-	// Name identifies the policy in reports ("OpenSSL", "Chrome", ...).
+	// Name identifies the policy in reports: the client model's name.
 	Name string
 
 	// Reorder: the builder may select issuers anywhere in the presented

@@ -232,8 +232,7 @@ func send[T any](r *run, out chan<- block[T], b block[T], depth *obs.Gauge) bool
 }
 
 // Flow is a pipeline whose last stage emits T values. Extend it with Through
-// and terminate it with Drain or Collect (each Flow must be terminated
-// exactly once).
+// and terminate it with Drain (each Flow must be terminated exactly once).
 type Flow[T any] struct {
 	run  *run
 	name string // name of the stage that feeds out
@@ -480,18 +479,6 @@ blocks:
 // whose final stage is named stage — callers resolving a resume point use
 // Journal.Last(SinkName(stage)).
 func SinkName(stage string) string { return stage + ".sink" }
-
-// Collect terminates the flow by appending every value, in rank order, to a
-// slice. It is the batch adapter: the pipeline's memory bound is forfeited,
-// everything else (determinism, cancellation, instrumentation) is kept.
-func Collect[T any](f *Flow[T]) ([]T, error) {
-	var out []T
-	err := f.Drain(func(_ int, v T) error {
-		out = append(out, v)
-		return nil
-	})
-	return out, err
-}
 
 // reorder releases a stage's output blocks in rank order. Workers put
 // completed blocks; a single taker (the stage releaser) removes them in

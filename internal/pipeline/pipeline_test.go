@@ -33,6 +33,16 @@ func depthSource(ctx context.Context, opts Options, n, queue int) *Flow[int] {
 // identity is a stage function that passes its input through.
 func identity(_ context.Context, _, _ int, v int) (int, error) { return v, nil }
 
+// collect drains the flow, appending every value in rank order to a slice.
+func collect[T any](f *Flow[T]) ([]T, error) {
+	var out []T
+	err := f.Drain(func(_ int, v T) error {
+		out = append(out, v)
+		return nil
+	})
+	return out, err
+}
+
 // TestOrderPreserved: randomized per-item delays must not reorder the sink's
 // view — the reorder buffer releases strictly by rank — for short blocks,
 // default-depth blocks, and a two-stage chain.
@@ -58,7 +68,7 @@ func TestOrderPreserved(t *testing.T) {
 					},
 				})
 			}
-			got, err := Collect(f)
+			got, err := collect(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +109,7 @@ func TestWorkerAndQueueInvariance(t *testing.T) {
 				},
 			})
 		}
-		out, err := Collect(f)
+		out, err := collect(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +211,7 @@ func TestStageErrorFailsRun(t *testing.T) {
 			return v, nil
 		},
 	})
-	_, err := Collect(g)
+	_, err := collect(g)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -245,7 +255,7 @@ func TestPanicPropagates(t *testing.T) {
 			return v, nil
 		},
 	})
-	_, _ = Collect(g)
+	_, _ = collect(g)
 }
 
 // TestCancelStopsRun: cancelling the parent context stops the pipeline
@@ -300,7 +310,7 @@ func TestSourceLatencyFakeClock(t *testing.T) {
 			clock.Advance(time.Millisecond)
 			return rank, true, nil
 		})
-		if _, err := Collect(Through(f, Stage[int, int]{Name: "id", Workers: 2, Fn: identity})); err != nil {
+		if _, err := collect(Through(f, Stage[int, int]{Name: "id", Workers: 2, Fn: identity})); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {
@@ -358,7 +368,7 @@ func TestStageMetrics(t *testing.T) {
 	f := intSource(context.Background(), Options{Metrics: reg, Name: "tp"}, n)
 	g := Through(f, Stage[int, int]{Name: "work", Workers: 4,
 		Fn: func(_ context.Context, _, _ int, v int) (int, error) { return v, nil }})
-	if _, err := Collect(g); err != nil {
+	if _, err := collect(g); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -396,7 +406,7 @@ func TestOnWorkerHooks(t *testing.T) {
 		},
 		Fn: func(_ context.Context, _, _ int, v int) (int, error) { return v, nil },
 	})
-	if _, err := Collect(g); err != nil {
+	if _, err := collect(g); err != nil {
 		t.Fatal(err)
 	}
 	if started.Load() != workers || retired.Load() != workers {
@@ -412,7 +422,7 @@ func TestTwoStageChain(t *testing.T) {
 		Fn: func(_ context.Context, _, _ int, v int) (int, error) { return v + 1, nil }})
 	h := Through(g, Stage[int, string]{Name: "b", Workers: 3,
 		Fn: func(_ context.Context, _, _ int, v int) (string, error) { return fmt.Sprint(v * 2), nil }})
-	got, err := Collect(h)
+	got, err := collect(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +457,7 @@ func TestStageLatencyFakeClock(t *testing.T) {
 			return v, nil
 		},
 	})
-	if _, err := Collect(g); err != nil {
+	if _, err := collect(g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -516,7 +526,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			return chain(context.Background(), Options{}, 1000, identity).Drain(none)
 		}},
 		{"collect", func() error {
-			_, err := Collect(chain(context.Background(), Options{}, 1000, identity))
+			_, err := collect(chain(context.Background(), Options{}, 1000, identity))
 			return err
 		}},
 		{"stage error", func() error {
@@ -544,7 +554,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 					err = errors.New("panic swallowed")
 				}
 			}()
-			_, _ = Collect(chain(context.Background(), Options{}, 10000, failAt(123, func() error { panic("kaboom") })))
+			_, _ = collect(chain(context.Background(), Options{}, 10000, failAt(123, func() error { panic("kaboom") })))
 			return nil
 		}},
 		{"parent cancel", func() error {
@@ -562,7 +572,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			return nil
 		}},
 		{"resume", func() error {
-			got, err := Collect(chain(context.Background(), Options{Resume: 100}, 1000, identity))
+			got, err := collect(chain(context.Background(), Options{Resume: 100}, 1000, identity))
 			if err == nil && (len(got) != 900 || got[0] != 100) {
 				err = fmt.Errorf("collected %d items from %v, want ranks [100, 1000)", len(got), got[:min(1, len(got))])
 			}

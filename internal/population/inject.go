@@ -2,6 +2,7 @@ package population
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"chainchaos/internal/aia"
@@ -40,56 +41,77 @@ type generator struct {
 	chain, full []*certmodel.Certificate
 }
 
-// Server population shares. The overall mix skews toward Apache and Nginx as
-// in the paper's fingerprinting (Appendix B); "cloudflare" deployments are
-// fully managed and "Other" is the long tail.
-var serverShares = []struct {
-	name  string
+// ServerProfile is one fingerprinted HTTP server population: the name its
+// sites report, its share of sites, its Table 10 calibration and how it
+// deploys a certificate list.
+type ServerProfile struct {
+	// Name is the fingerprint a domain records as its Server.
+	Name string
+	// Short, when set, heads the server's Table 10 column instead of Name.
+	Short string
 	share float64
-}{
-	{"Apache", 0.31},
-	{"Nginx", 0.34},
-	{"Microsoft-Azure-Application-Gateway", 0.04},
-	{"cloudflare", 0.10},
-	{"IIS", 0.04},
-	{"AWS ELB", 0.03},
-	{"Other", 0.14},
+	f     factors
+	// model returns the deployment model of one site. Apache's draws which
+	// generation the site runs, so it consumes one rng draw.
+	model func(rng *rand.Rand) httpserver.Model
 }
 
-// serverFactors scale the CA's per-type misconfiguration rates by HTTP
-// server, calibrated from Table 10 (a server's share within a defect type
-// divided by its overall share). Azure's duplicate factor models attempts —
-// its upload check then cancels them.
+// Column is the server's Table 10 column header.
+func (s *ServerProfile) Column() string {
+	if s.Short != "" {
+		return s.Short
+	}
+	return s.Name
+}
+
+// factors scale the CA's per-type misconfiguration rates by HTTP server,
+// calibrated from Table 10 (a server's share within a defect type divided
+// by its overall share). Azure's duplicate factor models attempts — its
+// upload check then cancels them.
 type factors struct{ dup, irr, multi, rev, inc float64 }
 
-var serverFactors = map[string]factors{
-	"Apache":                              {dup: 1.8, irr: 1.35, multi: 0.85, rev: 0.6, inc: 1.0},
-	"Nginx":                               {dup: 0.65, irr: 0.9, multi: 1.4, rev: 1.1, inc: 1.15},
-	"Microsoft-Azure-Application-Gateway": {dup: 0.5, irr: 0.25, multi: 0.1, rev: 2.6, inc: 0.4},
-	"cloudflare":                          {dup: 1.0, irr: 1.0, multi: 0.8, rev: 1.0, inc: 0.9},
-	"IIS":                                 {dup: 0.6, irr: 0.5, multi: 0.9, rev: 1.35, inc: 1.0},
-	"AWS ELB":                             {dup: 2.4, irr: 0.6, multi: 0.4, rev: 1.1, inc: 0.8},
-	"Other":                               {dup: 1.0, irr: 0.7, multi: 1.05, rev: 1.4, inc: 1.0},
+// serverProfiles is the server mix, in Table 10's column order. It skews
+// toward Apache and Nginx as in the paper's fingerprinting (Appendix B);
+// "cloudflare" deployments are fully managed, and the last entry, "Other",
+// is the long tail that every unlisted server falls into.
+var serverProfiles = []ServerProfile{
+	{Name: "Apache", share: 0.31, model: apacheModel,
+		f: factors{dup: 1.8, irr: 1.35, multi: 0.85, rev: 0.6, inc: 1.0}},
+	{Name: "Nginx", share: 0.34, model: fixedModel(httpserver.Nginx),
+		f: factors{dup: 0.65, irr: 0.9, multi: 1.4, rev: 1.1, inc: 1.15}},
+	{Name: "Microsoft-Azure-Application-Gateway", Short: "Azure", share: 0.04, model: fixedModel(httpserver.AzureAppGateway),
+		f: factors{dup: 0.5, irr: 0.25, multi: 0.1, rev: 2.6, inc: 0.4}},
+	{Name: "cloudflare", share: 0.10, model: nginxNamed("cloudflare"),
+		f: factors{dup: 1.0, irr: 1.0, multi: 0.8, rev: 1.0, inc: 0.9}},
+	{Name: "IIS", share: 0.04, model: fixedModel(httpserver.IIS),
+		f: factors{dup: 0.6, irr: 0.5, multi: 0.9, rev: 1.35, inc: 1.0}},
+	{Name: "AWS ELB", share: 0.03, model: fixedModel(httpserver.AWSELB),
+		f: factors{dup: 2.4, irr: 0.6, multi: 0.4, rev: 1.1, inc: 0.8}},
+	{Name: "Other", share: 0.14, model: nginxNamed("Other"),
+		f: factors{dup: 1.0, irr: 0.7, multi: 1.05, rev: 1.4, inc: 1.0}},
 }
 
-// serverModel maps a fingerprinted server name onto its deployment model.
-func serverModel(name string, rng *rand.Rand) httpserver.Model {
-	switch name {
-	case "Apache":
-		// A large installed base still runs pre-2.4.8 split-file configs.
-		if rng.Float64() < 0.4 {
-			return httpserver.ApacheOld()
-		}
-		return httpserver.Apache()
-	case "Nginx":
-		return httpserver.Nginx()
-	case "Microsoft-Azure-Application-Gateway":
-		return httpserver.AzureAppGateway()
-	case "IIS":
-		return httpserver.IIS()
-	case "AWS ELB":
-		return httpserver.AWSELB()
-	default:
+// ServerProfiles returns the fingerprinted server populations in Table 10's
+// column order; the last one is the long tail.
+func ServerProfiles() []ServerProfile { return slices.Clone(serverProfiles) }
+
+// apacheModel deploys like a pre-2.4.8 split-file config on 40% of sites:
+// a large installed base still runs one.
+func apacheModel(rng *rand.Rand) httpserver.Model {
+	if rng.Float64() < 0.4 {
+		return httpserver.ApacheOld()
+	}
+	return httpserver.Apache()
+}
+
+// fixedModel deploys every site with the model m returns.
+func fixedModel(m func() httpserver.Model) func(*rand.Rand) httpserver.Model {
+	return func(*rand.Rand) httpserver.Model { return m() }
+}
+
+// nginxNamed deploys like Nginx under another fingerprint.
+func nginxNamed(name string) func(*rand.Rand) httpserver.Model {
+	return func(*rand.Rand) httpserver.Model {
 		m := httpserver.Nginx()
 		m.Name = name
 		return m
@@ -98,15 +120,15 @@ func serverModel(name string, rng *rand.Rand) httpserver.Model {
 
 var leafTLDs = []string{"com", "net", "org", "io", "dev", "co", "info", "app"}
 
-func (g *generator) pickServer() string {
+func (g *generator) pickServer() *ServerProfile {
 	x := g.rng.Float64()
-	for _, s := range serverShares {
-		x -= s.share
+	for i := range serverProfiles {
+		x -= serverProfiles[i].share
 		if x <= 0 {
-			return s.name
+			return &serverProfiles[i]
 		}
 	}
-	return "Other"
+	return &serverProfiles[len(serverProfiles)-1]
 }
 
 func clampProb(p float64) float64 {
@@ -124,18 +146,18 @@ func (g *generator) domain(rank int) *Domain {
 	g.rank = rank
 	h := g.pickHierarchy()
 	iss := h.iss
-	serverName := g.pickServer()
-	model := serverModel(serverName, g.rng)
+	server := g.pickServer()
+	model := server.model(g.rng)
 	name := Padded("site-", rank, 6, "."+leafTLDs[g.rng.Intn(len(leafTLDs))])
 	if g.nameOverride != "" {
 		name = g.nameOverride
 	}
 
-	d := &Domain{Rank: rank, Name: name, CA: iss.Profile.Name, Server: serverName}
+	d := &Domain{Rank: rank, Name: name, CA: iss.Profile.Name, Server: server.Name}
 	t := &d.Truth
 
 	rates := iss.Profile.Rates
-	f := serverFactors[serverName]
+	f := server.f
 
 	// Sample the defect events up front; the mechanics below realize them.
 	dup := g.rng.Float64() < clampProb(rates.Duplicate*f.dup)

@@ -206,3 +206,26 @@ func TestPaddedMatchesFmt(t *testing.T) {
 		}
 	}
 }
+
+// TestServerProfiles: the server mix is one distribution over distinct
+// fingerprints, and every generated domain reports one of them.
+func TestServerProfiles(t *testing.T) {
+	servers := ServerProfiles()
+	names := map[string]bool{}
+	total := 0.0
+	for _, s := range servers {
+		if names[s.Name] {
+			t.Errorf("server %q listed twice", s.Name)
+		}
+		names[s.Name] = true
+		total += s.share
+	}
+	if math.Abs(total-1) > 1e-9 {
+		t.Errorf("server shares sum to %v, want 1", total)
+	}
+	for _, d := range Generate(Config{Size: 500, Seed: 6}).Domains {
+		if !names[d.Server] {
+			t.Fatalf("domain %s reports server %q outside the server profiles", d.Name, d.Server)
+		}
+	}
+}

@@ -166,9 +166,8 @@ func (p *Population) Roots() *rootstore.Store { return p.Vendors.Union }
 type hierarchy struct {
 	iss    *ca.Issuer
 	weight float64
-	// storeOmit marks vendors (0=Mozilla 1=Chrome 2=Microsoft 3=Apple)
-	// whose store lacks this hierarchy's root.
-	storeOmit map[int]bool
+	// storeOmit lists the vendors whose store lacks this hierarchy's root.
+	storeOmit []rootstore.Vendor
 }
 
 // Generate builds the population. It is the batch adapter over the streaming
@@ -216,9 +215,9 @@ func buildHierarchies(cfg Config, repo *aia.Repository) []hierarchy {
 		out = append(out, hierarchy{iss: b, weight: p.MarketShare * 0.27})
 	}
 
-	regional := func(name string, share float64, omit map[int]bool) hierarchy {
+	regional := func(name string, share float64, omit ...rootstore.Vendor) hierarchy {
 		prof := ca.Profile{
-			Name: name, ProvidesCABundle: true, InstallGuide: ca.GuidePartial,
+			Name: name, ProvidesCABundle: true, InstallGuide: ca.GuidePartial, Undisclosed: true,
 			MarketShare: share,
 			Rates:       ca.MisconfigRates{Incomplete: 0.02, Reversed: 0.02},
 		}
@@ -228,9 +227,9 @@ func buildHierarchies(cfg Config, repo *aia.Repository) []hierarchy {
 	// Roots carried only by some vendors, AIA-less: the with-AIA rows of
 	// Table 8 (Mozilla/Chrome +66, Microsoft +5, Apple +4 at full scale).
 	out = append(out,
-		regional("TW Government CA", 66.0/906336, map[int]bool{0: true, 1: true}),
-		regional("EU Qualified CA", 5.0/906336, map[int]bool{2: true}),
-		regional("Regional Commerce CA", 4.0/906336, map[int]bool{3: true}),
+		regional("TW Government CA", 66.0/906336, rootstore.Mozilla, rootstore.Chrome),
+		regional("EU Qualified CA", 5.0/906336, rootstore.Microsoft),
+		regional("Regional Commerce CA", 4.0/906336, rootstore.Apple),
 	)
 
 	// A publicly trusted but CCADB-lagging hierarchy: its intermediates
@@ -240,9 +239,9 @@ func buildHierarchies(cfg Config, repo *aia.Repository) []hierarchy {
 	// works, so AIA-capable clients recover.
 	undisclosed := ca.Profile{
 		Name: "Undisclosed Enterprise CA", ProvidesCABundle: true,
-		InstallGuide: ca.GuideNone,
-		MarketShare:  0.004,
-		Rates:        ca.MisconfigRates{Duplicate: 0.01, Reversed: 0.03, Incomplete: 0.30},
+		InstallGuide: ca.GuideNone, Undisclosed: true,
+		MarketShare: 0.004,
+		Rates:       ca.MisconfigRates{Duplicate: 0.01, Reversed: 0.03, Incomplete: 0.30},
 	}
 	uiss := ca.NewSyntheticIssuer(ca.IssuerConfig{Profile: undisclosed, Base: cfg.Base.AddDate(-2, 0, 0), Tag: "u", AIABase: aiaBase})
 	uiss.RegisterAIA(repo.Put)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"chainchaos/internal/aia"
 	"chainchaos/internal/certmodel"
@@ -39,7 +40,7 @@ func NewSource(cfg Config) *Source {
 	hierarchies := buildHierarchies(cfg, repo)
 
 	var allRoots []*certmodel.Certificate
-	omitsOf := make(map[certmodel.FP]map[int]bool)
+	omitsOf := make(map[certmodel.FP][]rootstore.Vendor)
 	for _, h := range hierarchies {
 		allRoots = append(allRoots, h.iss.Root, h.iss.CrossRoot)
 		if h.storeOmit != nil {
@@ -60,8 +61,8 @@ func NewSource(cfg Config) *Source {
 		allRoots = append(allRoots, m.Roots...)
 		scenarios = append(scenarios, m)
 	}
-	vendors := rootstore.NewVendorSet(allRoots, func(root *certmodel.Certificate, vendor int) bool {
-		return omitsOf[root.Fingerprint()][vendor]
+	vendors := rootstore.NewVendorSet(allRoots, func(root *certmodel.Certificate, vendor rootstore.Vendor) bool {
+		return slices.Contains(omitsOf[root.Fingerprint()], vendor)
 	})
 	// The vendor stores are complete; freeze them so every build across the
 	// population reads them lock-free.

@@ -254,24 +254,42 @@ func Union(name string, stores ...*Store) *Store {
 	return u
 }
 
+// Vendor is a root program: the store a client trusts as deployed.
+type Vendor int
+
+// The four root programs the paper consults, in its column order.
+const (
+	Mozilla Vendor = iota
+	Chrome
+	Microsoft
+	Apple
+	numVendors
+)
+
+var vendorNames = [numVendors]string{"Mozilla", "Chrome", "Microsoft", "Apple"}
+
+// String returns the root program's name, which also names its store.
+func (v Vendor) String() string { return vendorNames[v] }
+
 // VendorSet groups the four vendor stores the paper consults plus their
 // union.
 type VendorSet struct {
-	Mozilla   *Store
-	Chrome    *Store
-	Microsoft *Store
-	Apple     *Store
-	Union     *Store
+	stores [numVendors]*Store
+	Union  *Store
 }
+
+// Store returns the vendor's store.
+func (v *VendorSet) Store(vendor Vendor) *Store { return v.stores[vendor] }
 
 // Stores returns the four vendor stores in the paper's column order.
 func (v *VendorSet) Stores() []*Store {
-	return []*Store{v.Mozilla, v.Chrome, v.Microsoft, v.Apple}
+	stores := v.stores
+	return stores[:]
 }
 
 // Seal freezes all five stores (the four vendors and their union).
 func (v *VendorSet) Seal() {
-	for _, s := range v.Stores() {
+	for _, s := range v.stores {
 		s.Seal()
 	}
 	v.Union.Seal()
@@ -280,22 +298,19 @@ func (v *VendorSet) Seal() {
 // NewVendorSet builds four vendor stores over the given roots. Membership is
 // controlled by the omit function: omit(root, vendor) reports that vendor's
 // store does NOT carry the root. A nil omit includes every root everywhere.
-// Vendor indices are 0=Mozilla, 1=Chrome, 2=Microsoft, 3=Apple.
-func NewVendorSet(roots []*certmodel.Certificate, omit func(root *certmodel.Certificate, vendor int) bool) *VendorSet {
-	names := []string{"Mozilla", "Chrome", "Microsoft", "Apple"}
-	stores := make([]*Store, len(names))
-	for i, n := range names {
-		stores[i] = New(n)
+func NewVendorSet(roots []*certmodel.Certificate, omit func(root *certmodel.Certificate, vendor Vendor) bool) *VendorSet {
+	v := &VendorSet{}
+	for vendor := range numVendors {
+		v.stores[vendor] = New(vendor.String())
 	}
 	for _, root := range roots {
-		for i := range stores {
-			if omit == nil || !omit(root, i) {
-				stores[i].Add(root)
+		for vendor, s := range v.stores {
+			if omit == nil || !omit(root, Vendor(vendor)) {
+				s.Add(root)
 			}
 		}
 	}
-	v := &VendorSet{Mozilla: stores[0], Chrome: stores[1], Microsoft: stores[2], Apple: stores[3]}
-	v.Union = Union("union", stores...)
+	v.Union = Union("union", v.stores[:]...)
 	return v
 }
 

@@ -103,21 +103,26 @@ func TestUnion(t *testing.T) {
 func TestVendorSet(t *testing.T) {
 	r1 := certmodel.SyntheticRoot("RS V1", base)
 	r2 := certmodel.SyntheticRoot("RS V2", base)
-	v := NewVendorSet([]*certmodel.Certificate{r1, r2}, func(root *certmodel.Certificate, vendor int) bool {
-		return root.Equal(r2) && vendor == 0 // Mozilla lacks r2
+	v := NewVendorSet([]*certmodel.Certificate{r1, r2}, func(root *certmodel.Certificate, vendor Vendor) bool {
+		return root.Equal(r2) && vendor == Mozilla // Mozilla lacks r2
 	})
-	if v.Mozilla.Len() != 1 || v.Chrome.Len() != 2 || v.Microsoft.Len() != 2 || v.Apple.Len() != 2 {
-		t.Errorf("vendor lens = %d %d %d %d", v.Mozilla.Len(), v.Chrome.Len(), v.Microsoft.Len(), v.Apple.Len())
+	for vendor, want := range map[Vendor]int{Mozilla: 1, Chrome: 2, Microsoft: 2, Apple: 2} {
+		if got := v.Store(vendor).Len(); got != want {
+			t.Errorf("%s store len = %d, want %d", vendor, got, want)
+		}
+		if got := v.Store(vendor).Name(); got != vendor.String() {
+			t.Errorf("%s store is named %q", vendor, got)
+		}
 	}
 	if v.Union.Len() != 2 {
 		t.Errorf("union len = %d", v.Union.Len())
 	}
-	if len(v.Stores()) != 4 {
+	if stores := v.Stores(); len(stores) != 4 || stores[2] != v.Store(Microsoft) {
 		t.Error("Stores() wrong")
 	}
 	// nil omit includes everything.
 	all := NewVendorSet([]*certmodel.Certificate{r1, r2}, nil)
-	if all.Mozilla.Len() != 2 {
+	if all.Store(Mozilla).Len() != 2 {
 		t.Error("nil omit should include all roots")
 	}
 }

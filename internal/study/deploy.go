@@ -17,11 +17,8 @@ import (
 	"chainchaos/internal/rootstore"
 )
 
-// studyServers are the server models a deployment is drawn from.
-var studyServers = []httpserver.Model{
-	httpserver.ApacheOld(), httpserver.Apache(), httpserver.Nginx(),
-	httpserver.AzureAppGateway(), httpserver.IIS(), httpserver.AWSELB(),
-}
+// studyServers are the server models a deployment is drawn from: Table 4's.
+var studyServers = httpserver.Models()
 
 // studyDefects is the defect draw: six in eleven deployments are clean.
 var studyDefects = []defect{

@@ -42,13 +42,10 @@ func TestStudyMetricsReconcile(t *testing.T) {
 	if got, want := c["scan.errors.handshake"], int64(rep.ScanErrorCauses.Handshake); got != want {
 		t.Errorf("scan.errors.handshake = %d, report says %d", got, want)
 	}
-	if got, want := c["scan.errors.parse"], int64(rep.ScanErrorCauses.Parse); got != want {
-		t.Errorf("scan.errors.parse = %d, report says %d", got, want)
-	}
 	if got, want := c["scan.errors.cancelled"], int64(rep.ScanErrorCauses.Cancelled); got != want {
 		t.Errorf("scan.errors.cancelled = %d, report says %d", got, want)
 	}
-	errSum := c["scan.errors.dial"] + c["scan.errors.handshake"] + c["scan.errors.parse"] + c["scan.errors.cancelled"]
+	errSum := c["scan.errors.dial"] + c["scan.errors.handshake"] + c["scan.errors.cancelled"]
 	if errSum != int64(rep.ScanErrors) {
 		t.Errorf("scan error counters sum to %d, report says %d", errSum, rep.ScanErrors)
 	}

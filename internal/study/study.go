@@ -173,10 +173,10 @@ type site struct {
 	Verdicts map[string]bool
 }
 
-// ErrorBreakdown counts failed scan attempts per cause — the transport-vs-
-// finding distinction a single integer conflated.
+// ErrorBreakdown counts failed scan attempts per cause — the distinction
+// between transport loss and cancellation a single integer conflated.
 type ErrorBreakdown struct {
-	Dial, Handshake, Parse, Cancelled int
+	Dial, Handshake, Cancelled int
 }
 
 func (b *ErrorBreakdown) add(c tlsscan.ErrorCause) {
@@ -185,8 +185,6 @@ func (b *ErrorBreakdown) add(c tlsscan.ErrorCause) {
 		b.Dial++
 	case tlsscan.CauseHandshake:
 		b.Handshake++
-	case tlsscan.CauseParse:
-		b.Parse++
 	case tlsscan.CauseCancelled:
 		b.Cancelled++
 	}
@@ -194,7 +192,7 @@ func (b *ErrorBreakdown) add(c tlsscan.ErrorCause) {
 
 // Total is the sum over all causes.
 func (b ErrorBreakdown) Total() int {
-	return b.Dial + b.Handshake + b.Parse + b.Cancelled
+	return b.Dial + b.Handshake + b.Cancelled
 }
 
 // addScan folds one physical scan into the run totals: its failed attempts
@@ -204,7 +202,6 @@ func (r *Report) addScan(c capture) {
 	r.ScanErrors += b.Total()
 	r.ScanErrorCauses.Dial += b.Dial
 	r.ScanErrorCauses.Handshake += b.Handshake
-	r.ScanErrorCauses.Parse += b.Parse
 	r.ScanErrorCauses.Cancelled += b.Cancelled
 	if c.rescanned {
 		r.Rescanned++
@@ -295,7 +292,6 @@ func (r *Report) Tables() []*report.Table {
 	failures := report.New("scan failures by cause (all passes)", "Cause", "Failed attempts")
 	failures.Addf("dial", r.ScanErrorCauses.Dial)
 	failures.Addf("handshake", r.ScanErrorCauses.Handshake)
-	failures.Addf("parse", r.ScanErrorCauses.Parse)
 	failures.Addf("cancelled", r.ScanErrorCauses.Cancelled)
 	failures.Addf("total", r.ScanErrors)
 	failures.Addf("sites recovered by re-scan", r.Rescanned)

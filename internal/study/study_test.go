@@ -147,7 +147,7 @@ func TestStudyFaultsRecoveredByRescan(t *testing.T) {
 	if got := rep.ScanErrorCauses.Total(); got != rep.ScanErrors {
 		t.Errorf("cause breakdown sums to %d, want %d", got, rep.ScanErrors)
 	}
-	if rep.ScanErrorCauses.Parse != 0 || rep.ScanErrorCauses.Cancelled != 0 {
+	if rep.ScanErrorCauses.Cancelled != 0 {
 		t.Errorf("transport faults misclassified: %+v", rep.ScanErrorCauses)
 	}
 	if rep.Rescanned != sites {

@@ -12,7 +12,6 @@ import (
 	"crypto/x509"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -29,9 +28,10 @@ type Target struct {
 	Domain string
 }
 
-// ErrorCause classifies why a scan failed — the distinction the paper's
-// pipeline needs between transport loss (dial, handshake) and protocol
-// findings (parse), which a single error counter conflates.
+// ErrorCause classifies why a scan failed — the distinction between
+// transport loss (dial, handshake) and a cancelled scan, which a single
+// error counter conflates. A list that does not parse never reaches a
+// capture: crypto/tls refuses the handshake, so it is a CauseHandshake.
 type ErrorCause int
 
 const (
@@ -42,12 +42,6 @@ const (
 	// CauseHandshake: TCP connected but the TLS handshake failed or timed
 	// out (resets, stalls, protocol errors).
 	CauseHandshake
-	// CauseParse: the handshake delivered bytes that do not parse as DER
-	// certificates — a finding about the endpoint, never retried. crypto/tls
-	// refuses such a handshake itself, so a scan reports it as
-	// CauseHandshake; the cause keeps its place in the taxonomy the reports
-	// and metrics print.
-	CauseParse
 	// CauseCancelled: the scan context was cancelled.
 	CauseCancelled
 )
@@ -61,8 +55,6 @@ func (c ErrorCause) String() string {
 		return "dial"
 	case CauseHandshake:
 		return "handshake"
-	case CauseParse:
-		return "parse"
 	case CauseCancelled:
 		return "cancelled"
 	default:
@@ -71,7 +63,7 @@ func (c ErrorCause) String() string {
 }
 
 // Retryable reports whether a scan failure with this cause is worth another
-// attempt: transport losses are, findings and cancellations are not.
+// attempt: transport losses are, cancellations are not.
 func (c ErrorCause) Retryable() bool { return c == CauseDial || c == CauseHandshake }
 
 // Result is the scan record for one target — the analogue of a ZGrab2 log
@@ -112,8 +104,8 @@ type Scanner struct {
 	// the paper's primary dataset); 0 means the stdlib default.
 	MaxVersion uint16
 	// Retry governs re-attempts after transport failures (dial, handshake).
-	// The zero value scans each target exactly once. Parse failures and
-	// cancellations are never retried regardless of the policy.
+	// The zero value scans each target exactly once. Cancellations are
+	// never retried regardless of the policy.
 	Retry faults.Policy
 	// Clock paces the throttle and retry backoff; nil means the wall clock.
 	Clock faults.Clock
@@ -137,7 +129,6 @@ type scanMetrics struct {
 	retries      *obs.Counter   // scan.retries: extra attempts spent on transport failures
 	errDial      *obs.Counter   // scan.errors.dial
 	errHandshake *obs.Counter   // scan.errors.handshake
-	errParse     *obs.Counter   // scan.errors.parse
 	errCancelled *obs.Counter   // scan.errors.cancelled
 	dialLat      *obs.Histogram // scan.dial_latency
 	handshakeLat *obs.Histogram // scan.handshake_latency
@@ -152,7 +143,6 @@ func (s *Scanner) metrics() *scanMetrics {
 			retries:      r.Counter("scan.retries"),
 			errDial:      r.Counter("scan.errors.dial"),
 			errHandshake: r.Counter("scan.errors.handshake"),
-			errParse:     r.Counter("scan.errors.parse"),
 			errCancelled: r.Counter("scan.errors.cancelled"),
 			dialLat:      r.Histogram("scan.dial_latency", obs.LatencyBuckets),
 			handshakeLat: r.Histogram("scan.handshake_latency", obs.LatencyBuckets),
@@ -178,8 +168,6 @@ func (m *scanMetrics) countResult(res Result) {
 		m.errDial.Inc()
 	case CauseHandshake:
 		m.errHandshake.Inc()
-	case CauseParse:
-		m.errParse.Inc()
 	case CauseCancelled:
 		m.errCancelled.Inc()
 	}
@@ -369,15 +357,4 @@ func MergeVantages(vantages ...[]Result) map[string][]Result {
 		}
 	}
 	return merged
-}
-
-// Domains returns the keys of a MergeVantages result in sorted order, so
-// callers iterate deterministically instead of walking the map directly.
-func Domains(merged map[string][]Result) []string {
-	out := make([]string, 0, len(merged))
-	for d := range merged {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }

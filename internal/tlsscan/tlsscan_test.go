@@ -144,17 +144,6 @@ func TestScanAllAndMergeVantages(t *testing.T) {
 			t.Errorf("%s: identical chains from both vantages should merge to 1, got %d", d, len(rs))
 		}
 	}
-
-	// Domains returns the merged keys in sorted order.
-	got := Domains(merged)
-	if len(got) != len(domains) {
-		t.Fatalf("Domains = %v, want %v", got, domains)
-	}
-	for i, d := range domains {
-		if got[i] != d {
-			t.Fatalf("Domains = %v, want sorted %v", got, domains)
-		}
-	}
 }
 
 // TestChainDigestDistinguishesOrder: the digest must separate different
@@ -287,14 +276,14 @@ func TestScanErrorCauses(t *testing.T) {
 	// Cause strings are stable report labels.
 	for c, want := range map[ErrorCause]string{
 		CauseNone: "none", CauseDial: "dial", CauseHandshake: "handshake",
-		CauseParse: "parse", CauseCancelled: "cancelled",
+		CauseCancelled: "cancelled",
 	} {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q", int(c), c.String())
 		}
 	}
 	if !CauseDial.Retryable() || !CauseHandshake.Retryable() ||
-		CauseParse.Retryable() || CauseCancelled.Retryable() || CauseNone.Retryable() {
+		CauseCancelled.Retryable() || CauseNone.Retryable() {
 		t.Error("cause retryability wrong")
 	}
 }

@@ -163,14 +163,6 @@ type Result struct {
 	Findings []Finding
 }
 
-// FirstProblem returns the first finding's problem, or -1 if OK.
-func (r Result) FirstProblem() Problem {
-	if len(r.Findings) == 0 {
-		return Problem(-1)
-	}
-	return r.Findings[0].Problem
-}
-
 // Has reports whether the result contains a finding with the given problem.
 func (r Result) Has(p Problem) bool {
 	for _, f := range r.Findings {

@@ -170,8 +170,8 @@ func TestFindingsAccumulate(t *testing.T) {
 	if len(res.Findings) < 3 {
 		t.Errorf("findings = %v, want several", res.Findings)
 	}
-	if res.FirstProblem() != ProblemHostnameMismatch {
-		t.Errorf("first problem = %v", res.FirstProblem())
+	if res.Findings[0].Problem != ProblemHostnameMismatch {
+		t.Errorf("first problem = %v", res.Findings[0].Problem)
 	}
 }
 
@@ -198,10 +198,6 @@ func TestProblemAndFindingStrings(t *testing.T) {
 	f.Index = -1
 	if strings.Contains(f.String(), "cert[") {
 		t.Errorf("path-level finding string = %q", f)
-	}
-	var empty Result
-	if empty.FirstProblem() != Problem(-1) {
-		t.Error("FirstProblem on empty result")
 	}
 	// A finding that renders on read is no larger than the one that held
 	// its text: two 32-bit fields, a pointer and one string.
