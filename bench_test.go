@@ -621,6 +621,29 @@ func BenchmarkAIAChase(b *testing.B) {
 	}
 }
 
+// --- Minting a real leaf (the study deployer's per-chain cost) ---
+
+// BenchmarkNewLeaf mints one real leaf from a fixed CA, as the study's
+// deployer does for each new chain: a P-256 key, the DER encoding, an ECDSA
+// signature and the parse into the certificate model.
+func BenchmarkNewLeaf(b *testing.B) {
+	root, err := certgen.NewRoot("Bench Leaf Root")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ca, err := root.NewIntermediate("Bench Leaf CA", certgen.WithAIA("http://repo.example/ca.der"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ca.NewLeaf("bench-leaf.example"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- TLS loopback scan (the ZGrab2-equivalent data path) ---
 
 func BenchmarkTLSScanLoopback(b *testing.B) {

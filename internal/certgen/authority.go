@@ -135,7 +135,8 @@ func generateKey() (*ecdsa.PrivateKey, error) {
 
 func skidFor(pub *ecdsa.PublicKey) []byte {
 	// Mirror certmodel.FromX509: SHA-256 of the SPKI, truncated to 20 bytes.
-	spki, err := marshalSPKI(pub)
+	var buf [p256SPKILen]byte
+	spki, err := appendSPKI(buf[:0], pub)
 	if err != nil {
 		return nil
 	}
@@ -308,8 +309,4 @@ func (a *Authority) CrossSign(target *Authority, opts ...Option) (*certmodel.Cer
 		return nil, fmt.Errorf("certgen: cross-sign %q by %q: %w", target.Cert.Subject, a.Cert.Subject, err)
 	}
 	return cert, nil
-}
-
-func marshalSPKI(pub *ecdsa.PublicKey) ([]byte, error) {
-	return marshalPKIX(pub)
 }

@@ -22,9 +22,8 @@ func TestKeyUsageBits(t *testing.T) {
 		{0, 1},
 	}
 	for _, tc := range cases {
-		bs := keyUsageBits(tc.ku)
-		if bs.BitLength != tc.wantLen {
-			t.Errorf("keyUsageBits(%b).BitLength = %d, want %d", tc.ku, bs.BitLength, tc.wantLen)
+		if _, n := keyUsageBits(tc.ku); n != tc.wantLen {
+			t.Errorf("keyUsageBits(%b) bit length = %d, want %d", tc.ku, n, tc.wantLen)
 		}
 	}
 	// Round-trip through a real certificate: the parsed KeyUsage must
@@ -50,7 +49,7 @@ func TestKeyUsageBits(t *testing.T) {
 
 func TestGeneralizedTimeBeyond2050(t *testing.T) {
 	// ASN.1 UTCTime ends at 2049; longer-lived roots need GeneralizedTime.
-	// encoding/asn1 switches automatically; verify the round trip.
+	// Encode switches at 2050, as encoding/asn1 did; verify the round trip.
 	nb := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	na := time.Date(2055, 1, 1, 0, 0, 0, 0, time.UTC)
 	root, err := NewRoot("Long Lived Root", WithValidity(nb, na))

@@ -152,3 +152,18 @@ func TestAttributeCausesAllocs(t *testing.T) {
 		t.Errorf("AttributeCauses allocates %.0f times for %d causes", n, len(rec.Causes))
 	}
 }
+
+// TestClassDiscrepantAllocs: comparing verdict classes allocates nothing,
+// and neither does folding a non-compliant record into a summary that has
+// seen its clients and causes before.
+func TestClassDiscrepantAllocs(t *testing.T) {
+	rec := runMutated(t, 31, reverseTail)
+	if n := testing.AllocsPerRun(100, func() { rec.ClassDiscrepant(clients.Browser, "Safari") }); n != 0 {
+		t.Errorf("ClassDiscrepant allocates %v times", n)
+	}
+	s := newSummary()
+	s.absorb(rec)
+	if n := testing.AllocsPerRun(100, func() { s.absorb(rec) }); n != 0 {
+		t.Errorf("absorb into a warm summary allocates %v times", n)
+	}
+}

@@ -98,18 +98,16 @@ func (r *ChainRecord) Discrepant(kind clients.Kind, exclude ...string) bool {
 // different verdict classes — a finer comparison than pass/fail that mirrors
 // the paper's browser-message methodology.
 func (r *ChainRecord) ClassDiscrepant(kind clients.Kind, exclude ...string) bool {
-	var classes []core.VerdictClass
+	seen := false
+	var first core.VerdictClass
 	for _, v := range r.Verdicts {
 		if v.Kind != kind || slices.Contains(exclude, v.Client) {
 			continue
 		}
-		classes = append(classes, v.Class())
-	}
-	if len(classes) == 0 {
-		return false
-	}
-	for _, c := range classes[1:] {
-		if c != classes[0] {
+		switch c := v.Class(); {
+		case !seen:
+			seen, first = true, c
+		case c != first:
 			return true
 		}
 	}

@@ -33,11 +33,19 @@
 // last retired rank per stage as a JSONL watermark stream so an interrupted
 // run can resume where it stopped, and an attached obs.Registry makes the
 // engine the run's stage clock (see Options.Metrics).
+//
+// Every goroutine the engine starts runs under the runtime/pprof label
+// stage=<run>.<stage>, where <run> is Options.Name ("pipeline" when unset),
+// set once when the goroutine starts, so a CPU profile splits by stage and
+// nothing is paid per item. The labels add to those of the context the flow
+// was started with. Drain's sink runs on its caller's goroutine and keeps
+// its caller's labels.
 package pipeline
 
 import (
 	"context"
 	"reflect"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -201,17 +209,28 @@ func (r *run) finish() error {
 	return r.parent.Err()
 }
 
+// prefix is the run's name in metric names and profiler labels.
+func (r *run) prefix() string {
+	if r.opts.Name == "" {
+		return "pipeline"
+	}
+	return r.opts.Name
+}
+
 // metricName builds "<run>.<stage>.<metric>", or "" when no registry is
 // attached.
 func (r *run) metricName(stage, metric string) string {
 	if r.opts.Metrics == nil {
 		return ""
 	}
-	prefix := r.opts.Name
-	if prefix == "" {
-		prefix = "pipeline"
-	}
-	return prefix + "." + stage + "." + metric
+	return r.prefix() + "." + stage + "." + metric
+}
+
+// labels returns the caller's context with the profiler label
+// stage=<run>.<stage> added, built once per stage; each of the stage's
+// goroutines passes it to pprof.SetGoroutineLabels when it starts.
+func (r *run) labels(stage string) context.Context {
+	return pprof.WithLabels(r.parent, pprof.Labels("stage", r.prefix()+"."+stage))
 }
 
 // send hands b to the one-block hop out, or gives up when the run is
@@ -266,9 +285,11 @@ func From[T any](ctx context.Context, opts Options, name string, queue int, next
 	items := reg.Counter(r.metricName(name, "items"))
 	depth := reg.Gauge(r.metricName(name, "queue"))
 	latency := reg.Histogram(r.metricName(name, "latency"), obs.LatencyBuckets)
+	labels := r.labels(name)
 
 	r.wg.Add(1)
 	go func() {
+		pprof.SetGoroutineLabels(labels)
 		defer r.wg.Done()
 		defer close(out)
 		defer r.recoverPanic()
@@ -365,7 +386,8 @@ func Through[In, Out any](f *Flow[In], st Stage[In, Out]) *Flow[Out] {
 	workers := parallel.Workers(st.Workers)
 	out := make(chan block[Out], 1)
 	g := &Flow[Out]{run: r, name: st.Name, out: out, bufs: buffersOf[Out]()}
-	ro := newReorder[Out](r, workers, workers+queueDepth(st.Queue))
+	labels := r.labels(st.Name)
+	ro := newReorder[Out](r, labels, workers, workers+queueDepth(st.Queue))
 
 	reg := r.opts.Metrics
 	items := reg.Counter(r.metricName(st.Name, "items"))
@@ -375,6 +397,7 @@ func Through[In, Out any](f *Flow[In], st Stage[In, Out]) *Flow[Out] {
 	for worker := range workers {
 		r.wg.Add(1)
 		go func() {
+			pprof.SetGoroutineLabels(labels)
 			defer r.wg.Done()
 			defer ro.exit()
 			defer r.recoverPanic()
@@ -421,6 +444,7 @@ func Through[In, Out any](f *Flow[In], st Stage[In, Out]) *Flow[Out] {
 	// It is the stage's only sender on (and closer of) the out channel.
 	r.wg.Add(1)
 	go func() {
+		pprof.SetGoroutineLabels(labels)
 		defer r.wg.Done()
 		defer close(out)
 		defer r.recoverPanic()
@@ -501,14 +525,15 @@ type reorder[T any] struct {
 }
 
 // newReorder returns the buffer for one stage of r and its workers,
-// releasing from r.opts.Resume. Its waiters are woken when the run is
-// cancelled.
-func newReorder[T any](r *run, workers, capacity int) *reorder[T] {
+// releasing from r.opts.Resume. Its waiters are woken, by a goroutine under
+// the stage's labels, when the run is cancelled.
+func newReorder[T any](r *run, labels context.Context, workers, capacity int) *reorder[T] {
 	ro := &reorder[T]{run: r, pending: make(map[int]block[T]), next: r.opts.Resume, cap: capacity, workers: workers}
 	ro.ready.L = &ro.mu
 	ro.space.L = &ro.mu
 	r.wg.Add(1)
 	go func() {
+		pprof.SetGoroutineLabels(labels)
 		defer r.wg.Done()
 		<-r.done
 		ro.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -593,5 +594,90 @@ func TestNoGoroutineLeak(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// goroutineRecords returns the debug=1 goroutine profile's records: one
+// per distinct stack and label set, its "# labels:" line and its frames.
+func goroutineRecords(t *testing.T) []string {
+	t.Helper()
+	var buf strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(buf.String(), "\n\n")
+}
+
+// hasRecord reports whether some record carries exactly the label set
+// labels and a frame naming fn.
+func hasRecord(records []string, labels, fn string) bool {
+	for _, rec := range records {
+		if strings.Contains(rec, "\n# labels: "+labels+"\n") && strings.Contains(rec, fn) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStageLabels: the source, a stage's workers and its releaser run under
+// stage=<run>.<stage>, added to the labels of the flow's context, and the
+// sink keeps its caller's labels. The profile is read while the stage's
+// first item is blocked in Fn, so every goroutine is parked.
+func TestStageLabels(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	errStop := errors.New("stop")
+	done := make(chan error, 1)
+	go pprof.Do(context.Background(), pprof.Labels("caller", "test"), func(ctx context.Context) {
+		src := From(ctx, Options{Name: "labelled"}, "source", 4, func(rank int) (int, bool, error) {
+			return rank, true, nil
+		})
+		blocked := Through(src, Stage[int, int]{Name: "blocked", Workers: 2, Fn: func(_ context.Context, _, rank, v int) (int, error) {
+			if rank == 0 {
+				close(entered)
+				<-release
+			}
+			return v, nil
+		}})
+		done <- blocked.Drain(func(rank, _ int) error {
+			if rank == 10 {
+				return errStop
+			}
+			return nil
+		})
+	})
+	<-entered
+	// The other worker runs ahead until the reorder buffer is full, and
+	// then the source blocks on its hop.
+	var records []string
+	want := []struct{ labels, fn string }{
+		{`{"caller":"test", "stage":"labelled.blocked"}`, "TestStageLabels.func"},
+		{`{"caller":"test", "stage":"labelled.blocked"}`, "pipeline.(*reorder[...]).take"},
+		{`{"caller":"test", "stage":"labelled.source"}`, "pipeline.send["},
+		{`{"caller":"test"}`, "pipeline.(*Flow[...]).Drain"},
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		records = goroutineRecords(t)
+		missing := 0
+		for _, w := range want {
+			if !hasRecord(records, w.labels, w.fn) {
+				missing++
+			}
+		}
+		if missing == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			for _, w := range want {
+				if !hasRecord(records, w.labels, w.fn) {
+					t.Errorf("no goroutine labelled %s in %s", w.labels, w.fn)
+				}
+			}
+			t.Logf("goroutine profile:\n%s", strings.Join(records, "\n\n"))
+			break
+		}
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, errStop) {
+		t.Fatalf("Drain = %v, want the sink's error", err)
 	}
 }
