@@ -7,9 +7,10 @@ package difftest
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"slices"
+	"strconv"
+	"strings"
 
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
@@ -19,6 +20,7 @@ import (
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/pipeline"
 	"chainchaos/internal/population"
+	"chainchaos/internal/report"
 	"chainchaos/internal/rootstore"
 )
 
@@ -172,7 +174,8 @@ type Harness struct {
 	// (compliant chains): the harness is a sparse sink, and the nil calls
 	// let the caller track progress through silent ranks. The lines are
 	// deterministic for a (seed, population) pair regardless of worker
-	// count.
+	// count. line is valid only during the call: the sink reuses its
+	// buffer for the next record.
 	Record func(rank int, line []byte) error
 }
 
@@ -188,23 +191,44 @@ type RecordLine struct {
 	Causes   []string          `json:"causes,omitempty"`
 }
 
-// marshalRecordLine builds a record's JSONL row, without the trailing
-// newline.
-func marshalRecordLine(rec *ChainRecord) ([]byte, error) {
-	line := RecordLine{
-		Rank:     rec.Domain.Rank,
-		Domain:   rec.Domain.Name,
-		CA:       rec.Domain.CA,
-		Server:   rec.Domain.Server,
-		Verdicts: make(map[string]string, len(rec.Verdicts)),
+// appendRecordLine appends a record's JSONL row, without the trailing
+// newline, to b: the bytes json.Marshal gives for its RecordLine (verdict
+// keys sorted by client name, HTML-safe escaping, causes omitted when there
+// are none), written without reflection (the FuzzRecordLine check). The
+// verdicts' client names must be distinct, as they are in every record the
+// harness builds: one verdict per core.Profiles entry.
+func appendRecordLine(b []byte, rec *ChainRecord) []byte {
+	d := rec.Domain
+	b = strconv.AppendInt(append(b, `{"rank":`...), int64(d.Rank), 10)
+	b = report.AppendJSONString(append(b, `,"domain":`...), d.Name)
+	b = report.AppendJSONString(append(b, `,"ca":`...), d.CA)
+	b = report.AppendJSONString(append(b, `,"server":`...), d.Server)
+	var stack [16]int // room for every client profile
+	order := stack[:0]
+	for i := range rec.Verdicts {
+		order = append(order, i)
 	}
-	for _, v := range rec.Verdicts {
-		line.Verdicts[v.Client] = v.Class().String()
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(rec.Verdicts[i].Client, rec.Verdicts[j].Client) })
+	b = append(b, `,"verdicts":{`...)
+	for n, i := range order {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		v := &rec.Verdicts[i]
+		b = report.AppendJSONString(append(report.AppendJSONString(b, v.Client), ':'), v.Class().String())
 	}
-	for _, c := range rec.Causes {
-		line.Causes = append(line.Causes, c.String())
+	b = append(b, '}')
+	if len(rec.Causes) > 0 {
+		b = append(b, `,"causes":[`...)
+		for n, c := range rec.Causes {
+			if n > 0 {
+				b = append(b, ',')
+			}
+			b = report.AppendJSONString(b, c.String())
+		}
+		b = append(b, ']')
 	}
-	return json.Marshal(line)
+	return append(b, '}')
 }
 
 // Trust is the client context the harness judges every chain in: each
@@ -304,6 +328,7 @@ func (h *Harness) verdictStage(pop *population.Population, reports []compliance.
 // serial run would produce.
 func (h *Harness) drainSummary(f *pipeline.Flow[*ChainRecord]) (*Summary, error) {
 	sum := newSummary()
+	var line []byte // the record buffer, reused for every record
 	err := f.Drain(func(rank int, rec *ChainRecord) error {
 		sum.Total++
 		if rec != nil {
@@ -312,13 +337,10 @@ func (h *Harness) drainSummary(f *pipeline.Flow[*ChainRecord]) (*Summary, error)
 		if h.Record == nil {
 			return nil
 		}
-		var line []byte
-		if rec != nil {
-			var err error
-			if line, err = marshalRecordLine(rec); err != nil {
-				return err
-			}
+		if rec == nil {
+			return h.Record(rank, nil)
 		}
+		line = appendRecordLine(line[:0], rec)
 		return h.Record(rank, line)
 	})
 	if err != nil {

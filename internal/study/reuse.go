@@ -66,7 +66,8 @@ func slotZone(slot int) string {
 
 // studySlot is one pooled deployment: the wildcard leaf, the wire chain as
 // the slot's server model emitted it, and — under Dedup — the once-only
-// physical scan every slot site reuses.
+// physical scan every slot site reuses. Under Dedup that scan clears leaf
+// and wire (see siteScanner.scanSite).
 type studySlot struct {
 	zone  string
 	leaf  *certgen.Leaf

@@ -6,6 +6,7 @@ package study
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"chainchaos/internal/certgen"
@@ -93,9 +94,13 @@ func (s *siteScanner) scanSite(ctx context.Context, _, _ int, d deployed) (scann
 		// Shared chain under Dedup: the slot's first site to arrive serves
 		// and scans it once. Its scan tallies and fault ledger are folded
 		// into the run totals after the drain, never into per-site records.
+		// Nothing reads the slot's leaf or wire after its scan, and the
+		// capture holds the served certificates, so clearing the two frees
+		// the leaf's key and nothing the capture needs.
 		slot := d.slot
 		slot.once.Do(func() {
 			slot.capture, slot.err = s.serveScan(ctx, slot.leaf, slot.wire, "probe."+slot.zone)
+			slot.leaf, slot.wire = nil, nil
 		})
 		out.list, out.lost, err = slot.list, slot.lost, slot.err
 	default:
@@ -106,7 +111,10 @@ func (s *siteScanner) scanSite(ctx context.Context, _, _ int, d deployed) (scann
 
 // serveScan starts a listener for one deployment, scans it as domain and
 // closes it, so a listener lives only inside its scan and each scan worker
-// holds at most one. The capture carries the listener's fault ledger.
+// holds at most one. The capture carries the listener's fault ledger, and
+// each captured certificate bit-identical to a served one is replaced by
+// the served one: both are x509.ParseCertificate over the same DER, so the
+// capture keeps one parse of each certificate, not two.
 func (s *siteScanner) serveScan(ctx context.Context, leaf *certgen.Leaf, wire []*certmodel.Certificate, domain string) (capture, error) {
 	srv, err := tlsserve.Start(tlsserve.Config{
 		List: wire, Key: leaf.Key, Domain: domain,
@@ -118,6 +126,11 @@ func (s *siteScanner) serveScan(ctx context.Context, leaf *certgen.Leaf, wire []
 	defer srv.Close()
 	c := s.scan(ctx, tlsscan.Target{Addr: srv.Addr(), Domain: domain})
 	c.faults = listenerFaults{srv.FaultsInjected(), srv.AcceptRetries(), srv.DeadlineExpiries()}
+	for i, cert := range c.list {
+		if j := slices.IndexFunc(wire, cert.Equal); j >= 0 {
+			c.list[i] = wire[j]
+		}
+	}
 	return c, nil
 }
 

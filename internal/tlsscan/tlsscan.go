@@ -9,7 +9,6 @@ package tlsscan
 import (
 	"context"
 	"crypto/tls"
-	"crypto/x509"
 	"fmt"
 	"net"
 	"sync"
@@ -71,10 +70,9 @@ func (c ErrorCause) Retryable() bool { return c == CauseDial || c == CauseHandsh
 type Result struct {
 	Target Target
 	// List is the certificate list exactly as presented, parsed into the
-	// unified model. Nil when Err is set.
+	// unified model; each certificate's Raw holds its DER bytes as
+	// received. Nil when Err is set.
 	List []*certmodel.Certificate
-	// Raw holds the DER bytes as received.
-	Raw [][]byte
 	// Version is the negotiated TLS version.
 	Version uint16
 	// Bytes is the total certificate payload size, fed to the rate limiter.
@@ -237,14 +235,6 @@ func (s *Scanner) scanOnce(ctx context.Context, target Target) Result {
 		ServerName:         target.Domain,
 		InsecureSkipVerify: true, // capture, never judge
 		MaxVersion:         s.MaxVersion,
-		VerifyPeerCertificate: func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
-			res.Raw = make([][]byte, len(rawCerts))
-			for i, der := range rawCerts {
-				res.Raw[i] = append([]byte(nil), der...)
-				res.Bytes += len(der)
-			}
-			return nil
-		},
 	})
 	hsStart := clock.Now()
 	if err := conn.HandshakeContext(attemptCtx); err != nil {
@@ -262,12 +252,13 @@ func (s *Scanner) scanOnce(ctx context.Context, target Target) Result {
 	conn.Close()
 
 	// The list is crypto/tls's own parse of the Certificate message: the
-	// client parses every certificate, with x509.ParseCertificate, before
-	// it calls VerifyPeerCertificate, and fails the handshake on one it
-	// cannot parse, so these are the certificates of Raw, in order.
+	// client parses every certificate, with x509.ParseCertificate, in
+	// message order, and fails the handshake on one it cannot parse, so
+	// each Raw is one received DER and Bytes is the message's payload.
 	res.List = make([]*certmodel.Certificate, len(state.PeerCertificates))
 	for i, c := range state.PeerCertificates {
 		res.List[i] = certmodel.FromX509(c)
+		res.Bytes += len(c.Raw)
 	}
 	res.Digest = certmodel.ListDigest(res.List)
 	s.throttle(ctx, res.Bytes)

@@ -57,10 +57,15 @@ func TestScanCapturesWireOrder(t *testing.T) {
 	if len(res.List) != 4 {
 		t.Fatalf("captured %d certificates, want 4", len(res.List))
 	}
+	payload := 0
 	for i := range list {
 		if !res.List[i].Equal(list[i]) {
 			t.Errorf("wire position %d differs from deployed list", i)
 		}
+		payload += len(list[i].Raw)
+	}
+	if res.Bytes != payload {
+		t.Errorf("Bytes = %d, want the deployed DER's %d", res.Bytes, payload)
 	}
 
 	// The captured chain must analyze as reversed, exactly like the
