@@ -161,27 +161,3 @@ func fromX509KeyUsage(ku x509.KeyUsage) KeyUsage {
 	}
 	return out
 }
-
-// ToX509KeyUsage converts the model's KeyUsage back to the stdlib bitmask for
-// use in certificate templates.
-func ToX509KeyUsage(ku KeyUsage) x509.KeyUsage {
-	var out x509.KeyUsage
-	pairs := []struct {
-		our KeyUsage
-		std x509.KeyUsage
-	}{
-		{KeyUsageDigitalSignature, x509.KeyUsageDigitalSignature},
-		{KeyUsageContentCommitment, x509.KeyUsageContentCommitment},
-		{KeyUsageKeyEncipherment, x509.KeyUsageKeyEncipherment},
-		{KeyUsageDataEncipherment, x509.KeyUsageDataEncipherment},
-		{KeyUsageKeyAgreement, x509.KeyUsageKeyAgreement},
-		{KeyUsageCertSign, x509.KeyUsageCertSign},
-		{KeyUsageCRLSign, x509.KeyUsageCRLSign},
-	}
-	for _, p := range pairs {
-		if ku&p.our != 0 {
-			out |= p.std
-		}
-	}
-	return out
-}

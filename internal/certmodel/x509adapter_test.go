@@ -39,21 +39,35 @@ func TestParseDERErrors(t *testing.T) {
 	}
 }
 
-func TestKeyUsageRoundTrip(t *testing.T) {
-	all := KeyUsageDigitalSignature | KeyUsageContentCommitment | KeyUsageKeyEncipherment |
-		KeyUsageDataEncipherment | KeyUsageKeyAgreement | KeyUsageCertSign | KeyUsageCRLSign
-	std := ToX509KeyUsage(all)
-	back := fromX509KeyUsage(std)
-	if back != all {
-		t.Errorf("round trip %b -> %b", all, back)
+// TestFromX509KeyUsage: FromX509 reads each stdlib KeyUsage bit as the
+// model's bit of the same name, alone and all together, and drops the bits
+// the model does not carry.
+func TestFromX509KeyUsage(t *testing.T) {
+	pairs := []struct {
+		std x509.KeyUsage
+		our KeyUsage
+	}{
+		{x509.KeyUsageDigitalSignature, KeyUsageDigitalSignature},
+		{x509.KeyUsageContentCommitment, KeyUsageContentCommitment},
+		{x509.KeyUsageKeyEncipherment, KeyUsageKeyEncipherment},
+		{x509.KeyUsageDataEncipherment, KeyUsageDataEncipherment},
+		{x509.KeyUsageKeyAgreement, KeyUsageKeyAgreement},
+		{x509.KeyUsageCertSign, KeyUsageCertSign},
+		{x509.KeyUsageCRLSign, KeyUsageCRLSign},
 	}
-	if ToX509KeyUsage(KeyUsageCertSign) != x509.KeyUsageCertSign {
-		t.Error("certSign mapping wrong")
+	var allStd x509.KeyUsage
+	var all KeyUsage
+	for _, p := range pairs {
+		if got := fromX509KeyUsage(p.std); got != p.our {
+			t.Errorf("x509 bit %b maps to %b, want %b", p.std, got, p.our)
+		}
+		allStd |= p.std
+		all |= p.our
 	}
-	if fromX509KeyUsage(x509.KeyUsageDigitalSignature) != KeyUsageDigitalSignature {
-		t.Error("digitalSignature mapping wrong")
+	if got := fromX509KeyUsage(allStd | x509.KeyUsageEncipherOnly | x509.KeyUsageDecipherOnly); got != all {
+		t.Errorf("all bits map to %b, want %b", got, all)
 	}
-	if ToX509KeyUsage(0) != 0 || fromX509KeyUsage(0) != 0 {
+	if fromX509KeyUsage(0) != 0 {
 		t.Error("zero mapping wrong")
 	}
 }

@@ -495,7 +495,10 @@ func (s *Server) compute(ctx context.Context, list []*certmodel.Certificate, dom
 	report := g.Analyze(list, domain)
 
 	// The matrix: Builds for different clients run in parallel over the
-	// bounded pool.
+	// bounded pool. This is the one grading that does not take
+	// Grader.Verdicts, which builds the clients one after another: a request
+	// waits on its eight builds, and Config.Workers (which perfbench sets)
+	// spreads them.
 	var t verdictTail
 	matrix, err := parallel.Map(ctx, s.cfg.Workers, core.Profiles, func(i int, p clients.Profile) ClientVerdict {
 		return ClientVerdict{Client: p.Name, Kind: p.Kind.String(), OK: g.Class(i, list, domain) == core.VerdictOK}

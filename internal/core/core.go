@@ -8,6 +8,8 @@
 package core
 
 import (
+	"strings"
+
 	"chainchaos/internal/pathbuild"
 	"chainchaos/internal/validate"
 )
@@ -15,7 +17,7 @@ import (
 // VerdictClass buckets an outcome into the coarse error classes the paper's
 // differential testing compares across clients ("date_invalid / OK / domain
 // mismatch / unknown issuer").
-type VerdictClass int
+type VerdictClass uint8
 
 const (
 	VerdictOK            VerdictClass = iota
@@ -45,6 +47,31 @@ func (v VerdictClass) String() string {
 	default:
 		return "other-failure"
 	}
+}
+
+// Verdicts is one chain's verdict class from every client model, class i
+// from Profiles[i]: the vector the paper's differential testing reads
+// together (§5.2). It is a value, comparable with ==, so a map can key on it
+// and storing one allocates nothing.
+type Verdicts [8]VerdictClass
+
+// Signature joins the class labels in Profiles order, separated by "|".
+func (v Verdicts) Signature() string {
+	parts := make([]string, len(v))
+	for i, c := range v {
+		parts[i] = c.String()
+	}
+	return strings.Join(parts, "|")
+}
+
+// Divergent reports whether any two clients disagree.
+func (v Verdicts) Divergent() bool {
+	for _, c := range v[1:] {
+		if c != v[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // Classify maps an outcome onto its verdict class, mirroring how the paper

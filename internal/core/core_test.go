@@ -379,7 +379,8 @@ func TestMemoConcurrentOneKey(t *testing.T) {
 // past GnuTLS's input limit, under the domain and under a wrong one; and
 // the Table 2 capability scenarios in their own trust contexts. Class and
 // Build alternate on the same Grader, so a Class that left scratch in a
-// state the next build reads would show.
+// state the next build reads would show. Verdicts holds the same class for
+// every client.
 func TestClassMatchesBuild(t *testing.T) {
 	type grading struct {
 		trust  Trust
@@ -422,11 +423,16 @@ func TestClassMatchesBuild(t *testing.T) {
 				g = tr.Grader()
 				graders[c.trust.Roots] = g
 			}
+			vec := g.Verdicts(c.list, c.domain)
 			for i, p := range Profiles {
 				want := Classify(g.Build(i, c.list, c.domain))
 				if got := g.Class(i, c.list, c.domain); got != want {
 					t.Fatalf("hostname=%v %s on %d-entry list for %s: Class %v, Classify(Build) %v",
 						hostname, p.Name, len(c.list), c.domain, got, want)
+				}
+				if vec[i] != want {
+					t.Fatalf("hostname=%v %s on %d-entry list for %s: Verdicts has %v, Classify(Build) %v",
+						hostname, p.Name, len(c.list), c.domain, vec[i], want)
 				}
 				if again := Classify(g.Build(i, c.list, c.domain)); again != want {
 					t.Fatalf("hostname=%v %s: Build after Class gives %v, before %v", hostname, p.Name, again, want)

@@ -16,8 +16,15 @@ import (
 )
 
 // Profiles is the client matrix every Grader builds: the paper's eight
-// models in Table 9 order. A Grader's client i is Profiles[i].
+// models in Table 9 order. A Grader's client i is Profiles[i], and so is
+// class i of a Verdicts vector.
 var Profiles = clients.All()
+
+func init() {
+	if len(Profiles) != len(Verdicts{}) {
+		panic("core: Verdicts does not hold one class per profile")
+	}
+}
 
 // ProfileOf returns the profile in Profiles named client, or nil when no
 // model has that name. The profile is shared: callers read it only.
@@ -96,8 +103,8 @@ func (t Trust) Grader() *Grader {
 // topology graph it rebuilds for every list, and one reusable builder per
 // profile. Builds for different clients may run at the same time; nothing
 // else may. Class reads a verdict straight from the builder's scratch and
-// copies nothing out; Build returns the whole Outcome, copied out, for
-// callers that keep it.
+// copies nothing out, and Verdicts does so for every client; Build returns
+// the whole Outcome, copied out, for callers that keep it.
 type Grader struct {
 	hostname bool
 	analyzer compliance.Analyzer
@@ -129,6 +136,16 @@ func (g *Grader) Class(i int, list []*certmodel.Certificate, domain string) Verd
 		domain = ""
 	}
 	return classify(g.builders[i].BuildScratch(list, domain))
+}
+
+// Verdicts returns every client's verdict class for the list, one Class
+// after another in Profiles order.
+func (g *Grader) Verdicts(list []*certmodel.Certificate, domain string) Verdicts {
+	var v Verdicts
+	for i := range v {
+		v[i] = g.Class(i, list, domain)
+	}
+	return v
 }
 
 // Close publishes the builders' last batch of construction metrics.

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"chainchaos/internal/certmodel"
 	"chainchaos/internal/clients"
 	"chainchaos/internal/compliance"
 	"chainchaos/internal/core"
@@ -196,7 +197,10 @@ type RecordLine struct {
 // keys sorted by client name, HTML-safe escaping, causes omitted when there
 // are none), written without reflection (the FuzzRecordLine check). The
 // verdicts' client names must be distinct, as they are in every record the
-// harness builds: one verdict per core.Profiles entry.
+// harness builds: one verdict per core.Profiles entry. The names are sorted
+// per record, not in an order fixed once, because a ChainRecord may carry
+// any list of clients: perfbench builds its own, and FuzzRecordLine feeds
+// arbitrary names.
 func appendRecordLine(b []byte, rec *ChainRecord) []byte {
 	d := rec.Domain
 	b = strconv.AppendInt(append(b, `{"rank":`...), int64(d.Rank), 10)
@@ -273,11 +277,20 @@ func grade(g *core.Grader, d *population.Domain, rep compliance.Report) verdictM
 	if rep.Compliant() {
 		return verdictMemo{}
 	}
-	rec := ChainRecord{Report: rep, Verdicts: make([]ClientVerdict, len(core.Profiles))}
-	for i, p := range core.Profiles {
-		rec.Verdicts[i] = ClientVerdict{Client: p.Name, Kind: p.Kind, Outcome: g.Build(i, d.List, d.Name)}
-	}
+	rec := ChainRecord{Report: rep, Verdicts: Outcomes(g, d.List, d.Name)}
 	return verdictMemo{Verdicts: rec.Verdicts, Causes: AttributeCauses(&rec)}
+}
+
+// Outcomes runs every client over the list with g and keeps each whole
+// Outcome, in core.Profiles order: what cause attribution reads. A caller
+// that needs only the verdict classes takes g.Verdicts, which copies no
+// outcome out.
+func Outcomes(g *core.Grader, list []*certmodel.Certificate, domain string) []ClientVerdict {
+	out := make([]ClientVerdict, len(core.Profiles))
+	for i, p := range core.Profiles {
+		out[i] = ClientVerdict{Client: p.Name, Kind: p.Kind, Outcome: g.Build(i, list, domain)}
+	}
+	return out
 }
 
 // verdictStage builds the one stage every harness pipeline runs after its

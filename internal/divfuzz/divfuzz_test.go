@@ -8,13 +8,16 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/clients"
+	"chainchaos/internal/core"
 	"chainchaos/internal/difftest"
 	"chainchaos/internal/obs"
 	"chainchaos/internal/population"
+	"chainchaos/internal/verdictcache"
 )
 
 // raceEnabled is set in race-detector builds (race_test.go).
@@ -200,12 +203,14 @@ func TestManifestGolden(t *testing.T) {
 // (1,079 B). Grading through the builders' scratch, which copies no
 // outcome out, took it to 6.49 (796 B), and rebuilding a mutated
 // certificate in one block with its key identifiers and lists to 6.09
-// (796 B); the bound fails with one allocation per mutant added back.
+// (796 B). A verdict vector that is a value, cached and keyed as one, took
+// it to 5.53 (700 B); the bound fails with one allocation per mutant added
+// back.
 func TestCampaignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
 	}
-	const bound = 7.0
+	const bound = 6.0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := Run(context.Background(), Config{Seed: 103, Generations: 40, Dedup: true, Workers: 1})
@@ -369,12 +374,34 @@ func TestVectorSignature(t *testing.T) {
 	if vec.Signature() == "" {
 		t.Fatal("empty signature")
 	}
-	uniform := Vector{0, 0, 0}
+	u, ok := core.VerdictUnknownIssuer, core.VerdictOK
+	uniform := Vector{u, u, u, u, u, u, u, u}
 	if uniform.Divergent() {
 		t.Fatal("uniform vector reported divergent")
 	}
-	mixed := Vector{0, 1, 0}
+	mixed := Vector{u, u, u, u, u, u, u, ok}
 	if !mixed.Divergent() {
 		t.Fatal("mixed vector not reported divergent")
+	}
+	if got, want := mixed.Signature(), strings.Repeat("unknown-issuer|", 7)+"OK"; got != want {
+		t.Fatalf("signature %q, want %q", got, want)
+	}
+}
+
+// TestEvaluateEmptyList: an empty list is graded like any other, with and
+// without the verdict cache (a miss, then a hit), and every client refuses
+// it at construction (pathbuild.ErrEmptyList).
+func TestEvaluateEmptyList(t *testing.T) {
+	pop := population.Generate(population.Config{Size: 2, Seed: 9})
+	warm := difftest.DefaultWarmCache(pop)
+	cache := verdictcache.New[Vector]("test.vcache", nil)
+	r := core.VerdictRejectedList
+	want := Vector{r, r, r, r, r, r, r, r}
+	for _, o := range []*Oracle{NewOracle(pop, warm, nil, nil), NewOracle(pop, warm, cache, nil)} {
+		for pass := 0; pass < 2; pass++ {
+			if got := o.Evaluate(nil); got != want {
+				t.Errorf("cache %v, pass %d: empty list grades %s, want %s", o.cache != nil, pass, got.Signature(), want.Signature())
+			}
+		}
 	}
 }

@@ -125,9 +125,8 @@ type fuzzer struct {
 	// lists[i] is corpus[i] applied to its base: a child bred from it
 	// starts from this list instead of replaying its mutations.
 	lists [][]*certmodel.Certificate
-	// seenVecs holds every admitted verdict vector, keyed by its classes
-	// one byte each (classKey).
-	seenVecs    map[string]bool
+	// seenVecs holds every admitted verdict vector.
+	seenVecs    map[Vector]bool
 	seenDigests map[string]bool
 	divergences []*Divergence
 	bins        map[string]int
@@ -156,7 +155,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		oracle:      NewOracle(pop, warm, vcache, cfg.Metrics),
 		oracles:     make([]*Oracle, parallel.Workers(cfg.Workers)),
 		vcache:      vcache,
-		seenVecs:    make(map[string]bool),
+		seenVecs:    make(map[Vector]bool),
 		seenDigests: make(map[string]bool),
 		bins:        make(map[string]int),
 		cMutants:    cfg.Metrics.Counter("divfuzz.mutants"),
@@ -275,12 +274,10 @@ func breed(snapshot []Genome, cfg Config, gen, rank int) (g Genome, parent int, 
 // admitted genome for the children bred from it.
 func (f *fuzzer) admit(g Genome, list []*certmodel.Certificate, vec Vector) {
 	f.mutants++
-	var buf [16]byte // room for more than len(core.Profiles) classes
-	key := classKey(buf[:0], vec)
-	if f.seenVecs[string(key)] {
+	if f.seenVecs[vec] {
 		return
 	}
-	f.seenVecs[string(key)] = true
+	f.seenVecs[vec] = true
 	f.corpus = append(f.corpus, g)
 	f.lists = append(f.lists, list)
 	if !vec.Divergent() {
@@ -313,17 +310,6 @@ func (f *fuzzer) admit(g Genome, list []*certmodel.Certificate, vec Vector) {
 	}
 	f.cfg.Metrics.Counter("divfuzz.bin." + binMetric(d)).Inc()
 	f.divergences = append(f.divergences, d)
-}
-
-// classKey appends one byte per verdict class to dst — the seen set's key,
-// which equal vectors and only they share. Indexing a map with the
-// string(key) conversion does not copy it, so a mutant whose vector was
-// seen costs no allocation; a Signature is rendered only for a divergence.
-func classKey(dst []byte, vec Vector) []byte {
-	for _, c := range vec {
-		dst = append(dst, byte(c))
-	}
-	return dst
 }
 
 // binMetric renders a divergence's primary bin for the metric name.

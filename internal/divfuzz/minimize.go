@@ -4,8 +4,6 @@
 package divfuzz
 
 import (
-	"slices"
-
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/population"
 )
@@ -27,7 +25,7 @@ func Minimize(pop *population.Population, base []*certmodel.Certificate, g Genom
 			trial = append(trial, muts[:i]...)
 			trial = append(trial, muts[i+1:]...)
 			got := o.Evaluate(apply(pop, base, Genome{Base: g.Base, Muts: trial}, &o.memo))
-			if slices.Equal(got, want) {
+			if got == want {
 				muts = trial
 				changed = true
 				i--

@@ -4,8 +4,6 @@
 package divfuzz
 
 import (
-	"strings"
-
 	"chainchaos/internal/certmodel"
 	"chainchaos/internal/core"
 	"chainchaos/internal/difftest"
@@ -15,28 +13,9 @@ import (
 	"chainchaos/internal/verdictcache"
 )
 
-// Vector is the per-profile verdict classes of one list, in fixed profile
+// Vector is the per-profile verdict classes of one list, in core.Profiles
 // order — the fuzzer's coverage coordinate.
-type Vector []core.VerdictClass
-
-// Signature joins the classes into the coverage key.
-func (v Vector) Signature() string {
-	parts := make([]string, len(v))
-	for i, c := range v {
-		parts[i] = c.String()
-	}
-	return strings.Join(parts, "|")
-}
-
-// Divergent reports whether any two profiles disagree.
-func (v Vector) Divergent() bool {
-	for i := 1; i < len(v); i++ {
-		if v[i] != v[0] {
-			return true
-		}
-	}
-	return false
-}
+type Vector = core.Verdicts
 
 // Oracle grades certificate lists across every client profile. It is
 // single-goroutine state (one per worker), kept for a whole campaign: its
@@ -81,24 +60,17 @@ func (o *Oracle) FlushMetrics() {
 // Evaluate returns the list's verdict vector, consulting the shared dedup
 // cache first. Cache hit counters race across workers; the vector itself is
 // a pure function of the list, so cached and fresh results are identical.
+// An empty list is graded like any other: every client rejects it.
 func (o *Oracle) Evaluate(list []*certmodel.Certificate) Vector {
-	if len(list) == 0 {
-		return nil
+	if o.cache == nil {
+		return o.g.Verdicts(list, "")
 	}
-	var key verdictcache.Key
-	if o.cache != nil {
-		key = verdictcache.Key{Digest: certmodel.ListDigest(list)}
-		if v, ok := o.cache.Get(key); ok {
-			return v
-		}
+	key := verdictcache.Key{Digest: certmodel.ListDigest(list)}
+	if v, ok := o.cache.Get(key); ok {
+		return v
 	}
-	v := make(Vector, len(core.Profiles))
-	for i := range v {
-		v[i] = o.g.Class(i, list, "")
-	}
-	if o.cache != nil {
-		o.cache.Put(key, v)
-	}
+	v := o.g.Verdicts(list, "")
+	o.cache.Put(key, v)
 	return v
 }
 
@@ -106,9 +78,5 @@ func (o *Oracle) Evaluate(list []*certmodel.Certificate) Vector {
 // cache — cause attribution needs the complete outcomes, not just their
 // classes. Only confirmed divergences pay this cost.
 func (o *Oracle) Outcomes(list []*certmodel.Certificate) []difftest.ClientVerdict {
-	out := make([]difftest.ClientVerdict, len(core.Profiles))
-	for i, p := range core.Profiles {
-		out[i] = difftest.ClientVerdict{Client: p.Name, Kind: p.Kind, Outcome: o.g.Build(i, list, "")}
-	}
-	return out
+	return difftest.Outcomes(o.g, list, "")
 }

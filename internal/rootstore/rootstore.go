@@ -313,12 +313,3 @@ func NewVendorSet(roots []*certmodel.Certificate, omit func(root *certmodel.Cert
 	v.Union = Union("union", v.stores[:]...)
 	return v
 }
-
-// EqualRoots reports whether two certificates are the same root (bit-for-bit
-// or same subject+key), a convenience for tests.
-func EqualRoots(a, b *certmodel.Certificate) bool {
-	if a.Equal(b) {
-		return true
-	}
-	return a.Subject == b.Subject && bytes.Equal(a.PublicKeyID, b.PublicKeyID)
-}

@@ -127,22 +127,6 @@ func TestVendorSet(t *testing.T) {
 	}
 }
 
-func TestEqualRoots(t *testing.T) {
-	r := certmodel.SyntheticRoot("RS Eq", base)
-	cross := certmodel.NewSynthetic(certmodel.SyntheticConfig{
-		Subject: r.Subject, Issuer: certmodel.Name{CommonName: "Legacy"}, Serial: "x",
-		NotBefore: base, NotAfter: base.AddDate(1, 0, 0),
-		Key: certmodel.KeyOf(r), SignedBy: certmodel.NewSyntheticKey("rs-legacy"),
-	})
-	if !EqualRoots(r, r) || !EqualRoots(r, cross) {
-		t.Error("same-key roots should compare equal")
-	}
-	other := certmodel.SyntheticRoot("RS Eq Other", base)
-	if EqualRoots(r, other) {
-		t.Error("distinct roots compare equal")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := New("conc")
 	var wg sync.WaitGroup

@@ -43,11 +43,19 @@ type scannedSite struct {
 	minted bool
 }
 
+const (
+	// handshakeTimeout bounds each handshake.
+	handshakeTimeout = 5 * time.Second
+	// rescanPasses bounds the re-scan sweeps over a site that every vantage
+	// failed to capture.
+	rescanPasses = 1
+)
+
 // siteScanner is the scan stage's state: the ZGrab2-style scanner every
 // vantage probes through and the listener settings each scan serves with.
 // Transient failures are retried inside the scanner; whatever still fails is
 // counted per cause, and a site every vantage missed gets up to
-// RescanPasses more attempts.
+// rescanPasses more attempts.
 type siteScanner struct {
 	cfg       Config
 	scanner   *tlsscan.Scanner
@@ -58,10 +66,9 @@ func newSiteScanner(cfg Config) *siteScanner {
 	s := &siteScanner{
 		cfg: cfg,
 		scanner: &tlsscan.Scanner{
-			Timeout:     cfg.Timeout,
-			Concurrency: cfg.Concurrency,
-			Clock:       cfg.Clock,
-			Metrics:     cfg.Metrics,
+			Timeout: handshakeTimeout,
+			Clock:   cfg.Clock,
+			Metrics: cfg.Metrics,
 		},
 		rescanned: cfg.Metrics.Counter("study.rescanned"),
 	}
@@ -135,7 +142,7 @@ func (s *siteScanner) serveScan(ctx context.Context, leaf *certgen.Leaf, wire []
 }
 
 // scan probes one target from every vantage, then re-scans it up to
-// RescanPasses times while nothing was captured.
+// rescanPasses times while nothing was captured.
 func (s *siteScanner) scan(ctx context.Context, target tlsscan.Target) capture {
 	c := capture{lost: true}
 	attempt := func(rescan bool) {
@@ -153,7 +160,7 @@ func (s *siteScanner) scan(ctx context.Context, target tlsscan.Target) capture {
 	for v := 0; v < s.cfg.Vantages; v++ {
 		attempt(false)
 	}
-	for pass := 0; pass < s.cfg.RescanPasses && c.lost; pass++ {
+	for pass := 0; pass < rescanPasses && c.lost; pass++ {
 		attempt(true)
 	}
 	return c

@@ -12,6 +12,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 
 	"chainchaos/internal/compliance"
 	"chainchaos/internal/core"
@@ -102,7 +103,7 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 	scanned := pipeline.Through(src, newSiteScanner(cfg).stage())
 	graded := pipeline.Through(scanned, gradeStage(dep.trust(), cfg.Workers, cfg.Dedup))
 
-	rep := &Report{Passes: make(map[string]int, len(core.Profiles))}
+	rep := &Report{}
 	var line []byte // the record buffer, reused for every site
 	err = graded.Drain(func(rank int, g scannedSite) error {
 		rep.tally(g)
@@ -132,12 +133,12 @@ func RunStream(ctx context.Context, cfg Config, st Stream) (*Report, error) {
 // gradeStage grades and differentially tests each captured chain: one
 // core.Grader per worker runs the analyzer and all eight client models. A
 // lost site passes through ungraded. Under dedup the stage shares gradings
-// through core.Memo: its hits alias one read-only verdict map per (chain,
-// leaf-match bit).
+// through core.Memo, which keeps one verdict vector per (chain, leaf-match
+// bit).
 func gradeStage(trust core.Trust, workers int, dedup bool) pipeline.Stage[scannedSite, scannedSite] {
-	var memo *core.Memo[map[string]bool]
+	var memo *core.Memo[core.Verdicts]
 	if dedup {
-		memo = core.NewMemo[map[string]bool]("study.vcache", trust)
+		memo = core.NewMemo[core.Verdicts]("study.vcache", trust)
 	}
 	graders := make([]*core.Grader, parallel.Workers(workers))
 	return pipeline.Stage[scannedSite, scannedSite]{
@@ -150,13 +151,8 @@ func gradeStage(trust core.Trust, workers int, dedup bool) pipeline.Stage[scanne
 		Fn: func(ctx context.Context, worker, _ int, sc scannedSite) (scannedSite, error) {
 			if !sc.lost {
 				gr, domain := graders[worker], sc.site.Domain
-				sc.site.Report, sc.site.Verdicts, _ = memo.Grade(ctx, sc.list, domain, func() (compliance.Report, map[string]bool) {
-					rep := gr.Analyze(sc.list, domain)
-					verdicts := make(map[string]bool, len(core.Profiles))
-					for i, p := range core.Profiles {
-						verdicts[p.Name] = gr.Class(i, sc.list, domain) == core.VerdictOK
-					}
-					return rep, verdicts
+				sc.site.Report, sc.site.Verdicts, _ = memo.Grade(ctx, sc.list, domain, func() (compliance.Report, core.Verdicts) {
+					return gr.Analyze(sc.list, domain), gr.Verdicts(sc.list, domain)
 				})
 			}
 			return sc, nil
@@ -214,24 +210,26 @@ func appendSiteRecord(b []byte, rank int, g scannedSite) []byte {
 	return append(b, '}')
 }
 
-// appendVerdicts appends the verdicts field with its keys sorted, as
-// encoding/json orders a map; an empty map is omitted.
-func appendVerdicts(b []byte, v map[string]bool) []byte {
-	if len(v) == 0 {
-		return b
+// verdictOrder lists the indexes of core.Profiles by client name: the
+// order encoding/json writes a map's keys in, which the verdicts field keeps.
+var verdictOrder = func() []int {
+	order := make([]int, len(core.Profiles))
+	for i := range order {
+		order[i] = i
 	}
-	var stack [16]string // room for every client profile
-	keys := stack[:0]
-	for k := range v {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(core.Profiles[i].Name, core.Profiles[j].Name) })
+	return order
+}()
+
+// appendVerdicts appends the verdicts field: each client's name, in
+// verdictOrder, and whether it accepted the chain.
+func appendVerdicts(b []byte, v core.Verdicts) []byte {
 	b = append(b, `,"verdicts":{`...)
-	for i, k := range keys {
-		if i > 0 {
+	for n, i := range verdictOrder {
+		if n > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendBool(append(report.AppendJSONString(b, k), ':'), v[k])
+		b = strconv.AppendBool(append(report.AppendJSONString(b, core.Profiles[i].Name), ':'), v[i] == core.VerdictOK)
 	}
 	return append(b, '}')
 }

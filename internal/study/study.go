@@ -12,8 +12,6 @@
 package study
 
 import (
-	"time"
-
 	"chainchaos/internal/compliance"
 	"chainchaos/internal/core"
 	"chainchaos/internal/faults"
@@ -36,8 +34,6 @@ type Config struct {
 	Vantages int
 	// Concurrency bounds parallel scanning (default 8).
 	Concurrency int
-	// Timeout bounds each handshake (default 5s).
-	Timeout time.Duration
 	// Workers bounds the parallel grade-and-difftest loop over scanned
 	// sites; <= 0 means GOMAXPROCS. Results are deterministic for any
 	// worker count.
@@ -45,9 +41,6 @@ type Config struct {
 	// Retries is the extra handshake attempts the scanner spends on each
 	// transport failure (0 = scan once).
 	Retries int
-	// RescanPasses bounds the re-scan sweeps over sites that every vantage
-	// failed to capture (default 1; negative disables).
-	RescanPasses int
 	// Faults misconfigures every listener on purpose, so the run exercises
 	// the retry/re-scan machinery instead of assuming a polite network.
 	Faults tlsserve.FaultConfig
@@ -109,15 +102,6 @@ func (c *Config) fillDefaults() {
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Second
-	}
-	if c.RescanPasses == 0 {
-		c.RescanPasses = 1
-	}
-	if c.RescanPasses < 0 {
-		c.RescanPasses = 0
-	}
 	if c.Reuse > 0 && c.DistinctChains <= 0 {
 		c.DistinctChains = 3000
 	}
@@ -170,7 +154,7 @@ type site struct {
 	Scenario string
 
 	Report   compliance.Report
-	Verdicts map[string]bool
+	Verdicts core.Verdicts
 }
 
 // ErrorBreakdown counts failed scan attempts per cause — the distinction
@@ -226,9 +210,9 @@ func (r *Report) tally(g scannedSite) {
 	case g.site.Report.Compliant():
 		r.StreamedCompliant++
 	default:
-		for name, ok := range g.site.Verdicts {
-			if ok {
-				r.Passes[name]++
+		for i, c := range g.site.Verdicts {
+			if c == core.VerdictOK {
+				r.Passes[i]++
 			}
 		}
 	}
@@ -270,9 +254,9 @@ type Report struct {
 	// and StreamedCompliant those of them graded compliant.
 	Streamed          int
 	StreamedCompliant int
-	// Passes counts, per client name, the non-compliant sites (graded, not
-	// compliant) that client accepted.
-	Passes map[string]int
+	// Passes[i] counts the non-compliant sites (graded, not compliant) that
+	// client core.Profiles[i] accepted.
+	Passes [len(core.Verdicts{})]int
 	// Snapshot is the metrics export taken after the run when Cfg.Metrics
 	// was wired; nil otherwise.
 	Snapshot *obs.Snapshot
@@ -285,8 +269,8 @@ func (r *Report) Tables() []*report.Table {
 	// Every site is lost, compliant or non-compliant.
 	bad := r.Streamed - r.Lost - r.StreamedCompliant
 	perClient := report.New("per-client pass rate over non-compliant sites", "Client", "Pass")
-	for _, p := range core.Profiles {
-		perClient.Add(p.Name, report.Count(r.Passes[p.Name], bad))
+	for i, p := range core.Profiles {
+		perClient.Add(p.Name, report.Count(r.Passes[i], bad))
 	}
 
 	failures := report.New("scan failures by cause (all passes)", "Cause", "Failed attempts")

@@ -47,11 +47,6 @@ type FaultConfig struct {
 	SlowWrite time.Duration
 }
 
-// Active reports whether any fault is configured.
-func (fc FaultConfig) Active() bool {
-	return fc.FailFirst > 0 || fc.AcceptThenReset || fc.StallHandshake > 0 || fc.SlowWrite > 0
-}
-
 // Server is one TLS listener presenting a fixed certificate list.
 type Server struct {
 	listener net.Listener

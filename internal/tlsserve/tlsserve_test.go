@@ -247,20 +247,6 @@ func TestSlowWriteStillServes(t *testing.T) {
 	}
 }
 
-func TestFaultConfigActive(t *testing.T) {
-	if (FaultConfig{}).Active() {
-		t.Error("zero FaultConfig reports active")
-	}
-	for _, fc := range []FaultConfig{
-		{FailFirst: 1}, {AcceptThenReset: true},
-		{StallHandshake: time.Second}, {SlowWrite: time.Second},
-	} {
-		if !fc.Active() {
-			t.Errorf("%+v reports inactive", fc)
-		}
-	}
-}
-
 func TestFarmLifecycle(t *testing.T) {
 	f := NewFarm()
 	defer f.Close()

@@ -351,20 +351,6 @@ func (w *walker) emit() {
 	w.paths = append(w.paths, w.store[start:len(w.store):len(w.store)])
 }
 
-// RelevantNodes returns the leaf and every node reachable from it along
-// issuance edges, not extending past a self-signed certificate — every node
-// some path would contain, were paths not capped at maxPaths.
-func (g *Graph) RelevantNodes() map[*Node]bool {
-	g.Paths() // the walk sets the relevance marks
-	relevant := make(map[*Node]bool)
-	for _, n := range g.Nodes {
-		if n.relevant {
-			relevant[n] = true
-		}
-	}
-	return relevant
-}
-
 // IrrelevantNodes returns the distinct certificates with no direct or
 // indirect issuance relation to the leaf. Duplicates are already folded, so
 // surplus copies do not count (matching the paper: "duplicate certificates
@@ -378,12 +364,6 @@ func (g *Graph) IrrelevantNodes() []*Node {
 		}
 	}
 	return out
-}
-
-// HasMultiplePaths reports whether more than one certification path
-// terminates at the leaf (Figure 2c).
-func (g *Graph) HasMultiplePaths() bool {
-	return len(g.Paths()) > 1
 }
 
 // pathReversed reports whether any issuance step in the path places the
